@@ -147,7 +147,13 @@ def run_scale_scenario_checkpointed(
     if checkpoint is not None:
         driver.service.load_state_dict(checkpoint.payload["service"])
         driver.load_state_dict(checkpoint.payload["driver"])
-    report = driver.run(scenario.duration)
+    try:
+        report = driver.run(scenario.duration)
+    finally:
+        # The hook reaches the driver and the driver holds the hook:
+        # unhook, so a finished (or interrupted) run is freed by
+        # reference count like an unhooked one.
+        driver.on_step = None
     store.clear()
     return report
 

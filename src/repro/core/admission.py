@@ -18,7 +18,12 @@ from typing import Mapping, Optional, Sequence
 
 from repro.errors import AdmissionError
 from repro.core.guarantees import probabilistic_guarantee
-from repro.core.mapping import ResourceMapping, compute_mapping, shifted_cdf
+from repro.core.mapping import (
+    PathQoSEstimate,
+    ResourceMapping,
+    compute_mapping,
+    shifted_cdf,
+)
 from repro.core.spec import StreamSpec
 from repro.monitoring.cdf import EmpiricalCDF
 
@@ -52,12 +57,20 @@ class AdmissionController:
         self,
         specs: Sequence[StreamSpec],
         cdfs: Mapping[str, EmpiricalCDF],
+        qos: Mapping[str, PathQoSEstimate] | None = None,
     ) -> AdmissionDecision:
-        """Attempt to admit all ``specs``; never raises on rejection."""
+        """Attempt to admit all ``specs``; never raises on rejection.
+
+        ``qos`` carries the monitored RTT/loss levels per path, exactly
+        as :func:`repro.core.mapping.compute_mapping` takes them: pass
+        what the scheduler's remap will see, or a stream with a
+        ``max_rtt_ms`` / ``max_loss_rate`` ceiling is admitted onto a
+        path the next remap may not place it on.
+        """
         try:
-            mapping = compute_mapping(specs, cdfs, self.tw)
+            mapping = compute_mapping(specs, cdfs, self.tw, qos=qos)
         except AdmissionError as exc:
-            return self._reject(specs, cdfs, exc)
+            return self._reject(specs, cdfs, qos, exc)
         return AdmissionDecision(
             admitted=True,
             mapping=mapping,
@@ -68,6 +81,7 @@ class AdmissionController:
         self,
         specs: Sequence[StreamSpec],
         cdfs: Mapping[str, EmpiricalCDF],
+        qos: Mapping[str, PathQoSEstimate] | None,
         exc: AdmissionError,
     ) -> AdmissionDecision:
         rejected = exc.stream_name
@@ -76,7 +90,7 @@ class AdmissionController:
         suggestion = None
         admitted_names: tuple[str, ...] = ()
         try:
-            partial = compute_mapping(others, cdfs, self.tw)
+            partial = compute_mapping(others, cdfs, self.tw, qos=qos)
             admitted_names = tuple(s.name for s in others)
             suggestion = self._best_offer(rejected_spec, cdfs, partial)
         except AdmissionError:
@@ -100,13 +114,16 @@ class AdmissionController:
         """Best single-path probability for ``spec`` given prior promises."""
         if spec.required_mbps is None:
             return None
+        # One pass over the promises, every path's rates collected in
+        # stream order; summing a path's own rates equals summing them
+        # interleaved with the 0.0 of the streams that avoid the path.
+        promised: dict[str, list[float]] = {path: [] for path in cdfs}
+        for shares in partial.rates_mbps.values():
+            for path, rate in shares.items():
+                promised[path].append(rate)
         best = 0.0
         for path, cdf in cdfs.items():
-            allocated = sum(
-                partial.rate(stream, path)
-                for stream in partial.rates_mbps
-            )
-            residual = shifted_cdf(cdf, allocated)
+            residual = shifted_cdf(cdf, sum(promised[path]))
             best = max(
                 best, probabilistic_guarantee(residual, spec.required_mbps)
             )

@@ -137,6 +137,34 @@ def largest_remainder_split(total: int, fractions: Sequence[float]) -> list[int]
     return floors.tolist()
 
 
+def _packets_from_rates(
+    specs: Sequence[StreamSpec],
+    rates: Mapping[str, Mapping[str, float]],
+    tw: float,
+) -> dict[str, dict[str, int]]:
+    """Convert mapped rates to integer packets per window (``Tp_i^j``).
+
+    Largest-remainder apportionment of each stream's window quota over
+    its paths.  A stream on one path takes the whole quota — exactly
+    what the general split returns for a single positive share — so the
+    common single-path case never builds an array.
+    """
+    packets: dict[str, dict[str, int]] = {}
+    by_name = {s.name: s for s in specs}
+    for name, shares in rates.items():
+        total_rate = sum(shares.values())
+        if total_rate <= 0:
+            packets[name] = {}
+            continue
+        x_total = packets_per_window(total_rate, by_name[name].packet_size, tw)
+        if len(shares) == 1:
+            counts = [x_total]
+        else:
+            counts = largest_remainder_split(x_total, list(shares.values()))
+        packets[name] = {p: c for p, c in zip(shares, counts) if c > 0}
+    return packets
+
+
 @dataclass(frozen=True)
 class ResourceMapping:
     """The output of the mapping step.
@@ -517,20 +545,8 @@ def best_effort_mapping(
         for p, r in shares.items():
             prior[p] = prior.get(p, 0.0) + r
         rates[spec.name] = prior
-    packets: dict[str, dict[str, int]] = {}
-    by_name = {s.name: s for s in specs}
-    for name, shares in rates.items():
-        spec = by_name[name]
-        total_rate = sum(shares.values())
-        if total_rate <= 0:
-            packets[name] = {}
-            continue
-        x_total = packets_per_window(total_rate, spec.packet_size, tw)
-        paths = list(shares)
-        counts = largest_remainder_split(x_total, [shares[p] for p in paths])
-        packets[name] = {p: c for p, c in zip(paths, counts) if c > 0}
     return ResourceMapping(
-        packets=packets,
+        packets=_packets_from_rates(specs, rates, tw),
         rates_mbps=rates,
         achieved_probability=achieved_p,
         tw=tw,
@@ -647,26 +663,8 @@ def compute_mapping(
             prior[p] = prior.get(p, 0.0) + r
         rates[spec.name] = prior
 
-    # Convert rates to integer packets per window (largest remainder).
-    packets: dict[str, dict[str, int]] = {}
-    by_name = {s.name: s for s in specs}
-    for name, shares in rates.items():
-        spec = by_name[name]
-        total_rate = sum(shares.values())
-        if total_rate <= 0:
-            packets[name] = {}
-            continue
-        x_total = packets_per_window(total_rate, spec.packet_size, tw)
-        paths = list(shares)
-        counts = largest_remainder_split(
-            x_total, [shares[p] for p in paths]
-        )
-        packets[name] = {
-            p: c for p, c in zip(paths, counts) if c > 0
-        }
-
     return ResourceMapping(
-        packets=packets,
+        packets=_packets_from_rates(specs, rates, tw),
         rates_mbps=rates,
         achieved_probability=achieved_p,
         achieved_violation_rate=achieved_v,

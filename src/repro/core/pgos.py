@@ -22,7 +22,7 @@ checks the two agree to within a packet quantum.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Mapping, Optional, Sequence
+from typing import Callable, Deque, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import AdmissionError, ConfigurationError
 from repro.obs.context import NULL_OBS, Observability
@@ -37,6 +37,7 @@ from repro.core.mapping import (
 from repro.core.scheduler import PathShareRequest, SchedulerBase
 from repro.core.spec import StreamSpec
 from repro.core.vectors import Schedule
+from repro.monitoring.cdf import EmpiricalCDF
 from repro.monitoring.monitor import PathMonitor
 from repro.transport.packet import Packet
 from repro.transport.service import PathService
@@ -45,6 +46,38 @@ from repro.transport.service import PathService
 LEVEL_SCHEDULED_HERE = 0
 LEVEL_SCHEDULED_ELSEWHERE = 1
 LEVEL_UNSCHEDULED = 2
+
+
+class _SolvedMapping(NamedTuple):
+    """A mapping together with the inputs it was solved against."""
+
+    specs: Sequence[StreamSpec]
+    cdfs: Mapping[str, EmpiricalCDF]
+    qos: Mapping[str, PathQoSEstimate]
+    mapping: ResourceMapping
+
+    def answers(
+        self,
+        specs: Sequence[StreamSpec],
+        cdfs: Mapping[str, EmpiricalCDF],
+        qos: Mapping[str, PathQoSEstimate],
+        tw: float,
+    ) -> bool:
+        """Whether ``compute_mapping(specs, cdfs, tw, qos)`` is this mapping.
+
+        Identity, not equality, on specs and CDFs: the same objects in
+        the same order are the same problem, and a monitor hands out one
+        snapshot object until its next sample, so neither test costs a
+        comparison of contents.
+        """
+        return (
+            self.mapping.tw == tw
+            and len(self.specs) == len(specs)
+            and all(a is b for a, b in zip(self.specs, specs))
+            and list(self.cdfs) == list(cdfs)
+            and all(self.cdfs[p] is cdf for p, cdf in cdfs.items())
+            and self.qos == qos
+        )
 
 
 class PGOSScheduler(SchedulerBase):
@@ -100,7 +133,8 @@ class PGOSScheduler(SchedulerBase):
         self._clock: Callable[[], float] = lambda: 0.0
         self.monitors: dict[str, PathMonitor] = {}
         self.mapping: Optional[ResourceMapping] = None
-        self.schedule: Optional[Schedule] = None
+        self._compiled: Optional[tuple[ResourceMapping, Schedule]] = None
+        self._offer: Optional[_SolvedMapping] = None
         self.remap_count = 0
         #: True while serving with a stale or best-effort mapping because
         #: the workload is not admittable at its requested guarantees.
@@ -132,7 +166,7 @@ class PGOSScheduler(SchedulerBase):
             for p in self.path_names
         }
         self.mapping = None
-        self.schedule = None
+        self._offer = None
         self.remap_count = 0
         self.quarantined = frozenset()
 
@@ -268,11 +302,66 @@ class PGOSScheduler(SchedulerBase):
         """
         if self._needs_remap():
             self.remap()
-        if self.schedule is None:
-            raise ConfigurationError(
-                "no schedule available (mapping kept a stale state?)"
-            )
         return self.schedule
+
+    @property
+    def schedule(self) -> Optional[Schedule]:
+        """V_P / V_S vectors of the installed mapping (``None`` without one).
+
+        Compiled when first asked for and kept until another mapping is
+        installed: only the packet fast path reads the vectors, so
+        interval-mode runs never build them.  Every membership or
+        quarantine change voids the mapping, hence the current
+        precedence and usable paths are those of the remap that
+        installed it.
+        """
+        mapping = self.mapping
+        if mapping is None:
+            return None
+        if self._compiled is None or self._compiled[0] is not mapping:
+            self._compiled = (
+                mapping,
+                mapping.compile(
+                    stream_order=self.stream_precedence(),
+                    path_order=self.usable_paths,
+                ),
+            )
+        return self._compiled[1]
+
+    def path_qos(self, paths: Sequence[str]) -> dict[str, PathQoSEstimate]:
+        """Monitored RTT/loss levels of ``paths``, as the mapping step
+        holds them against a stream's ceilings."""
+        qos = {}
+        for p in paths:
+            monitor = self.monitors[p]
+            qos[p] = PathQoSEstimate(
+                rtt_ms=monitor.rtt_ms.predict() if monitor.rtt_ms.ready else None,
+                loss_rate=(
+                    monitor.loss_rate.predict()
+                    if monitor.loss_rate.ready
+                    else None
+                ),
+            )
+        return qos
+
+    def offer_mapping(
+        self,
+        specs: Sequence[StreamSpec],
+        cdfs: Mapping[str, EmpiricalCDF],
+        qos: Mapping[str, PathQoSEstimate],
+        mapping: ResourceMapping,
+    ) -> None:
+        """Hand over a mapping just solved for ``(specs, cdfs, qos)``.
+
+        Admission control solves, one call before the remap, the very
+        problem the remap is about to solve.  The next :meth:`remap`
+        installs ``mapping`` instead of solving again if — and only if —
+        it would pass :func:`compute_mapping` these same spec objects in
+        this order, these same CDF snapshot objects for the same usable
+        paths, and equal ``qos``; otherwise the offer is dropped.  One
+        slot, emptied by the next remap either way.
+        """
+        self._offer = _SolvedMapping(specs, cdfs, qos, mapping)
 
     def remap(self) -> ResourceMapping:
         """Recompute the resource mapping from current CDFs.
@@ -289,21 +378,16 @@ class PGOSScheduler(SchedulerBase):
     def _remap_inner(self) -> ResourceMapping:
         usable = self.usable_paths
         cdfs = {p: self.monitors[p].cdf() for p in usable}
-        qos = {}
-        for p in usable:
-            monitor = self.monitors[p]
-            qos[p] = PathQoSEstimate(
-                rtt_ms=monitor.rtt_ms.predict() if monitor.rtt_ms.ready else None,
-                loss_rate=(
-                    monitor.loss_rate.predict()
-                    if monitor.loss_rate.ready
-                    else None
-                ),
-            )
+        qos = self.path_qos(usable)
+        offer, self._offer = self._offer, None
         self.degraded = False
         try:
             if self.split_strategy == "even":
                 mapping = even_split_mapping(self.streams, cdfs, self.tw)
+            elif offer is not None and offer.answers(
+                self.streams, cdfs, qos, self.tw
+            ):
+                mapping = offer.mapping
             else:
                 mapping = compute_mapping(self.streams, cdfs, self.tw, qos=qos)
         except AdmissionError:
@@ -320,9 +404,6 @@ class PGOSScheduler(SchedulerBase):
             self.degraded = True
             mapping = best_effort_mapping(self.streams, cdfs, self.tw, qos=qos)
         self.mapping = mapping
-        self.schedule = mapping.compile(
-            stream_order=self.stream_precedence(), path_order=usable
-        )
         for monitor in self.monitors.values():
             monitor.mark_remapped()
         self.remap_count += 1
@@ -363,7 +444,7 @@ class PGOSScheduler(SchedulerBase):
         path, so a restored mapping must iterate identically for float
         sums to stay bit-identical.  The compiled :class:`Schedule` is
         not serialized — it is a pure function of the mapping, the stream
-        precedence, and the usable path order, and is recompiled on load.
+        precedence, and the usable path order (see :attr:`schedule`).
         """
         mapping = self.mapping
         mapping_state = None
@@ -416,10 +497,10 @@ class PGOSScheduler(SchedulerBase):
         self.quarantined = frozenset(state["quarantined"])
         self.remap_count = int(state["remap_count"])
         self.degraded = bool(state["degraded"])
+        self._offer = None
         mapping_state = state["mapping"]
         if mapping_state is None:
             self.mapping = None
-            self.schedule = None
         else:
             self.mapping = ResourceMapping(
                 packets={
@@ -441,14 +522,6 @@ class PGOSScheduler(SchedulerBase):
                     ].items()
                 },
                 tw=float(mapping_state["tw"]),
-            )
-            # Quarantine and stream set cannot have drifted since the
-            # last remap (any change voids the mapping), so recompiling
-            # against the *current* precedence and usable paths rebuilds
-            # the live schedule exactly.
-            self.schedule = self.mapping.compile(
-                stream_order=self.stream_precedence(),
-                path_order=self.usable_paths,
             )
 
     def stream_precedence(self) -> list[str]:

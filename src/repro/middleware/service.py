@@ -22,13 +22,14 @@ its backoff-gated, probe-confirmed recovery.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import AdmissionError, CheckpointError, ConfigurationError
-from repro.core.admission import AdmissionController
+from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.pgos import PGOSScheduler
 from repro.core.scheduler import water_fill
 from repro.core.spec import StreamSpec
@@ -97,6 +98,23 @@ class StreamReport:
         return fraction_of_time_at_least(
             self.mbps, self.target_mbps * 0.999
         )
+
+
+def _session_clock(service: "IQPathsService") -> Callable[[], float]:
+    """``service.now`` as a callable that does not keep the service alive.
+
+    The scheduler, its monitors and the profiler hold the clock while
+    the service holds them; a strong back-reference would make every
+    finished service a cycle only the cyclic collector reclaims.  Once
+    the service is gone the clock reads 0.0, like an unbound one.
+    """
+    ref = weakref.ref(service)
+
+    def clock() -> float:
+        service = ref()
+        return 0.0 if service is None else service.now
+
+    return clock
 
 
 class IQPathsService:
@@ -172,12 +190,13 @@ class IQPathsService:
             health = HealthTracker(self.path_names)
         self.health = health
         self.obs = obs if obs is not None else NULL_OBS
+        clock = _session_clock(self)
         if self.obs.prof.enabled:
             # Session time is the profiler's virtual clock for
             # service-driven runs; a Simulator rebinds while it owns
             # the loop (workload runs never mix the two).
-            self.obs.prof.bind_clock(lambda: self.now)
-        self.scheduler.bind_observability(self.obs, clock=lambda: self.now)
+            self.obs.prof.bind_clock(clock)
+        self.scheduler.bind_observability(self.obs, clock=clock)
         if self.health is not None:
             self.health.bind_observability(self.obs)
         #: Monotone stream-ID allocator (stable join key for traces).
@@ -401,6 +420,39 @@ class IQPathsService:
         ):
             self._refresh_degradation()
 
+    def _admit(self, new_specs: list[StreamSpec]) -> AdmissionDecision:
+        """One admission decision: every open stream plus ``new_specs``.
+
+        Admission sees what the scheduler's next remap will see — the
+        usable paths' CDF snapshots and RTT/loss levels — and the
+        mapping it solved (on rejection: the mapping of the streams
+        that do fit) is handed to the scheduler, which installs it
+        instead of solving again when the remap turns out to ask the
+        same question (:meth:`PGOSScheduler.offer_mapping`).
+        """
+        scheduler = self.scheduler
+        specs = [
+            self._original[h.name]
+            for h in self.handles.values()
+            if h.open
+        ] + new_specs
+        usable = self._usable_paths()
+        cdfs = {p: scheduler.monitors[p].cdf() for p in usable}
+        qos = scheduler.path_qos(usable)
+        prof = self.obs.prof
+        if prof.enabled:
+            with prof.span("service.admission"):
+                decision = self._admission.try_admit(specs, cdfs, qos)
+        else:
+            decision = self._admission.try_admit(specs, cdfs, qos)
+        if decision.mapping is not None:
+            if not decision.admitted:
+                specs = [
+                    s for s in specs if s.name != decision.rejected_stream
+                ]
+            scheduler.offer_mapping(specs, cdfs, qos, decision.mapping)
+        return decision
+
     def open_stream(
         self, spec: StreamSpec, tenant: Optional[str] = None
     ) -> StreamHandle:
@@ -415,20 +467,7 @@ class IQPathsService:
             raise ConfigurationError(f"stream {spec.name!r} already open")
         if not self._scheduler_bound:
             self._bind_scheduler(spec)
-        open_specs = [
-            self._original[h.name]
-            for h in self.handles.values()
-            if h.open
-        ] + [spec]
-        cdfs = {
-            p: self.scheduler.monitors[p].cdf() for p in self._usable_paths()
-        }
-        prof = self.obs.prof
-        if prof.enabled:
-            with prof.span("service.admission"):
-                decision = self._admission.try_admit(open_specs, cdfs)
-        else:
-            decision = self._admission.try_admit(open_specs, cdfs)
+        decision = self._admit([spec])
         self._next_stream_id += 1
         stream_id = self._next_stream_id
         self.obs.bind_stream(spec.name, stream_id)
@@ -484,20 +523,7 @@ class IQPathsService:
                 )
         if not self._scheduler_bound:
             self._bind_scheduler(specs[0])
-        open_specs = [
-            self._original[h.name]
-            for h in self.handles.values()
-            if h.open
-        ] + specs
-        cdfs = {
-            p: self.scheduler.monitors[p].cdf() for p in self._usable_paths()
-        }
-        prof = self.obs.prof
-        if prof.enabled:
-            with prof.span("service.admission"):
-                decision = self._admission.try_admit(open_specs, cdfs)
-        else:
-            decision = self._admission.try_admit(open_specs, cdfs)
+        decision = self._admit(specs)
         if not decision.admitted and self.strict_admission:
             rejected = next(
                 (
@@ -583,9 +609,8 @@ class IQPathsService:
         if not open_handles:
             return
         quarantined = self.health.quarantined()
-        cdfs = {
-            p: self.scheduler.monitors[p].cdf() for p in self._usable_paths()
-        }
+        usable = self._usable_paths()
+        cdfs = {p: self.scheduler.monitors[p].cdf() for p in usable}
         originals = [self._original[h.name] for h in open_handles]
         plan = plan_degradation(
             originals,
@@ -593,6 +618,7 @@ class IQPathsService:
             self.tw,
             quarantine_active=bool(quarantined),
             admission=self._admission,
+            qos=self.scheduler.path_qos(usable),
         )
         if plan == self._plan:
             return

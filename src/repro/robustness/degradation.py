@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from repro.core.admission import AdmissionController
+from repro.core.mapping import PathQoSEstimate
 from repro.core.spec import StreamSpec
 from repro.errors import ConfigurationError
 from repro.monitoring.cdf import EmpiricalCDF
@@ -105,6 +106,7 @@ def plan_degradation(
     tw: float,
     quarantine_active: bool = False,
     admission: Optional[AdmissionController] = None,
+    qos: Optional[Mapping[str, PathQoSEstimate]] = None,
 ) -> DegradationPlan:
     """Plan how to serve ``specs`` over the paths described by ``cdfs``.
 
@@ -122,6 +124,10 @@ def plan_degradation(
         capacity isolates the guaranteed streams and the recovery probes.
     admission:
         Admission controller to reuse (a fresh one per call otherwise).
+    qos:
+        Monitored RTT/loss levels of the usable paths, held against the
+        streams' ``max_rtt_ms`` / ``max_loss_rate`` ceilings exactly as
+        the scheduler's remap holds them.
     """
     if not cdfs:
         raise ConfigurationError("at least one usable path CDF is required")
@@ -136,7 +142,7 @@ def plan_degradation(
         if not (s.guaranteed or s.max_violation_rate is not None)
     ]
 
-    decision = admission.try_admit(list(specs), cdfs)
+    decision = admission.try_admit(list(specs), cdfs, qos)
     if decision.admitted and not quarantine_active:
         return DegradationPlan(
             level=DegradationLevel.NORMAL, serve=tuple(specs)
@@ -161,7 +167,7 @@ def plan_degradation(
     downgraded: dict[str, Optional[float]] = {}
     rejections: dict[str, int] = {}
     for _ in range(2 * len(guaranteed) + 1):
-        verdict = admission.try_admit(list(current.values()), cdfs)
+        verdict = admission.try_admit(list(current.values()), cdfs, qos)
         if verdict.admitted:
             break
         name = verdict.rejected_stream

@@ -52,6 +52,7 @@ templates encode PGOS's allocation rules.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -169,7 +170,9 @@ class VectorizedDelivery:
             raise ConfigurationError(
                 "the vectorized backend requires a PGOSScheduler"
             )
-        self.service = service
+        # The service owns this engine; a strong back-pointer would make
+        # every finished service a reference cycle.
+        self.service: "IQPathsService" = weakref.proxy(service)
         self.batch = BatchState(
             n_columns=service.realization.n_intervals - service._start_k,
             dt=service.dt,

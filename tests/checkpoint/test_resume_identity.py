@@ -8,8 +8,12 @@ cooperative interruption (the SIGKILL variant lives in
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro.checkpoint import workload as checkpoint_workload
 from repro.checkpoint import (
     CheckpointConfig,
     CheckpointStore,
@@ -232,3 +236,42 @@ def test_driver_refuses_midrun_restore(tmp_path):
     driver.run(1.0)  # no longer fresh
     with pytest.raises(ConfigurationError, match="fresh"):
         driver.load_state_dict(payload["driver"])
+
+
+def test_finished_and_interrupted_runs_are_freed_by_refcount(
+    tmp_path, monkeypatch
+):
+    """The step hook reaches the driver and the driver holds the hook;
+    the run unhooks on the way out, so neither a completed nor an
+    interrupted run waits for the cyclic collector."""
+    services = []
+    make = checkpoint_workload.make_scale_run
+
+    def recording(*args, **kwargs):
+        driver = make(*args, **kwargs)
+        services.append(weakref.ref(driver.service))
+        return driver
+
+    monkeypatch.setattr(checkpoint_workload, "make_scale_run", recording)
+
+    def run(interrupt=None):
+        return run_scale_scenario_checkpointed(
+            scenario(),
+            CheckpointStore(tmp_path),
+            seed=0,
+            max_sessions=MAX_SESSIONS,
+            config=CheckpointConfig(every_s=1.0),
+            fingerprint=FP,
+            interrupt=interrupt,
+            on_step=None if interrupt is None else interrupt.note,
+        )
+
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(RunInterrupted):
+            run(_TripAfter(20))
+        run()
+        assert [ref() for ref in services] == [None, None]
+    finally:
+        gc.enable()

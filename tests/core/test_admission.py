@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.admission import AdmissionController
+from repro.core.guarantees import probabilistic_guarantee
+from repro.core.mapping import PathQoSEstimate, shifted_cdf
 from repro.core.spec import StreamSpec
 from repro.monitoring.cdf import EmpiricalCDF
 
@@ -74,3 +76,71 @@ class TestAdmit:
     def test_invalid_tw(self):
         with pytest.raises(ValueError):
             AdmissionController(tw=0.0)
+
+
+class TestBestOffer:
+    def test_hint_equals_per_path_sum_over_all_streams(self, paths):
+        """The one-pass accumulation is the old per-path generator sum,
+        bit for bit (an absent path contributed an exact 0.0)."""
+        specs = [
+            StreamSpec(name="a", required_mbps=20.0, probability=0.95),
+            StreamSpec(name="b", required_mbps=15.0, probability=0.9),
+            StreamSpec(name="c", required_mbps=7.5, probability=0.9),
+            StreamSpec(name="greedy", required_mbps=30.0, probability=0.85),
+        ]
+        decision = AdmissionController(tw=1.0).try_admit(specs, paths)
+        assert decision.rejected_stream == "greedy"
+        partial = decision.mapping
+        assert len({p for r in partial.rates_mbps.values() for p in r}) == 2
+        best = 0.0
+        for path, cdf in paths.items():
+            allocated = sum(
+                partial.rate(stream, path) for stream in partial.rates_mbps
+            )
+            best = max(
+                best,
+                probabilistic_guarantee(shifted_cdf(cdf, allocated), 30.0),
+            )
+        assert 0.0 < best < 0.85
+        assert decision.suggested_probability == best
+
+
+class TestCeilings:
+    """Admission holds RTT/loss ceilings exactly as the remap will."""
+
+    #: Path A: low RTT.  Path B: the only one with room, but slow.
+    QOS = {
+        "A": PathQoSEstimate(rtt_ms=20.0, loss_rate=0.001),
+        "B": PathQoSEstimate(rtt_ms=80.0, loss_rate=0.02),
+    }
+
+    def specs(self):
+        return [
+            StreamSpec(name="big", required_mbps=40.0, probability=0.95),
+            StreamSpec(
+                name="ctl",
+                required_mbps=8.0,
+                probability=0.9,
+                max_rtt_ms=50.0,
+            ),
+        ]
+
+    def test_ceiling_only_one_path_meets_is_enforced(self, paths):
+        controller = AdmissionController(tw=1.0)
+        # Without the monitored levels the ceiling cannot bind: "ctl"
+        # lands on B, where the remap (which has them) cannot put it.
+        blind = controller.try_admit(self.specs(), paths)
+        assert blind.admitted
+        assert blind.mapping.paths_of("ctl") == ["B"]
+        decision = controller.try_admit(self.specs(), paths, self.QOS)
+        assert not decision.admitted
+        assert decision.rejected_stream == "ctl"
+        assert decision.admitted_streams == ("big",)
+
+    def test_ceiling_met_places_on_the_eligible_path(self, paths):
+        specs = [self.specs()[1]]
+        decision = AdmissionController(tw=1.0).try_admit(
+            specs, paths, self.QOS
+        )
+        assert decision.admitted
+        assert decision.mapping.paths_of("ctl") == ["A"]

@@ -1,11 +1,13 @@
 """PGOS: the packet fast path (Figure 7 / Table 1) and interval allocation."""
 
+import dataclasses
 from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.core.mapping import PathQoSEstimate, compute_mapping
 from repro.core.pgos import (
     LEVEL_SCHEDULED_ELSEWHERE,
     LEVEL_SCHEDULED_HERE,
@@ -149,21 +151,26 @@ class TestPrecedenceRules:
         assert sent == 9  # exactly the byte budget
 
 
+def seeded_scheduler(rng) -> PGOSScheduler:
+    """One guaranteed and one elastic stream over a stable and a noisy path."""
+    scheduler = PGOSScheduler(min_history=30)
+    streams = [
+        StreamSpec(name="crit", required_mbps=20.0, probability=0.95),
+        StreamSpec(name="bulk", elastic=True, nominal_mbps=30.0),
+    ]
+    scheduler.setup(streams, ["A", "B"], dt=0.1, tw=1.0)
+    scheduler.seed_history(
+        {
+            "A": 50 + 4 * rng.standard_normal(200),
+            "B": 30 + 10 * rng.standard_normal(200),
+        }
+    )
+    return scheduler
+
+
 class TestPGOSAllocate:
     def _scheduler(self, rng) -> PGOSScheduler:
-        scheduler = PGOSScheduler(min_history=30)
-        streams = [
-            StreamSpec(name="crit", required_mbps=20.0, probability=0.95),
-            StreamSpec(name="bulk", elastic=True, nominal_mbps=30.0),
-        ]
-        scheduler.setup(streams, ["A", "B"], dt=0.1, tw=1.0)
-        scheduler.seed_history(
-            {
-                "A": 50 + 4 * rng.standard_normal(200),
-                "B": 30 + 10 * rng.standard_normal(200),
-            }
-        )
-        return scheduler
+        return seeded_scheduler(rng)
 
     def test_critical_on_stable_path_level0(self, rng):
         scheduler = self._scheduler(rng)
@@ -245,3 +252,75 @@ class TestPGOSAllocate:
             PGOSScheduler(min_history=1)
         with pytest.raises(ConfigurationError):
             PGOSScheduler(split_strategy="sideways")
+
+
+class TestOfferedMapping:
+    """remap() installs a handed-over mapping only for its own question."""
+
+    @pytest.fixture
+    def scheduler(self, rng):
+        return seeded_scheduler(rng)
+
+    @staticmethod
+    def offer(scheduler, specs=None, qos=None):
+        """Solve for (a variation of) the scheduler's inputs and offer it."""
+        usable = scheduler.usable_paths
+        cdfs = {p: scheduler.monitors[p].cdf() for p in usable}
+        specs = list(scheduler.streams) if specs is None else specs
+        qos = scheduler.path_qos(usable) if qos is None else qos
+        mapping = compute_mapping(specs, cdfs, scheduler.tw, qos=qos)
+        scheduler.offer_mapping(specs, cdfs, qos, mapping)
+        return mapping
+
+    def test_same_question_is_adopted_once(self, scheduler):
+        offered = self.offer(scheduler)
+        assert scheduler.remap() is offered
+        again = scheduler.remap()
+        assert again is not offered
+        assert again == offered
+
+    def test_new_bandwidth_sample_voids_the_offer(self, scheduler):
+        offered = self.offer(scheduler)
+        # Bandwidth only: the RTT/loss levels stay unmonitored, so the
+        # CDF snapshot's identity is the one thing that changed.
+        scheduler.observe(0, {"A": 50.0})
+        assert scheduler.remap() is not offered
+
+    def test_other_stream_order_is_refused(self, scheduler):
+        offered = self.offer(scheduler, specs=scheduler.streams[::-1])
+        installed = scheduler.remap()
+        assert installed is not offered
+        assert list(installed.rates_mbps) == ["crit", "bulk"]
+
+    def test_equal_but_distinct_spec_objects_are_refused(self, scheduler):
+        copies = [dataclasses.replace(s) for s in scheduler.streams]
+        assert copies == scheduler.streams
+        offered = self.offer(scheduler, specs=copies)
+        assert scheduler.remap() is not offered
+
+    def test_quarantine_after_the_offer_is_refused(self, scheduler):
+        offered = self.offer(scheduler)
+        scheduler.set_quarantine(["A"])
+        installed = scheduler.remap()
+        assert installed is not offered
+        assert installed.paths_of("crit") == ["B"]
+
+    def test_other_qos_is_refused(self, scheduler):
+        qos = {p: PathQoSEstimate(rtt_ms=10.0) for p in ("A", "B")}
+        offered = self.offer(scheduler, qos=qos)
+        assert scheduler.remap() is not offered
+
+    def test_even_split_ignores_offers(self, rng):
+        scheduler = PGOSScheduler(min_history=30, split_strategy="even")
+        scheduler.setup(
+            [StreamSpec(name="crit", required_mbps=20.0, probability=0.9)],
+            ["A", "B"],
+            dt=0.1,
+            tw=1.0,
+        )
+        scheduler.seed_history(
+            {p: 50 + 4 * rng.standard_normal(200) for p in ("A", "B")}
+        )
+        offered = self.offer(scheduler)
+        assert not offered.is_split("crit")
+        assert scheduler.remap().is_split("crit")

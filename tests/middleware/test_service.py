@@ -1,5 +1,8 @@
 """The middleware facade: dynamic joins/leaves, upcalls, reports."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,88 @@ class TestAdmission:
         service.advance(20.0)
         # Degraded service still moves bytes.
         assert service.report("monster").mean_mbps > 0.0
+
+    def test_ceiling_only_one_path_meets_is_refused_at_open(self, service):
+        """Admission must hold RTT ceilings as the remap does: the stream
+        below fits on B by bandwidth alone, but only A meets its ceiling
+        and A is full.  It used to be admitted and then be unplaceable
+        at the next remap (served from a degraded mapping)."""
+        service.open_stream(critical("big", 40.0))
+        service.advance(1.0)
+        levels = service.scheduler.path_qos(service.path_names)
+        assert levels["A"].rtt_ms < levels["B"].rtt_ms
+        ceiling = (levels["A"].rtt_ms + levels["B"].rtt_ms) / 2.0
+        ctl = StreamSpec(
+            name="ctl", required_mbps=8.0, probability=0.9, max_rtt_ms=ceiling
+        )
+        with pytest.raises(AdmissionError):
+            service.open_stream(ctl)
+        service.advance(1.0)
+        assert not service.scheduler.degraded
+
+    def test_admitted_ceiling_stream_is_placeable_at_the_remap(self, service):
+        service.open_stream(critical("big", 20.0))
+        service.advance(1.0)  # RTT/loss are monitored from the first step
+        levels = service.scheduler.path_qos(service.path_names)
+        ceiling = (levels["A"].rtt_ms + levels["B"].rtt_ms) / 2.0
+        handle = service.open_stream(
+            StreamSpec(
+                name="ctl",
+                required_mbps=8.0,
+                probability=0.9,
+                max_rtt_ms=ceiling,
+            )
+        )
+        service.advance(1.0)
+        scheduler = service.scheduler
+        assert not scheduler.degraded
+        assert scheduler.mapping.paths_of("ctl") == ["A"]
+        assert (
+            scheduler.mapping.achieved_probability["ctl"]
+            == handle.achieved_probability
+        )
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+    def test_finished_service_is_freed_without_the_cycle_collector(
+        self, backend
+    ):
+        """The scheduler, monitors, profiler and delivery engine hold no
+        strong reference back to the service: dropping the last outside
+        reference frees the whole run at once, not at the next gc pass."""
+        gc.collect()
+        gc.disable()
+        try:
+            realization = make_figure8_testbed().realize(
+                seed=77, duration=40.0, dt=0.1
+            )
+            service = IQPathsService(
+                realization, warmup_intervals=200, sim_backend=backend
+            )
+            service.open_stream(critical())
+            service.open_stream(elastic())
+            service.advance(5.0)
+            service.close_stream("viz")
+            service.advance(1.0)
+            dead = [weakref.ref(service), weakref.ref(service.scheduler)]
+            del service
+            assert [ref() for ref in dead] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_clock_outliving_its_service_reads_zero(self):
+        realization = make_figure8_testbed().realize(
+            seed=77, duration=40.0, dt=0.1
+        )
+        service = IQPathsService(realization, warmup_intervals=200)
+        service.open_stream(critical())
+        service.advance(2.0)
+        scheduler = service.scheduler
+        assert scheduler._clock() == pytest.approx(2.0)
+        del service
+        gc.collect()
+        assert scheduler._clock() == 0.0
 
 
 class TestScheduling:

@@ -5,9 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AdmissionError
-from repro.core.mapping import best_effort_mapping, compute_mapping
+from repro.core.mapping import (
+    best_effort_mapping,
+    compute_mapping,
+    largest_remainder_split,
+)
 from repro.core.spec import StreamSpec
 from repro.monitoring.cdf import EmpiricalCDF
+from repro.units import packets_per_window
 
 # Random two-path environments: (mean, std) per path, seeded samples.
 path_params = st.tuples(
@@ -113,3 +118,50 @@ class TestMappingInvariants:
             loose.achieved_probability[first.name]
             <= strict.achieved_probability[first.name] + 1e-9
         )
+
+
+def split_packets(mapping, specs):
+    """``packets`` rebuilt with the general largest-remainder split for
+    every stream, single-path ones included."""
+    by_name = {s.name: s for s in specs}
+    out = {}
+    for name, shares in mapping.rates_mbps.items():
+        total_rate = sum(shares.values())
+        if total_rate <= 0:
+            out[name] = []
+            continue
+        counts = largest_remainder_split(
+            packets_per_window(
+                total_rate, by_name[name].packet_size, mapping.tw
+            ),
+            list(shares.values()),
+        )
+        out[name] = [(p, c) for p, c in zip(shares, counts) if c > 0]
+    return out
+
+
+class TestPacketApportionment:
+    """Single-path streams skip the array split; the result may not."""
+
+    @given(scenarios(), st.sampled_from([0.25, 1.0, 3.0]))
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    def test_packets_equal_the_general_split(self, scenario, tw):
+        cdfs, specs = scenario
+        mappings = [best_effort_mapping(specs, cdfs, tw=tw)]
+        try:
+            mappings.append(compute_mapping(specs, cdfs, tw=tw))
+        except AdmissionError:
+            pass
+        for mapping in mappings:
+            assert {
+                name: list(counts.items())
+                for name, counts in mapping.packets.items()
+            } == split_packets(mapping, specs)
+
+    @given(
+        st.integers(min_value=0, max_value=10**7),
+        st.floats(min_value=1e-9, max_value=1e4),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_one_positive_share_takes_everything(self, total, share):
+        assert largest_remainder_split(total, [share]) == [total]
