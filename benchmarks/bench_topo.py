@@ -1,17 +1,13 @@
 """Topology benchmark: per-fabric capacity envelopes and traffic shift.
 
-Three measurements, recorded to ``benchmarks/results/BENCH_topo.json``:
+Two measurements, recorded to ``benchmarks/results/BENCH_topo.json``:
 
 1. **Per-preset envelope** — the full capacity-envelope search on each
    headline fabric (``fat_tree_k4``, ``leaf_spine_4x8``) under the
    default NLANR traffic rotation.  ``envelope_sessions_per_sec`` (the
    max sustainable arrival rate) is the ledger headline; wall-clock
    seconds per search ride along as telemetry.
-2. **Backend identity** — each preset's churn run executed under the
-   vectorized and scalar delivery backends in one process; the report
-   checksums must be **bit-identical** and that asserts
-   unconditionally, exactly like ``bench_scale``.
-3. **Traffic shift** — the same reduced envelope on ``fat_tree_k4``
+2. **Traffic shift** — the same reduced envelope on ``fat_tree_k4``
    under ``nlanr`` vs ``dc-incast`` vs ``dc-hotrack``: the calibrated
    datacenter scenarios must *move* the envelope (incast collapses it,
    hot-rack skew caps it below the WAN baseline).  The shift asserts
@@ -39,7 +35,6 @@ from pathlib import Path
 
 from repro.fsutil import atomic_write_json
 from repro.workload.envelope import estimate_envelope
-from repro.workload.scenarios import run_scenario
 
 RESULTS_NAME = "BENCH_topo.json"
 
@@ -114,30 +109,6 @@ def test_preset_envelopes(results_dir: Path):
                 f"{preset} envelope regressed: "
                 f"{envelope.max_sustainable_rate} sessions/s"
             )
-
-
-def test_backend_identity(results_dir: Path):
-    # Determinism is the contract, not a timing: the vectorized and
-    # scalar backends must produce bit-identical reports on every
-    # generated fabric, asserted unconditionally.
-    checksums = {}
-    for preset in HEADLINE_PRESETS + ("repetita_wan_s0",):
-        run = dict(
-            seed=0, duration=10.0, max_sessions=60, topology=preset
-        )
-        vectorized = run_scenario(
-            "baseline", sim_backend="vectorized", **run
-        )
-        scalar = run_scenario("baseline", sim_backend="scalar", **run)
-        assert vectorized.checksum() == scalar.checksum(), (
-            f"{preset}: backends diverged"
-        )
-        checksums[preset] = vectorized.checksum()
-    _update_results(
-        results_dir,
-        "identity",
-        {"byte_identical": True, "checksums": checksums},
-    )
 
 
 def test_traffic_shift(results_dir: Path):

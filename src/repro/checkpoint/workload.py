@@ -47,7 +47,6 @@ def run_scale_scenario_checkpointed(
     strict_resume: bool = False,
     interrupt: Optional[InterruptFlag] = None,
     on_step: Optional[Callable[[int, float], None]] = None,
-    sim_backend: Optional[str] = None,
 ) -> WorkloadReport:
     """Run ``scenario`` with periodic checkpoints, resuming if possible.
 
@@ -77,11 +76,6 @@ def run_scale_scenario_checkpointed(
     on_step:
         Extra per-step hook ``(k, t)``, called after checkpoint
         bookkeeping (the kill-injection harness hangs here).
-    sim_backend:
-        Delivery backend (``vectorized``/``scalar``; ``None`` reads
-        ``REPRO_SIM_BACKEND``).  Snapshots are backend-agnostic: a
-        checkpoint written under one backend resumes byte-identically
-        under the other.
 
     A completed run clears the checkpoint slot: finished work must not
     be "resumed".
@@ -140,7 +134,6 @@ def run_scale_scenario_checkpointed(
         catalog=catalog,
         obs=obs,
         on_step=step_hook,
-        sim_backend=sim_backend,
     )
     hooks["driver"] = driver
     hooks["every_steps"] = config.every_steps(driver.service.dt)

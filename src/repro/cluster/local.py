@@ -31,7 +31,6 @@ def run_partitioned(
     max_sessions: Optional[int] = None,
     catalog: Optional[SessionCatalog] = None,
     obs: Optional[Observability] = None,
-    sim_backend: Optional[str] = None,
     topology: Optional[str] = None,
 ) -> ClusterReport:
     """Run all partition slices in-process and merge them (the baseline)."""
@@ -51,7 +50,6 @@ def run_partitioned(
             max_sessions=max_sessions,
             catalog=catalog,
             obs=obs,
-            sim_backend=sim_backend,
         )
         payloads[partition] = driver.run(scenario.duration).to_dict()
     return cluster_report_from_payloads(

@@ -117,7 +117,6 @@ class ClusterMaster:
         hang_timeout: float = 60.0,
         max_respawns: int = 2,
         obs: Optional[Observability] = None,
-        sim_backend: Optional[str] = None,
         topology: Optional[str] = None,
     ):
         if shards < 1:
@@ -131,10 +130,6 @@ class ClusterMaster:
         # (None = Figure-8); forwarded verbatim in each assignment so
         # all shards realize the same topology.
         self.topology = topology
-        # Pinned into every assignment so all shards simulate with the
-        # same delivery backend (None = each worker's process default;
-        # harmless either way, the backends are bit-identical).
-        self.sim_backend = sim_backend
         self.hang_timeout = hang_timeout
         self.max_respawns = max_respawns
         self.obs = obs if obs is not None else NULL_OBS
@@ -367,7 +362,6 @@ class ClusterMaster:
                 checkpoint_root=str(self.checkpoint_root),
                 resume=resume,
                 kill_at_epoch=kill_at_epoch,
-                sim_backend=self.sim_backend,
                 topology=self.topology,
             ),
         )
@@ -556,7 +550,6 @@ def run_cluster_scenario(
     max_respawns: int = 2,
     obs: Optional[Observability] = None,
     kill_at_epoch: Optional[dict[int, int]] = None,
-    sim_backend: Optional[str] = None,
     topology: Optional[str] = None,
 ) -> ClusterReport:
     """One-shot convenience: spawn a fleet, run one job, tear it down."""
@@ -570,7 +563,6 @@ def run_cluster_scenario(
         hang_timeout=hang_timeout,
         max_respawns=max_respawns,
         obs=obs,
-        sim_backend=sim_backend,
         topology=topology,
     ) as master:
         return master.run(

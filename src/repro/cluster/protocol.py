@@ -159,7 +159,6 @@ def assign(
     checkpoint_root: Optional[str] = None,
     resume: bool = False,
     kill_at_epoch: Optional[int] = None,
-    sim_backend: Optional[str] = None,
     topology: Optional[str] = None,
 ) -> dict[str, Any]:
     return {
@@ -175,10 +174,6 @@ def assign(
         "checkpoint_root": checkpoint_root,
         "resume": resume,
         "kill_at_epoch": kill_at_epoch,
-        # Delivery backend the worker must simulate with (None = the
-        # worker process's own REPRO_SIM_BACKEND default).  Shard output
-        # is bit-identical either way; this pins the choice cluster-wide.
-        "sim_backend": sim_backend,
         # Generated-topology reference (repro.topo preset string);
         # None = the Figure-8 testbed.  Workers read it with .get(),
         # so old workers ignore it rather than crash — but the master

@@ -92,9 +92,6 @@ def _run_job(
     max_sessions = assign["max_sessions"]
     checkpoint_root = assign["checkpoint_root"]
     kill_at_epoch = assign["kill_at_epoch"]
-    # .get(): masters predating the field omit it, meaning "worker's own
-    # process default" — the backends are bit-identical anyway.
-    sim_backend = assign.get("sim_backend")
 
     drivers: dict[str, ChurnDriver] = {}
     stores: dict[str, CheckpointStore] = {}
@@ -105,7 +102,6 @@ def _run_job(
             partition,
             seed=seed,
             max_sessions=max_sessions,
-            sim_backend=sim_backend,
         )
         if checkpoint_root is not None:
             stores[partition] = CheckpointStore.for_partition(

@@ -1,4 +1,4 @@
-"""Struct-of-arrays state for the vectorized delivery backend.
+"""Struct-of-arrays state for the vectorized delivery engine.
 
 :class:`BatchState` holds every active stream's hot-loop state as
 columnar numpy arrays — backlog bytes, precomputed arrival/limit
@@ -7,7 +7,8 @@ and the full per-interval delivered-throughput history — so one
 delivery step touches a handful of array operations instead of O(N)
 Python objects.
 
-Design constraints (they are what make the backend provable):
+Design constraints (they are what make the engine provable against the
+scalar reference loop, ``tests/oracles``):
 
 * **Stable indirection.**  A stream name maps to one *row*; rows are
   recycled through a LIFO free list when streams close, and growing
@@ -15,8 +16,8 @@ Design constraints (they are what make the backend provable):
   trace join keys, and checkpoint round trips therefore survive
   unchanged: the row number is an internal detail no output depends on.
 * **Scalar-faithful ordering.**  ``names()`` iterates streams in the
-  exact insertion order the scalar backend's ``_backlog_bytes`` dict
-  would have (insert on open, delete on close, reopened streams move to
+  exact insertion order the scalar reference's ``_backlog_bytes`` dict
+  has (insert on open, delete on close, reopened streams move to
   the end).  Checkpoint payloads serialize dicts *without* sorting —
   iteration order is part of the simulation's state — so this ordering
   is load-bearing, not cosmetic.
@@ -214,7 +215,7 @@ class BatchState:
         self.opened_col[row] = opened_col
         self._rows[spec.name] = row
         self._order_cache = None
-        # A reopened name starts a fresh history, as the scalar backend
+        # A reopened name starts a fresh history, as the scalar reference
         # resets its ``_delivered`` list.
         self._frozen.pop(spec.name, None)
         return row
@@ -243,8 +244,8 @@ class BatchState:
         frozen = self._frozen.get(name)
         if frozen is not None:
             return frozen
-        # Stream closed before a checkpoint restore: the scalar backend
-        # restores those with an empty record too.
+        # Stream closed before a checkpoint restore: those restore with
+        # an empty record (see IQPathsService.state_dict).
         return np.zeros(0)
 
     def backlog_items(self) -> Iterator[tuple[str, float]]:

@@ -99,10 +99,6 @@ class PGOSScheduler(SchedulerBase):
         ``"single-first"`` (the paper's policy: one path per guaranteed
         stream whenever possible) or ``"even"`` (ablation: split every
         stream evenly across paths).
-    cdf_backend:
-        Sliding-window CDF backend of the per-path monitors
-        (``"incremental"`` fast path / ``"batch"`` reference);
-        ``None`` reads the process default (``REPRO_CDF_BACKEND``).
     """
 
     name = "PGOS"
@@ -113,7 +109,6 @@ class PGOSScheduler(SchedulerBase):
         ks_threshold: float = 0.2,
         min_history: int = 30,
         split_strategy: str = "single-first",
-        cdf_backend: Optional[str] = None,
     ):
         if min_history < 2:
             raise ConfigurationError(
@@ -128,7 +123,6 @@ class PGOSScheduler(SchedulerBase):
         self.ks_threshold = ks_threshold
         self.min_history = min_history
         self.split_strategy = split_strategy
-        self.cdf_backend = cdf_backend
         self._obs = NULL_OBS
         self._clock: Callable[[], float] = lambda: 0.0
         self.monitors: dict[str, PathMonitor] = {}
@@ -161,7 +155,6 @@ class PGOSScheduler(SchedulerBase):
                 ks_threshold=self.ks_threshold,
                 obs=self._obs,
                 clock=self._clock,
-                cdf_backend=self.cdf_backend,
             )
             for p in self.path_names
         }

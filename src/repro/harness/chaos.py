@@ -20,13 +20,12 @@ Campaigns are seeded and the whole pipeline is deterministic: the same
 seed reproduces the same report, which is what makes the chaos suite a
 regression test rather than a dice roll.
 
-The harness runs with observability on by default: the report's
+The harness always runs with observability on: the report's
 time-to-detect/recover figures are computed *from the trace* (the
 ``health.transition`` events every run emits), not from private
 bookkeeping, so ``tools/trace_report.py`` can reconstruct exactly the
-numbers the report prints.  The legacy transition-log computation is
-kept (``_detection_latency`` / ``_recovery_latency``) as the
-cross-check the test suite holds the trace against.
+numbers the report prints.  ``tests/obs/test_instrumentation.py`` holds
+the trace against an independent replay of the tracker's transition log.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from repro.robustness.health import (
     HealthThresholds,
     HealthTracker,
     HealthTransition,
-    PathHealth,
 )
 
 
@@ -81,8 +79,7 @@ class ChaosReport:
     remap_count: int
     transitions: tuple[HealthTransition, ...] = ()
     events: tuple[str, ...] = ()
-    #: The run's observability context (trace + metrics); ``None`` only
-    #: when the caller explicitly disabled it.
+    #: The run's observability context (trace + metrics).
     obs: Optional[Observability] = None
 
     @property
@@ -116,43 +113,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _detection_latency(
-    transitions: Sequence[HealthTransition],
-    campaign: FaultCampaign,
-) -> Optional[float]:
-    """Seconds from first fault onset to first off-HEALTHY transition."""
-    onset = campaign.first_onset
-    for tr in transitions:
-        if tr.path in campaign.faulted_paths and tr.time >= onset:
-            return tr.time - onset
-    return None
-
-
-def _recovery_latency(
-    tracker: HealthTracker,
-    campaign: FaultCampaign,
-) -> Optional[float]:
-    """Seconds from last fault end until every path is HEALTHY again.
-
-    Uses the transition log: replays path states over time and finds the
-    first instant at/after the campaign's end where all are HEALTHY.
-    """
-    end = campaign.last_end
-    states = {p: PathHealth.HEALTHY for p in tracker.machines}
-    for tr in sorted(tracker.transitions, key=lambda t: t.time):
-        states[tr.path] = tr.new
-        if tr.time >= end and all(
-            s is PathHealth.HEALTHY for s in states.values()
-        ):
-            return tr.time - end
-    # No transition at/after the end completed the recovery: either all
-    # paths were already healthy when the faults ended (instantaneous),
-    # or some path never healed.
-    if all(s is PathHealth.HEALTHY for s in states.values()):
-        return 0.0
-    return None
-
-
 def run_chaos_campaign(
     realization: TestbedRealization,
     streams: Sequence[StreamSpec],
@@ -173,7 +133,10 @@ def run_chaos_campaign(
     bounded by the realization.
 
     A fresh enabled :class:`Observability` context is created unless one
-    is passed; the report's detect/recover figures come from its trace.
+    is passed; the report's detect/recover figures come from its trace,
+    so a disabled context is refused.  ``scheduler`` must be a
+    :class:`PGOSScheduler` (fresh one by default) — the service's
+    delivery engine accepts no other.
     """
     known = set(realization.path_names())
     ghost = (
@@ -202,6 +165,11 @@ def run_chaos_campaign(
 
     if obs is None:
         obs = Observability()
+    elif not obs.enabled:
+        raise ConfigurationError(
+            "run_chaos_campaign needs an enabled Observability context: "
+            "time-to-detect/recover are read from its trace"
+        )
     tracker = HealthTracker(realization.path_names(), thresholds)
     service = IQPathsService(
         realization,
@@ -234,19 +202,13 @@ def run_chaos_campaign(
     reports: dict[str, StreamReport] = service.reports()
     violation_seconds: dict[str, float] = {}
     packets_lost: dict[str, int] = {}
-    # The trace is the source of truth; the transition-log computation
-    # below is the legacy bookkeeping the tests cross-check against.
     trace_events = obs.trace.events(category=Category.HEALTH)
-    if obs.enabled:
-        detect = detection_latency_from_trace(
-            trace_events, campaign.faulted_paths, campaign.first_onset
-        )
-        recover = recovery_latency_from_trace(
-            trace_events, realization.path_names(), campaign.last_end
-        )
-    else:
-        detect = _detection_latency(tracker.transitions, campaign)
-        recover = _recovery_latency(tracker, campaign)
+    detect = detection_latency_from_trace(
+        trace_events, campaign.faulted_paths, campaign.first_onset
+    )
+    recover = recovery_latency_from_trace(
+        trace_events, realization.path_names(), campaign.last_end
+    )
     onset = campaign.first_onset
     recovery_t = (
         campaign.last_end + recover if recover is not None else duration

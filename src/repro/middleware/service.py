@@ -31,7 +31,6 @@ import numpy as np
 from repro.errors import AdmissionError, CheckpointError, ConfigurationError
 from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.pgos import PGOSScheduler
-from repro.core.scheduler import water_fill
 from repro.core.spec import StreamSpec
 from repro.harness.metrics import fraction_of_time_at_least
 from repro.network.emulab import TestbedRealization
@@ -44,8 +43,7 @@ from repro.robustness.degradation import (
     plan_degradation,
 )
 from repro.robustness.health import HealthTracker
-from repro.sim.vectorized import VectorizedDelivery, resolve_sim_backend
-from repro.units import bytes_in_interval, mbps_from_bytes
+from repro.sim.vectorized import VectorizedDelivery
 
 
 @dataclass
@@ -133,6 +131,10 @@ class IQPathsService:
         :class:`AdmissionError` if the new stream (plus those already
         open) is not admittable — the paper's upcall.  When False the
         stream is opened anyway and served best-effort/degraded.
+    scheduler:
+        A :class:`PGOSScheduler` (fresh one by default).  The delivery
+        engine compiles PGOS's allocation rules, so any other scheduler
+        is refused with :class:`ConfigurationError`.
     campaign:
         Optional dynamic fault schedule, applied mid-run: active faults
         scale what each path delivers and add loss; monitor blackouts
@@ -158,7 +160,6 @@ class IQPathsService:
         obs: Optional[Observability] = None,
         metrics_snapshot_seconds: float = 5.0,
         partition: Optional[str] = None,
-        sim_backend: Optional[str] = None,
     ):
         if warmup_intervals < 1 or warmup_intervals >= realization.n_intervals:
             raise ConfigurationError(
@@ -205,9 +206,7 @@ class IQPathsService:
             1, int(round(metrics_snapshot_seconds / self.dt))
         )
         self.handles: dict[str, StreamHandle] = {}
-        self._delivered: dict[str, list[float]] = {}
         self._opened_interval: dict[str, int] = {}
-        self._backlog_bytes: dict[str, float] = {}
         self._admission = AdmissionController(tw=tw)
         self._pending: list[tuple[int, Callable[[], None]]] = []
         self.upcalls: list[str] = []
@@ -226,20 +225,9 @@ class IQPathsService:
             self._k += 1
         self._start_k = self._k
 
-        # Delivery backend: the struct-of-arrays engine owns the hot
-        # loop when selected (and the scheduler is PGOS — the compiled
-        # request templates encode PGOS's allocation rules); everything
-        # else runs the scalar reference path.  ``sim_backend`` records
-        # the *effective* backend.
-        requested = resolve_sim_backend(sim_backend)
-        self._vec: Optional[VectorizedDelivery] = None
-        if requested == "vectorized" and isinstance(
-            self.scheduler, PGOSScheduler
-        ):
-            self._vec = VectorizedDelivery(self)
-            self.sim_backend = "vectorized"
-        else:
-            self.sim_backend = "scalar"
+        # The struct-of-arrays engine owns delivery state and the hot
+        # loop (backlog, history, request templates).
+        self._vec = VectorizedDelivery(self)
 
     # ------------------------------------------------------------------
     # clock
@@ -405,11 +393,7 @@ class IQPathsService:
                 achieved_probability=achieved,
                 tenant=tenant,
             )
-        if self._vec is not None:
-            self._vec.on_open(handle)
-        else:
-            self._delivered[spec.name] = []
-            self._backlog_bytes[spec.name] = 0.0
+        self._vec.on_open(handle)
         self._opened_interval[spec.name] = self._k
         return handle
 
@@ -573,10 +557,7 @@ class IQPathsService:
             del self._serving[name]
         handle.closed_at = self.now
         self._original.pop(name, None)
-        if self._vec is not None:
-            self._vec.on_close(name)
-        else:
-            self._backlog_bytes.pop(name, None)
+        self._vec.on_close(name)
         if self.obs.enabled:
             self.obs.metrics.counter("service.streams_closed").inc()
             self.obs.trace.emit(
@@ -728,14 +709,10 @@ class IQPathsService:
         while self._pending and self._pending[0][0] <= k:
             _, action = self._pending.pop(0)
             action()
-        if (
-            self._vec is not None
-            and not self.obs.enabled
-            and not self.obs.prof.enabled
-        ):
-            # Uninstrumented vectorized fast path: the batch state knows
-            # the open set, so skip the O(all handles) scan (the
-            # delivery core only needs handles for trace emission).
+        if not self.obs.enabled and not self.obs.prof.enabled:
+            # Uninstrumented fast path: the batch state knows the open
+            # set, so skip the O(all handles) scan (the delivery core
+            # only needs handles for trace emission).
             if self._vec.batch.n_open and self._scheduler_bound:
                 self._deliver(k, ())
             self._observe(k)
@@ -750,11 +727,8 @@ class IQPathsService:
                     self._deliver(k, open_handles)
             else:
                 self._deliver(k, open_handles)
-        elif self._vec is None:
-            for h in open_handles:
-                self._delivered[h.name].append(0.0)
-        # (vectorized: an idle interval is the history column's default
-        # zero — no write needed.)
+        # (An idle interval is the history column's default zero — no
+        # write needed.)
         self._observe(k)
         self._update_health(k)
         self._k += 1
@@ -765,51 +739,10 @@ class IQPathsService:
 
     def _deliver(self, k: int, open_handles: list[StreamHandle]) -> None:
         """One interval of backlog accrual, PGOS allocation, water-fill
-        delivery, and shortfall accounting.
-
-        With the vectorized backend the whole step runs as columnar
-        numpy ops over the batch state — proven bit-identical to the
-        scalar body below by ``tests/property/test_sim_vectorized.py``.
+        delivery, and shortfall accounting — columnar numpy ops over
+        the batch state (:meth:`VectorizedDelivery.deliver`).
         """
-        if self._vec is not None:
-            self._vec.deliver(k, open_handles)
-            return
-        backlog_mbps: dict[str, Optional[float]] = {}
-        for h in open_handles:
-            spec = h.spec
-            if spec.demand_mbps is None:
-                backlog_mbps[spec.name] = None
-                continue
-            self._backlog_bytes[spec.name] += bytes_in_interval(
-                spec.demand_mbps, self.dt
-            )
-            limit = bytes_in_interval(
-                spec.demand_mbps, self.buffer_seconds
-            )
-            self._backlog_bytes[spec.name] = min(
-                self._backlog_bytes[spec.name], limit
-            )
-            backlog_mbps[spec.name] = mbps_from_bytes(
-                self._backlog_bytes[spec.name], self.dt
-            )
-        requests = self.scheduler.allocate(k, backlog_mbps)
-        delivered = {h.name: 0.0 for h in open_handles}
-        for p in self.path_names:
-            granted = water_fill(
-                requests.get(p, []), self._effective_avail(p, k)
-            )
-            for name, mbps in granted.items():
-                if mbps <= 0 or name not in delivered:
-                    continue
-                nbytes = bytes_in_interval(mbps, self.dt)
-                if self.handles[name].spec.demand_mbps is not None:
-                    nbytes = min(nbytes, self._backlog_bytes[name])
-                    self._backlog_bytes[name] -= nbytes
-                delivered[name] += mbps_from_bytes(nbytes, self.dt)
-        for name, mbps in delivered.items():
-            self._delivered[name].append(mbps)
-        if self.obs.enabled:
-            self._emit_shortfalls(k, delivered)
+        self._vec.deliver(k, open_handles)
 
     def _emit_shortfalls(self, k: int, delivered: dict[str, float]) -> None:
         """Per-window guarantee shortfall events (the trace's ground truth
@@ -950,35 +883,19 @@ class IQPathsService:
         }
 
     def _delivered_state(self) -> dict[str, list[float]]:
-        """Open streams' delivered histories, in handle order.
-
-        Identical bytes from either backend: the batch history column
-        holds the very floats the scalar lists would, and ``float()``
-        converts ``np.float64`` losslessly.
-        """
-        if self._vec is not None:
-            col = self._k - self._start_k
-            batch = self._vec.batch
-            return {
-                h.name: [
-                    float(v) for v in batch.history_array(h.name, col)
-                ]
-                for h in self.handles.values()
-                if h.open
-            }
+        """Open streams' delivered histories, in handle order
+        (``float()`` converts ``np.float64`` losslessly)."""
+        col = self._k - self._start_k
+        batch = self._vec.batch
         return {
-            h.name: [float(v) for v in self._delivered[h.name]]
+            h.name: [float(v) for v in batch.history_array(h.name, col)]
             for h in self.handles.values()
             if h.open
         }
 
     def _backlog_state(self) -> dict[str, float]:
-        """Backlog bytes per open stream, in scalar dict insertion order."""
-        if self._vec is not None:
-            return dict(self._vec.batch.backlog_items())
-        return {
-            name: float(v) for name, v in self._backlog_bytes.items()
-        }
+        """Backlog bytes per open stream, in open order."""
+        return dict(self._vec.batch.backlog_items())
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot onto a fresh service."""
@@ -995,12 +912,8 @@ class IQPathsService:
         self._k = int(state["k"])
         self._next_stream_id = int(state["next_stream_id"])
         self.handles = {}
-        self._delivered = {}
         self._opened_interval = {
             name: int(v) for name, v in state["opened_interval"].items()
-        }
-        self._backlog_bytes = {
-            name: float(v) for name, v in state["backlog_bytes"].items()
         }
         for entry in state["handles"]:
             handle = StreamHandle(
@@ -1017,14 +930,6 @@ class IQPathsService:
                 tenant=entry["tenant"],
             )
             self.handles[handle.name] = handle
-            if handle.open:
-                self._delivered[handle.name] = [
-                    float(v) for v in state["delivered"][handle.name]
-                ]
-            else:
-                # Closed streams restore with an empty record (see
-                # state_dict); reports for them are not reconstructable.
-                self._delivered[handle.name] = []
         self.upcalls = list(state["upcalls"])
         self.events = list(state["events"])
         self._original = {
@@ -1062,13 +967,9 @@ class IQPathsService:
                 StreamSpec(name="__checkpoint_restore__", required_mbps=1.0)
             )
             self.scheduler.load_state_dict(state["scheduler"])
-        if self._vec is not None:
-            # Materialize the columnar state from the (backend-agnostic)
-            # snapshot; the scalar-side dicts populated above are not
-            # used while the vectorized engine is active.
-            self._vec.rebuild_from_state(state)
-            self._delivered = {}
-            self._backlog_bytes = {}
+        # Backlog and open streams' histories; closed streams restore
+        # with an empty record (see state_dict).
+        self._vec.rebuild_from_state(state)
 
     # ------------------------------------------------------------------
     # reporting
@@ -1078,15 +979,11 @@ class IQPathsService:
         if name not in self.handles:
             raise ConfigurationError(f"unknown stream {name!r}")
         handle = self.handles[name]
-        if self._vec is not None:
-            mbps = self._vec.batch.history_array(
-                name, self._k - self._start_k
-            )
-        else:
-            mbps = np.asarray(self._delivered[name])
         return StreamReport(
             name=name,
-            mbps=mbps,
+            mbps=self._vec.batch.history_array(
+                name, self._k - self._start_k
+            ),
             dt=self.dt,
             target_mbps=handle.spec.required_mbps,
         )

@@ -11,39 +11,19 @@ Two construction paths exist:
   once; :meth:`EmpiricalCDF.from_sorted` skips the sort when the caller
   already holds a sorted array (the residual-shift in the mapping step,
   the incremental window's snapshot).
-* :class:`SlidingWindowCDF` — the online form.  Its default backend is
-  :class:`repro.monitoring.incremental.IncrementalWindowCDF`, which keeps
-  the window sorted under O(log W) insert/evict instead of re-sorting on
-  every snapshot; the seed's re-sort behaviour survives as the
-  ``"batch"`` backend for differential testing and benchmarking
-  (``REPRO_CDF_BACKEND=batch`` flips the process-wide default).
+* :class:`SlidingWindowCDF` — the online form, a window kept by
+  :class:`repro.monitoring.incremental.IncrementalWindowCDF`: sorted
+  under O(log W) insert/evict instead of re-sorted on every snapshot.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-#: Process-wide default backend for SlidingWindowCDF; the environment
-#: variable lets equivalence tests flip whole experiment runs without
-#: threading a parameter through every layer.
-CDF_BACKENDS = ("incremental", "batch")
-
-
-def default_backend() -> str:
-    """The backend used when ``SlidingWindowCDF(backend=None)``."""
-    backend = os.environ.get("REPRO_CDF_BACKEND", "incremental")
-    if backend not in CDF_BACKENDS:
-        raise ConfigurationError(
-            f"REPRO_CDF_BACKEND must be one of {CDF_BACKENDS}, got {backend!r}"
-        )
-    return backend
-
+from repro.monitoring.incremental import IncrementalWindowCDF
 
 class EmpiricalCDF:
     """Immutable empirical CDF built from a sample array.
@@ -217,54 +197,29 @@ class SlidingWindowCDF:
     This is the monitoring module's live view of a path: the last
     ``window`` samples (the paper uses 500–1000 samples of 0.1–1 s each,
     i.e. minutes of history).  ``snapshot()`` freezes the current window
-    as an :class:`EmpiricalCDF` for the mapping step.
+    as an :class:`EmpiricalCDF` for the mapping step.  The window is
+    kept sorted under O(log W) insert/evict, so a snapshot is a copy
+    rather than a sort.
 
     Parameters
     ----------
     window:
         History length in samples.
-    backend:
-        ``"incremental"`` (default) keeps the window sorted under
-        O(log W) insert/evict, so a snapshot is a copy rather than a
-        sort; ``"batch"`` preserves the seed behaviour (re-sort on every
-        snapshot) as the differential-testing reference.  ``None`` reads
-        the process default (``REPRO_CDF_BACKEND``).
     obs:
         Optional observability context; when enabled, snapshot
         cache reuse vs rebuild is counted (``cdf.snapshot_reuses`` /
         ``cdf.snapshot_rebuilds``) alongside ``cdf.updates``.
     """
 
-    def __init__(
-        self,
-        window: int = 500,
-        backend: Optional[str] = None,
-        obs=None,
-    ):
+    def __init__(self, window: int = 500, obs=None):
         if window < 2:
             raise ConfigurationError(f"window must be >= 2, got {window}")
-        if backend is None:
-            backend = default_backend()
-        if backend not in CDF_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {CDF_BACKENDS}, got {backend!r}"
-            )
         from repro.obs.context import NULL_OBS
 
         self.window = window
-        self.backend = backend
         self._obs = obs if obs is not None else NULL_OBS
         self._cached: EmpiricalCDF | None = None
-        if backend == "incremental":
-            from repro.monitoring.incremental import IncrementalWindowCDF
-
-            self._inc: Optional[IncrementalWindowCDF] = IncrementalWindowCDF(
-                window
-            )
-            self._buffer: deque[float] | None = None
-        else:
-            self._inc = None
-            self._buffer = deque(maxlen=window)
+        self._inc = IncrementalWindowCDF(window)
 
     def bind_observability(self, obs) -> None:
         """Attach (or replace) the observability context."""
@@ -273,9 +228,7 @@ class SlidingWindowCDF:
         self._obs = obs if obs is not None else NULL_OBS
 
     def __len__(self) -> int:
-        if self._inc is not None:
-            return len(self._inc)
-        return len(self._buffer)
+        return len(self._inc)
 
     @property
     def full(self) -> bool:
@@ -292,14 +245,7 @@ class SlidingWindowCDF:
             self._update_inner(sample)
 
     def _update_inner(self, sample: float) -> None:
-        if self._inc is not None:
-            self._inc.update(sample)
-        else:
-            if not np.isfinite(sample):
-                raise ConfigurationError(
-                    f"sample must be finite, got {sample}"
-                )
-            self._buffer.append(float(sample))
+        self._inc.update(sample)
         self._cached = None
         if self._obs.enabled:
             self._obs.metrics.counter("cdf.updates").inc()
@@ -314,25 +260,21 @@ class SlidingWindowCDF:
             self._extend_inner(samples)
 
     def _extend_inner(self, samples: Iterable[float]) -> None:
-        if self._inc is not None:
-            count = 0
-            for s in samples:
-                self._inc.update(s)
-                count += 1
-            self._cached = None
-            if count and self._obs.enabled:
-                self._obs.metrics.counter("cdf.updates").inc(count)
-        else:
-            for s in samples:
-                self._update_inner(s)
+        count = 0
+        for s in samples:
+            self._inc.update(s)
+            count += 1
+        self._cached = None
+        if count and self._obs.enabled:
+            self._obs.metrics.counter("cdf.updates").inc(count)
 
     def snapshot(self) -> EmpiricalCDF:
         """Freeze the current window as an immutable CDF.
 
         The snapshot is cached and invalidated on update, so repeated
         guarantee evaluations within a scheduling window reuse one
-        frozen CDF; with the incremental backend even a rebuild is a
-        copy of the maintained sorted buffer, never a sort.
+        frozen CDF; even a rebuild is a copy of the maintained sorted
+        buffer, never a sort.
         """
         if len(self) == 0:
             raise ConfigurationError("no samples observed yet")
@@ -340,20 +282,14 @@ class SlidingWindowCDF:
             prof = self._obs.prof
             if prof.enabled:
                 with prof.span("cdf.snapshot"):
-                    self._rebuild_snapshot()
+                    self._cached = self._inc.snapshot()
             else:
-                self._rebuild_snapshot()
+                self._cached = self._inc.snapshot()
             if self._obs.enabled:
                 self._obs.metrics.counter("cdf.snapshot_rebuilds").inc()
         elif self._obs.enabled:
             self._obs.metrics.counter("cdf.snapshot_reuses").inc()
         return self._cached
-
-    def _rebuild_snapshot(self) -> None:
-        if self._inc is not None:
-            self._cached = self._inc.snapshot()
-        else:
-            self._cached = EmpiricalCDF(self._buffer)
 
     def percentile(self, q: float) -> float:
         """Percentile of the current window."""
@@ -364,7 +300,7 @@ class SlidingWindowCDF:
         return self._percentile_inner(q)
 
     def _percentile_inner(self, q: float) -> float:
-        if self._inc is not None and self._cached is None:
+        if self._cached is None:
             # Interpolate on the maintained sorted buffer (bit-identical
             # to np.percentile, no snapshot copy, no partition pass).
             return self._inc.percentile(q)
@@ -379,7 +315,7 @@ class SlidingWindowCDF:
         return self._evaluate_inner(b)
 
     def _evaluate_inner(self, b: float) -> float:
-        if self._inc is not None and self._cached is None:
+        if self._cached is None:
             # O(log W) direct read; building/caching a snapshot is left
             # to callers that will query repeatedly.
             return self._inc.evaluate(b)
@@ -394,7 +330,7 @@ class SlidingWindowCDF:
         return self._evaluate_strict_inner(b)
 
     def _evaluate_strict_inner(self, b: float) -> float:
-        if self._inc is not None and self._cached is None:
+        if self._cached is None:
             return self._inc.evaluate_strict(b)
         return self.snapshot().evaluate_strict(b)
 
@@ -407,13 +343,13 @@ class SlidingWindowCDF:
         return self._partial_mean_below_inner(b0)
 
     def _partial_mean_below_inner(self, b0: float) -> float:
-        if self._inc is not None and self._cached is None:
+        if self._cached is None:
             return self._inc.partial_mean_below(b0)
         return self.snapshot().partial_mean_below(b0)
 
     def mean(self) -> float:
         """Mean of the current window."""
-        if self._inc is not None and self._cached is None:
+        if self._cached is None:
             return self._inc.mean()
         return self.snapshot().mean()
 
@@ -422,44 +358,29 @@ class SlidingWindowCDF:
     # ------------------------------------------------------------------
     def window_values(self) -> list[float]:
         """The window's samples in arrival order (oldest first)."""
-        if self._inc is not None:
-            return self._inc.window_values()
-        return list(self._buffer)
+        return self._inc.window_values()
 
     def state_dict(self) -> dict:
-        """JSON-serializable snapshot (backend-independent).
+        """JSON-serializable snapshot.
 
-        Arrival order fully determines both backends' state: the batch
-        deque stores it directly, and replaying it into a fresh
-        incremental structure reproduces the sorted buffer bit-for-bit.
+        Arrival order fully determines the state: replaying it into a
+        fresh window reproduces the sorted buffer bit-for-bit.
         """
-        return {
-            "window": self.window,
-            "backend": self.backend,
-            "values": self.window_values(),
-        }
+        return {"window": self.window, "values": self.window_values()}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot, replacing the window's contents.
 
-        The snapshot restores across backends (the stored form is
-        arrival order, which both understand); the cached frozen CDF is
-        dropped — rebuilding it is deterministic.
+        The cached frozen CDF is dropped — rebuilding it is
+        deterministic.
         """
         if int(state["window"]) != self.window:
             raise ConfigurationError(
                 f"window mismatch: have {self.window}, checkpoint has "
                 f"{state['window']}"
             )
-        if self._inc is not None:
-            from repro.monitoring.incremental import IncrementalWindowCDF
-
-            self._inc = IncrementalWindowCDF(self.window)
-            self._inc.extend(float(v) for v in state["values"])
-        else:
-            self._buffer = deque(
-                (float(v) for v in state["values"]), maxlen=self.window
-            )
+        self._inc = IncrementalWindowCDF(self.window)
+        self._inc.extend(float(v) for v in state["values"])
         self._cached = None
 
 

@@ -34,9 +34,6 @@ class PathMonitor:
     ks_threshold:
         KS distance above which the path's distribution is considered to
         have changed dramatically (triggering a PGOS remap).
-    cdf_backend:
-        Backend of the sliding-window CDF (``"incremental"`` default /
-        ``"batch"`` reference); ``None`` reads the process default.
     """
 
     def __init__(
@@ -46,7 +43,6 @@ class PathMonitor:
         ks_threshold: float = 0.2,
         obs: Optional[Observability] = None,
         clock: Optional[Callable[[], float]] = None,
-        cdf_backend: Optional[str] = None,
     ):
         if not 0.0 < ks_threshold <= 1.0:
             raise ConfigurationError(
@@ -54,9 +50,7 @@ class PathMonitor:
             )
         self.name = name
         self.ks_threshold = ks_threshold
-        self.bandwidth = SlidingWindowCDF(
-            window=window, backend=cdf_backend, obs=obs
-        )
+        self.bandwidth = SlidingWindowCDF(window=window, obs=obs)
         self.rtt_ms = EWMAPredictor(alpha=0.2)
         self.loss_rate = EWMAPredictor(alpha=0.2)
         self._reference_cdf: Optional[EmpiricalCDF] = None

@@ -90,14 +90,6 @@ HEADLINE_METRICS: dict[str, tuple[str, tuple[str, ...], str]] = {
         "BENCH_scale.json", ("concurrent", "latest", "steps_per_sec"),
         "higher",
     ),
-    "sim.steps_per_sec": (
-        "BENCH_sim_core.json",
-        ("delivery_core", "latest", "steps_per_sec"), "higher",
-    ),
-    "sim.speedup": (
-        "BENCH_sim_core.json",
-        ("delivery_core", "latest", "speedup"), "higher",
-    ),
     "cluster.speedup_4": (
         "BENCH_cluster.json", ("scaleout", "latest", "speedup_4"),
         "higher",

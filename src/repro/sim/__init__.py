@@ -5,21 +5,16 @@ the virtual-time machinery that replaces it: an event-driven engine
 (:mod:`repro.sim.engine`), generator-based processes
 (:mod:`repro.sim.process`), reproducible per-component random streams
 (:mod:`repro.sim.random`), and the vectorized struct-of-arrays delivery
-backend (:mod:`repro.sim.vectorized`) that advances all active streams
-per interval as columnar numpy ops — selected via
-``REPRO_SIM_BACKEND=vectorized|scalar`` and proven bit-identical to the
-scalar reference by ``tests/property/test_sim_vectorized.py``.
+engine (:mod:`repro.sim.vectorized`) that advances all active streams
+per interval as columnar numpy ops — proven bit-identical to the scalar
+reference loop (a test oracle) by
+``tests/property/test_sim_vectorized.py``.
 """
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.process import Process, Timeout
 from repro.sim.random import RandomStreams
-from repro.sim.vectorized import (
-    SIM_BACKENDS,
-    VectorizedDelivery,
-    default_sim_backend,
-    resolve_sim_backend,
-)
+from repro.sim.vectorized import VectorizedDelivery
 
 __all__ = [
     "Event",
@@ -27,8 +22,5 @@ __all__ = [
     "Process",
     "Timeout",
     "RandomStreams",
-    "SIM_BACKENDS",
     "VectorizedDelivery",
-    "default_sim_backend",
-    "resolve_sim_backend",
 ]

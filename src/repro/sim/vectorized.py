@@ -1,18 +1,19 @@
-"""Vectorized (struct-of-arrays) delivery backend for the service loop.
+"""Vectorized (struct-of-arrays) delivery engine of the service loop.
 
-The scalar reference (`IQPathsService._deliver`) advances every open
-stream per interval as individual Python objects: per-stream backlog
-accrual, a PGOS allocation pass that rebuilds ``PathShareRequest``
-objects, a per-path :func:`repro.core.scheduler.water_fill`, and
-per-grant delivery accounting.  At 1000+ concurrent streams that is
-~O(streams × paths) of Python-object work per 100 ms interval — the
-bottleneck named by ROADMAP's "vectorized simulation core" item.
+A per-stream delivery loop advances every open stream per interval as
+individual Python objects: per-stream backlog accrual, a PGOS
+allocation pass that rebuilds ``PathShareRequest`` objects, a per-path
+:func:`repro.core.scheduler.water_fill`, and per-grant delivery
+accounting.  At 1000+ concurrent streams that is ~O(streams × paths) of
+Python-object work per 100 ms interval.  That loop is the *reference*
+this engine is tested against (``tests/oracles/scalar_service.py``);
+nothing in ``src/`` can select it.
 
-:class:`VectorizedDelivery` replaces exactly that delivery step with
-columnar numpy operations over :class:`repro.core.batchstate.BatchState`
-rows, keeping the event engine and the rest of the middleware
-(admission, remap, health, degradation, checkpoint control plane) as the
-scalar control plane.  The contract is **bit-identity**, not
+:class:`VectorizedDelivery` runs that delivery step as columnar numpy
+operations over :class:`repro.core.batchstate.BatchState` rows, keeping
+the event engine and the rest of the middleware (admission, remap,
+health, degradation, checkpoint control plane) as the scalar control
+plane.  The contract with the reference is **bit-identity**, not
 approximation: every float operation replicates the scalar code's
 expression shape and evaluation order, so reports, trace checksums, and
 snapshot digests come out byte-equal.  The load-bearing equivalences:
@@ -39,19 +40,12 @@ usable paths — all of which are invalidated through
 every remap installs a fresh object).  The engine therefore compiles the
 request lists once per mapping into per-path slot arrays (row, rule
 kind, rule parameter, weight, level) and re-derives only the per-step
-demands from the backlog column.
-
-Backend selection follows the ``REPRO_CDF_BACKEND`` idiom:
-``REPRO_SIM_BACKEND=vectorized|scalar`` (default ``vectorized``),
-overridable per call via the ``sim_backend`` parameter threaded through
-the service, workload, transport, checkpoint, and cluster layers.
-Schedulers other than PGOS fall back to scalar silently — the compiled
-templates encode PGOS's allocation rules.
+demands from the backlog column.  The templates encode PGOS's
+allocation rules, so the engine refuses any other scheduler.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from typing import TYPE_CHECKING, Optional
 
@@ -67,45 +61,13 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.middleware.service import IQPathsService, StreamHandle
 
-__all__ = [
-    "SIM_BACKENDS",
-    "default_sim_backend",
-    "resolve_sim_backend",
-    "VectorizedDelivery",
-]
-
-#: Recognized simulation backends: the numpy struct-of-arrays hot loop
-#: and the per-object Python reference it is proven against.
-SIM_BACKENDS = ("vectorized", "scalar")
-
-_ENV_VAR = "REPRO_SIM_BACKEND"
+__all__ = ["VectorizedDelivery"]
 
 # Rule kinds a compiled request slot can carry (template-internal).
 _KIND_RULE1 = 0  # scheduled on this path: demand = min(backlog, mapped_here)
 _KIND_RULE2 = 1  # scheduled elsewhere: demand = max(backlog - mapped_total, 0)
 _KIND_RULE3 = 2  # unscheduled/elastic: demand = backlog
 _KIND_FALLBACK = 3  # no history yet: demand = backlog / n_usable
-
-
-def default_sim_backend() -> str:
-    """Process-wide simulation backend (``REPRO_SIM_BACKEND``)."""
-    value = os.environ.get(_ENV_VAR, "vectorized")
-    if value not in SIM_BACKENDS:
-        raise ConfigurationError(
-            f"{_ENV_VAR} must be one of {SIM_BACKENDS}, got {value!r}"
-        )
-    return value
-
-
-def resolve_sim_backend(backend: Optional[str]) -> str:
-    """Validate an explicit backend choice, or read the process default."""
-    if backend is None:
-        return default_sim_backend()
-    if backend not in SIM_BACKENDS:
-        raise ConfigurationError(
-            f"sim backend must be one of {SIM_BACKENDS}, got {backend!r}"
-        )
-    return backend
 
 
 class _PathTemplate:
@@ -168,7 +130,8 @@ class VectorizedDelivery:
     def __init__(self, service: "IQPathsService"):
         if not isinstance(service.scheduler, PGOSScheduler):
             raise ConfigurationError(
-                "the vectorized backend requires a PGOSScheduler"
+                "the delivery engine requires a PGOSScheduler, got "
+                f"{type(service.scheduler).__name__}"
             )
         # The service owns this engine; a strong back-pointer would make
         # every finished service a reference cycle.
@@ -349,7 +312,7 @@ class VectorizedDelivery:
     def deliver(self, k: int, open_handles: list) -> None:
         """One interval: accrual, allocation, water-fill, delivery.
 
-        Bit-identical to ``IQPathsService._deliver`` — see the module
+        Bit-identical to the scalar reference loop — see the module
         docstring for the equivalences this leans on.
         """
         svc = self.service
@@ -514,12 +477,11 @@ class VectorizedDelivery:
         """Repopulate the batch from a service ``state_dict`` snapshot.
 
         Row assignment follows the snapshot's ``backlog_bytes`` key order
-        — the scalar backlog dict's insertion order — so a later
-        ``state_dict()`` round-trips byte-identically regardless of which
-        backend wrote the snapshot.  The telemetry counters
-        (``delivered_bytes`` / ``shortfall_windows``) restart at zero:
-        they are diagnostic, deliberately excluded from snapshots so
-        payload bytes stay backend-independent.
+        — open order, what :meth:`BatchState.backlog_items` wrote — so a
+        later ``state_dict()`` round-trips byte-identically.  The
+        telemetry counters (``delivered_bytes`` / ``shortfall_windows``)
+        restart at zero: they are diagnostic and deliberately excluded
+        from snapshots.
         """
         svc = self.service
         self.batch.reset()

@@ -35,7 +35,6 @@ from repro.obs.events import Category
 from repro.robustness.health import HealthTracker, HealthTransition
 from repro.sim.engine import Simulator
 from repro.sim.process import Timeout, start
-from repro.sim.vectorized import resolve_sim_backend
 from repro.transport.packet import Packet
 from repro.transport.service import PathService
 from repro.units import mbps_from_bytes
@@ -98,7 +97,6 @@ def run_packet_session(
     campaign: Optional[FaultCampaign] = None,
     health: Optional[HealthTracker] = None,
     obs: Optional[Observability] = None,
-    sim_backend: Optional[str] = None,
 ) -> SessionResult:
     """Run a packet-accurate PGOS session over a testbed realization.
 
@@ -134,16 +132,8 @@ def run_packet_session(
         all share it, and the session emits one ``transport.window``
         trace event per scheduling window (budgets, quarantine, packet
         counts, rule-2 overflow, drops).
-    sim_backend:
-        ``"vectorized"`` (default via ``REPRO_SIM_BACKEND``) caches the
-        per-window availability once and accumulates packet counts in
-        integer arrays instead of per-window list appends; ``"scalar"``
-        keeps the original per-call accounting.  Both produce the same
-        :class:`SessionResult` value for value (packet counts are exact
-        integers and the cached availabilities are the very same floats).
     """
     obs = obs if obs is not None else NULL_OBS
-    vec = resolve_sim_backend(sim_backend) == "vectorized"
     dt = realization.dt
     ratio = tw / dt
     k = int(round(ratio))
@@ -197,19 +187,14 @@ def run_packet_session(
 
     n_windows = n_windows_total - warmup_windows
 
-    # Vectorized accounting: packet counts land in an int64 cube and
-    # quarantine flags in a bool matrix (unpacked to the result's lists
-    # after the run); both are exact, so the modes agree value for value.
+    # Packet counts land in an int64 cube and quarantine flags in a bool
+    # matrix, unpacked to the result's lists after the run.
     stream_index = {s.name: i for i, s in enumerate(streams)}
     path_index = {p: j for j, p in enumerate(path_names)}
-    sent_cube = (
-        np.zeros((len(streams), len(path_names), n_windows), dtype=np.int64)
-        if vec
-        else None
+    sent_cube = np.zeros(
+        (len(streams), len(path_names), n_windows), dtype=np.int64
     )
-    quarantine_matrix = (
-        np.zeros((len(path_names), n_windows), dtype=bool) if vec else None
-    )
+    quarantine_matrix = np.zeros((len(path_names), n_windows), dtype=bool)
 
     def window_avail(p: str, w: int) -> float:
         """Effective availability for traffic window ``w`` (session time)."""
@@ -262,27 +247,16 @@ def run_packet_session(
             if health is not None:
                 scheduler.set_quarantine(quarantined)
             schedule = scheduler.maybe_remap()
-            if vec:
-                # One availability draw per (path, window); the budget,
-                # observe, and health sites below reuse the same floats
-                # the scalar mode recomputes (window_avail is pure).
-                wa = {p: window_avail(p, w) for p in path_names}
-                budgets = {p: wa[p] * 1e6 / 8.0 * tw for p in path_names}
-            else:
-                wa = None
-                budgets = {
-                    p: window_avail(p, w) * 1e6 / 8.0 * tw
-                    for p in path_names
-                }
+            # One availability draw per (path, window), shared by the
+            # budget, observe, and health sites below.
+            wa = {p: window_avail(p, w) for p in path_names}
+            budgets = {p: wa[p] * 1e6 / 8.0 * tw for p in path_names}
             for p, service in services.items():
                 # A quarantined path carries probe traffic only: zero byte
                 # budget, so even work-conserving overflow avoids it.
                 budget = 0.0 if p in quarantined else budgets[p]
                 service.begin_interval(sim.now, budget)
-                if vec:
-                    quarantine_matrix[path_index[p], w] = p in quarantined
-                else:
-                    result.quarantine_series[p].append(p in quarantined)
+                quarantine_matrix[path_index[p], w] = p in quarantined
             window_result = dispatch_window(
                 schedule,
                 services,
@@ -291,16 +265,10 @@ def run_packet_session(
                 stream_precedence=scheduler.stream_precedence(),
             )
             result.blocked_events += window_result.blocked_events
-            if vec:
-                for name, per_path in window_result.sent.items():
-                    row = sent_cube[stream_index[name]]
-                    for p, count in per_path.items():
-                        row[path_index[p], w] = count
-            else:
-                for s in streams:
-                    per_path = window_result.sent.get(s.name, {})
-                    for p in path_names:
-                        result.sent[s.name][p].append(per_path.get(p, 0))
+            for name, per_path in window_result.sent.items():
+                row = sent_cube[stream_index[name]]
+                for p, count in per_path.items():
+                    row[path_index[p], w] = count
             # Drop packets a full window stale (bounded buffers, matching
             # the fluid driver's 2-second bound); a drop is a miss.
             drops = 0
@@ -346,20 +314,10 @@ def run_packet_session(
                 if campaign is None or campaign.observed(p, t_mid)
             ]
             if observed:
-                scheduler.observe(
-                    absolute,
-                    {
-                        p: (wa[p] if vec else window_avail(p, w))
-                        for p in observed
-                    },
-                )
+                scheduler.observe(absolute, {p: wa[p] for p in observed})
             if health is not None:
                 bandwidth = {
-                    p: (
-                        (wa[p] if vec else window_avail(p, w))
-                        if p in observed
-                        else None
-                    )
+                    p: (wa[p] if p in observed else None)
                     for p in path_names
                 }
                 loss = {
@@ -377,15 +335,12 @@ def run_packet_session(
 
     start(sim, session(), name="pgos-session")
     sim.run()
-    if vec:
-        for s in streams:
-            rows = sent_cube[stream_index[s.name]]
-            for p in path_names:
-                result.sent[s.name][p] = rows[path_index[p]].tolist()
+    for s in streams:
+        rows = sent_cube[stream_index[s.name]]
         for p in path_names:
-            result.quarantine_series[p] = quarantine_matrix[
-                path_index[p]
-            ].tolist()
+            result.sent[s.name][p] = rows[path_index[p]].tolist()
+    for p in path_names:
+        result.quarantine_series[p] = quarantine_matrix[path_index[p]].tolist()
     # Packets delivered after their virtual deadline count as misses too.
     for service in services.values():
         for name, count in service.log.deadline_misses.items():

@@ -340,13 +340,6 @@ class ChurnDriver:
         """Delivery steps finished so far (resume position)."""
         return self._state.k
 
-    @property
-    def sim_backend(self) -> str:
-        """Effective delivery backend (``vectorized``/``scalar``) of the
-        underlying service — bit-identical either way, so it never
-        appears in reports or checkpoints."""
-        return self.service.sim_backend
-
     def run(self, duration: float) -> WorkloadReport:
         """Drive the full plan for ``duration`` seconds of session time.
 

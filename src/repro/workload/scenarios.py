@@ -198,7 +198,6 @@ def build_service(
     seed: int,
     obs: Optional[Observability] = None,
     partition: Optional[str] = None,
-    sim_backend: Optional[str] = None,
 ) -> IQPathsService:
     """The Figure-8 middleware stack one scenario run lives on.
 
@@ -212,11 +211,6 @@ def build_service(
     partition simulates its *own* independent testbed realization and
     fault campaign, a pure function of ``(seed, scenario, partition)``
     — never of which shard happens to run it.
-
-    ``sim_backend`` selects the delivery backend
-    (``vectorized``/``scalar``; ``None`` reads ``REPRO_SIM_BACKEND``).
-    The two are bit-identical, so it never changes report bytes — only
-    how fast they are produced.
     """
     if scenario.topology is None:
         testbed = make_figure8_testbed()
@@ -263,7 +257,6 @@ def build_service(
         campaign=campaign,
         obs=obs,
         partition=partition,
-        sim_backend=sim_backend,
     )
 
 
@@ -275,7 +268,6 @@ def run_scenario(
     max_sessions: Optional[int] = None,
     catalog: Optional[SessionCatalog] = None,
     obs: Optional[Observability] = None,
-    sim_backend: Optional[str] = None,
     topology: Optional[str] = None,
 ) -> WorkloadReport:
     """Run one named scenario end to end; the package's front door."""
@@ -288,7 +280,6 @@ def run_scenario(
         max_sessions=max_sessions,
         catalog=catalog,
         obs=obs,
-        sim_backend=sim_backend,
     )
 
 
@@ -299,7 +290,6 @@ def make_scale_run(
     catalog: Optional[SessionCatalog] = None,
     obs: Optional[Observability] = None,
     on_step: Optional[Callable[[int, float], None]] = None,
-    sim_backend: Optional[str] = None,
 ) -> ChurnDriver:
     """Build the ready-to-run driver for one scenario (not yet run).
 
@@ -315,11 +305,10 @@ def make_scale_run(
         # slice of short runs' wall time; attribute it, don't lose it.
         with prof.span("workload.setup"):
             return _make_scale_run(
-                scenario, seed, max_sessions, catalog, obs, on_step,
-                sim_backend,
+                scenario, seed, max_sessions, catalog, obs, on_step
             )
     return _make_scale_run(
-        scenario, seed, max_sessions, catalog, obs, on_step, sim_backend
+        scenario, seed, max_sessions, catalog, obs, on_step
     )
 
 
@@ -330,7 +319,6 @@ def _make_scale_run(
     catalog: Optional[SessionCatalog],
     obs: Optional[Observability],
     on_step: Optional[Callable[[int, float], None]],
-    sim_backend: Optional[str] = None,
 ) -> ChurnDriver:
     catalog = catalog if catalog is not None else default_catalog()
     plans = plan_sessions(
@@ -340,7 +328,7 @@ def _make_scale_run(
         seed=mix_seed(seed, "workload-plan", scenario.name),
         max_sessions=max_sessions,
     )
-    service = build_service(scenario, seed, obs=obs, sim_backend=sim_backend)
+    service = build_service(scenario, seed, obs=obs)
     return ChurnDriver(
         service,
         plans,
@@ -356,7 +344,6 @@ def run_scale_scenario(
     max_sessions: Optional[int] = None,
     catalog: Optional[SessionCatalog] = None,
     obs: Optional[Observability] = None,
-    sim_backend: Optional[str] = None,
 ) -> WorkloadReport:
     """Run an explicit :class:`ScaleScenario` (no registry lookup)."""
     driver = make_scale_run(
@@ -365,7 +352,6 @@ def run_scale_scenario(
         max_sessions=max_sessions,
         catalog=catalog,
         obs=obs,
-        sim_backend=sim_backend,
     )
     return driver.run(scenario.duration)
 
@@ -391,7 +377,6 @@ def make_partition_run(
     catalog: Optional[SessionCatalog] = None,
     obs: Optional[Observability] = None,
     on_step: Optional[Callable[[int, float], None]] = None,
-    sim_backend: Optional[str] = None,
 ) -> ChurnDriver:
     """Build the driver for one partition's slice of a scenario.
 
@@ -416,10 +401,7 @@ def make_partition_run(
         max_sessions=max_sessions,
     )
     plans = slice_plans_by_tenant(plans, partition)
-    service = build_service(
-        scenario, seed, obs=obs, partition=partition,
-        sim_backend=sim_backend,
-    )
+    service = build_service(scenario, seed, obs=obs, partition=partition)
     return ChurnDriver(
         service,
         plans,
@@ -436,7 +418,6 @@ def run_partition_slice(
     max_sessions: Optional[int] = None,
     catalog: Optional[SessionCatalog] = None,
     obs: Optional[Observability] = None,
-    sim_backend: Optional[str] = None,
 ) -> WorkloadReport:
     """Run one partition's slice end to end (no registry lookup)."""
     driver = make_partition_run(
@@ -446,7 +427,6 @@ def run_partition_slice(
         max_sessions=max_sessions,
         catalog=catalog,
         obs=obs,
-        sim_backend=sim_backend,
     )
     return driver.run(scenario.duration)
 

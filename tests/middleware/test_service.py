@@ -6,10 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.baselines.wfq import WFQScheduler
 from repro.errors import AdmissionError, ConfigurationError
 from repro.core.spec import StreamSpec
 from repro.middleware.service import IQPathsService
 from repro.network.emulab import make_figure8_testbed
+from tests.oracles import ScalarReferenceService
 
 
 @pytest.fixture()
@@ -167,9 +169,11 @@ class TestAdmission:
 
 
 class TestLifetime:
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+    @pytest.mark.parametrize(
+        "service_cls", [IQPathsService, ScalarReferenceService]
+    )
     def test_finished_service_is_freed_without_the_cycle_collector(
-        self, backend
+        self, service_cls
     ):
         """The scheduler, monitors, profiler and delivery engine hold no
         strong reference back to the service: dropping the last outside
@@ -180,9 +184,7 @@ class TestLifetime:
             realization = make_figure8_testbed().realize(
                 seed=77, duration=40.0, dt=0.1
             )
-            service = IQPathsService(
-                realization, warmup_intervals=200, sim_backend=backend
-            )
+            service = service_cls(realization, warmup_intervals=200)
             service.open_stream(critical())
             service.open_stream(elastic())
             service.advance(5.0)
@@ -233,3 +235,15 @@ class TestScheduling:
     def test_report_unknown_stream(self, service):
         with pytest.raises(ConfigurationError):
             service.report("nope")
+
+
+def test_non_pgos_scheduler_is_refused_at_construction():
+    """The delivery engine compiles PGOS's allocation rules; any other
+    scheduler is an error, never a silently different engine."""
+    realization = make_figure8_testbed().realize(
+        seed=77, duration=40.0, dt=0.1
+    )
+    with pytest.raises(ConfigurationError, match="PGOSScheduler"):
+        IQPathsService(
+            realization, warmup_intervals=200, scheduler=WFQScheduler()
+        )

@@ -1,4 +1,4 @@
-"""Unit tests of the incremental sliding-window CDF and backend wiring."""
+"""Unit tests of the incremental sliding-window CDF and its wiring."""
 
 from collections import deque
 
@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.monitoring.cdf import (
-    CDF_BACKENDS,
-    EmpiricalCDF,
-    SlidingWindowCDF,
-    default_backend,
-    ks_distance,
-)
+from repro.monitoring.cdf import EmpiricalCDF, SlidingWindowCDF, ks_distance
 from repro.monitoring.incremental import IncrementalWindowCDF
 
 
@@ -117,40 +111,23 @@ class TestIncrementalWindow:
 
 
 class TestBackendWiring:
-    def test_default_backend_is_incremental(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CDF_BACKEND", raising=False)
-        assert default_backend() == "incremental"
-        assert SlidingWindowCDF().backend == "incremental"
+    """``SlidingWindowCDF`` over its incremental window."""
 
-    def test_env_var_flips_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CDF_BACKEND", "batch")
-        assert default_backend() == "batch"
-        assert SlidingWindowCDF().backend == "batch"
-
-    def test_invalid_env_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CDF_BACKEND", "bogus")
-        with pytest.raises(ConfigurationError):
-            default_backend()
-
-    def test_invalid_explicit_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SlidingWindowCDF(backend="bogus")
-
-    @pytest.mark.parametrize("backend", CDF_BACKENDS)
-    def test_window_api_per_backend(self, backend):
-        swc = SlidingWindowCDF(window=3, backend=backend)
+    def test_window_api(self):
+        swc = SlidingWindowCDF(window=3)
         swc.extend([1.0, 2.0, 3.0, 4.0])
         assert len(swc) == 3
         assert swc.full
         assert list(swc.snapshot().samples) == [2.0, 3.0, 4.0]
 
-    def test_backends_agree_on_random_stream(self):
+    def test_agrees_with_resorted_window_on_random_stream(self):
         rng = np.random.default_rng(3)
-        inc = SlidingWindowCDF(window=25, backend="incremental")
-        bat = SlidingWindowCDF(window=25, backend="batch")
+        inc = SlidingWindowCDF(window=25)
+        mirror: deque = deque(maxlen=25)
         for v in rng.uniform(0, 100, 120):
             inc.update(v)
-            bat.update(v)
+            mirror.append(float(v))
+            bat = EmpiricalCDF(mirror)
             b = float(rng.uniform(-10, 110))
             q = float(rng.uniform(0, 100))
             assert inc.evaluate(b) == bat.evaluate(b)
@@ -158,24 +135,21 @@ class TestBackendWiring:
             assert inc.partial_mean_below(b) == bat.partial_mean_below(b)
             assert inc.percentile(q) == bat.percentile(q)
             assert inc.mean() == bat.mean()
-        assert np.array_equal(
-            inc.snapshot().samples, bat.snapshot().samples
-        )
+        assert np.array_equal(inc.snapshot().samples, bat.samples)
 
     def test_queries_after_snapshot_use_cache(self):
-        swc = SlidingWindowCDF(window=5, backend="incremental")
+        swc = SlidingWindowCDF(window=5)
         swc.extend([1.0, 2.0, 3.0])
         snap = swc.snapshot()
         # With a live cached snapshot, queries must agree with it.
         assert swc.evaluate(2.0) == snap.evaluate(2.0)
         assert swc.percentile(50.0) == snap.percentile(50.0)
 
-    @pytest.mark.parametrize("backend", CDF_BACKENDS)
-    def test_obs_counters_track_reuse_and_rebuild(self, backend):
+    def test_obs_counters_track_reuse_and_rebuild(self):
         from repro.obs.context import Observability
 
         obs = Observability()
-        swc = SlidingWindowCDF(window=4, backend=backend, obs=obs)
+        swc = SlidingWindowCDF(window=4, obs=obs)
         swc.extend([1.0, 2.0, 3.0])
         swc.snapshot()  # rebuild
         swc.snapshot()  # reuse

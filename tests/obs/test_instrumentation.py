@@ -3,31 +3,66 @@
 These run real (small) workloads, so they double as the acceptance check
 for the observability layer: the packet session emits consistent metrics
 and trace events without perturbing the simulation, the chaos harness's
-trace-derived robustness figures match its legacy transition-log
-bookkeeping on the same seed, and ``tools/trace_report.py`` reconstructs
-a guarantee violation as an ordered causal chain.
+trace-derived robustness figures match an independent replay of the
+tracker's transition log on the same seed, and ``tools/trace_report.py``
+reconstructs a guarantee violation as an ordered causal chain.
 """
 
 import importlib.util
 from pathlib import Path
-from types import SimpleNamespace
+from typing import Optional, Sequence
 
 import pytest
 
 from repro.apps.smartpointer import smartpointer_streams
-from repro.harness.chaos import (
-    _detection_latency,
-    _recovery_latency,
-    run_chaos_campaign,
-)
+from repro.harness.chaos import run_chaos_campaign
 from repro.network.emulab import make_figure8_testbed
 from repro.network.faults import FaultCampaign, correlated_outage
 from repro.obs import Observability, TraceBus
 from repro.obs.events import Category
 from repro.obs.introspect import explain_shortfall, guarantee_violations
+from repro.robustness.health import HealthTransition, PathHealth
 from repro.transport.session import run_packet_session
 
 TOOLS = Path(__file__).resolve().parents[2] / "tools"
+
+
+def _detection_latency(
+    transitions: Sequence[HealthTransition],
+    campaign: FaultCampaign,
+) -> Optional[float]:
+    """Seconds from first fault onset to first off-HEALTHY transition."""
+    onset = campaign.first_onset
+    for tr in transitions:
+        if tr.path in campaign.faulted_paths and tr.time >= onset:
+            return tr.time - onset
+    return None
+
+
+def _recovery_latency(
+    transitions: Sequence[HealthTransition],
+    path_names: Sequence[str],
+    campaign: FaultCampaign,
+) -> Optional[float]:
+    """Seconds from last fault end until every path is HEALTHY again.
+
+    Replays path states over the transition log and finds the first
+    instant at/after the campaign's end where all are HEALTHY.
+    """
+    end = campaign.last_end
+    states = {p: PathHealth.HEALTHY for p in path_names}
+    for tr in sorted(transitions, key=lambda t: t.time):
+        states[tr.path] = tr.new
+        if tr.time >= end and all(
+            s is PathHealth.HEALTHY for s in states.values()
+        ):
+            return tr.time - end
+    # No transition at/after the end completed the recovery: either all
+    # paths were already healthy when the faults ended (instantaneous),
+    # or some path never healed.
+    if all(s is PathHealth.HEALTHY for s in states.values()):
+        return 0.0
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -109,16 +144,16 @@ class TestChaosTraceParity:
     def test_trace_figures_match_legacy_bookkeeping(
         self, chaos_report, outage_campaign, realization
     ):
-        # The report's numbers are computed from the trace; the legacy
-        # transition-log computation must agree exactly on the same run.
+        # The report's numbers are computed from the trace; the
+        # transition-log replay must agree exactly on the same run.
         legacy_detect = _detection_latency(
-            list(chaos_report.transitions), outage_campaign
+            chaos_report.transitions, outage_campaign
         )
-        tracker_view = SimpleNamespace(
-            machines={p: None for p in realization.path_names()},
-            transitions=list(chaos_report.transitions),
+        legacy_recover = _recovery_latency(
+            chaos_report.transitions,
+            realization.path_names(),
+            outage_campaign,
         )
-        legacy_recover = _recovery_latency(tracker_view, outage_campaign)
         assert chaos_report.time_to_detect == legacy_detect
         assert chaos_report.time_to_recover == legacy_recover
         assert chaos_report.detected and chaos_report.recovered

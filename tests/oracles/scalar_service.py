@@ -1,0 +1,170 @@
+"""The scalar per-stream delivery loop, kept as a test oracle.
+
+:class:`repro.middleware.service.IQPathsService` delivers through the
+columnar :class:`repro.sim.vectorized.VectorizedDelivery` engine, whose
+contract is bit-identity with the loop below: per-stream backlog
+accrual, one ``scheduler.allocate`` pass, a per-path
+:func:`repro.core.scheduler.water_fill`, per-grant accounting — all on
+plain Python floats, dicts and lists.
+
+:class:`ScalarReferenceService` keeps its *own* delivery state
+(``_delivered`` lists, ``_backlog_bytes`` dict) and never reads the
+product's batch columns, so reports, traces, metrics and snapshots it
+produces are an independent derivation.  (The inherited open/close
+bookkeeping still files rows in the unused batch; that is inert.)
+
+:func:`service_class` makes the workload layer — ``run_scenario``,
+``make_scale_run``, ``run_partitioned``,
+``run_scale_scenario_checkpointed`` — build the oracle instead of the
+product for the duration of a ``with`` block.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+from unittest import mock
+
+import numpy as np
+
+from repro.core.scheduler import water_fill
+from repro.errors import ConfigurationError
+from repro.middleware.service import (
+    IQPathsService,
+    StreamHandle,
+    StreamReport,
+)
+from repro.units import bytes_in_interval, mbps_from_bytes
+from repro.workload import scenarios
+
+
+class ScalarReferenceService(IQPathsService):
+    """``IQPathsService`` with the per-object Python delivery loop."""
+
+    def __init__(self, *args, **kwargs):
+        self._delivered: dict[str, list[float]] = {}
+        self._backlog_bytes: dict[str, float] = {}
+        super().__init__(*args, **kwargs)
+
+    # -- stream lifecycle ----------------------------------------------
+    def _register_stream(self, spec, *args) -> StreamHandle:
+        handle = super()._register_stream(spec, *args)
+        self._delivered[spec.name] = []
+        self._backlog_bytes[spec.name] = 0.0
+        return handle
+
+    def close_stream(self, name: str) -> StreamHandle:
+        handle = super().close_stream(name)
+        self._backlog_bytes.pop(name, None)
+        return handle
+
+    # -- the loop ------------------------------------------------------
+    def _step_inner(self) -> None:
+        k = self._k
+        while self._pending and self._pending[0][0] <= k:
+            _, action = self._pending.pop(0)
+            action()
+        open_handles = [h for h in self.handles.values() if h.open]
+        if open_handles and self._scheduler_bound:
+            prof = self.obs.prof
+            if prof.enabled:
+                with prof.span("service.delivery"):
+                    self._deliver(k, open_handles)
+            else:
+                self._deliver(k, open_handles)
+        else:
+            for h in open_handles:
+                self._delivered[h.name].append(0.0)
+        self._observe(k)
+        self._update_health(k)
+        self._k += 1
+        if self.obs.enabled and (self._k - self._start_k) % (
+            self._snapshot_every
+        ) == 0:
+            self.obs.metrics.snapshot(self.now)
+
+    def _deliver(self, k: int, open_handles: list[StreamHandle]) -> None:
+        backlog_mbps: dict[str, Optional[float]] = {}
+        for h in open_handles:
+            spec = h.spec
+            if spec.demand_mbps is None:
+                backlog_mbps[spec.name] = None
+                continue
+            self._backlog_bytes[spec.name] += bytes_in_interval(
+                spec.demand_mbps, self.dt
+            )
+            limit = bytes_in_interval(
+                spec.demand_mbps, self.buffer_seconds
+            )
+            self._backlog_bytes[spec.name] = min(
+                self._backlog_bytes[spec.name], limit
+            )
+            backlog_mbps[spec.name] = mbps_from_bytes(
+                self._backlog_bytes[spec.name], self.dt
+            )
+        requests = self.scheduler.allocate(k, backlog_mbps)
+        delivered = {h.name: 0.0 for h in open_handles}
+        for p in self.path_names:
+            granted = water_fill(
+                requests.get(p, []), self._effective_avail(p, k)
+            )
+            for name, mbps in granted.items():
+                if mbps <= 0 or name not in delivered:
+                    continue
+                nbytes = bytes_in_interval(mbps, self.dt)
+                if self.handles[name].spec.demand_mbps is not None:
+                    nbytes = min(nbytes, self._backlog_bytes[name])
+                    self._backlog_bytes[name] -= nbytes
+                delivered[name] += mbps_from_bytes(nbytes, self.dt)
+        for name, mbps in delivered.items():
+            self._delivered[name].append(mbps)
+        if self.obs.enabled:
+            self._emit_shortfalls(k, delivered)
+
+    # -- checkpointing -------------------------------------------------
+    def _delivered_state(self) -> dict[str, list[float]]:
+        return {
+            h.name: [float(v) for v in self._delivered[h.name]]
+            for h in self.handles.values()
+            if h.open
+        }
+
+    def _backlog_state(self) -> dict[str, float]:
+        return {
+            name: float(v) for name, v in self._backlog_bytes.items()
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        self._backlog_bytes = {
+            name: float(v) for name, v in state["backlog_bytes"].items()
+        }
+        # Closed streams restore with an empty record, as in the product.
+        self._delivered = {
+            h.name: (
+                [float(v) for v in state["delivered"][h.name]]
+                if h.open
+                else []
+            )
+            for h in self.handles.values()
+        }
+
+    # -- reporting -----------------------------------------------------
+    def report(self, name: str) -> StreamReport:
+        if name not in self.handles:
+            raise ConfigurationError(f"unknown stream {name!r}")
+        return StreamReport(
+            name=name,
+            mbps=np.asarray(self._delivered[name]),
+            dt=self.dt,
+            target_mbps=self.handles[name].spec.required_mbps,
+        )
+
+
+def service_class(cls: type[IQPathsService]):
+    """Context manager: ``repro.workload.scenarios`` builds ``cls`` as
+    its service.
+
+    A context manager rather than a ``monkeypatch`` fixture so that
+    Hypothesis ``@given`` bodies can install the oracle per example.
+    """
+    return mock.patch.object(scenarios, "IQPathsService", cls)

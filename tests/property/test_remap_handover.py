@@ -25,6 +25,7 @@ from repro.core.spec import StreamSpec
 from repro.errors import AdmissionError
 from repro.middleware.service import IQPathsService
 from repro.network.emulab import make_figure8_testbed
+from tests.oracles import ScalarReferenceService
 
 #: Shared, read-only: a service only ever reads its realization.
 REALIZATION = make_figure8_testbed().realize(seed=11, duration=30.0, dt=0.1)
@@ -60,12 +61,11 @@ def as_items(mapping):
 class CheckedService:
     """A service whose every remap is held against a fresh solve."""
 
-    def __init__(self, strict=True, sim_backend=None):
-        self.service = IQPathsService(
+    def __init__(self, strict=True, service_cls=IQPathsService):
+        self.service = service_cls(
             REALIZATION,
             warmup_intervals=WARMUP,
             strict_admission=strict,
-            sim_backend=sim_backend,
         )
         self.scheduler = self.service.scheduler
         self.remaps = 0
@@ -248,12 +248,12 @@ class TestArbitraryInterleavings:
     @given(
         programs(),
         st.booleans(),
-        st.sampled_from(["vectorized", "scalar"]),
+        st.sampled_from([IQPathsService, ScalarReferenceService]),
     )
     def test_every_remap_installs_the_fresh_solve(
-        self, program, strict, backend
+        self, program, strict, service_cls
     ):
-        checked = CheckedService(strict=strict, sim_backend=backend)
+        checked = CheckedService(strict=strict, service_cls=service_cls)
         service = checked.service
         opened = 0
         #: name -> template of every stream ever closed (reopen pool).

@@ -1,29 +1,30 @@
 """Differential battery: vectorized SoA delivery core vs the scalar loop.
 
-The vectorized backend's contract is **bit-identity**, not approximate
+The delivery engine's contract is **bit-identity**, not approximate
 agreement: for any seeded scenario, every observable artifact — workload
 report checksums, trace digests, metrics digests, checkpoint snapshot
 digests, merged cluster payloads — must be ``==`` to what the original
-scalar per-stream loop produces.  Hypothesis drives both backends
-through identical seeded scenarios (churn, flash-crowd chaos, mid-run
-faults, checkpoint cuts with cross-backend resume, sharded cluster
-equivalents) and compares bytes, never tolerances.
+scalar per-stream loop produces.  That loop lives on as the test oracle
+:class:`tests.oracles.ScalarReferenceService`; Hypothesis drives it and
+the product through identical seeded scenarios (churn, flash-crowd
+chaos, mid-run faults, checkpoint cuts with oracle<->product resume,
+shard-sliced equivalents) and compares bytes, never tolerances.
 
 ``derandomize=True`` keeps the battery reproducible run-to-run: it
 *gates* the repo's byte-identity claims (golden suite, crash-resume,
-cluster determinism all run under the vectorized default), so it must
-itself be deterministic.
+cluster determinism all run on the engine), so it must itself be
+deterministic.
 """
 
-import dataclasses
 import hashlib
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.smartpointer import smartpointer_streams
 from repro.cluster.local import run_partitioned
+from repro.middleware.service import IQPathsService
 from repro.network.emulab import make_figure8_testbed
 from repro.network.faults import FaultCampaign, correlated_outage
 from repro.obs.context import Observability
@@ -34,6 +35,7 @@ from repro.workload.scenarios import (
     make_scenario,
     run_scenario,
 )
+from tests.oracles import ScalarReferenceService, service_class
 
 CHURN_SCENARIOS = ["baseline", "diurnal", "flash-crowd"]
 
@@ -43,15 +45,17 @@ def _trace_digest(obs: Observability) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _observed_run(name: str, seed: int, backend: str, max_sessions: int):
+def _run(cls, name: str, **kwargs):
+    """One scenario run on service class ``cls``."""
+    with service_class(cls):
+        return run_scenario(name, **kwargs)
+
+
+def _observed_run(cls, name: str, seed: int, max_sessions: int):
     """One scenario run with full observability; returns its artifacts."""
     obs = Observability()
-    report = run_scenario(
-        name,
-        seed=seed,
-        max_sessions=max_sessions,
-        obs=obs,
-        sim_backend=backend,
+    report = _run(
+        cls, name, seed=seed, max_sessions=max_sessions, obs=obs
     )
     return (
         report.checksum(),
@@ -61,7 +65,7 @@ def _observed_run(name: str, seed: int, backend: str, max_sessions: int):
 
 
 class TestChurnIdentity:
-    """Same seed, either backend: the workload report bytes agree."""
+    """Same seed, oracle or product: the workload report bytes agree."""
 
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(
@@ -69,27 +73,27 @@ class TestChurnIdentity:
         st.integers(min_value=0, max_value=9),
     )
     def test_report_checksums_equal(self, name, seed):
-        scalar = run_scenario(
-            name, seed=seed, max_sessions=30, sim_backend="scalar"
+        scalar = _run(
+            ScalarReferenceService, name, seed=seed, max_sessions=30
         )
-        vectorized = run_scenario(
-            name, seed=seed, max_sessions=30, sim_backend="vectorized"
-        )
+        vectorized = _run(IQPathsService, name, seed=seed, max_sessions=30)
         assert scalar.checksum() == vectorized.checksum()
 
     @settings(derandomize=True, max_examples=6, deadline=None)
     @given(st.integers(min_value=0, max_value=9))
     def test_flash_crowd_chaos_full_artifacts(self, seed):
         """Chaos (shed + downgrade + faults): reports, traces, metrics."""
-        scalar = _observed_run("flash-crowd-chaos", seed, "scalar", 40)
+        scalar = _observed_run(
+            ScalarReferenceService, "flash-crowd-chaos", seed, 40
+        )
         vectorized = _observed_run(
-            "flash-crowd-chaos", seed, "vectorized", 40
+            IQPathsService, "flash-crowd-chaos", seed, 40
         )
         assert scalar == vectorized
 
 
 class TestCheckpointCuts:
-    """Snapshots and resumes cross the backend boundary byte-for-byte."""
+    """Snapshots and resumes cross oracle <-> product byte-for-byte."""
 
     @settings(derandomize=True, max_examples=5, deadline=None)
     @given(
@@ -100,15 +104,18 @@ class TestCheckpointCuts:
         scenario = make_scenario("flash-crowd-chaos")
         total_steps = int(round(scenario.duration / 0.5))
 
-        def fresh(backend):
-            driver = make_scale_run(
-                scenario, seed=seed, max_sessions=40, sim_backend=backend
-            )
+        def fresh(cls):
+            with service_class(cls):
+                driver = make_scale_run(
+                    scenario, seed=seed, max_sessions=40
+                )
+            assert type(driver.service) is cls
             driver.begin(scenario.duration)
             return driver
 
         cut = max(1, int(total_steps * cut_frac))
-        scalar, vectorized = fresh("scalar"), fresh("vectorized")
+        scalar = fresh(ScalarReferenceService)
+        vectorized = fresh(IQPathsService)
         scalar.advance_to(cut)
         vectorized.advance_to(cut)
         snap_scalar = {
@@ -119,21 +126,21 @@ class TestCheckpointCuts:
             "service": vectorized.service.state_dict(),
             "driver": vectorized.state_dict(),
         }
-        # Mid-run snapshots are backend-agnostic bytes.
+        # Oracle and product write the same mid-run snapshot bytes.
         assert payload_digest(snap_scalar) == payload_digest(
             snap_vectorized
         )
 
-        reference = fresh("vectorized")
+        reference = fresh(IQPathsService)
         reference_report = reference.run(scenario.duration).to_dict()
 
-        # Scalar snapshot resumed under the vectorized backend (and the
-        # reverse) must finish exactly where the uninterrupted run does.
-        for snapshot, backend in (
-            (snap_scalar, "vectorized"),
-            (snap_vectorized, "scalar"),
+        # The oracle's snapshot resumed on the product (and the reverse)
+        # must finish exactly where the uninterrupted run does.
+        for snapshot, cls in (
+            (snap_scalar, IQPathsService),
+            (snap_vectorized, ScalarReferenceService),
         ):
-            resumed = fresh(backend)
+            resumed = fresh(cls)
             resumed.service.load_state_dict(snapshot["service"])
             resumed.load_state_dict(snapshot["driver"])
             steps = int(
@@ -143,23 +150,21 @@ class TestCheckpointCuts:
             report = resumed.finalize(scenario.duration).to_dict()
             assert payload_digest(report) == payload_digest(
                 reference_report
-            ), f"resume under {backend} diverged from uninterrupted run"
+            ), f"resume on {cls.__name__} diverged from uninterrupted run"
 
 
 class TestClusterShards:
-    """The shard-sliced runs agree across backends, partition by partition."""
+    """Shard-sliced runs agree with the oracle's, partition by partition."""
 
     @settings(derandomize=True, max_examples=4, deadline=None)
     @given(st.integers(min_value=0, max_value=9))
     def test_partitioned_baseline_identical(self, seed):
-        scalar = run_partitioned(
-            "baseline", seed=seed, max_sessions=24, sim_backend="scalar"
-        )
+        with service_class(ScalarReferenceService):
+            scalar = run_partitioned(
+                "baseline", seed=seed, max_sessions=24
+            )
         vectorized = run_partitioned(
-            "baseline",
-            seed=seed,
-            max_sessions=24,
-            sim_backend="vectorized",
+            "baseline", seed=seed, max_sessions=24
         )
         assert scalar.checksum() == vectorized.checksum()
         assert payload_digest(scalar.to_dict()) == payload_digest(
@@ -168,7 +173,8 @@ class TestClusterShards:
 
 
 class TestPacketSessionFaults:
-    """Mid-run faults at packet granularity: SessionResult equality."""
+    """Mid-run faults at packet granularity: the SessionResult's window
+    accounting is whole, integral and consistent with its aggregates."""
 
     @settings(derandomize=True, max_examples=4, deadline=None)
     @given(
@@ -187,44 +193,51 @@ class TestPacketSessionFaults:
             ),
             name="outage-A",
         )
-
-        def run(backend):
-            return run_packet_session(
-                realization,
-                smartpointer_streams(),
-                tw=1.0,
-                warmup_windows=30,
-                campaign=campaign,
-                sim_backend=backend,
+        streams = smartpointer_streams()
+        obs = Observability()
+        result = run_packet_session(
+            realization,
+            streams,
+            tw=1.0,
+            warmup_windows=30,
+            campaign=campaign,
+            obs=obs,
+        )
+        n_windows = 90 - 30
+        assert result.n_windows == n_windows
+        assert set(result.sent) == {s.name for s in streams}
+        windows = obs.trace.events(name="window")
+        assert len(windows) == n_windows
+        for spec in streams:
+            per_path = result.sent[spec.name]
+            assert set(per_path) == set(result.path_names)
+            for path, series in per_path.items():
+                assert len(series) == n_windows
+                assert all(type(n) is int and n >= 0 for n in series)
+                # The per-window trace events carry the same counts.
+                assert series == [
+                    e.fields["sent"].get(spec.name, {}).get(path, 0)
+                    for e in windows
+                ]
+            total = sum(sum(series) for series in per_path.values())
+            mbps = result.throughput_mbps(spec.name, spec.packet_size)
+            assert mbps.shape == (n_windows,)
+            assert np.isclose(
+                mbps.sum() * 1.0 * 1e6 / 8.0, total * spec.packet_size
             )
-
-        scalar, vectorized = run("scalar"), run("vectorized")
-        for field in dataclasses.fields(scalar):
-            a = getattr(scalar, field.name)
-            b = getattr(vectorized, field.name)
-            if field.name == "health_transitions":
-                a = [dataclasses.astuple(t) for t in a]
-                b = [dataclasses.astuple(t) for t in b]
-            assert a == b, f"SessionResult.{field.name} diverged"
-
-
-class TestBackendPlumbing:
-    def test_driver_reports_effective_backend(self):
-        scenario = make_scenario("baseline")
-        for backend in ("scalar", "vectorized"):
-            driver = make_scale_run(
-                scenario, seed=0, max_sessions=5, sim_backend=backend
-            )
-            assert driver.sim_backend == backend
-
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
-        scenario = make_scenario("baseline")
-        driver = make_scale_run(scenario, seed=0, max_sessions=5)
-        assert driver.sim_backend == "vectorized"
-
-    def test_env_override_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "scalar")
-        scenario = make_scenario("baseline")
-        driver = make_scale_run(scenario, seed=0, max_sessions=5)
-        assert driver.sim_backend == "scalar"
+        for path, flags in result.quarantine_series.items():
+            assert len(flags) == n_windows
+            assert all(type(f) is bool for f in flags)
+            # Quarantined windows carried none of the session's packets.
+            for w, quarantined in enumerate(flags):
+                if quarantined:
+                    assert all(
+                        result.sent[s.name][path][w] == 0 for s in streams
+                    )
+        # The outage on A was noticed and A sat out at least one window.
+        assert any(t.path == "A" for t in result.health_transitions)
+        assert any(result.quarantine_series["A"])
+        assert not any(result.quarantine_series["B"])
+        assert result.blocked_events == int(
+            obs.metrics.get("transport.blocked_events").value
+        )

@@ -6,11 +6,6 @@ import pytest
 from repro.core.batchstate import BatchState
 from repro.core.spec import StreamSpec
 from repro.errors import ConfigurationError
-from repro.sim.vectorized import (
-    SIM_BACKENDS,
-    default_sim_backend,
-    resolve_sim_backend,
-)
 from repro.units import bytes_in_interval
 
 
@@ -194,25 +189,3 @@ class TestValidation:
             BatchState(n_columns=4, dt=0.0, buffer_seconds=2.0)
         with pytest.raises(ConfigurationError):
             BatchState(n_columns=4, dt=0.1, buffer_seconds=2.0, capacity=0)
-
-
-class TestBackendResolver:
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
-        assert default_sim_backend() == "vectorized"
-        assert resolve_sim_backend(None) == "vectorized"
-
-    def test_env_selects_backend(self, monkeypatch):
-        for backend in SIM_BACKENDS:
-            monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
-            assert default_sim_backend() == backend
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "quantum")
-        with pytest.raises(ConfigurationError):
-            default_sim_backend()
-
-    def test_explicit_choice_validated(self):
-        assert resolve_sim_backend("scalar") == "scalar"
-        with pytest.raises(ConfigurationError):
-            resolve_sim_backend("quantum")

@@ -61,3 +61,20 @@ def test_every_public_module_has_docstring():
             continue
         module = importlib.import_module(info.name)
         assert module.__doc__, f"{info.name} lacks a module docstring"
+
+
+def test_no_module_reads_an_environment_variable():
+    """A run is configured by its arguments alone: no ``os.environ.get``
+    / ``os.getenv`` can swap behaviour under it."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    reads = re.compile(r"os\.environ\.get|getenv")
+    offenders = [
+        str(path)
+        for path in sorted(Path(repro.__path__[0]).rglob("*.py"))
+        if reads.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []

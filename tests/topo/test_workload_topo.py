@@ -2,7 +2,7 @@
 
 These are the acceptance-criteria properties in test form: generated
 topologies run churn end to end, byte-deterministic per seed, identical
-across simulation backends and cluster shard counts, and the traffic
+with the scalar oracle and across cluster shard counts, and the traffic
 scenarios move the operating point measurably.
 """
 
@@ -12,6 +12,7 @@ from repro.cluster.local import run_partitioned
 from repro.errors import ConfigurationError
 from repro.runner.suite import topo_suite, workload_spec
 from repro.workload.scenarios import make_scenario, run_scenario
+from tests.oracles import ScalarReferenceService, service_class
 
 _FAST = dict(seed=0, duration=8.0, max_sessions=30)
 
@@ -44,13 +45,12 @@ class TestScenarioTopology:
         assert len(checksums) == 4
 
     def test_backends_byte_identical_on_generated_topology(self):
-        scalar = run_scenario(
-            "baseline", topology="leaf_spine_2x4",
-            sim_backend="scalar", **_FAST,
-        )
+        with service_class(ScalarReferenceService):
+            scalar = run_scenario(
+                "baseline", topology="leaf_spine_2x4", **_FAST
+            )
         vectorized = run_scenario(
-            "baseline", topology="leaf_spine_2x4",
-            sim_backend="vectorized", **_FAST,
+            "baseline", topology="leaf_spine_2x4", **_FAST
         )
         assert scalar.checksum() == vectorized.checksum()
 

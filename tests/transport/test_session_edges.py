@@ -1,11 +1,13 @@
-"""Delivery edge cases, asserted identically under both sim backends.
+"""Delivery edge cases, asserted identically on the oracle and the product.
 
 Satellite coverage for the vectorized core's corners: zero-length
 delivery windows (no-op advances, open/close inside one interval, a
 single-window packet session), stream close racing a pending remap, and
 paths whose residual-bandwidth draw has nothing mapped to them.  Every
-test drives the scalar and vectorized backends through the same script
-and asserts byte-equality of the resulting state, not just plausibility.
+service test drives :class:`tests.oracles.ScalarReferenceService` and
+``IQPathsService`` through the same script and asserts byte-equality of
+the resulting state, not just plausibility; the packet-session cases
+assert the result's values.
 """
 
 import numpy as np
@@ -18,19 +20,17 @@ from repro.middleware.service import IQPathsService
 from repro.network.emulab import make_figure8_testbed
 from repro.runner.cache import payload_digest
 from repro.transport.session import run_packet_session
+from tests.oracles import ScalarReferenceService
 
-BACKENDS = ("scalar", "vectorized")
+SERVICES = (ScalarReferenceService, IQPathsService)
 
 
-def make_service(backend: str, seed: int = 11, duration: float = 60.0):
+def make_service(service_cls, seed: int = 11, duration: float = 60.0):
     realization = make_figure8_testbed().realize(
         seed=seed, duration=duration, dt=0.1
     )
-    return IQPathsService(
-        realization,
-        warmup_intervals=100,
-        strict_admission=False,
-        sim_backend=backend,
+    return service_cls(
+        realization, warmup_intervals=100, strict_admission=False
     )
 
 
@@ -46,8 +46,8 @@ def digests(service: IQPathsService):
 class TestZeroLengthWindows:
     def test_zero_advance_is_a_noop(self):
         results = []
-        for backend in BACKENDS:
-            service = make_service(backend)
+        for service_cls in SERVICES:
+            service = make_service(service_cls)
             service.open_stream(
                 StreamSpec(name="s", required_mbps=10.0, probability=0.9)
             )
@@ -60,8 +60,8 @@ class TestZeroLengthWindows:
     def test_open_close_within_one_interval(self):
         """A stream whose lifetime is zero delivery windows."""
         results = []
-        for backend in BACKENDS:
-            service = make_service(backend)
+        for service_cls in SERVICES:
+            service = make_service(service_cls)
             service.open_stream(
                 StreamSpec(name="blip", required_mbps=5.0, probability=0.9)
             )
@@ -76,35 +76,36 @@ class TestZeroLengthWindows:
         realization = make_figure8_testbed().realize(
             seed=5, duration=31.0, dt=0.1
         )
-        sessions = [
-            run_packet_session(
-                realization,
-                smartpointer_streams(),
-                tw=1.0,
-                warmup_windows=30,
-                sim_backend=backend,
-            )
-            for backend in BACKENDS
-        ]
-        assert sessions[0].n_windows == 1
-        assert sessions[0].sent == sessions[1].sent
-        assert (
-            sessions[0].quarantine_series == sessions[1].quarantine_series
+        streams = smartpointer_streams()
+        session = run_packet_session(
+            realization, streams, tw=1.0, warmup_windows=30
         )
+        assert session.n_windows == 1
+        for spec in streams:
+            per_path = session.sent[spec.name]
+            assert set(per_path) == {"A", "B"}
+            for series in per_path.values():
+                assert len(series) == 1 and type(series[0]) is int
+            # One window's packets, consistent with the throughput view.
+            sent = sum(series[0] for series in per_path.values())
+            mbps = session.throughput_mbps(spec.name, spec.packet_size)
+            assert mbps.tolist() == [sent * spec.packet_size * 8.0 / 1e6]
+            if spec.guaranteed:
+                assert sent == spec.packets_in_window(1.0)
+        # No health tracker: never quarantined, one flag per window.
+        assert session.quarantine_series == {"A": [False], "B": [False]}
 
     def test_session_with_no_traffic_windows_rejected(self):
         realization = make_figure8_testbed().realize(
             seed=5, duration=30.0, dt=0.1
         )
-        for backend in BACKENDS:
-            with pytest.raises(ConfigurationError):
-                run_packet_session(
-                    realization,
-                    smartpointer_streams(),
-                    tw=1.0,
-                    warmup_windows=30,
-                    sim_backend=backend,
-                )
+        with pytest.raises(ConfigurationError):
+            run_packet_session(
+                realization,
+                smartpointer_streams(),
+                tw=1.0,
+                warmup_windows=30,
+            )
 
 
 class TestCloseDuringRemap:
@@ -116,8 +117,8 @@ class TestCloseDuringRemap:
         slot must not leak into the next compiled template.
         """
         results = []
-        for backend in BACKENDS:
-            service = make_service(backend)
+        for service_cls in SERVICES:
+            service = make_service(service_cls)
             for i in range(3):
                 service.open_stream(
                     StreamSpec(
@@ -144,8 +145,8 @@ class TestCloseDuringRemap:
     def test_close_all_streams_then_step(self):
         """Delivery over an empty stream set is a well-defined no-op."""
         results = []
-        for backend in BACKENDS:
-            service = make_service(backend)
+        for service_cls in SERVICES:
+            service = make_service(service_cls)
             service.open_stream(
                 StreamSpec(name="s", required_mbps=10.0, probability=0.9)
             )
@@ -161,12 +162,12 @@ class TestEmptyPathResidualDraw:
         """A one-stream set leaves a path with an empty request list.
 
         The scalar loop still calls water_fill([], capacity) on that
-        path (validating the capacity); the vectorized backend must do
+        path (validating the capacity); the vectorized engine must do
         the same rather than skipping the path.
         """
         results = []
-        for backend in BACKENDS:
-            service = make_service(backend)
+        for service_cls in SERVICES:
+            service = make_service(service_cls)
             service.open_stream(
                 StreamSpec(name="solo", required_mbps=2.0, probability=0.9)
             )
@@ -180,8 +181,8 @@ class TestEmptyPathResidualDraw:
     def test_elastic_only_residual_draw(self):
         """Rule-3-only traffic: the whole draw is residual bandwidth."""
         results = []
-        for backend in BACKENDS:
-            service = make_service(backend)
+        for service_cls in SERVICES:
+            service = make_service(service_cls)
             service.open_stream(
                 StreamSpec(name="bulk", elastic=True, nominal_mbps=40.0)
             )
