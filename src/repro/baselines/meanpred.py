@@ -8,7 +8,7 @@ values of end-to-end bandwidth, which are hard to attain").
 
 Comparing this against PGOS isolates the contribution of the *statistical*
 prediction from the contribution of the priority/overlay machinery; the
-ablation bench (``benchmarks/bench_ablations.py``) reports both.
+``ablations`` figure (``python -m repro.harness ablations``) reports both.
 """
 
 from __future__ import annotations

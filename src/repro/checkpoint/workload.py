@@ -18,7 +18,7 @@ run's.  ``tests/checkpoint`` and the kill-injection harness
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import CheckpointError
 from repro.checkpoint.policy import (
@@ -30,7 +30,7 @@ from repro.checkpoint.snapshot import CheckpointStore
 from repro.obs.context import Observability
 from repro.runner.fingerprint import code_fingerprint
 from repro.workload.catalog import SessionCatalog
-from repro.workload.driver import WorkloadReport
+from repro.workload.driver import ChurnDriver, WorkloadReport
 from repro.workload.scenarios import ScaleScenario, make_scale_run
 
 
@@ -88,25 +88,12 @@ def run_scale_scenario_checkpointed(
         # with the virtual time each snapshot captured.
         store.bind_observability(obs)
 
-    checkpoint = None
+    meta = {"scenario": scenario.name, "seed": seed}
+    payload = None
     if resume:
-        checkpoint = store.load(
-            fingerprint=fingerprint, strict=strict_resume
+        payload = load_run_snapshot(
+            store, fingerprint, meta, strict=strict_resume
         )
-        if checkpoint is not None:
-            meta = checkpoint.meta
-            if (
-                meta.get("scenario") != scenario.name
-                or meta.get("seed") != seed
-            ):
-                message = (
-                    f"checkpoint in {store.root} belongs to scenario "
-                    f"{meta.get('scenario')!r} seed {meta.get('seed')!r}, "
-                    f"not {scenario.name!r} seed {seed!r}"
-                )
-                if strict_resume:
-                    raise CheckpointError(message)
-                checkpoint = None
 
     hooks: dict = {}
 
@@ -114,7 +101,7 @@ def run_scale_scenario_checkpointed(
         driver = hooks["driver"]
         done = k + 1
         if interrupt is not None and interrupt.triggered:
-            _save(driver, store, fingerprint, scenario, seed, done, t)
+            save_run_snapshot(driver, store, fingerprint, meta, done, t)
             raise RunInterrupted(
                 f"run interrupted ({interrupt.signal_name}) after "
                 f"{done} steps (t={t:.1f}s); checkpoint flushed to "
@@ -123,7 +110,7 @@ def run_scale_scenario_checkpointed(
                 t=t,
             )
         if done % hooks["every_steps"] == 0:
-            _save(driver, store, fingerprint, scenario, seed, done, t)
+            save_run_snapshot(driver, store, fingerprint, meta, done, t)
         if on_step is not None:
             on_step(k, t)
 
@@ -137,9 +124,8 @@ def run_scale_scenario_checkpointed(
     )
     hooks["driver"] = driver
     hooks["every_steps"] = config.every_steps(driver.service.dt)
-    if checkpoint is not None:
-        driver.service.load_state_dict(checkpoint.payload["service"])
-        driver.load_state_dict(checkpoint.payload["driver"])
+    if payload is not None:
+        restore_run_snapshot(driver, payload)
     try:
         report = driver.run(scenario.duration)
     finally:
@@ -151,17 +137,58 @@ def run_scale_scenario_checkpointed(
     return report
 
 
-def _save(driver, store, fingerprint, scenario, seed, step, t) -> None:
+def save_run_snapshot(
+    driver: ChurnDriver,
+    store: CheckpointStore,
+    fingerprint: str,
+    meta: Mapping[str, Any],
+    step: int,
+    t: float,
+) -> None:
+    """Write the ``{"service", "driver"}`` snapshot of a run in flight.
+
+    ``meta`` identifies the run (what :func:`load_run_snapshot` will
+    demand back); ``step`` and ``t`` say where the snapshot was cut.
+    """
     store.save(
         {
             "service": driver.service.state_dict(),
             "driver": driver.state_dict(),
         },
         fingerprint=fingerprint,
-        meta={
-            "scenario": scenario.name,
-            "seed": seed,
-            "step": step,
-            "t": t,
-        },
+        meta={**meta, "step": step, "t": t},
     )
+
+
+def load_run_snapshot(
+    store: CheckpointStore,
+    fingerprint: str,
+    meta: Mapping[str, Any],
+    strict: bool = False,
+) -> Optional[dict]:
+    """The slot's snapshot payload, if usable and taken for ``meta``.
+
+    A snapshot whose meta disagrees with ``meta`` on any key belongs
+    to another run.  Lenient (the default; supervised workers and the
+    cluster's respawn path must make progress past a damaged slot):
+    anything unusable is ``None`` and the run starts fresh.  Strict:
+    it raises :class:`~repro.errors.CheckpointError`.
+    """
+    checkpoint = store.load(fingerprint=fingerprint, strict=strict)
+    if checkpoint is None:
+        return None
+    found = {key: checkpoint.meta.get(key) for key in meta}
+    if found != dict(meta):
+        if strict:
+            raise CheckpointError(
+                f"checkpoint in {store.root} belongs to run {found}, "
+                f"not {dict(meta)}"
+            )
+        return None
+    return checkpoint.payload
+
+
+def restore_run_snapshot(driver: ChurnDriver, payload: Mapping) -> None:
+    """Load a :func:`load_run_snapshot` payload into a fresh driver."""
+    driver.service.load_state_dict(payload["service"])
+    driver.load_state_dict(payload["driver"])

@@ -22,52 +22,17 @@ import sys
 from typing import Any, BinaryIO, Mapping, Optional
 
 from repro.checkpoint.snapshot import CheckpointStore
+from repro.checkpoint.workload import (
+    load_run_snapshot,
+    restore_run_snapshot,
+    save_run_snapshot,
+)
 from repro.cluster import protocol
 from repro.cluster.epochs import epoch_boundaries, epochs_completed
 from repro.errors import ClusterProtocolError
 from repro.runner.fingerprint import code_fingerprint
 from repro.workload.driver import ChurnDriver
 from repro.workload.scenarios import make_partition_run, make_scenario
-
-
-def _load_partition_checkpoint(
-    driver: ChurnDriver,
-    store: CheckpointStore,
-    fingerprint: str,
-    meta_want: Mapping[str, Any],
-) -> int:
-    """Restore one partition's snapshot if usable; returns its step.
-
-    Lenient by design (the master's respawn path must make progress
-    even past a damaged slot): an unusable or mismatched checkpoint
-    restarts that partition from step 0.
-    """
-    checkpoint = store.load(fingerprint=fingerprint, strict=False)
-    if checkpoint is None:
-        return 0
-    meta = checkpoint.meta
-    if any(meta.get(key) != want for key, want in meta_want.items()):
-        return 0
-    driver.service.load_state_dict(checkpoint.payload["service"])
-    driver.load_state_dict(checkpoint.payload["driver"])
-    return driver.completed_steps
-
-
-def _save_partition_checkpoint(
-    driver: ChurnDriver,
-    store: CheckpointStore,
-    fingerprint: str,
-    meta: Mapping[str, Any],
-    step: int,
-) -> None:
-    store.save(
-        {
-            "service": driver.service.state_dict(),
-            "driver": driver.state_dict(),
-        },
-        fingerprint=fingerprint,
-        meta={**meta, "step": step, "t": step * driver.service.dt},
-    )
 
 
 def _run_job(
@@ -124,16 +89,18 @@ def _run_job(
 
     completed = 0
     if assign["resume"] and stores:
+        # Lenient by design (the respawn path must make progress even
+        # past a damaged slot): an unusable or mismatched snapshot
+        # leaves that partition at step 0.
+        for p in partitions:
+            payload = load_run_snapshot(stores[p], fingerprint, metas[p])
+            if payload is not None:
+                restore_run_snapshot(drivers[p], payload)
         # The join point is the *least* advanced partition: a kill can
         # land between two partitions' snapshot writes, and replayed
         # epochs are no-ops for the partitions already past them.
         completed = min(
-            epochs_completed(
-                boundaries,
-                _load_partition_checkpoint(
-                    drivers[p], stores[p], fingerprint, metas[p]
-                ),
-            )
+            epochs_completed(boundaries, drivers[p].completed_steps)
             for p in partitions
         )
     for partition in partitions:
@@ -155,12 +122,13 @@ def _run_job(
             driver.advance_to(max(target, driver.completed_steps))
         for partition in partitions:
             if partition in stores:
-                _save_partition_checkpoint(
+                save_run_snapshot(
                     drivers[partition],
                     stores[partition],
                     fingerprint,
                     metas[partition],
                     target,
+                    target * drivers[partition].service.dt,
                 )
         if kill_at_epoch is not None and epoch == int(kill_at_epoch):
             # Kill-injection for the supervision tests: die *after* the

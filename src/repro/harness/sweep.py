@@ -4,7 +4,8 @@ The paper's experiments sit at one operating point; a downstream user
 wants to know the *envelope*: as cross traffic grows, when does PGOS stop
 admitting the workload, and how do attainment and fairness degrade for
 each algorithm before that?  :func:`sweep_cross_traffic` answers both,
-and is the engine behind ``benchmarks/bench_sweep.py``.
+and is the engine behind the ``sweep`` figure
+(``python -m repro.harness sweep``).
 
 Every sweep is built from *pure per-point functions*
 (:func:`cross_traffic_point`, :func:`measurement_noise_point`) whose RNG

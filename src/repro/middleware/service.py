@@ -423,11 +423,7 @@ class IQPathsService:
         usable = self._usable_paths()
         cdfs = {p: scheduler.monitors[p].cdf() for p in usable}
         qos = scheduler.path_qos(usable)
-        prof = self.obs.prof
-        if prof.enabled:
-            with prof.span("service.admission"):
-                decision = self._admission.try_admit(specs, cdfs, qos)
-        else:
+        with self.obs.prof.span("service.admission"):
             decision = self._admission.try_admit(specs, cdfs, qos)
         if decision.mapping is not None:
             if not decision.admitted:
@@ -436,6 +432,42 @@ class IQPathsService:
                 ]
             scheduler.offer_mapping(specs, cdfs, qos, decision.mapping)
         return decision
+
+    def _settle_open(
+        self,
+        spec: StreamSpec,
+        decision: AdmissionDecision,
+        tenant: Optional[str],
+        upcall: bool,
+    ) -> StreamHandle:
+        """File one stream of an admission decision and install it.
+
+        The one per-stream outcome block behind :meth:`open_stream` and
+        :meth:`open_streams`: stream ID, admission counters, the upcall
+        for the stream a refusal names (``upcall``; raises under strict
+        admission, nothing is installed), then the handle.
+        """
+        self._next_stream_id += 1
+        stream_id = self._next_stream_id
+        self.obs.bind_stream(spec.name, stream_id)
+        achieved = None
+        if decision.admitted:
+            self._count_admission("admitted", tenant)
+            if decision.mapping is not None:
+                achieved = decision.mapping.achieved_probability.get(
+                    spec.name
+                )
+        elif upcall:
+            message = self._reject_upcall(
+                spec, stream_id, decision.suggested_probability, tenant
+            )
+            if self.strict_admission:
+                raise AdmissionError(spec.name, message)
+        else:
+            self._count_admission("degraded", tenant)
+        return self._register_stream(
+            spec, stream_id, decision.admitted, achieved, tenant
+        )
 
     def open_stream(
         self, spec: StreamSpec, tenant: Optional[str] = None
@@ -452,25 +484,7 @@ class IQPathsService:
         if not self._scheduler_bound:
             self._bind_scheduler(spec)
         decision = self._admit([spec])
-        self._next_stream_id += 1
-        stream_id = self._next_stream_id
-        self.obs.bind_stream(spec.name, stream_id)
-        achieved = None
-        if not decision.admitted:
-            message = self._reject_upcall(
-                spec, stream_id, decision.suggested_probability, tenant
-            )
-            if self.strict_admission:
-                raise AdmissionError(spec.name, message)
-        else:
-            self._count_admission("admitted", tenant)
-            if decision.mapping is not None:
-                achieved = decision.mapping.achieved_probability.get(
-                    spec.name
-                )
-        handle = self._register_stream(
-            spec, stream_id, decision.admitted, achieved, tenant
-        )
+        handle = self._settle_open(spec, decision, tenant, upcall=True)
         self._maybe_refresh_after_open()
         return handle
 
@@ -485,11 +499,11 @@ class IQPathsService:
         covers every stream already open plus the whole batch, so
         opening N streams costs one resource mapping instead of N
         (incremental :meth:`open_stream` is quadratic in the standing
-        population).  Semantics are all-or-nothing: under strict
+        population).  Semantics are all-or-nothing, with one admission
+        upcall naming the stream the decision failed on: under strict
         admission a batch that does not fit raises
-        :class:`AdmissionError` (naming the stream that failed) and
-        opens nothing; under lenient admission the whole batch opens
-        degraded.
+        :class:`AdmissionError` for that stream and opens nothing;
+        under lenient admission the whole batch opens degraded.
         """
         specs = list(specs)
         if not specs:
@@ -508,42 +522,22 @@ class IQPathsService:
         if not self._scheduler_bound:
             self._bind_scheduler(specs[0])
         decision = self._admit(specs)
-        if not decision.admitted and self.strict_admission:
+        rejected = None
+        if not decision.admitted:
             rejected = next(
-                (
-                    s
-                    for s in specs
-                    if s.name == decision.rejected_stream
-                ),
+                (s for s in specs if s.name == decision.rejected_stream),
                 specs[0],
             )
-            self._next_stream_id += 1
-            message = self._reject_upcall(
-                rejected,
-                self._next_stream_id,
-                decision.suggested_probability,
-                tenant,
+            if self.strict_admission:
+                # All-or-nothing: only the named stream is settled,
+                # and settling it raises.
+                specs = [rejected]
+        handles = [
+            self._settle_open(
+                spec, decision, tenant, upcall=spec is rejected
             )
-            raise AdmissionError(rejected.name, message)
-        handles = []
-        for spec in specs:
-            self._next_stream_id += 1
-            stream_id = self._next_stream_id
-            self.obs.bind_stream(spec.name, stream_id)
-            achieved = None
-            if decision.admitted:
-                self._count_admission("admitted", tenant)
-                if decision.mapping is not None:
-                    achieved = decision.mapping.achieved_probability.get(
-                        spec.name
-                    )
-            else:
-                self._count_admission("degraded", tenant)
-            handles.append(
-                self._register_stream(
-                    spec, stream_id, decision.admitted, achieved, tenant
-                )
-            )
+            for spec in specs
+        ]
         self._maybe_refresh_after_open()
         return handles
 

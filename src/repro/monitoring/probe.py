@@ -14,10 +14,11 @@ quality can be studied:
 * quantization to the probe's rate resolution (pathload reports a rate
   *range*; we model its grid).
 
-``benchmarks/bench_ablations.py`` and the measurement-noise sweep show
-the attainment degrading gracefully as probes get worse — and that the
-percentile predictor tolerates far more measurement noise than the mean
-predictor before its placements go wrong.
+The ``ablations`` figure (``python -m repro.harness ablations``) and the
+measurement-noise sweep show the attainment degrading gracefully as
+probes get worse — and that the percentile predictor tolerates far more
+measurement noise than the mean predictor before its placements go
+wrong.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
-from repro.obs.ledger import PerfLedger
 from repro.obs.prof import (
     NULL_PROFILER,
     NullSpanProfiler,
@@ -61,7 +60,6 @@ __all__ = [
     "NullSpanProfiler",
     "NullTraceBus",
     "Observability",
-    "PerfLedger",
     "ProfileReport",
     "SpanProfiler",
     "TraceBus",

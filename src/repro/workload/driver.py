@@ -347,16 +347,10 @@ class ChurnDriver:
         from the first step the checkpoint had not completed and the
         returned report is bit-identical to an uninterrupted run's.
         """
-        prof = self.obs.prof
-        if prof.enabled:
-            with prof.span("workload.run"):
-                return self._run_impl(duration)
-        return self._run_impl(duration)
-
-    def _run_impl(self, duration: float) -> WorkloadReport:
-        steps = self.begin(duration)
-        self.advance_to(steps)
-        return self.finalize(duration)
+        with self.obs.prof.span("workload.run"):
+            steps = self.begin(duration)
+            self.advance_to(steps)
+            return self.finalize(duration)
 
     def steps_for(self, duration: float) -> int:
         """How many delivery steps ``duration`` session seconds cover."""

@@ -299,43 +299,25 @@ def make_scale_run(
     identical immutable scaffolding, then restores only the mutable
     state from the snapshot.
     """
-    prof = (obs if obs is not None else NULL_OBS).prof
-    if prof.enabled:
-        # Scenario planning + testbed realization + warmup is a real
-        # slice of short runs' wall time; attribute it, don't lose it.
-        with prof.span("workload.setup"):
-            return _make_scale_run(
-                scenario, seed, max_sessions, catalog, obs, on_step
-            )
-    return _make_scale_run(
-        scenario, seed, max_sessions, catalog, obs, on_step
-    )
-
-
-def _make_scale_run(
-    scenario: ScaleScenario,
-    seed: int,
-    max_sessions: Optional[int],
-    catalog: Optional[SessionCatalog],
-    obs: Optional[Observability],
-    on_step: Optional[Callable[[int, float], None]],
-) -> ChurnDriver:
-    catalog = catalog if catalog is not None else default_catalog()
-    plans = plan_sessions(
-        scenario.model,
-        catalog,
-        scenario.duration,
-        seed=mix_seed(seed, "workload-plan", scenario.name),
-        max_sessions=max_sessions,
-    )
-    service = build_service(scenario, seed, obs=obs)
-    return ChurnDriver(
-        service,
-        plans,
-        scenario=scenario.name,
-        seed=seed,
-        on_step=on_step,
-    )
+    # Scenario planning + testbed realization + warmup is a real slice
+    # of short runs' wall time; attribute it, don't lose it.
+    with (obs if obs is not None else NULL_OBS).prof.span("workload.setup"):
+        catalog = catalog if catalog is not None else default_catalog()
+        plans = plan_sessions(
+            scenario.model,
+            catalog,
+            scenario.duration,
+            seed=mix_seed(seed, "workload-plan", scenario.name),
+            max_sessions=max_sessions,
+        )
+        service = build_service(scenario, seed, obs=obs)
+        return ChurnDriver(
+            service,
+            plans,
+            scenario=scenario.name,
+            seed=seed,
+            on_step=on_step,
+        )
 
 
 def run_scale_scenario(

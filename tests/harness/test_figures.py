@@ -109,6 +109,11 @@ class TestFig11:
     def test_pgos_atom_p95(self, fig11_result):
         assert fig11_result.measured["pgos_atom_p95_time"] >= 3.249 * 0.99
 
+    def test_bond1_p95_pgos_at_target_msfq_below(self, fig11_result):
+        m = fig11_result.measured
+        assert m["pgos_bond1_p95_time"] >= 22.148 * 0.99
+        assert m["msfq_bond1_p95_time"] < 22.148 * 0.95
+
     def test_std_ordering(self, fig11_result):
         m = fig11_result.measured
         assert m["pgos_bond1_std"] < m["msfq_bond1_std"]
@@ -151,6 +156,7 @@ class TestAuxiliaryFigures:
 
         result = ablations.run(fast=True)
         m = result.measured
+        assert m["pgos_crit_attainment_p95"] >= 0.99
         assert m["pgos_crit_attainment_p95"] >= m["meanpred_crit_attainment_p95"]
         assert "prediction ablation" in result.render()
 

@@ -39,6 +39,12 @@ class TestSweep:
             points[1].attainment["PGOS"] <= points[0].attainment["PGOS"]
         )
 
+    def test_pgos_never_attains_less_than_msfq(self, points):
+        for point in points:
+            assert (
+                point.attainment["PGOS"] >= point.attainment["MSFQ"] - 0.02
+            ), point.scale
+
     def test_crossover(self, points):
         assert admission_crossover(points) == 1.4
 

@@ -11,6 +11,7 @@ from repro.errors import AdmissionError, ConfigurationError
 from repro.core.spec import StreamSpec
 from repro.middleware.service import IQPathsService
 from repro.network.emulab import make_figure8_testbed
+from repro.obs.context import Observability
 from tests.oracles import ScalarReferenceService
 
 
@@ -126,6 +127,52 @@ class TestAdmission:
         service.advance(20.0)
         # Degraded service still moves bytes.
         assert service.report("monster").mean_mbps > 0.0
+
+    @staticmethod
+    def _traced_service(strict):
+        realization = make_figure8_testbed().realize(
+            seed=77, duration=80.0, dt=0.1
+        )
+        return IQPathsService(
+            realization,
+            warmup_intervals=200,
+            strict_admission=strict,
+            obs=Observability(),
+        )
+
+    def test_lenient_batch_that_does_not_fit_upcalls_once(self):
+        """The batch names the stream admission failed on, as a single
+        lenient ``open_stream`` does; it used to open the whole batch
+        degraded without a word."""
+        service = self._traced_service(strict=False)
+        handles = service.open_streams(
+            [critical("ok", 5.0), critical("monster", 500.0)]
+        )
+        assert [h.admitted for h in handles] == [False, False]
+        assert all(h.open for h in handles)
+        assert len(service.upcalls) == 1
+        assert "'monster'" in service.upcalls[0]
+        (event,) = service.obs.trace.events(name="admission_upcall")
+        assert event.fields["stream"] == "monster"
+        assert event.stream_id == service.handles["monster"].stream_id
+        metrics = service.obs.metrics
+        assert metrics.get("service.admission_rejections").value == 1
+        assert metrics.get("admission.degraded").value == 2
+
+    def test_strict_batch_that_does_not_fit_upcalls_and_opens_nothing(self):
+        service = self._traced_service(strict=True)
+        with pytest.raises(AdmissionError) as err:
+            service.open_streams(
+                [critical("ok", 5.0), critical("monster", 500.0)]
+            )
+        assert err.value.stream_name == "monster"
+        assert len(service.upcalls) == 1
+        assert service.upcalls[0] in str(err.value)
+        assert not service.handles
+        (event,) = service.obs.trace.events(name="admission_upcall")
+        assert event.fields["stream"] == "monster"
+        assert not service.obs.trace.events(name="stream_open")
+        assert service.obs.metrics.get("admission.rejected").value == 1
 
     def test_ceiling_only_one_path_meets_is_refused_at_open(self, service):
         """Admission must hold RTT ceilings as the remap does: the stream

@@ -26,6 +26,8 @@ class TestConstruction:
     def test_disabled_classmethod_is_the_shared_null_context(self):
         assert Observability.disabled() is NULL_OBS
         assert NULL_OBS.enabled is False
+        # The hot-path guard is a slot read, never a property.
+        assert "enabled" in Observability.__slots__
 
     def test_trace_capacity_is_forwarded(self):
         obs = Observability(trace_capacity=4)

@@ -11,6 +11,7 @@ import pytest
 from repro.cluster.local import run_partitioned
 from repro.errors import ConfigurationError
 from repro.runner.suite import topo_suite, workload_spec
+from repro.workload.envelope import estimate_envelope
 from repro.workload.scenarios import make_scenario, run_scenario
 from tests.oracles import ScalarReferenceService, service_class
 
@@ -62,6 +63,34 @@ class TestScenarioTopology:
             "baseline", topology="fat_tree_k4:dc-incast", **_FAST
         )
         assert nlanr.checksum() != incast.checksum()
+
+    @pytest.mark.slow
+    def test_traffic_scenarios_shift_the_envelope(self):
+        """The calibrated datacenter scenarios move the fat-tree's
+        capacity envelope: incast collapses it, hot-rack skew never
+        raises it.  A modeling property, so no timing is involved; the
+        search is the reduced one the topology benchmark used."""
+        search = dict(
+            seed=0,
+            iterations=4,
+            probe_duration=20.0,
+            max_sessions=400,
+            hi_scale=16.0,
+        )
+        envelopes = {
+            traffic: estimate_envelope(
+                "baseline", topology=f"fat_tree_k4:{traffic}", **search
+            )
+            for traffic in ("nlanr", "dc-incast", "dc-hotrack")
+        }
+        rates = {t: e.max_sustainable_rate for t, e in envelopes.items()}
+        assert rates["dc-incast"] < rates["nlanr"], rates
+        assert rates["dc-hotrack"] <= rates["nlanr"], rates
+        # Equality carries information only when the WAN baseline was
+        # not right-censored at the top of the search bracket.
+        bracket_cap = envelopes["nlanr"].base_rate * search["hi_scale"]
+        if rates["nlanr"] < bracket_cap:
+            assert rates["dc-hotrack"] < rates["nlanr"], rates
 
 
 class TestClusterTopology:
