@@ -29,9 +29,12 @@ from repro.checkpoint.policy import (
 from repro.checkpoint.snapshot import CheckpointStore
 from repro.obs.context import Observability
 from repro.runner.fingerprint import code_fingerprint
-from repro.workload.catalog import SessionCatalog
 from repro.workload.driver import ChurnDriver, WorkloadReport
-from repro.workload.scenarios import ScaleScenario, make_scale_run
+from repro.workload.scenarios import (
+    ScaleScenario,
+    make_scale_run,
+    run_identity,
+)
 
 
 def run_scale_scenario_checkpointed(
@@ -39,7 +42,6 @@ def run_scale_scenario_checkpointed(
     store: CheckpointStore,
     seed: int = 0,
     max_sessions: Optional[int] = None,
-    catalog: Optional[SessionCatalog] = None,
     obs: Optional[Observability] = None,
     config: Optional[CheckpointConfig] = None,
     fingerprint: Optional[str] = None,
@@ -88,7 +90,7 @@ def run_scale_scenario_checkpointed(
         # with the virtual time each snapshot captured.
         store.bind_observability(obs)
 
-    meta = {"scenario": scenario.name, "seed": seed}
+    meta = run_identity(scenario, seed, max_sessions)
     payload = None
     if resume:
         payload = load_run_snapshot(
@@ -118,7 +120,6 @@ def run_scale_scenario_checkpointed(
         scenario,
         seed=seed,
         max_sessions=max_sessions,
-        catalog=catalog,
         obs=obs,
         on_step=step_hook,
     )
@@ -168,24 +169,49 @@ def load_run_snapshot(
 ) -> Optional[dict]:
     """The slot's snapshot payload, if usable and taken for ``meta``.
 
-    A snapshot whose meta disagrees with ``meta`` on any key belongs
-    to another run.  Lenient (the default; supervised workers and the
+    ``meta`` is the run's :func:`~repro.workload.scenarios.run_identity`;
+    a snapshot whose meta disagrees with it on any key — another rate
+    scale, duration, topology, ``max_sessions``, partition — belongs to
+    another run.  Lenient (the default; supervised workers and the
     cluster's respawn path must make progress past a damaged slot):
     anything unusable is ``None`` and the run starts fresh.  Strict:
-    it raises :class:`~repro.errors.CheckpointError`.
+    it raises :class:`~repro.errors.CheckpointError` naming the keys
+    that differ.
     """
     checkpoint = store.load(fingerprint=fingerprint, strict=strict)
     if checkpoint is None:
         return None
-    found = {key: checkpoint.meta.get(key) for key in meta}
-    if found != dict(meta):
+    differing = _differing_keys(checkpoint.meta, meta)
+    if differing:
         if strict:
             raise CheckpointError(
-                f"checkpoint in {store.root} belongs to run {found}, "
-                f"not {dict(meta)}"
+                f"checkpoint in {store.root} belongs to another run: "
+                + "; ".join(differing)
             )
         return None
     return checkpoint.payload
+
+
+def _differing_keys(
+    found: Mapping[str, Any], wanted: Mapping[str, Any]
+) -> list[str]:
+    """``key: found != wanted`` per differing key of ``wanted``, one
+    level into nested mappings (``scenario.duration: 20.0 != 30.0``)."""
+    pairs = []
+    for key, want in wanted.items():
+        have = found.get(key)
+        if isinstance(want, Mapping) and isinstance(have, Mapping):
+            pairs += [
+                (f"{key}.{sub}", have.get(sub), want.get(sub))
+                for sub in sorted(have.keys() | want.keys())
+            ]
+        else:
+            pairs.append((key, have, want))
+    return [
+        f"{key}: {have!r} != {want!r}"
+        for key, have, want in pairs
+        if have != want
+    ]
 
 
 def restore_run_snapshot(driver: ChurnDriver, payload: Mapping) -> None:

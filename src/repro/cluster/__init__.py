@@ -18,7 +18,7 @@ protocol, the seed derivation, and the merge-determinism rules.
 from repro.cluster.envelope import estimate_cluster_envelope
 from repro.cluster.epochs import epoch_boundaries, epochs_completed
 from repro.cluster.local import run_partitioned
-from repro.cluster.master import ClusterMaster, run_cluster_scenario
+from repro.cluster.master import ClusterMaster
 from repro.cluster.partition import partition_map, shard_of
 from repro.cluster.protocol import PROTOCOL_VERSION
 from repro.cluster.report import ClusterReport
@@ -31,7 +31,6 @@ __all__ = [
     "epochs_completed",
     "estimate_cluster_envelope",
     "partition_map",
-    "run_cluster_scenario",
     "run_partitioned",
     "shard_of",
 ]

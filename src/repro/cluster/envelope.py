@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.obs.context import Observability
 from repro.workload.envelope import CapacityEnvelope, estimate_envelope
 
 from repro.cluster.master import ClusterMaster
@@ -25,16 +24,12 @@ def estimate_cluster_envelope(
     seed: int = 0,
     shards: int = 2,
     ceiling: float = 0.05,
-    lo_scale: float = 0.125,
-    hi_scale: float = 4.0,
     iterations: int = 6,
     probe_duration: float = 30.0,
     max_sessions: Optional[int] = None,
     epoch_s: float = 2.0,
     checkpoint_root: Optional[os.PathLike] = None,
     hang_timeout: float = 60.0,
-    max_respawns: int = 2,
-    obs: Optional[Observability] = None,
     topology: Optional[str] = None,
 ) -> CapacityEnvelope:
     """:func:`repro.workload.envelope.estimate_envelope`, shard-fanned."""
@@ -46,8 +41,6 @@ def estimate_cluster_envelope(
         max_sessions=max_sessions,
         checkpoint_root=checkpoint_root,
         hang_timeout=hang_timeout,
-        max_respawns=max_respawns,
-        obs=obs,
         topology=topology,
     ) as master:
 
@@ -61,8 +54,6 @@ def estimate_cluster_envelope(
             scenario_name,
             seed=seed,
             ceiling=ceiling,
-            lo_scale=lo_scale,
-            hi_scale=hi_scale,
             iterations=iterations,
             probe_duration=probe_duration,
             max_sessions=max_sessions,

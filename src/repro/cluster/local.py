@@ -13,9 +13,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.context import Observability
-from repro.workload.catalog import SessionCatalog
 from repro.workload.scenarios import (
-    make_partition_run,
+    make_scale_run,
     make_scenario,
     partition_ids,
 )
@@ -29,7 +28,6 @@ def run_partitioned(
     rate_scale: float = 1.0,
     duration: Optional[float] = None,
     max_sessions: Optional[int] = None,
-    catalog: Optional[SessionCatalog] = None,
     obs: Optional[Observability] = None,
     topology: Optional[str] = None,
 ) -> ClusterReport:
@@ -40,16 +38,15 @@ def run_partitioned(
         duration=duration,
         topology=topology,
     )
-    partitions = partition_ids(catalog)
+    partitions = partition_ids()
     payloads = {}
     for partition in partitions:
-        driver = make_partition_run(
+        driver = make_scale_run(
             scenario,
-            partition,
             seed=seed,
             max_sessions=max_sessions,
-            catalog=catalog,
             obs=obs,
+            partition=partition,
         )
         payloads[partition] = driver.run(scenario.duration).to_dict()
     return cluster_report_from_payloads(

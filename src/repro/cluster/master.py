@@ -535,39 +535,3 @@ class ClusterMaster:
                 sim_time, Category.CLUSTER, name, **fields
             )
 
-
-def run_cluster_scenario(
-    scenario: str,
-    seed: int = 0,
-    shards: int = 2,
-    rate_scale: float = 1.0,
-    duration: Optional[float] = None,
-    max_sessions: Optional[int] = None,
-    epoch_s: float = 2.0,
-    checkpoint_root: Optional[os.PathLike] = None,
-    resume: bool = False,
-    hang_timeout: float = 60.0,
-    max_respawns: int = 2,
-    obs: Optional[Observability] = None,
-    kill_at_epoch: Optional[dict[int, int]] = None,
-    topology: Optional[str] = None,
-) -> ClusterReport:
-    """One-shot convenience: spawn a fleet, run one job, tear it down."""
-    with ClusterMaster(
-        scenario=scenario,
-        seed=seed,
-        shards=shards,
-        epoch_s=epoch_s,
-        max_sessions=max_sessions,
-        checkpoint_root=checkpoint_root,
-        hang_timeout=hang_timeout,
-        max_respawns=max_respawns,
-        obs=obs,
-        topology=topology,
-    ) as master:
-        return master.run(
-            rate_scale=rate_scale,
-            duration=duration,
-            resume=resume,
-            kill_at_epoch=kill_at_epoch,
-        )

@@ -20,31 +20,27 @@ from repro.errors import ConfigurationError
 #: catalog's three tenants split 2/1 at two shards and land on three
 #: distinct shards at four — changing it reshuffles every deployment's
 #: tenant placement (never its results).
-DEFAULT_SALT = "repro-cluster:v3"
+SALT = "repro-cluster:v3"
 
 
-def _score(partition: str, shard: int, salt: str) -> int:
+def _score(partition: str, shard: int) -> int:
     digest = hashlib.sha256(
-        f"{salt}|{partition}|{shard}".encode("utf-8")
+        f"{SALT}|{partition}|{shard}".encode("utf-8")
     ).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def shard_of(
-    partition: str, shards: int, salt: str = DEFAULT_SALT
-) -> int:
+def shard_of(partition: str, shards: int) -> int:
     """The shard owning ``partition`` under ``shards``-way hashing."""
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if not partition:
         raise ConfigurationError("partition must be non-empty")
-    return max(
-        range(shards), key=lambda s: (_score(partition, s, salt), -s)
-    )
+    return max(range(shards), key=lambda s: (_score(partition, s), -s))
 
 
 def partition_map(
-    partitions: Iterable[str], shards: int, salt: str = DEFAULT_SALT
+    partitions: Iterable[str], shards: int
 ) -> dict[int, list[str]]:
     """Group partitions by owning shard: ``{shard: sorted partitions}``.
 
@@ -59,7 +55,5 @@ def partition_map(
                 f"duplicate partition {partition!r}"
             )
         seen.add(partition)
-        owners.setdefault(shard_of(partition, shards, salt), []).append(
-            partition
-        )
+        owners.setdefault(shard_of(partition, shards), []).append(partition)
     return {shard: sorted(owned) for shard, owned in sorted(owners.items())}

@@ -32,7 +32,11 @@ from repro.cluster.epochs import epoch_boundaries, epochs_completed
 from repro.errors import ClusterProtocolError
 from repro.runner.fingerprint import code_fingerprint
 from repro.workload.driver import ChurnDriver
-from repro.workload.scenarios import make_partition_run, make_scenario
+from repro.workload.scenarios import (
+    make_scale_run,
+    make_scenario,
+    run_identity,
+)
 
 
 def _run_job(
@@ -47,8 +51,7 @@ def _run_job(
         assign["scenario"],
         rate_scale=float(assign["rate_scale"]),
         duration=assign["duration"],
-        # .get(): masters predating the field omit it (= Figure-8).
-        topology=assign.get("topology"),
+        topology=assign["topology"],
     )
     duration = scenario.duration
     epoch_s = float(assign["epoch_s"])
@@ -62,27 +65,19 @@ def _run_job(
     stores: dict[str, CheckpointStore] = {}
     metas: dict[str, dict[str, Any]] = {}
     for partition in partitions:
-        drivers[partition] = make_partition_run(
+        drivers[partition] = make_scale_run(
             scenario,
-            partition,
             seed=seed,
             max_sessions=max_sessions,
+            partition=partition,
         )
         if checkpoint_root is not None:
             stores[partition] = CheckpointStore.for_partition(
                 checkpoint_root, partition
             )
-            metas[partition] = {
-                "scenario": scenario.name,
-                "seed": seed,
-                "partition": partition,
-                "rate_scale": float(assign["rate_scale"]),
-                "duration": duration,
-                # Guards against resuming a snapshot from a different
-                # topology; None (Figure-8) matches legacy snapshots,
-                # whose meta simply lacks the key.
-                "topology": scenario.topology,
-            }
+            metas[partition] = run_identity(
+                scenario, seed, max_sessions, partition
+            )
 
     boundaries = epoch_boundaries(duration, epoch_s)
     n_epochs = len(boundaries)

@@ -85,9 +85,6 @@ class PGOSScheduler(SchedulerBase):
 
     Parameters
     ----------
-    history_window:
-        Bandwidth samples of history per path monitor (the paper uses
-        500–1000).
     ks_threshold:
         Kolmogorov–Smirnov distance that counts as "the CDF changed
         dramatically" and triggers a remap.
@@ -105,7 +102,6 @@ class PGOSScheduler(SchedulerBase):
 
     def __init__(
         self,
-        history_window: int = 500,
         ks_threshold: float = 0.2,
         min_history: int = 30,
         split_strategy: str = "single-first",
@@ -119,7 +115,6 @@ class PGOSScheduler(SchedulerBase):
                 f"split_strategy must be 'single-first' or 'even', got "
                 f"{split_strategy!r}"
             )
-        self.history_window = history_window
         self.ks_threshold = ks_threshold
         self.min_history = min_history
         self.split_strategy = split_strategy
@@ -151,7 +146,6 @@ class PGOSScheduler(SchedulerBase):
         self.monitors = {
             p: PathMonitor(
                 p,
-                window=self.history_window,
                 ks_threshold=self.ks_threshold,
                 obs=self._obs,
                 clock=self._clock,

@@ -251,14 +251,7 @@ def run_chaos_campaign(
     )
 
 
-def standard_chaos_run(
-    seed: int = 7,
-    duration: float = 80.0,
-    realization_seed: int = 41,
-    realization_duration: float = 220.0,
-    dt: float = 0.1,
-    obs: Optional[Observability] = None,
-) -> ChaosReport:
+def standard_chaos_run(seed: int = 7, duration: float = 80.0) -> ChaosReport:
     """The canonical seeded campaign, as a pure spec->result function.
 
     Figure-8 testbed with a viable backup path, a random campaign (link
@@ -272,15 +265,11 @@ def standard_chaos_run(
     testbed = make_figure8_testbed(
         profile_a="abilene-moderate", profile_b="light"
     )
-    realization = testbed.realize(
-        seed=realization_seed, duration=realization_duration, dt=dt
-    )
+    realization = testbed.realize(seed=41, duration=220.0, dt=0.1)
     campaign = FaultCampaign.random(
         ["A", "B"], duration=duration, seed=seed
     )
-    return run_chaos_campaign(
-        realization, smartpointer_streams(), campaign, obs=obs
-    )
+    return run_chaos_campaign(realization, smartpointer_streams(), campaign)
 
 
 def run_chaos_suite(

@@ -45,6 +45,12 @@ from repro.robustness.degradation import (
 from repro.robustness.health import HealthTracker
 from repro.sim.vectorized import VectorizedDelivery
 
+#: Sender-buffer bound per elastic stream, in seconds of its demand.
+BUFFER_SECONDS = 2.0
+
+#: Session seconds between ``metrics_snapshot`` trace events.
+METRICS_SNAPSHOT_SECONDS = 5.0
+
 
 @dataclass
 class StreamHandle:
@@ -152,28 +158,21 @@ class IQPathsService:
         realization: TestbedRealization,
         warmup_intervals: int = 200,
         tw: float = 1.0,
-        buffer_seconds: float = 2.0,
         strict_admission: bool = True,
         scheduler: Optional[PGOSScheduler] = None,
         campaign: Optional[FaultCampaign] = None,
         health: Optional[HealthTracker] = None,
         obs: Optional[Observability] = None,
-        metrics_snapshot_seconds: float = 5.0,
         partition: Optional[str] = None,
     ):
         if warmup_intervals < 1 or warmup_intervals >= realization.n_intervals:
             raise ConfigurationError(
                 f"warmup_intervals {warmup_intervals} out of range"
             )
-        if metrics_snapshot_seconds <= 0:
-            raise ConfigurationError(
-                f"metrics_snapshot_seconds must be > 0, got "
-                f"{metrics_snapshot_seconds}"
-            )
         self.realization = realization
         self.dt = realization.dt
         self.tw = tw
-        self.buffer_seconds = buffer_seconds
+        self.buffer_seconds = BUFFER_SECONDS
         self.strict_admission = strict_admission
         #: Cluster partition this service instance simulates, if any.
         #: Purely an accounting label — it never influences decisions.
@@ -203,7 +202,7 @@ class IQPathsService:
         #: Monotone stream-ID allocator (stable join key for traces).
         self._next_stream_id = 0
         self._snapshot_every = max(
-            1, int(round(metrics_snapshot_seconds / self.dt))
+            1, int(round(METRICS_SNAPSHOT_SECONDS / self.dt))
         )
         self.handles: dict[str, StreamHandle] = {}
         self._opened_interval: dict[str, int] = {}

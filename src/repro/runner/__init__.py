@@ -19,12 +19,10 @@ from repro.runner.manifest import Manifest, ManifestWriter, load_manifest
 from repro.runner.spec import RunSpec, mix_seed
 from repro.runner.suite import (
     chaos_spec,
-    cluster_spec,
     envelope_spec,
     figure_spec,
     figure_suite,
     scale_suite,
-    seed_sweep_suite,
     topo_suite,
     workload_spec,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "RunReport",
     "RunSpec",
     "chaos_spec",
-    "cluster_spec",
     "code_fingerprint",
     "envelope_spec",
     "figure_spec",
@@ -47,7 +44,6 @@ __all__ = [
     "mix_seed",
     "run_specs",
     "scale_suite",
-    "seed_sweep_suite",
     "topo_suite",
     "workload_spec",
 ]

@@ -4,11 +4,9 @@
 EXPERIMENTS.md": one :class:`RunSpec` per figure, each pinning the
 canonical seed its recorded numbers were produced with, so runner
 output is byte-identical to ``python -m repro.harness <figure>``.
-:func:`chaos_spec` adds the canonical seeded chaos campaign,
-:func:`seed_sweep_suite` builds the multi-seed replica workload the
-scaling benchmark fans out, and :func:`scale_suite` adds the
-multi-tenant churn scenarios plus the baseline capacity envelope from
-:mod:`repro.workload`.
+:func:`chaos_spec` adds the canonical seeded chaos campaign, and
+:func:`scale_suite` adds the multi-tenant churn scenarios plus the
+baseline capacity envelope from :mod:`repro.workload`.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.harness.figures import CANONICAL_SEEDS, FIGURES
-from repro.runner.spec import RunSpec, mix_seed
+from repro.runner.spec import RunSpec
 
 
 def figure_spec(
@@ -137,46 +135,6 @@ def envelope_spec(
     )
 
 
-def cluster_spec(
-    scenario: str,
-    *,
-    seed: int = 0,
-    shards: int = 2,
-    rate_scale: float = 1.0,
-    duration: Optional[float] = None,
-    max_sessions: Optional[int] = None,
-    epoch_s: float = 2.0,
-    topology: Optional[str] = None,
-) -> RunSpec:
-    """One sharded cluster run (see :mod:`repro.cluster`) as a spec.
-
-    ``shards`` is part of the spec (it changes wall-time telemetry and
-    worker topology) but by the cluster's determinism contract it never
-    changes the payload's ``checksum`` — the suite's byte-identity
-    tests rely on exactly that.
-    """
-    params: dict = {"scenario": scenario, "shards": shards}
-    if rate_scale != 1.0:
-        params["rate_scale"] = rate_scale
-    if duration is not None:
-        params["duration"] = duration
-    if max_sessions is not None:
-        params["max_sessions"] = max_sessions
-    if epoch_s != 2.0:
-        params["epoch_s"] = epoch_s
-    if topology is not None:
-        params["topology"] = topology
-    name = f"cluster-{scenario}-x{shards}-s{seed}"
-    if topology is not None:
-        name = f"cluster-{scenario}-{_topo_slug(topology)}-x{shards}-s{seed}"
-    return RunSpec(
-        kind="cluster",
-        name=name,
-        params=params,
-        seed=seed,
-    )
-
-
 def scale_suite(*, seed: int = 0, fast: bool = False) -> list[RunSpec]:
     """The scale & capacity evaluation: every scenario + one envelope.
 
@@ -249,32 +207,3 @@ def topo_suite(
             )
         )
     return specs
-
-
-def seed_sweep_suite(
-    figure: str = "fig4",
-    *,
-    n_seeds: int = 4,
-    base_seed: int = 7,
-    fast: bool = True,
-) -> list[RunSpec]:
-    """``n_seeds`` replicas of one figure under derived seeds.
-
-    Each replica's seed is mixed from ``base_seed`` and its index, so
-    the workload is deterministic but every spec (hence cache key) is
-    distinct — the multi-seed sweep the scaling benchmark parallelizes.
-    """
-    if n_seeds < 1:
-        raise ConfigurationError(f"n_seeds must be >= 1, got {n_seeds}")
-    params = {"figure": figure}
-    if fast:
-        params["fast"] = True
-    return [
-        RunSpec(
-            kind="figure",
-            name=f"{figure}-seed{i}",
-            params=params,
-            seed=mix_seed(str(base_seed), figure, str(i)),
-        )
-        for i in range(n_seeds)
-    ]

@@ -200,7 +200,8 @@ def run_workload(
 ) -> dict[str, Any]:
     """One churn scenario: params ``{"scenario": ..., "rate_scale": ...}``.
 
-    Executes :func:`repro.workload.run_scenario` with the spec's seed.
+    Executes :func:`repro.workload.run_scale_scenario` with the spec's
+    seed.
     The payload embeds the report's own ``checksum`` so byte-identity
     across worker counts (and against fresh runs) is a string compare.
 
@@ -213,23 +214,19 @@ def run_workload(
     kill-injection harness: the worker SIGKILLs *itself* at each point,
     once, which is how the crash tests exercise the supervisor.
     """
-    from repro.workload import run_scenario
-    from repro.workload.scenarios import make_scenario
+    from repro.workload import make_scenario, run_scale_scenario
 
-    name = str(spec.params["scenario"])
+    scenario = make_scenario(
+        str(spec.params["scenario"]),
+        rate_scale=float(spec.params.get("rate_scale", 1.0)),
+        duration=spec.params.get("duration"),
+        topology=spec.params.get("topology"),
+    )
     seed = spec.effective_seed()
-    rate_scale = float(spec.params.get("rate_scale", 1.0))
-    duration = spec.params.get("duration")
     max_sessions = spec.params.get("max_sessions")
-    topology = spec.params.get("topology")
     if runtime is None or runtime.checkpoint_dir is None:
-        report = run_scenario(
-            name,
-            seed=seed,
-            rate_scale=rate_scale,
-            duration=duration,
-            max_sessions=max_sessions,
-            topology=topology,
+        report = run_scale_scenario(
+            scenario, seed=seed, max_sessions=max_sessions
         )
     else:
         from repro.checkpoint import (
@@ -255,12 +252,7 @@ def run_workload(
                 switch.maybe_kill(t)
 
         report = run_scale_scenario_checkpointed(
-            make_scenario(
-                name,
-                rate_scale=rate_scale,
-                duration=duration,
-                topology=topology,
-            ),
+            scenario,
             CheckpointStore(runtime.checkpoint_dir),
             seed=seed,
             max_sessions=max_sessions,
@@ -352,26 +344,28 @@ def run_cluster(
     With ``runtime.checkpoint_dir`` set, per-partition snapshots land
     under ``<dir>/cluster`` and a retried attempt resumes them.
     """
-    from repro.cluster import run_cluster_scenario
+    from repro.cluster import ClusterMaster
 
     checkpoint_root = None
     resume = False
     if runtime is not None and runtime.checkpoint_dir is not None:
         checkpoint_root = os.path.join(runtime.checkpoint_dir, "cluster")
         resume = True
-    report = run_cluster_scenario(
-        str(spec.params["scenario"]),
+    with ClusterMaster(
+        scenario=str(spec.params["scenario"]),
         seed=spec.effective_seed(),
         shards=int(spec.params.get("shards", 2)),
-        rate_scale=float(spec.params.get("rate_scale", 1.0)),
-        duration=spec.params.get("duration"),
-        max_sessions=spec.params.get("max_sessions"),
         epoch_s=float(spec.params.get("epoch_s", 2.0)),
+        max_sessions=spec.params.get("max_sessions"),
         checkpoint_root=checkpoint_root,
-        resume=resume,
         hang_timeout=float(spec.params.get("hang_timeout", 60.0)),
         topology=spec.params.get("topology"),
-    )
+    ) as master:
+        report = master.run(
+            rate_scale=float(spec.params.get("rate_scale", 1.0)),
+            duration=spec.params.get("duration"),
+            resume=resume,
+        )
     if runtime is not None:
         runtime.beat()
     return {

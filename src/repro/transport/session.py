@@ -39,6 +39,9 @@ from repro.transport.packet import Packet
 from repro.transport.service import PathService
 from repro.units import mbps_from_bytes
 
+#: Windows of nominal-rate packets an elastic producer keeps queued.
+ELASTIC_BACKLOG_WINDOWS = 2
+
 
 @dataclass
 class SessionResult:
@@ -93,7 +96,6 @@ def run_packet_session(
     scheduler: Optional[PGOSScheduler] = None,
     tw: float = 1.0,
     warmup_windows: int = 30,
-    elastic_backlog_windows: int = 2,
     campaign: Optional[FaultCampaign] = None,
     health: Optional[HealthTracker] = None,
     obs: Optional[Observability] = None,
@@ -108,7 +110,7 @@ def run_packet_session(
         ``dt``).
     streams:
         Stream specifications; elastic streams keep roughly
-        ``elastic_backlog_windows`` windows of their nominal rate queued.
+        ``ELASTIC_BACKLOG_WINDOWS`` windows of their nominal rate queued.
     scheduler:
         A PGOS scheduler (fresh one by default).  Baselines are not
         supported here — this is the packet fast path, which only PGOS
@@ -220,7 +222,7 @@ def run_packet_session(
             queues[spec.name].extend(batch)
         for spec in elastic:
             target = (
-                spec.packets_in_window(tw) * elastic_backlog_windows
+                spec.packets_in_window(tw) * ELASTIC_BACKLOG_WINDOWS
                 if spec.nominal_mbps or spec.required_mbps
                 else 0
             )

@@ -18,16 +18,18 @@ package supplies the *population* view a production overlay needs:
     / degrade / shed), goodput, and attainment.
 ``repro.workload.scenarios``
     Named, reproducible scenarios (``baseline``, ``diurnal``,
-    ``flash-crowd``, ``flash-crowd-chaos``) behind one
-    ``run_scenario`` entry point.
+    ``flash-crowd``, ``flash-crowd-chaos``) and the one way a run is
+    configured: ``make_scenario`` -> ``make_scale_run`` /
+    ``run_scale_scenario``, with ``run_identity`` as its written form.
 ``repro.workload.envelope``
     The capacity-envelope estimator: binary-searches the maximum
     sustainable arrival rate per scenario subject to a violation-rate
     ceiling.
 
-Everything is a pure function of ``(scenario, seed)``: two runs with
-the same seed produce byte-identical workload reports, which is what
-lets the scale suite run as cached :mod:`repro.runner` specs.
+Everything is a pure function of ``(scenario, seed, max_sessions)``:
+two runs with the same identity produce byte-identical workload
+reports, which is what lets the scale suite run as cached
+:mod:`repro.runner` specs.
 """
 
 from repro.workload.arrivals import (
@@ -67,12 +69,11 @@ from repro.workload.scenarios import (
     SCENARIOS,
     ScaleScenario,
     build_service,
-    make_partition_run,
+    make_scale_run,
     make_scenario,
     partition_ids,
-    run_partition_slice,
+    run_identity,
     run_scale_scenario,
-    run_scenario,
     scenario_params,
 )
 
@@ -102,12 +103,11 @@ __all__ = [
     "ScaleScenario",
     "SCENARIOS",
     "build_service",
-    "make_partition_run",
+    "make_scale_run",
     "make_scenario",
     "partition_ids",
-    "run_partition_slice",
+    "run_identity",
     "run_scale_scenario",
-    "run_scenario",
     "scenario_params",
     "EnvelopeProbe",
     "CapacityEnvelope",

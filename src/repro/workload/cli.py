@@ -1,18 +1,23 @@
 """Command-line front door for the workload engine.
 
-Runs one named scenario (or its capacity-envelope search) and prints
-the deterministic report plus wall-clock throughput figures::
+Runs one named scenario (or its capacity-envelope search), in this
+process or sharded across worker processes, and prints the
+deterministic report plus wall-clock throughput figures::
 
     python -m repro.workload --scenario baseline --seed 0
     python -m repro.workload --scenario flash-crowd --rate-scale 1.5 \\
         --trace-out trace.jsonl --metrics-out metrics.json
     python -m repro.workload --scenario baseline --envelope \\
         --ceiling 0.05 --iterations 6
+    python -m repro.workload --scenario baseline --shards 2 \\
+        --check-identity
 
-``tools/run_scale.py`` is the same entry point runnable straight from
-a checkout.  Wall-clock rates (sessions/sec, steps/sec) are printed but
-deliberately kept *out* of the report payload and its checksum, so the
-checksum stays a pure function of ``(scenario, seed)``.
+``--shards N`` runs the scenario on a :class:`repro.cluster.ClusterMaster`
+fleet; ``--check-identity`` reruns it in-process
+(:func:`repro.cluster.run_partitioned`) and fails unless the merged
+payloads are byte-identical.  Wall-clock rates (sessions/sec, steps/sec)
+are printed but deliberately kept *out* of the report payload and its
+checksum, so the checksum stays a pure function of the run's identity.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from repro.obs.context import Observability
 from repro.workload.envelope import estimate_envelope
 from repro.workload.scenarios import (
     SCENARIOS,
+    ScaleScenario,
     make_scenario,
-    run_scenario,
+    run_scale_scenario,
 )
 
 
@@ -43,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.workload",
         description=(
             "Run a multi-tenant workload scenario against the IQ-Paths "
-            "middleware, or estimate its capacity envelope."
+            "middleware — in this process or sharded across workers — "
+            "or estimate its capacity envelope."
         ),
     )
     parser.add_argument(
@@ -76,12 +83,53 @@ def build_parser() -> argparse.ArgumentParser:
         help="truncate the session plan after this many arrivals",
     )
     parser.add_argument(
+        "--shards", type=int, default=None,
+        help=(
+            "run sharded across worker processes: hash-space size for "
+            "tenant placement; the merged report is byte-identical at "
+            "every shard count (default: one in-process run)"
+        ),
+    )
+    parser.add_argument(
+        "--epoch-s", type=float, default=2.0,
+        help=(
+            "virtual seconds per barrier epoch and per-partition "
+            "snapshot (default: 2.0; requires --shards)"
+        ),
+    )
+    parser.add_argument(
+        "--hang-timeout", type=float, default=60.0,
+        help=(
+            "wall seconds of shard silence before respawn (default: "
+            "60; requires --shards)"
+        ),
+    )
+    parser.add_argument(
+        "--kill-shard-at", type=_shard_epoch, default=None,
+        metavar="SHARD:EPOCH",
+        help=(
+            "kill-injection: SIGKILL shard SHARD after epoch EPOCH "
+            "(supervision smoke tests; requires --shards)"
+        ),
+    )
+    parser.add_argument(
+        "--check-identity", action="store_true",
+        help=(
+            "also run the in-process partitioned baseline and fail "
+            "unless the merged payloads are byte-identical (requires "
+            "--shards)"
+        ),
+    )
+    parser.add_argument(
         "--json-out", type=Path, default=None,
         help="write the canonical report payload (JSON) here",
     )
     parser.add_argument(
         "--trace-out", type=Path, default=None,
-        help="export the run's trace (JSONL) here",
+        help=(
+            "export the run's trace (JSONL) here; with --shards, the "
+            "master's CLUSTER events"
+        ),
     )
     parser.add_argument(
         "--metrics-out", type=Path, default=None,
@@ -123,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "enable crash-safe execution: snapshot run state here, "
             "auto-resume from the last verified snapshot, and exit 75 "
-            "after flushing a final snapshot on SIGINT/SIGTERM"
+            "after flushing a final snapshot on SIGINT/SIGTERM; with "
+            "--shards, the per-partition snapshot root (default there: "
+            "a private temp dir, respawn only)"
         ),
     )
     parser.add_argument(
@@ -136,9 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume", action="store_true",
         help=(
-            "strict resume: fail loudly if the checkpoint is missing "
-            "context, corrupt, or written by different code (default "
-            "is lenient — unusable checkpoints restart fresh)"
+            "strict resume: fail loudly if the checkpoint is corrupt, "
+            "written by different code, or taken for another run "
+            "(default is lenient — unusable checkpoints restart "
+            "fresh); with --shards, resume partitions from "
+            "--checkpoint-dir snapshots (default there: start fresh)"
         ),
     )
     parser.add_argument(
@@ -153,6 +205,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _shard_epoch(arg: str) -> dict[int, int]:
+    try:
+        shard, epoch = arg.split(":", 1)
+        return {int(shard): int(epoch)}
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"wants SHARD:EPOCH (two ints), got {arg!r}"
+        ) from None
+
+
+#: Flags that only mean something on a sharded run / an in-process one.
+_SHARDED_ONLY = ("epoch_s", "hang_timeout", "kill_shard_at", "check_identity")
+_IN_PROCESS_ONLY = (
+    "kill_at", "checkpoint_every", "metrics_out", "profile_out",
+)
+
+
 def validate_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
@@ -162,8 +231,18 @@ def validate_args(
     checkpoint directory; accepting them without one used to leave the
     user believing resume (or kill-injection) was armed when nothing
     was.  Fail fast, through ``parser.error`` so the message carries
-    the usual usage text and exit code 2.
+    the usual usage text and exit code 2.  The same goes for flags of
+    the other execution mode: a worker fleet has no per-step kill hook,
+    metrics registry or span profiler to export, and an in-process run
+    has no epochs or shards.
     """
+    if args.shards is None:
+        other_mode, why = _SHARDED_ONLY, "requires --shards"
+    else:
+        other_mode, why = _IN_PROCESS_ONLY, "cannot be combined with --shards"
+    for dest in other_mode:
+        if getattr(args, dest) != parser.get_default(dest):
+            parser.error(f"--{dest.replace('_', '-')} {why}")
     if args.resume and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
     if args.kill_at and args.checkpoint_dir is None:
@@ -178,27 +257,59 @@ def validate_args(
         )
 
 
+def _fleet_options(args: argparse.Namespace) -> dict:
+    """The ``ClusterMaster`` keywords the command line sets."""
+    return {
+        "shards": args.shards,
+        "epoch_s": args.epoch_s,
+        "max_sessions": args.max_sessions,
+        "checkpoint_root": args.checkpoint_dir,
+        "hang_timeout": args.hang_timeout,
+        "topology": args.topology,
+    }
+
+
 def _run_envelope(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    envelope = estimate_envelope(
-        args.scenario,
+    search = dict(
         seed=args.seed,
         ceiling=args.ceiling,
         iterations=args.iterations,
         probe_duration=args.probe_duration,
-        max_sessions=args.max_sessions,
-        topology=args.topology,
     )
+    t0 = time.perf_counter()
+    if args.shards is None:
+        envelope = estimate_envelope(
+            args.scenario,
+            max_sessions=args.max_sessions,
+            topology=args.topology,
+            **search,
+        )
+    else:
+        from repro.cluster import estimate_cluster_envelope
+
+        envelope = estimate_cluster_envelope(
+            args.scenario, **search, **_fleet_options(args)
+        )
     wall = time.perf_counter() - t0
     print(envelope.render())
     print(f"checksum {envelope.checksum()}")
-    print(f"wall {wall:.2f}s over {len(envelope.probes)} probes")
+    where = "" if args.shards is None else f" on {args.shards} shards"
+    print(f"wall {wall:.2f}s over {len(envelope.probes)} probes{where}")
     if args.json_out is not None:
         args.json_out.write_text(
             json.dumps(envelope.to_dict(), indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote {args.json_out}")
     return 0
+
+
+def _scenario(args: argparse.Namespace) -> ScaleScenario:
+    return make_scenario(
+        args.scenario,
+        rate_scale=args.rate_scale,
+        duration=args.duration,
+        topology=args.topology,
+    )
 
 
 def _run_checkpointed(args: argparse.Namespace, obs):
@@ -212,12 +323,6 @@ def _run_checkpointed(args: argparse.Namespace, obs):
         run_scale_scenario_checkpointed,
     )
 
-    scenario = make_scenario(
-        args.scenario,
-        rate_scale=args.rate_scale,
-        duration=args.duration,
-        topology=args.topology,
-    )
     store = CheckpointStore(args.checkpoint_dir)
     on_step = None
     if args.kill_at:
@@ -228,7 +333,7 @@ def _run_checkpointed(args: argparse.Namespace, obs):
     flag = InterruptFlag().install()
     try:
         report = run_scale_scenario_checkpointed(
-            scenario,
+            _scenario(args),
             store,
             seed=args.seed,
             max_sessions=args.max_sessions,
@@ -256,6 +361,46 @@ def _run_checkpointed(args: argparse.Namespace, obs):
     return report, 0
 
 
+def _run_sharded(args: argparse.Namespace, obs):
+    """The scenario on a worker fleet, merged."""
+    from repro.cluster import ClusterMaster
+
+    with ClusterMaster(
+        scenario=args.scenario, seed=args.seed, obs=obs,
+        **_fleet_options(args),
+    ) as master:
+        return master.run(
+            rate_scale=args.rate_scale,
+            duration=args.duration,
+            resume=args.resume,
+            kill_at_epoch=args.kill_shard_at,
+        )
+
+
+def _check_identity(args: argparse.Namespace, report) -> int:
+    """The sharded merge against the in-process partitioned baseline."""
+    from repro.cluster import run_partitioned
+
+    baseline = run_partitioned(
+        args.scenario,
+        seed=args.seed,
+        rate_scale=args.rate_scale,
+        duration=args.duration,
+        max_sessions=args.max_sessions,
+        topology=args.topology,
+    )
+    if baseline.merged != report.merged:
+        print(
+            "IDENTITY FAILED: cluster merge differs from the "
+            "in-process baseline "
+            f"({report.checksum()} != {baseline.checksum()})",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"identity ok ({baseline.checksum()})")
+    return 0
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -273,29 +418,33 @@ def main(argv: Optional[list[str]] = None) -> int:
         else None
     )
     t0 = time.perf_counter()
-    if args.checkpoint_dir is not None:
+    if args.shards is not None:
+        report = _run_sharded(args, obs)
+    elif args.checkpoint_dir is not None:
         report, code = _run_checkpointed(args, obs)
         if report is None:
             return code
     else:
-        report = run_scenario(
-            args.scenario,
+        report = run_scale_scenario(
+            _scenario(args),
             seed=args.seed,
-            rate_scale=args.rate_scale,
-            duration=args.duration,
             max_sessions=args.max_sessions,
             obs=obs,
-            topology=args.topology,
         )
     wall = time.perf_counter() - t0
     print(report.render())
     print(f"checksum {report.checksum()}")
-    steps = int(round(report.duration / report.dt))
-    print(
-        f"wall {wall:.2f}s  "
-        f"sessions/sec {report.offered / wall:.1f}  "
-        f"steps/sec {steps / wall:.1f}"
-    )
+    if args.shards is None:
+        steps = int(round(report.duration / report.dt))
+        print(
+            f"wall {wall:.2f}s  "
+            f"sessions/sec {report.offered / wall:.1f}  "
+            f"steps/sec {steps / wall:.1f}"
+        )
+    else:
+        print(f"wall {wall:.2f}s  sessions/sec {report.offered / wall:.1f}")
+    if args.check_identity and _check_identity(args, report):
+        return 1
     if args.json_out is not None:
         args.json_out.write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"

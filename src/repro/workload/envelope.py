@@ -23,7 +23,6 @@ from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.runner.cache import payload_digest
-from repro.workload.catalog import SessionCatalog
 from repro.workload.driver import WorkloadReport
 from repro.workload.scenarios import (
     ScaleScenario,
@@ -121,7 +120,6 @@ def estimate_envelope(
     iterations: int = 6,
     probe_duration: float = 30.0,
     max_sessions: Optional[int] = None,
-    catalog: Optional[SessionCatalog] = None,
     resume_probes: Optional[Mapping[float, Mapping[str, Any]]] = None,
     on_probe: Optional[Callable[[EnvelopeProbe], None]] = None,
     probe_fn: Optional[Callable[[float], tuple[int, float]]] = None,
@@ -183,10 +181,7 @@ def estimate_envelope(
             offered, violation_rate = probe_fn(scale)
         else:
             report = run_scale_scenario(
-                scenario.scaled(scale),
-                seed=seed,
-                max_sessions=max_sessions,
-                catalog=catalog,
+                scenario.scaled(scale), seed=seed, max_sessions=max_sessions
             )
             offered, violation_rate = report.offered, report.violation_rate
         ok = violation_rate <= ceiling and offered > 0

@@ -19,15 +19,20 @@ run duration, and the middleware's admission posture; the registry in
     the composition test between the workload engine and the chaos
     harness.
 
-:func:`run_scenario` is the pure front door: build the Figure-8
+:func:`make_scenario` names the instance and :func:`make_scale_run`
+builds its driver — the one way a workload run is configured:
+``(scenario, seed, max_sessions[, partition])``.
+:func:`run_scale_scenario` is the pure front door on top: build the
 testbed, realize it from a seed-derived sub-seed, play the plan through
 a :class:`~repro.workload.driver.ChurnDriver`, and return the
 :class:`~repro.workload.driver.WorkloadReport`.  Same arguments, same
-report — byte for byte.
+report — byte for byte.  :func:`run_identity` writes the same tuple
+down as data: what a checkpoint must match to be this run's.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
@@ -46,7 +51,6 @@ from repro.workload.arrivals import (
     PoissonArrivals,
 )
 from repro.workload.catalog import (
-    SessionCatalog,
     default_catalog,
     plan_sessions,
     slice_plans_by_tenant,
@@ -260,36 +264,23 @@ def build_service(
     )
 
 
-def run_scenario(
-    name: str,
-    seed: int = 0,
-    rate_scale: float = 1.0,
-    duration: Optional[float] = None,
-    max_sessions: Optional[int] = None,
-    catalog: Optional[SessionCatalog] = None,
-    obs: Optional[Observability] = None,
-    topology: Optional[str] = None,
-) -> WorkloadReport:
-    """Run one named scenario end to end; the package's front door."""
-    scenario = make_scenario(
-        name, rate_scale=rate_scale, duration=duration, topology=topology
-    )
-    return run_scale_scenario(
-        scenario,
-        seed=seed,
-        max_sessions=max_sessions,
-        catalog=catalog,
-        obs=obs,
-    )
+def partition_ids() -> tuple[str, ...]:
+    """The partition universe: the default catalog's tenants, sorted.
+
+    The tenant is the cluster's atomic simulation unit — sessions of
+    one tenant never split across shards — so this list is what the
+    master hashes onto shards and what the in-process baseline iterates.
+    """
+    return tuple(sorted(t.name for t in default_catalog().tenants))
 
 
 def make_scale_run(
     scenario: ScaleScenario,
     seed: int = 0,
     max_sessions: Optional[int] = None,
-    catalog: Optional[SessionCatalog] = None,
     obs: Optional[Observability] = None,
     on_step: Optional[Callable[[int, float], None]] = None,
+    partition: Optional[str] = None,
 ) -> ChurnDriver:
     """Build the ready-to-run driver for one scenario (not yet run).
 
@@ -298,19 +289,32 @@ def make_scale_run(
     cheap: a resuming process calls this again to reconstruct the
     identical immutable scaffolding, then restores only the mutable
     state from the snapshot.
+
+    With ``partition`` the driver plays that tenant's slice only.  The
+    *full* session plan is expanded with the same plan seed the whole
+    run uses — ``max_sessions`` truncates the full plan *before* the
+    tenant filter — then sliced down to ``partition``'s sessions.  The
+    union of all partition slices is therefore exactly the whole run's
+    population, and each slice is independent of how many other
+    partitions exist or where they run.
     """
+    if partition is not None and partition not in partition_ids():
+        raise ConfigurationError(
+            f"unknown partition {partition!r}; known: {list(partition_ids())}"
+        )
     # Scenario planning + testbed realization + warmup is a real slice
     # of short runs' wall time; attribute it, don't lose it.
     with (obs if obs is not None else NULL_OBS).prof.span("workload.setup"):
-        catalog = catalog if catalog is not None else default_catalog()
         plans = plan_sessions(
             scenario.model,
-            catalog,
+            default_catalog(),
             scenario.duration,
             seed=mix_seed(seed, "workload-plan", scenario.name),
             max_sessions=max_sessions,
         )
-        service = build_service(scenario, seed, obs=obs)
+        if partition is not None:
+            plans = slice_plans_by_tenant(plans, partition)
+        service = build_service(scenario, seed, obs=obs, partition=partition)
         return ChurnDriver(
             service,
             plans,
@@ -324,97 +328,17 @@ def run_scale_scenario(
     scenario: ScaleScenario,
     seed: int = 0,
     max_sessions: Optional[int] = None,
-    catalog: Optional[SessionCatalog] = None,
     obs: Optional[Observability] = None,
 ) -> WorkloadReport:
-    """Run an explicit :class:`ScaleScenario` (no registry lookup)."""
+    """Run a :class:`ScaleScenario` end to end; the package's front door."""
     driver = make_scale_run(
-        scenario,
-        seed=seed,
-        max_sessions=max_sessions,
-        catalog=catalog,
-        obs=obs,
-    )
-    return driver.run(scenario.duration)
-
-
-def partition_ids(
-    catalog: Optional[SessionCatalog] = None,
-) -> tuple[str, ...]:
-    """The partition universe for a catalog: tenant names, sorted.
-
-    The tenant is the cluster's atomic simulation unit — sessions of
-    one tenant never split across shards — so this list is what the
-    master hashes onto shards and what the in-process baseline iterates.
-    """
-    catalog = catalog if catalog is not None else default_catalog()
-    return tuple(sorted(t.name for t in catalog.tenants))
-
-
-def make_partition_run(
-    scenario: ScaleScenario,
-    partition: str,
-    seed: int = 0,
-    max_sessions: Optional[int] = None,
-    catalog: Optional[SessionCatalog] = None,
-    obs: Optional[Observability] = None,
-    on_step: Optional[Callable[[int, float], None]] = None,
-) -> ChurnDriver:
-    """Build the driver for one partition's slice of a scenario.
-
-    The *full* session plan is expanded with the same plan seed the
-    single-process run uses — ``max_sessions`` truncates the full plan
-    *before* the tenant filter — then sliced down to ``partition``'s
-    sessions.  The union of all partition slices is therefore exactly
-    the single-process population, and each slice is independent of how
-    many other partitions exist or where they run.
-    """
-    catalog = catalog if catalog is not None else default_catalog()
-    known = partition_ids(catalog)
-    if partition not in known:
-        raise ConfigurationError(
-            f"unknown partition {partition!r}; known: {list(known)}"
-        )
-    plans = plan_sessions(
-        scenario.model,
-        catalog,
-        scenario.duration,
-        seed=mix_seed(seed, "workload-plan", scenario.name),
-        max_sessions=max_sessions,
-    )
-    plans = slice_plans_by_tenant(plans, partition)
-    service = build_service(scenario, seed, obs=obs, partition=partition)
-    return ChurnDriver(
-        service,
-        plans,
-        scenario=scenario.name,
-        seed=seed,
-        on_step=on_step,
-    )
-
-
-def run_partition_slice(
-    scenario: ScaleScenario,
-    partition: str,
-    seed: int = 0,
-    max_sessions: Optional[int] = None,
-    catalog: Optional[SessionCatalog] = None,
-    obs: Optional[Observability] = None,
-) -> WorkloadReport:
-    """Run one partition's slice end to end (no registry lookup)."""
-    driver = make_partition_run(
-        scenario,
-        partition,
-        seed=seed,
-        max_sessions=max_sessions,
-        catalog=catalog,
-        obs=obs,
+        scenario, seed=seed, max_sessions=max_sessions, obs=obs
     )
     return driver.run(scenario.duration)
 
 
 def scenario_params(scenario: ScaleScenario) -> dict[str, Any]:
-    """JSON form of a scenario (for :class:`repro.runner.RunSpec`)."""
+    """JSON form of a scenario: everything :func:`make_scenario` set."""
     params = {
         "name": scenario.name,
         "model": scenario.model.to_params(),
@@ -422,8 +346,32 @@ def scenario_params(scenario: ScaleScenario) -> dict[str, Any]:
         "strict_admission": scenario.strict_admission,
         "with_chaos": scenario.with_chaos,
     }
-    # Only topology-bearing scenarios carry the key: legacy RunSpec
-    # content hashes (and their cached results) stay valid.
     if scenario.topology is not None:
         params["topology"] = scenario.topology
     return params
+
+
+def run_identity(
+    scenario: ScaleScenario,
+    seed: int,
+    max_sessions: Optional[int] = None,
+    partition: Optional[str] = None,
+) -> dict[str, Any]:
+    """What a run's bytes are a pure function of, as JSON data.
+
+    The arguments are :func:`make_scale_run`'s, so two runs with equal
+    identities build equal drivers.  It is the meta every checkpoint of
+    a run carries and the one a resume demands back; returned in its
+    JSON-round-tripped form, so it compares equal to what a snapshot
+    file gives back.
+    """
+    return json.loads(
+        json.dumps(
+            {
+                "scenario": scenario_params(scenario),
+                "seed": seed,
+                "max_sessions": max_sessions,
+                "partition": partition,
+            }
+        )
+    )

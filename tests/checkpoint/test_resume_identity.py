@@ -9,6 +9,7 @@ cooperative interruption (the SIGKILL variant lives in
 from __future__ import annotations
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -190,6 +191,52 @@ def test_mismatched_run_context_rejected(tmp_path):
             fingerprint=FP,
             strict_resume=True,
         )
+
+
+@pytest.mark.parametrize(
+    "key, other_scenario, other_sessions",
+    [
+        ("max_sessions", {}, MAX_SESSIONS // 2),
+        ("scenario.model", {"rate_scale": 0.5}, MAX_SESSIONS),
+        ("scenario.duration", {"duration": DURATION - 2.0}, MAX_SESSIONS),
+        ("scenario.topology", {"topology": "leaf_spine_2x4"}, MAX_SESSIONS),
+    ],
+    ids=["max_sessions", "rate_scale", "duration", "topology"],
+)
+def test_snapshot_of_another_run_is_never_adopted(
+    tmp_path, key, other_scenario, other_sessions
+):
+    # A run is (scenario, seed, max_sessions): a snapshot cut under any
+    # other value of those is another run's, however the slot is shared.
+    store = CheckpointStore(tmp_path)
+    flag = _TripAfter(20)
+    with pytest.raises(RunInterrupted):
+        run_scale_scenario_checkpointed(
+            scenario(),
+            store,
+            seed=0,
+            max_sessions=MAX_SESSIONS,
+            fingerprint=FP,
+            interrupt=flag,
+            on_step=flag.note,
+        )
+    other = make_scenario(
+        "baseline", **{"duration": DURATION, **other_scenario}
+    )
+    with pytest.raises(CheckpointError, match=re.escape(key + ":")):
+        run_scale_scenario_checkpointed(
+            other,
+            store,
+            seed=0,
+            max_sessions=other_sessions,
+            fingerprint=FP,
+            strict_resume=True,
+        )
+    lenient = run_scale_scenario_checkpointed(
+        other, store, seed=0, max_sessions=other_sessions, fingerprint=FP
+    )
+    fresh = run_scale_scenario(other, seed=0, max_sessions=other_sessions)
+    assert lenient.to_dict() == fresh.to_dict()
 
 
 def test_resume_false_ignores_checkpoint(tmp_path):

@@ -8,7 +8,7 @@ checksums, not summaries.
 
 import pytest
 
-from repro.cluster import run_cluster_scenario, run_partitioned
+from repro.cluster import ClusterMaster, run_partitioned
 
 DURATION = 6.0
 MAX_SESSIONS = 24
@@ -17,14 +17,14 @@ SHARD_COUNTS = (1, 2, 4)
 
 
 def _cluster(scenario, shards, seed=0):
-    return run_cluster_scenario(
-        scenario,
+    with ClusterMaster(
+        scenario=scenario,
         seed=seed,
         shards=shards,
-        duration=DURATION,
-        max_sessions=MAX_SESSIONS,
         epoch_s=EPOCH_S,
-    )
+        max_sessions=MAX_SESSIONS,
+    ) as master:
+        return master.run(duration=DURATION)
 
 
 class TestShardCountInvariance:
@@ -56,14 +56,7 @@ class TestFaultCampaignInvariance:
 
     @pytest.mark.parametrize("shards", (1, 2))
     def test_chaos_scenario_matches_in_process(self, shards):
-        report = run_cluster_scenario(
-            "flash-crowd-chaos",
-            seed=7,
-            shards=shards,
-            duration=DURATION,
-            max_sessions=MAX_SESSIONS,
-            epoch_s=EPOCH_S,
-        )
+        report = _cluster("flash-crowd-chaos", shards, seed=7)
         baseline = run_partitioned(
             "flash-crowd-chaos",
             seed=7,

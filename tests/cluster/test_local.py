@@ -6,20 +6,25 @@ from repro.cluster.local import run_partitioned
 from repro.errors import ConfigurationError
 from repro.workload import merge_report_payloads, merged_checksum
 from repro.workload.scenarios import (
+    make_scale_run,
     make_scenario,
     partition_ids,
-    run_partition_slice,
 )
 
 SCENARIO = make_scenario("baseline", duration=8.0)
 MAX_SESSIONS = 24
 
 
+def _slice(partition, seed=0, max_sessions=MAX_SESSIONS):
+    driver = make_scale_run(
+        SCENARIO, seed=seed, max_sessions=max_sessions, partition=partition
+    )
+    return driver.run(SCENARIO.duration)
+
+
 def _slice_payloads(seed=0):
     return {
-        partition: run_partition_slice(
-            SCENARIO, partition, seed=seed, max_sessions=MAX_SESSIONS
-        ).to_dict()
+        partition: _slice(partition, seed=seed).to_dict()
         for partition in partition_ids()
     }
 
@@ -42,17 +47,13 @@ class TestSlices:
             )
 
     def test_slice_is_deterministic(self):
-        a = run_partition_slice(
-            SCENARIO, "gold", seed=3, max_sessions=MAX_SESSIONS
-        )
-        b = run_partition_slice(
-            SCENARIO, "gold", seed=3, max_sessions=MAX_SESSIONS
-        )
+        a = _slice("gold", seed=3)
+        b = _slice("gold", seed=3)
         assert a.to_dict() == b.to_dict()
 
     def test_unknown_partition_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown partition"):
-            run_partition_slice(SCENARIO, "platinum")
+            make_scale_run(SCENARIO, partition="platinum")
 
 
 class TestMerge:

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cluster import run_cluster_scenario, run_partitioned
-from repro.cluster.master import ClusterMaster
+from repro.cluster import ClusterMaster, run_partitioned
 from repro.errors import ClusterError
 from repro.obs.context import Observability
 from repro.runner.spec import RunSpec
@@ -20,15 +19,25 @@ def _baseline():
     )
 
 
-def test_two_shard_run_matches_in_process_baseline():
-    report = run_cluster_scenario(
-        "baseline",
+def _cluster(
+    kill_at_epoch=None, resume=False, max_sessions=MAX_SESSIONS, **fleet
+):
+    """One 2-shard job on a fleet of its own."""
+    with ClusterMaster(
+        scenario="baseline",
         seed=0,
         shards=2,
-        duration=DURATION,
-        max_sessions=MAX_SESSIONS,
         epoch_s=EPOCH_S,
-    )
+        max_sessions=max_sessions,
+        **fleet,
+    ) as master:
+        return master.run(
+            duration=DURATION, resume=resume, kill_at_epoch=kill_at_epoch
+        )
+
+
+def test_two_shard_run_matches_in_process_baseline():
+    report = _cluster()
     baseline = _baseline()
     assert report.merged == baseline.merged
     assert report.checksum() == baseline.checksum()
@@ -37,16 +46,8 @@ def test_two_shard_run_matches_in_process_baseline():
 
 def test_sigkilled_shard_is_respawned_and_resumes(tmp_path):
     obs = Observability()
-    report = run_cluster_scenario(
-        "baseline",
-        seed=0,
-        shards=2,
-        duration=DURATION,
-        max_sessions=MAX_SESSIONS,
-        epoch_s=EPOCH_S,
-        checkpoint_root=tmp_path / "cluster",
-        kill_at_epoch={0: 1},
-        obs=obs,
+    report = _cluster(
+        kill_at_epoch={0: 1}, checkpoint_root=tmp_path / "cluster", obs=obs
     )
     assert report.telemetry["respawns"] == 1
     assert report.merged == _baseline().merged
@@ -64,17 +65,27 @@ def test_respawn_budget_exhaustion_raises(tmp_path):
     # dies during the *handshake*.  Simulate by killing more often than
     # the budget allows: budget 0 means the first death is fatal.
     with pytest.raises(ClusterError, match="respawn budget"):
-        run_cluster_scenario(
-            "baseline",
-            seed=0,
-            shards=2,
-            duration=DURATION,
-            max_sessions=MAX_SESSIONS,
-            epoch_s=EPOCH_S,
-            checkpoint_root=tmp_path / "cluster",
+        _cluster(
             kill_at_epoch={0: 0},
+            checkpoint_root=tmp_path / "cluster",
             max_respawns=0,
         )
+
+
+def test_resume_skips_partition_snapshots_of_another_max_sessions(tmp_path):
+    # A job that dies for good leaves its partition slots behind; a job
+    # with another max_sessions on the same root is another run and
+    # must not adopt them.
+    root = tmp_path / "cluster"
+    with pytest.raises(ClusterError, match="respawn budget"):
+        _cluster(kill_at_epoch={0: 1}, checkpoint_root=root, max_respawns=0)
+    assert list(root.glob("partition-*/checkpoint.json"))
+    half = MAX_SESSIONS // 2
+    report = _cluster(resume=True, max_sessions=half, checkpoint_root=root)
+    fresh = run_partitioned(
+        "baseline", seed=0, duration=DURATION, max_sessions=half
+    )
+    assert report.merged == fresh.merged
 
 
 def test_master_reuses_fleet_across_jobs():
@@ -98,15 +109,7 @@ def test_master_reuses_fleet_across_jobs():
 
 def test_cluster_trace_events_emitted():
     obs = Observability()
-    run_cluster_scenario(
-        "baseline",
-        seed=0,
-        shards=2,
-        duration=DURATION,
-        max_sessions=MAX_SESSIONS,
-        epoch_s=EPOCH_S,
-        obs=obs,
-    )
+    _cluster(obs=obs)
     cluster_events = [
         e for e in obs.trace.events() if e.category == "cluster"
     ]

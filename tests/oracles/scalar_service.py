@@ -13,7 +13,7 @@ product's batch columns, so reports, traces, metrics and snapshots it
 produces are an independent derivation.  (The inherited open/close
 bookkeeping still files rows in the unused batch; that is inert.)
 
-:func:`service_class` makes the workload layer — ``run_scenario``,
+:func:`service_class` makes the workload layer — ``run_scale_scenario``,
 ``make_scale_run``, ``run_partitioned``,
 ``run_scale_scenario_checkpointed`` — build the oracle instead of the
 product for the duration of a ``with`` block.

@@ -33,7 +33,7 @@ from repro.transport.session import run_packet_session
 from repro.workload.scenarios import (
     make_scale_run,
     make_scenario,
-    run_scenario,
+    run_scale_scenario,
 )
 from tests.oracles import ScalarReferenceService, service_class
 
@@ -48,7 +48,7 @@ def _trace_digest(obs: Observability) -> str:
 def _run(cls, name: str, **kwargs):
     """One scenario run on service class ``cls``."""
     with service_class(cls):
-        return run_scenario(name, **kwargs)
+        return run_scale_scenario(make_scenario(name), **kwargs)
 
 
 def _observed_run(cls, name: str, seed: int, max_sessions: int):

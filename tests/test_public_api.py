@@ -19,6 +19,11 @@ PACKAGES = [
     "repro.harness",
     "repro.workload",
     "repro.topo",
+    "repro.cluster",
+    "repro.runner",
+    "repro.checkpoint",
+    "repro.obs",
+    "repro.robustness",
 ]
 
 

@@ -12,10 +12,19 @@ from repro.cluster.local import run_partitioned
 from repro.errors import ConfigurationError
 from repro.runner.suite import topo_suite, workload_spec
 from repro.workload.envelope import estimate_envelope
-from repro.workload.scenarios import make_scenario, run_scenario
+from repro.workload.scenarios import make_scenario, run_scale_scenario
 from tests.oracles import ScalarReferenceService, service_class
 
 _FAST = dict(seed=0, duration=8.0, max_sessions=30)
+
+
+def _churn(topology):
+    scenario = make_scenario(
+        "baseline", duration=_FAST["duration"], topology=topology
+    )
+    return run_scale_scenario(
+        scenario, seed=_FAST["seed"], max_sessions=_FAST["max_sessions"]
+    )
 
 
 class TestScenarioTopology:
@@ -31,14 +40,14 @@ class TestScenarioTopology:
         "preset", ["fat_tree_k4", "leaf_spine_4x8", "repetita_wan_s0"]
     )
     def test_churn_runs_deterministically(self, preset):
-        a = run_scenario("baseline", topology=preset, **_FAST)
-        b = run_scenario("baseline", topology=preset, **_FAST)
+        a = _churn(preset)
+        b = _churn(preset)
         assert a.checksum() == b.checksum()
         assert a.offered > 0
 
     def test_topologies_produce_distinct_reports(self):
         checksums = {
-            run_scenario("baseline", topology=preset, **_FAST).checksum()
+            _churn(preset).checksum()
             for preset in (
                 None, "fat_tree_k4", "leaf_spine_4x8", "repetita_wan_s0"
             )
@@ -47,21 +56,13 @@ class TestScenarioTopology:
 
     def test_backends_byte_identical_on_generated_topology(self):
         with service_class(ScalarReferenceService):
-            scalar = run_scenario(
-                "baseline", topology="leaf_spine_2x4", **_FAST
-            )
-        vectorized = run_scenario(
-            "baseline", topology="leaf_spine_2x4", **_FAST
-        )
+            scalar = _churn("leaf_spine_2x4")
+        vectorized = _churn("leaf_spine_2x4")
         assert scalar.checksum() == vectorized.checksum()
 
     def test_traffic_scenarios_shift_the_report(self):
-        nlanr = run_scenario(
-            "baseline", topology="fat_tree_k4:nlanr", **_FAST
-        )
-        incast = run_scenario(
-            "baseline", topology="fat_tree_k4:dc-incast", **_FAST
-        )
+        nlanr = _churn("fat_tree_k4:nlanr")
+        incast = _churn("fat_tree_k4:dc-incast")
         assert nlanr.checksum() != incast.checksum()
 
     @pytest.mark.slow
@@ -95,9 +96,7 @@ class TestScenarioTopology:
 
 class TestClusterTopology:
     def test_partitioned_baseline_matches_single_process_totals(self):
-        single = run_scenario(
-            "baseline", topology="leaf_spine_2x4", **_FAST
-        )
+        single = _churn("leaf_spine_2x4")
         merged = run_partitioned(
             "baseline", topology="leaf_spine_2x4", **_FAST
         )

@@ -1,9 +1,10 @@
-"""The ``python -m repro.workload`` CLI (shared with tools/run_scale.py)."""
+"""The ``python -m repro.workload`` CLI, in-process and ``--shards N``."""
 
 import json
 
 import pytest
 
+from repro.cluster import run_partitioned
 from repro.workload.cli import main
 
 FAST_ARGS = [
@@ -91,31 +92,35 @@ def test_unknown_scenario_rejected(capsys):
     capsys.readouterr()
 
 
+def _usage_error(argv, capsys):
+    """stderr of a run that argparse refused (exit 2, usage text)."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(FAST_ARGS + argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    return err
+
+
 class TestFlagValidation:
     """Checkpoint flags without a checkpoint dir must fail fast."""
 
-    def _error_text(self, argv, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(FAST_ARGS + argv)
-        assert excinfo.value.code == 2
-        return capsys.readouterr().err
-
     def test_resume_requires_checkpoint_dir(self, capsys):
-        err = self._error_text(["--resume"], capsys)
+        err = _usage_error(["--resume"], capsys)
         assert "--resume requires --checkpoint-dir" in err
 
     def test_kill_at_requires_checkpoint_dir(self, capsys):
-        err = self._error_text(["--kill-at", "5.0"], capsys)
+        err = _usage_error(["--kill-at", "5.0"], capsys)
         assert "--checkpoint-dir" in err
 
     def test_checkpoint_every_requires_checkpoint_dir(self, capsys):
-        err = self._error_text(["--checkpoint-every", "2.0"], capsys)
+        err = _usage_error(["--checkpoint-every", "2.0"], capsys)
         assert "--checkpoint-every requires --checkpoint-dir" in err
 
     def test_kill_at_requires_explicit_checkpoint_every(
         self, tmp_path, capsys
     ):
-        err = self._error_text(
+        err = _usage_error(
             [
                 "--checkpoint-dir",
                 str(tmp_path / "ckpt"),
@@ -135,6 +140,69 @@ class TestFlagValidation:
             == 0
         )
         assert "checksum " in capsys.readouterr().out
+
+
+class TestSharded:
+    """``--shards N``: the worker fleet behind the same front door."""
+
+    SHARDS = ["--shards", "2"]
+    SHARDED = FAST_ARGS + SHARDS
+
+    def test_check_identity_prints_the_in_process_checksum(self, capsys):
+        assert main(self.SHARDED + ["--check-identity"]) == 0
+        out = capsys.readouterr().out
+        baseline = run_partitioned(
+            "baseline", seed=0, duration=10.0, max_sessions=25
+        )
+        assert f"checksum {baseline.checksum()}" in out
+        assert f"identity ok ({baseline.checksum()})" in out
+        assert "shards=2" in out
+
+    def test_trace_out_carries_the_master_events(self, tmp_path, capsys):
+        trace_out = tmp_path / "trace.jsonl"
+        assert main(self.SHARDED + ["--trace-out", str(trace_out)]) == 0
+        events = [
+            json.loads(line)
+            for line in trace_out.read_text().splitlines()
+        ]
+        assert {e["cat"] for e in events} == {"cluster"}
+        names = {e["name"] for e in events}
+        assert {"shard_spawn", "epoch_barrier", "merge"} <= names
+        capsys.readouterr()
+
+    def test_kill_shard_at_wants_shard_colon_epoch(self, capsys):
+        err = _usage_error(
+            self.SHARDS + ["--kill-shard-at", "first"], capsys
+        )
+        assert "SHARD:EPOCH" in err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--epoch-s", "1.0"],
+            ["--hang-timeout", "5"],
+            ["--kill-shard-at", "0:1"],
+            ["--check-identity"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_sharded_flags_require_shards(self, flag, capsys):
+        err = _usage_error(flag, capsys)
+        assert f"{flag[0]} requires --shards" in err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--kill-at", "5.0"],
+            ["--checkpoint-every", "2.0"],
+            ["--metrics-out", "metrics.json"],
+            ["--profile-out", "profile.json"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_in_process_flags_refuse_shards(self, flag, capsys):
+        err = _usage_error(self.SHARDS + flag, capsys)
+        assert f"{flag[0]} cannot be combined with --shards" in err
 
 
 def test_same_seed_same_checksum_line(capsys):

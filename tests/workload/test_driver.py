@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.context import Observability
 from repro.obs.events import Category
-from repro.workload import run_scenario
+from repro.workload import run_scale_scenario
 from repro.workload.catalog import default_catalog, plan_sessions
 from repro.workload.driver import ChurnDriver
 from repro.workload.scenarios import build_service, make_scenario
@@ -15,31 +15,28 @@ MAX_SESSIONS = 60
 DURATION = 15.0
 
 
+def _run(seed=0, obs=None):
+    return run_scale_scenario(
+        make_scenario("baseline", duration=DURATION),
+        seed=seed,
+        max_sessions=MAX_SESSIONS,
+        obs=obs,
+    )
+
+
 @pytest.fixture(scope="module")
 def report():
-    return run_scenario(
-        "baseline", seed=0, duration=DURATION, max_sessions=MAX_SESSIONS
-    )
+    return _run()
 
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, report):
-        rerun = run_scenario(
-            "baseline",
-            seed=0,
-            duration=DURATION,
-            max_sessions=MAX_SESSIONS,
-        )
+        rerun = _run()
         assert report.checksum() == rerun.checksum()
         assert report.to_dict() == rerun.to_dict()
 
     def test_different_seed_differs(self, report):
-        other = run_scenario(
-            "baseline",
-            seed=1,
-            duration=DURATION,
-            max_sessions=MAX_SESSIONS,
-        )
+        other = _run(seed=1)
         assert report.checksum() != other.checksum()
 
     def test_payload_is_json_clean(self, report):
@@ -96,13 +93,7 @@ class TestTraceAndMetrics:
     @pytest.fixture(scope="class")
     def observed(self):
         obs = Observability()
-        report = run_scenario(
-            "baseline",
-            seed=0,
-            duration=DURATION,
-            max_sessions=MAX_SESSIONS,
-            obs=obs,
-        )
+        report = _run(obs=obs)
         return obs, report
 
     def test_workload_events_match_accounting(self, observed):

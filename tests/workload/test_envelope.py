@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workload.catalog import default_catalog
 from repro.workload.envelope import estimate_envelope
 
 FAST = dict(
@@ -58,13 +57,12 @@ class TestSearch:
 
 class TestDegenerateCeilings:
     def test_unsatisfiable_load_reports_zero(self):
-        # Sessions demanding ~100x the overlay's bandwidth are rejected
-        # at any arrival rate, so even the lightest probe violates and
-        # the envelope collapses to zero capacity.
+        # A load rejected at any arrival rate: even the lightest probe
+        # violates and the envelope collapses to zero capacity.
         envelope = estimate_envelope(
             "baseline",
             ceiling=0.05,
-            catalog=default_catalog(rate_scale=200.0),
+            probe_fn=lambda scale: (30, 1.0),
             **FAST,
         )
         assert envelope.max_sustainable_scale == 0.0

@@ -2,11 +2,15 @@
 
 import pytest
 
+from dataclasses import fields
+
 from repro.errors import ConfigurationError
 from repro.workload.scenarios import (
     SCENARIOS,
+    ScaleScenario,
     make_scenario,
-    run_scenario,
+    run_identity,
+    run_scale_scenario,
     scenario_params,
 )
 
@@ -56,13 +60,49 @@ class TestRegistry:
             )
 
 
+class TestRunIdentity:
+    """The written form of (scenario, seed, max_sessions[, partition])."""
+
+    def test_covers_every_scenario_field(self):
+        # A field make_scenario can set but the identity omits is a
+        # field a resume could silently cross.
+        scenario = make_scenario("baseline", topology="fat_tree_k4")
+        params = run_identity(scenario, seed=0)["scenario"]
+        assert set(params) == {f.name for f in fields(ScaleScenario)}
+
+    def test_every_make_scale_run_argument_moves_it(self):
+        base = make_scenario("baseline")
+        slower = make_scenario("baseline", rate_scale=0.5)
+        shorter = make_scenario("baseline", duration=20.0)
+        same = run_identity(base, 0, 120, "gold")
+        assert same == run_identity(make_scenario("baseline"), 0, 120, "gold")
+        others = [
+            run_identity(slower, 0, 120, "gold"),
+            run_identity(shorter, 0, 120, "gold"),
+            run_identity(base, 1, 120, "gold"),
+            run_identity(base, 0, 60, "gold"),
+            run_identity(base, 0, 120, "silver"),
+            run_identity(base, 0, 120),
+        ]
+        assert all(other != same for other in others)
+
+    def test_is_its_own_json_round_trip(self):
+        import json
+
+        for name in SCENARIOS:
+            identity = run_identity(make_scenario(name), 7, None, "gold")
+            assert json.loads(json.dumps(identity)) == identity
+
+
 class TestChaosComposition:
     """Flash crowd during a fault campaign: no deadlock, books balance."""
 
     @pytest.fixture(scope="class")
     def report(self):
-        return run_scenario(
-            "flash-crowd-chaos", seed=0, duration=30.0, max_sessions=50
+        return run_scale_scenario(
+            make_scenario("flash-crowd-chaos", duration=30.0),
+            seed=0,
+            max_sessions=50,
         )
 
     def test_run_completes_with_full_accounting(self, report):
@@ -89,7 +129,9 @@ class TestChaosComposition:
         )
 
     def test_deterministic_under_chaos(self, report):
-        rerun = run_scenario(
-            "flash-crowd-chaos", seed=0, duration=30.0, max_sessions=50
+        rerun = run_scale_scenario(
+            make_scenario("flash-crowd-chaos", duration=30.0),
+            seed=0,
+            max_sessions=50,
         )
         assert report.checksum() == rerun.checksum()

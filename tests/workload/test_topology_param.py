@@ -8,11 +8,11 @@ the default path regressed.
 
 from repro.workload.scenarios import (
     make_scenario,
-    run_scenario,
+    run_scale_scenario,
     scenario_params,
 )
 
-# run_scenario("baseline", seed=0, duration=10.0, max_sessions=40) on the
+# The baseline scenario at seed=0, duration=10.0, max_sessions=40 on the
 # pre-topology tree. Do not update without a deliberate compat break.
 BASELINE_CHECKSUM = (
     "fc371666bbbf3d2dc6f98d11c72440ca45ea7db7bfeee9a5e52881a1394bf67b"
@@ -21,17 +21,18 @@ BASELINE_CHECKSUM = (
 
 class TestDefaultPathUnchanged:
     def test_baseline_report_checksum_pinned(self):
-        report = run_scenario(
-            "baseline", seed=0, duration=10.0, max_sessions=40
+        report = run_scale_scenario(
+            make_scenario("baseline", duration=10.0), max_sessions=40
         )
         assert report.checksum() == BASELINE_CHECKSUM
 
     def test_explicit_none_matches_default(self):
-        default = run_scenario(
-            "baseline", seed=0, duration=6.0, max_sessions=20
+        default = run_scale_scenario(
+            make_scenario("baseline", duration=6.0), max_sessions=20
         )
-        explicit = run_scenario(
-            "baseline", seed=0, duration=6.0, max_sessions=20, topology=None
+        explicit = run_scale_scenario(
+            make_scenario("baseline", duration=6.0, topology=None),
+            max_sessions=20,
         )
         assert explicit.checksum() == default.checksum()
 
