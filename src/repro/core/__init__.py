@@ -26,6 +26,7 @@ from repro.core.guarantees import (
 from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.mapping import (
     PathQoSEstimate,
+    PlacementFold,
     ResourceMapping,
     best_effort_mapping,
     compute_mapping,
@@ -46,6 +47,7 @@ __all__ = [
     "AdmissionDecision",
     "ResourceMapping",
     "PathQoSEstimate",
+    "PlacementFold",
     "compute_mapping",
     "best_effort_mapping",
     "even_split_mapping",

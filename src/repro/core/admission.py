@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import AdmissionError
-from repro.core.guarantees import probabilistic_guarantee
+from repro.core.guarantees import residual_guarantee
 from repro.core.mapping import (
     PathQoSEstimate,
+    PlacementFold,
     ResourceMapping,
     compute_mapping,
-    shifted_cdf,
 )
 from repro.core.spec import StreamSpec
 from repro.monitoring.cdf import EmpiricalCDF
@@ -46,12 +46,21 @@ class AdmissionDecision:
 
 
 class AdmissionController:
-    """Admits stream sets against the current path distributions."""
+    """Admits stream sets against the current path distributions.
+
+    A controller is asked again and again about nearly the same stream
+    set — every open re-asks about the standing population, a rejection
+    is followed by the partial solve without the rejected stream, each
+    rung of the degradation ladder re-asks with one stream lowered — so
+    it owns the one :class:`repro.core.mapping.PlacementFold` all of its
+    solves run on.
+    """
 
     def __init__(self, tw: float = 1.0):
         if tw <= 0:
             raise ValueError(f"tw must be positive, got {tw}")
         self.tw = tw
+        self.fold = PlacementFold()
 
     def try_admit(
         self,
@@ -68,7 +77,9 @@ class AdmissionController:
         path the next remap may not place it on.
         """
         try:
-            mapping = compute_mapping(specs, cdfs, self.tw, qos=qos)
+            mapping = compute_mapping(
+                specs, cdfs, self.tw, qos=qos, fold=self.fold
+            )
         except AdmissionError as exc:
             return self._reject(specs, cdfs, qos, exc)
         return AdmissionDecision(
@@ -90,7 +101,9 @@ class AdmissionController:
         suggestion = None
         admitted_names: tuple[str, ...] = ()
         try:
-            partial = compute_mapping(others, cdfs, self.tw, qos=qos)
+            partial = compute_mapping(
+                others, cdfs, self.tw, qos=qos, fold=self.fold
+            )
             admitted_names = tuple(s.name for s in others)
             suggestion = self._best_offer(rejected_spec, cdfs, partial)
         except AdmissionError:
@@ -123,8 +136,10 @@ class AdmissionController:
                 promised[path].append(rate)
         best = 0.0
         for path, cdf in cdfs.items():
-            residual = shifted_cdf(cdf, sum(promised[path]))
             best = max(
-                best, probabilistic_guarantee(residual, spec.required_mbps)
+                best,
+                residual_guarantee(
+                    cdf, sum(promised[path]), spec.required_mbps
+                ),
             )
         return best if best > 0 else None

@@ -24,10 +24,13 @@ All bandwidths are Mbps at the API; conversions to byte rates happen here.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.monitoring.cdf import EmpiricalCDF
+from repro.monitoring.incremental import lerp_order_statistics
 from repro.units import mbps_to_bytes_per_s
 
 
@@ -191,3 +194,70 @@ def guaranteed_rate_at(cdf: EmpiricalCDF, probability: float) -> float:
             f"probability must be in (0, 1), got {probability}"
         )
     return cdf.percentile((1.0 - probability) * 100.0)
+
+
+def _check_allocated(allocated_mbps: float) -> None:
+    if allocated_mbps < 0:
+        raise ConfigurationError(
+            f"allocated must be >= 0, got {allocated_mbps}"
+        )
+
+
+def residual_guarantee(
+    cdf: EmpiricalCDF, allocated_mbps: float, required_mbps: float
+) -> float:
+    """Lemma 1 on a path with ``allocated_mbps`` already promised.
+
+    The probability that what the earlier promises leave,
+    ``max(b - allocated, 0)`` sample-wise, sustains ``required_mbps``:
+    bit-equal to :func:`probabilistic_guarantee` of
+    :func:`repro.core.mapping.shifted_cdf`, without building that
+    distribution.  Subtracting a constant and clipping at zero keep the
+    samples ascending, so the count of residual samples below the
+    requirement is a bisect over the path's own samples under the key
+    ``max(s - allocated, 0.0)`` — the float operation the shift performs
+    on each, not the rearrangement ``s < required + allocated``, which
+    rounds differently.
+    """
+    if required_mbps < 0:
+        raise ConfigurationError(
+            f"required_mbps must be >= 0, got {required_mbps}"
+        )
+    _check_allocated(allocated_mbps)
+    samples = cdf.sample_list()
+    if allocated_mbps == 0:
+        below = bisect_left(samples, required_mbps)
+    else:
+        below = bisect_left(
+            samples,
+            required_mbps,
+            key=lambda s: max(s - allocated_mbps, 0.0),
+        )
+    return 1.0 - below / len(samples)
+
+
+def residual_rate_at(
+    cdf: EmpiricalCDF, allocated_mbps: float, probability: float
+) -> float:
+    """Largest rate a path with ``allocated_mbps`` promised still sustains.
+
+    :func:`guaranteed_rate_at` of the shifted distribution, bit for
+    bit, from the two shifted order statistics the quantile
+    interpolates between.
+    """
+    if not 0.0 < probability < 1.0:
+        raise ConfigurationError(
+            f"probability must be in (0, 1), got {probability}"
+        )
+    _check_allocated(allocated_mbps)
+    samples = cdf.sample_list()
+    if allocated_mbps == 0:
+        at = samples.__getitem__
+    else:
+        def at(i: int) -> float:
+            return max(samples[i] - allocated_mbps, 0.0)
+    # guaranteed_rate_at asks for the percentile (1 - P) * 100, which
+    # np.percentile divides by 100 again: the same two roundings here.
+    return lerp_order_statistics(
+        len(samples), (1.0 - probability) * 100.0 / 100.0, at
+    )

@@ -23,21 +23,26 @@ Path capacity already promised to earlier (more important) streams is
 accounted for by *shifting* the path's bandwidth distribution: if ``r``
 Mbps are already allocated, the residual distribution is
 ``max(b - r, 0)`` sample-wise.
+
+Steps 1-3 are a fold over the streams in precedence order, each placed
+against what the ones before it left; :class:`PlacementFold` is that
+fold as an object a caller may keep, so that the next solve over the
+same paths places only the streams behind the first difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import AdmissionError, ConfigurationError
 from repro.core.guarantees import (
     expected_violation_rates_batch,
-    guaranteed_rate_at,
-    probabilistic_guarantee,
     probabilistic_guarantee_batch,
+    residual_guarantee,
+    residual_rate_at,
 )
 from repro.core.spec import StreamSpec
 from repro.core.vectors import Schedule, build_schedule
@@ -147,10 +152,13 @@ def _packets_from_rates(
     Largest-remainder apportionment of each stream's window quota over
     its paths.  A stream on one path takes the whole quota — exactly
     what the general split returns for a single positive share — so the
-    common single-path case never builds an array.
+    common single-path case never builds an array, and streams drawn
+    from one catalog template carry the same quota over the same share
+    vector, so each distinct ``(quota, shares)`` is apportioned once.
     """
     packets: dict[str, dict[str, int]] = {}
     by_name = {s.name: s for s in specs}
+    apportioned: dict[tuple, list[int]] = {}
     for name, shares in rates.items():
         total_rate = sum(shares.values())
         if total_rate <= 0:
@@ -160,7 +168,12 @@ def _packets_from_rates(
         if len(shares) == 1:
             counts = [x_total]
         else:
-            counts = largest_remainder_split(x_total, list(shares.values()))
+            key = (x_total, *shares.values())
+            counts = apportioned.get(key)
+            if counts is None:
+                counts = apportioned[key] = largest_remainder_split(
+                    x_total, key[1:]
+                )
         packets[name] = {p: c for p, c in zip(shares, counts) if c > 0}
     return packets
 
@@ -236,61 +249,73 @@ class ResourceMapping:
 
 
 class _ResidualMemo:
-    """Per-mapping-run cache of residual CDFs and Lemma-1 evaluations.
+    """Residual-capacity answers against one set of CDF snapshots.
 
-    Within one mapping run, ``allocated[p]`` changes only when a stream
-    is placed on ``p``: every stream mapped in between re-derives the
-    *identical* residual CDF and frequently re-evaluates the very same
-    required rate (catalog workloads draw from a handful of stream
-    templates).  Caching keyed on the exact allocation float returns the
-    same arrays and floats the uncached path would compute — pure
-    memoization, so placements cannot drift by a bit.
+    ``allocated[p]`` changes only when a stream is placed on ``p``:
+    every stream mapped in between asks the identical question of the
+    identical residual distribution, and catalog workloads draw their
+    required rates from a handful of templates.  Each answer is a
+    scalar query on the path's own samples
+    (:func:`repro.core.guarantees.residual_guarantee`), kept under the
+    exact floats it was asked with — pure memoization, so placements
+    cannot drift by a bit.
     """
 
-    __slots__ = ("_cdfs", "_entries")
+    __slots__ = ("cdfs", "_guarantees", "_rates", "_means")
 
     def __init__(self, cdfs: Mapping[str, EmpiricalCDF]):
-        self._cdfs = cdfs
-        #: path -> [allocated, residual CDF, {required: achieved P}]
-        self._entries: dict[str, list] = {}
-
-    def _entry(self, path: str, allocated: float) -> list:
-        entry = self._entries.get(path)
-        if entry is None or entry[0] != allocated:
-            entry = [
-                allocated,
-                shifted_cdf(self._cdfs[path], allocated),
-                {},
-            ]
-            self._entries[path] = entry
-        return entry
-
-    def residual(self, path: str, allocated: float) -> EmpiricalCDF:
-        return self._entry(path, allocated)[1]
+        self.cdfs = cdfs
+        #: (path, allocated, required) -> achieved P
+        self._guarantees: dict[tuple[str, float, float], float] = {}
+        #: (path, allocated, probability) -> sustainable rate
+        self._rates: dict[tuple[str, float, float], float] = {}
+        #: (path, allocated) -> mean of what is left
+        self._means: dict[tuple[str, float], float] = {}
 
     def guarantee(
         self, path: str, allocated: float, required: float
     ) -> float:
-        entry = self._entry(path, allocated)
-        achieved = entry[2].get(required)
+        """P that ``path`` with ``allocated`` promised sustains ``required``."""
+        key = (path, allocated, required)
+        achieved = self._guarantees.get(key)
         if achieved is None:
-            achieved = probabilistic_guarantee(entry[1], required)
-            entry[2][required] = achieved
+            achieved = self._guarantees[key] = residual_guarantee(
+                self.cdfs[path], allocated, required
+            )
         return achieved
+
+    def rate_at(
+        self, path: str, allocated: float, probability: float
+    ) -> float:
+        """Rate ``path`` with ``allocated`` promised sustains at ``probability``."""
+        key = (path, allocated, probability)
+        rate = self._rates.get(key)
+        if rate is None:
+            rate = self._rates[key] = residual_rate_at(
+                self.cdfs[path], allocated, probability
+            )
+        return rate
+
+    def leftover_mean(self, path: str, allocated: float) -> float:
+        """Mean bandwidth ``path`` has left beyond ``allocated``."""
+        key = (path, allocated)
+        mean = self._means.get(key)
+        if mean is None:
+            mean = self._means[key] = max(
+                shifted_cdf(self.cdfs[path], allocated).mean(), 0.0
+            )
+        return mean
 
 
 def _map_probabilistic(
     spec: StreamSpec,
-    cdfs: Mapping[str, EmpiricalCDF],
-    allocated: dict[str, float],
+    allocated: Mapping[str, float],
     path_order: Sequence[str],
-    memo: Optional[_ResidualMemo] = None,
+    memo: _ResidualMemo,
 ) -> tuple[dict[str, float], float]:
     """Map one guaranteed stream; returns (rate per path, achieved P)."""
     required = spec.required_mbps
     target_p = spec.probability
-    if memo is None:
-        memo = _ResidualMemo(cdfs)
     # --- single-path attempt -------------------------------------------
     feasible: list[tuple[float, str]] = []
     for p in path_order:
@@ -304,14 +329,11 @@ def _map_probabilistic(
         )
         return {best_path: required}, best_achieved
     # --- split across k paths (union bound) ----------------------------
-    residuals = {
-        p: memo.residual(p, allocated[p]) for p in path_order
-    }
     k = len(path_order)
     if k > 1:
         p_part = 1.0 - (1.0 - target_p) / k
         capacities = {
-            p: max(guaranteed_rate_at(residuals[p], p_part), 0.0)
+            p: max(memo.rate_at(p, allocated[p], p_part), 0.0)
             for p in path_order
         }
         if sum(capacities.values()) >= required:
@@ -330,7 +352,7 @@ def _map_probabilistic(
                     remaining -= take
             misses = 0.0
             for p, share in shares.items():
-                misses += 1.0 - probabilistic_guarantee(residuals[p], share)
+                misses += 1.0 - memo.guarantee(p, allocated[p], share)
             achieved = max(0.0, 1.0 - misses)
             if achieved >= target_p:
                 return shares, achieved
@@ -348,15 +370,13 @@ def _map_violation_bound(
     path_order: Sequence[str],
     tw: float,
     chunks: int = 10,
-    memo: Optional[_ResidualMemo] = None,
 ) -> tuple[dict[str, float], float]:
     """Map one violation-bound stream; returns (rate per path, achieved bound)."""
     x_total = spec.packets_in_window(tw)
     bound = spec.max_violation_rate
-    if memo is None:
-        memo = _ResidualMemo(cdfs)
+    # Lemma 2 reads the whole residual distribution (its partial means).
     residuals = {
-        p: memo.residual(p, allocated[p]) for p in path_order
+        p: shifted_cdf(cdfs[p], allocated[p]) for p in path_order
     }
 
     def rate_of(pkts: int) -> float:
@@ -526,10 +546,7 @@ def best_effort_mapping(
         allocated[best_path] += spec.required_mbps
     # Elastic leftover, as in compute_mapping.
     elastic = [s for s in specs if s.elastic]
-    leftover = {
-        p: max(shifted_cdf(cdfs[p], allocated[p]).mean(), 0.0)
-        for p in path_order
-    }
+    leftover = {p: memo.leftover_mean(p, allocated[p]) for p in path_order}
     total_leftover = sum(leftover.values())
     total_weight = sum(s.weight for s in elastic) if elastic else 0.0
     for spec in elastic:
@@ -553,11 +570,135 @@ def best_effort_mapping(
     )
 
 
+class _Placement(NamedTuple):
+    """One guaranteed stream's place in the fold."""
+
+    spec: StreamSpec
+    #: Rate per path; the fold's own copy, never handed out.
+    shares: dict[str, float]
+    #: Achieved P, or the achieved violation bound.
+    achieved: float
+    #: Mbps promised per path once this stream is placed.
+    allocated: dict[str, float]
+
+
+class PlacementFold:
+    """The precedence-ordered placement fold, carried between solves.
+
+    Guaranteed streams are placed one after another, each against what
+    the streams before it left (:func:`compute_mapping`), so a stream's
+    placement is a function of the streams ahead of it and of nothing
+    behind it.  The fold keeps that sequence with, per position, the
+    shares, the achieved guarantee and the allocation after it; the next
+    solve over the same paths keeps the longest prefix the two
+    sequences share and places only what follows.  One more stream at
+    the end of the precedence order costs one placement; a rejection
+    leaves the streams ahead of the rejected one in place for the
+    partial solve and the renegotiation that follow it.
+
+    What is kept answers the question only while it is the same
+    question: the fold empties itself when the usable path list, any
+    path's CDF snapshot (by identity — a monitor hands out one object
+    until its next sample), the RTT/loss levels or ``tw`` differ from
+    the solve before.  Specs and snapshots are held until then and no
+    longer; nothing here points back at a service or scheduler.
+
+    ``solves``, ``placements`` and ``reused`` count, over the fold's
+    lifetime, calls, streams placed and streams kept from the solve
+    before.
+    """
+
+    __slots__ = (
+        "_tw", "_qos", "_memo", "_placed", "solves", "placements", "reused",
+    )
+
+    def __init__(self) -> None:
+        self._tw: Optional[float] = None
+        self._qos: Optional[dict[str, PathQoSEstimate]] = None
+        self._memo: Optional[_ResidualMemo] = None
+        self._placed: list[_Placement] = []
+        self.solves = 0
+        self.placements = 0
+        self.reused = 0
+
+    def _memo_for(
+        self,
+        cdfs: Mapping[str, EmpiricalCDF],
+        tw: float,
+        qos: Mapping[str, PathQoSEstimate] | None,
+    ) -> _ResidualMemo:
+        """The residual answers for these inputs; empties a stale fold."""
+        memo = self._memo
+        if not (
+            memo is not None
+            and self._tw == tw
+            and list(memo.cdfs) == list(cdfs)
+            and all(memo.cdfs[p] is cdf for p, cdf in cdfs.items())
+            and self._qos == qos
+        ):
+            # Copies: the caller may go on to edit its own mappings.
+            memo = self._memo = _ResidualMemo(dict(cdfs))
+            self._tw = tw
+            self._qos = None if qos is None else dict(qos)
+            self._placed = []
+        return memo
+
+    def _place(
+        self,
+        ordered: Sequence[StreamSpec],
+        cdfs: Mapping[str, EmpiricalCDF],
+        tw: float,
+        qos: Mapping[str, PathQoSEstimate] | None,
+    ) -> tuple[list[_Placement], _ResidualMemo]:
+        """Place ``ordered`` (already in precedence order) path by path.
+
+        Returns the fold's own records, to be read and not kept, and
+        the residual answers they were placed with.  Raises
+        :class:`AdmissionError` at the first stream that fits nowhere;
+        the streams ahead of it stay placed.
+        """
+        memo = self._memo_for(cdfs, tw, qos)
+        placed = self._placed
+        keep = 0
+        for record, spec in zip(placed, ordered):
+            if record.spec is not spec and record.spec != spec:
+                break
+            keep += 1
+        del placed[keep:]
+        self.solves += 1
+        self.reused += keep
+        path_order = list(cdfs)
+        allocated = (
+            dict(placed[-1].allocated) if placed
+            else dict.fromkeys(path_order, 0.0)
+        )
+        for spec in ordered[keep:]:
+            candidates = eligible_paths(spec, path_order, qos)
+            if not candidates:
+                raise AdmissionError(
+                    spec.name, "no path meets its RTT/loss ceilings"
+                )
+            if spec.max_violation_rate is not None:
+                shares, achieved = _map_violation_bound(
+                    spec, cdfs, allocated, candidates, tw
+                )
+            else:
+                shares, achieved = _map_probabilistic(
+                    spec, allocated, candidates, memo
+                )
+            for p, r in shares.items():
+                allocated[p] += r
+            placed.append(_Placement(spec, shares, achieved, dict(allocated)))
+            self.placements += 1
+        return placed, memo
+
+
 def compute_mapping(
     specs: Sequence[StreamSpec],
     cdfs: Mapping[str, EmpiricalCDF],
     tw: float,
     qos: Mapping[str, PathQoSEstimate] | None = None,
+    fold: Optional[PlacementFold] = None,
 ) -> ResourceMapping:
     """Run the full utility-based resource-mapping step.
 
@@ -573,6 +714,11 @@ def compute_mapping(
         Optional monitored RTT/loss levels per path; streams with
         ``max_rtt_ms`` / ``max_loss_rate`` ceilings are only placed on
         paths meeting them.
+    fold:
+        The :class:`PlacementFold` of a caller that solves again and
+        again (admission control): placements the previous solve
+        settled against the same inputs are kept, not derived again.
+        The result is the one a fresh fold gives.
 
     Raises
     ------
@@ -584,11 +730,9 @@ def compute_mapping(
         raise ConfigurationError(f"tw must be positive, got {tw}")
     if not cdfs:
         raise ConfigurationError("at least one path CDF is required")
+    if fold is None:
+        fold = PlacementFold()
     path_order = list(cdfs)
-    allocated = {p: 0.0 for p in path_order}
-    rates: dict[str, dict[str, float]] = {}
-    achieved_p: dict[str, float] = {}
-    achieved_v: dict[str, float] = {}
 
     # Precedence: probabilistic guarantees by P descending, then
     # violation-bound streams by tightest bound first; required rate breaks
@@ -608,42 +752,29 @@ def compute_mapping(
             )
     prob_keyed.sort()
     viol_keyed.sort()
-    prob_streams = [s for _, _, s in prob_keyed]
-    viol_streams = [s for _, _, s in viol_keyed]
-    def _candidates(spec: StreamSpec) -> list[str]:
-        candidates = eligible_paths(spec, path_order, qos)
-        if not candidates:
-            raise AdmissionError(
-                spec.name, "no path meets its RTT/loss ceilings"
-            )
-        return candidates
+    ordered = [s for _, _, s in prob_keyed]
+    ordered += [s for _, _, s in viol_keyed]
 
-    memo = _ResidualMemo(cdfs)
-    for spec in prob_streams:
-        shares, achieved = _map_probabilistic(
-            spec, cdfs, allocated, _candidates(spec), memo=memo
-        )
-        rates[spec.name] = shares
-        achieved_p[spec.name] = achieved
-        for p, r in shares.items():
-            allocated[p] += r
-    for spec in viol_streams:
-        shares, achieved = _map_violation_bound(
-            spec, cdfs, allocated, _candidates(spec), tw, memo=memo
-        )
-        rates[spec.name] = shares
-        achieved_v[spec.name] = achieved
-        for p, r in shares.items():
-            allocated[p] += r
+    placed, memo = fold._place(ordered, cdfs, tw, qos)
+    rates: dict[str, dict[str, float]] = {}
+    achieved_p: dict[str, float] = {}
+    achieved_v: dict[str, float] = {}
+    for spec, shares, achieved, _ in placed:
+        # A copy: the elastic share below is added onto it in place.
+        rates[spec.name] = dict(shares)
+        if spec.max_violation_rate is not None:
+            achieved_v[spec.name] = achieved
+        else:
+            achieved_p[spec.name] = achieved
+    allocated = (
+        placed[-1].allocated if placed else dict.fromkeys(path_order, 0.0)
+    )
 
     # Elastic streams: divide leftover mean bandwidth by weight.  A stream
     # may be both guaranteed and elastic (video base + fill); its elastic
     # share is added on top of the guaranteed mapping above.
     elastic = [s for s in specs if s.elastic]
-    leftover = {
-        p: max(shifted_cdf(cdfs[p], allocated[p]).mean(), 0.0)
-        for p in path_order
-    }
+    leftover = {p: memo.leftover_mean(p, allocated[p]) for p in path_order}
     total_leftover = sum(leftover.values())
     total_weight = sum(s.weight for s in elastic) if elastic else 0.0
     for spec in elastic:

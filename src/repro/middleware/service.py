@@ -205,6 +205,10 @@ class IQPathsService:
             1, int(round(METRICS_SNAPSHOT_SECONDS / self.dt))
         )
         self.handles: dict[str, StreamHandle] = {}
+        #: The open handles, in ``handles`` order (a reopened name keeps
+        #: its first position): what admission and degradation walk, so
+        #: neither scans every stream the session ever opened.
+        self._open: dict[str, StreamHandle] = {}
         self._opened_interval: dict[str, int] = {}
         self._admission = AdmissionController(tw=tw)
         self._pending: list[tuple[int, Callable[[], None]]] = []
@@ -328,6 +332,21 @@ class IQPathsService:
                 f"admission.{outcome}.partition.{self.partition}"
             ).inc()
 
+    def _count_fold(self) -> None:
+        """Publish the admission fold's lifetime counts as metrics.
+
+        ``mapping.fold_solves`` mapping solves asked of the controller,
+        ``mapping.fold_placements`` streams it placed for them and
+        ``mapping.fold_reused`` placements it kept from the solve
+        before: the split of an open into solve, ladder and bookkeeping.
+        """
+        if not self.obs.enabled:
+            return
+        fold = self._admission.fold
+        for name in ("solves", "placements", "reused"):
+            counter = self.obs.metrics.counter(f"mapping.fold_{name}")
+            counter.inc(getattr(fold, name) - counter.value)
+
     def _reject_upcall(
         self,
         spec: StreamSpec,
@@ -377,7 +396,10 @@ class IQPathsService:
             admitted=admitted,
             tenant=tenant,
         )
-        self.handles[spec.name] = handle
+        reopened = spec.name in self.handles
+        self.handles[spec.name] = self._open[spec.name] = handle
+        if reopened:
+            self._rebuild_open()
         if self.obs.enabled:
             self.obs.metrics.counter("service.streams_opened").inc()
             self.obs.trace.emit(
@@ -395,6 +417,13 @@ class IQPathsService:
         self._vec.on_open(handle)
         self._opened_interval[spec.name] = self._k
         return handle
+
+    def _rebuild_open(self) -> None:
+        """``_open`` from ``handles``: after a restore, and after a
+        reopened name took back its first position."""
+        self._open = {
+            name: h for name, h in self.handles.items() if h.open
+        }
 
     def _maybe_refresh_after_open(self) -> None:
         if self.health is not None and (
@@ -414,16 +443,13 @@ class IQPathsService:
         same question (:meth:`PGOSScheduler.offer_mapping`).
         """
         scheduler = self.scheduler
-        specs = [
-            self._original[h.name]
-            for h in self.handles.values()
-            if h.open
-        ] + new_specs
+        specs = [self._original[name] for name in self._open] + new_specs
         usable = self._usable_paths()
         cdfs = {p: scheduler.monitors[p].cdf() for p in usable}
         qos = scheduler.path_qos(usable)
         with self.obs.prof.span("service.admission"):
             decision = self._admission.try_admit(specs, cdfs, qos)
+        self._count_fold()
         if decision.mapping is not None:
             if not decision.admitted:
                 specs = [
@@ -549,6 +575,7 @@ class IQPathsService:
             self.scheduler.remove_stream(name)
             del self._serving[name]
         handle.closed_at = self.now
+        del self._open[name]
         self._original.pop(name, None)
         self._vec.on_close(name)
         if self.obs.enabled:
@@ -579,21 +606,22 @@ class IQPathsService:
         """Re-plan shedding/downgrades for the current path health."""
         if self.health is None or not self._scheduler_bound:
             return
-        open_handles = [h for h in self.handles.values() if h.open]
-        if not open_handles:
+        if not self._open:
             return
         quarantined = self.health.quarantined()
         usable = self._usable_paths()
         cdfs = {p: self.scheduler.monitors[p].cdf() for p in usable}
-        originals = [self._original[h.name] for h in open_handles]
-        plan = plan_degradation(
-            originals,
-            cdfs,
-            self.tw,
-            quarantine_active=bool(quarantined),
-            admission=self._admission,
-            qos=self.scheduler.path_qos(usable),
-        )
+        originals = [self._original[name] for name in self._open]
+        with self.obs.prof.span("service.degradation_plan"):
+            plan = plan_degradation(
+                originals,
+                cdfs,
+                self.tw,
+                quarantine_active=bool(quarantined),
+                admission=self._admission,
+                qos=self.scheduler.path_qos(usable),
+            )
+        self._count_fold()
         if plan == self._plan:
             return
         self._apply_plan(plan)
@@ -623,12 +651,10 @@ class IQPathsService:
     def _apply_plan(self, plan: DegradationPlan) -> None:
         """Diff the scheduler's stream set against ``plan`` and apply."""
         desired: dict[str, StreamSpec] = {}
-        for handle in self.handles.values():
-            if not handle.open:
-                continue
-            spec = plan.spec_for(handle.name)
+        for name in self._open:
+            spec = plan.spec_for(name)
             if spec is not None:
-                desired[handle.name] = spec
+                desired[name] = spec
         for name in list(self._serving):
             target = desired.get(name)
             if target is None:
@@ -670,9 +696,7 @@ class IQPathsService:
     def shed_streams(self) -> frozenset[str]:
         """Open streams currently paused by the degradation policy."""
         return frozenset(
-            h.name
-            for h in self.handles.values()
-            if h.open and h.name not in self._serving
+            name for name in self._open if name not in self._serving
         )
 
     # ------------------------------------------------------------------
@@ -712,7 +736,7 @@ class IQPathsService:
             self._update_health(k)
             self._k += 1
             return
-        open_handles = [h for h in self.handles.values() if h.open]
+        open_handles = list(self._open.values())
         if open_handles and self._scheduler_bound:
             prof = self.obs.prof
             if prof.enabled:
@@ -881,9 +905,8 @@ class IQPathsService:
         col = self._k - self._start_k
         batch = self._vec.batch
         return {
-            h.name: [float(v) for v in batch.history_array(h.name, col)]
-            for h in self.handles.values()
-            if h.open
+            name: [float(v) for v in batch.history_array(name, col)]
+            for name in self._open
         }
 
     def _backlog_state(self) -> dict[str, float]:
@@ -923,6 +946,7 @@ class IQPathsService:
                 tenant=entry["tenant"],
             )
             self.handles[handle.name] = handle
+        self._rebuild_open()
         self.upcalls = list(state["upcalls"])
         self.events = list(state["events"])
         self._original = {

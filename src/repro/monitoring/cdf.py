@@ -34,6 +34,9 @@ class EmpiricalCDF:
     any reference raises instead of silently corrupting guarantees.
     """
 
+    #: :meth:`sample_list`'s conversion, once it has been asked for.
+    _list: list[float] | None = None
+
     def __init__(self, samples: Iterable[float]):
         arr = np.sort(np.asarray(list(samples), dtype=float))
         if arr.size == 0:
@@ -98,6 +101,18 @@ class EmpiricalCDF:
     def samples(self) -> np.ndarray:
         """Sorted sample array (read-only)."""
         return self._sorted
+
+    def sample_list(self) -> list[float]:
+        """The sorted samples as Python floats, converted on first use.
+
+        For scalar queries that read a handful of samples (the residual
+        guarantee's bisect, an interpolated order statistic): indexing a
+        list costs a fraction of indexing the array.  Treat as
+        read-only, like :attr:`samples`.
+        """
+        if self._list is None:
+            self._list = self._sorted.tolist()
+        return self._list
 
     def evaluate(self, b: float | np.ndarray) -> float | np.ndarray:
         """``F(b)``: fraction of samples ``<= b``."""

@@ -30,11 +30,36 @@ byte-identity guarantee the golden regression suite enforces.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+
+def lerp_order_statistics(
+    n: int, p: float, at: Callable[[int], float]
+) -> float:
+    """The ``p``-quantile of ``n`` ascending values read through ``at``.
+
+    ``np.percentile``'s default (linear) method, bit for bit, on values
+    the caller need not hold as an array: ``at(i)`` is the ``i``-th
+    order statistic, read at most twice.
+    """
+    pos = p * (n - 1)
+    lo = int(pos)
+    if lo + 1 >= n:
+        return float(at(n - 1))
+    frac = pos - lo
+    lo_v = at(lo)
+    hi_v = at(lo + 1)
+    diff = hi_v - lo_v
+    # numpy's _lerp switches to the upper-anchored form at t >= 0.5
+    # for precision; mirror it or ~1% of quantiles differ in the
+    # last ulp from np.percentile.
+    if frac >= 0.5:
+        return float(hi_v - diff * (1.0 - frac))
+    return float(lo_v + diff * frac)
 
 
 class IncrementalWindowCDF:
@@ -195,20 +220,7 @@ class IncrementalWindowCDF:
         n = self._require_samples()
         if not 0.0 <= p <= 1.0:
             raise ConfigurationError(f"p must be in [0, 1], got {p}")
-        arr = self._arr
-        pos = p * (n - 1)
-        lo = int(pos)
-        if lo + 1 >= n:
-            return float(arr[n - 1])
-        frac = pos - lo
-        lo_v = arr[lo]
-        diff = arr[lo + 1] - lo_v
-        # numpy's _lerp switches to the upper-anchored form at t >= 0.5
-        # for precision; mirror it or ~1% of quantiles differ in the
-        # last ulp from np.percentile.
-        if frac >= 0.5:
-            return float(arr[lo + 1] - diff * (1.0 - frac))
-        return float(lo_v + diff * frac)
+        return lerp_order_statistics(n, p, self._arr.__getitem__)
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile, ``q`` in [0, 100]."""

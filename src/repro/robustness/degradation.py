@@ -26,7 +26,7 @@ plans as path health changes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from repro.core.admission import AdmissionController
@@ -76,17 +76,22 @@ class DegradationPlan:
     shed: tuple[str, ...] = ()
     downgraded: Mapping[str, Optional[float]] = None
     notes: tuple[str, ...] = ()
+    #: ``serve`` by stream name, built once: applying a plan asks for
+    #: every open stream's spec.
+    _serve_by_name: Mapping[str, StreamSpec] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.downgraded is None:
             object.__setattr__(self, "downgraded", {})
+        object.__setattr__(
+            self, "_serve_by_name", {s.name: s for s in self.serve}
+        )
 
     def spec_for(self, name: str) -> Optional[StreamSpec]:
         """The (possibly downgraded) spec the plan serves, or ``None`` if shed."""
-        for spec in self.serve:
-            if spec.name == name:
-                return spec
-        return None
+        return self._serve_by_name.get(name)
 
 
 def _demote_to_elastic(spec: StreamSpec) -> StreamSpec:

@@ -1,14 +1,24 @@
 """Property-based tests: resource-mapping invariants."""
 
+import struct
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AdmissionError
+from repro.errors import AdmissionError, ConfigurationError
+from repro.core.guarantees import (
+    guaranteed_rate_at,
+    probabilistic_guarantee,
+    residual_guarantee,
+    residual_rate_at,
+)
 from repro.core.mapping import (
     best_effort_mapping,
     compute_mapping,
     largest_remainder_split,
+    shifted_cdf,
 )
 from repro.core.spec import StreamSpec
 from repro.monitoring.cdf import EmpiricalCDF
@@ -165,3 +175,91 @@ class TestPacketApportionment:
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_one_positive_share_takes_everything(self, total, share):
         assert largest_remainder_split(total, [share]) == [total]
+
+
+# ----------------------------------------------------------------------
+# residual queries without the residual distribution
+# ----------------------------------------------------------------------
+#: Samples on a coarse grid and off it, so exact ties ``s - a == r``,
+#: runs of equal samples and one-ulp neighbours all occur.
+sample_values = st.one_of(
+    st.integers(0, 40).map(lambda i: i * 0.25),
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    st.sampled_from([0.1, 0.2, 0.3, 0.1 + 0.2, 1e-9, 1e9]),
+)
+sample_lists = st.lists(sample_values, min_size=1, max_size=40)
+
+
+@st.composite
+def residual_queries(draw):
+    """(cdf, allocated, required) biased toward the edges: nothing
+    allocated, everything allocated, a requirement of zero, and a
+    requirement that is exactly some sample's residual."""
+    samples = draw(sample_lists)
+    cdf = EmpiricalCDF(samples)
+    allocated = draw(
+        st.one_of(
+            st.just(0.0),
+            sample_values,
+            st.sampled_from(samples),
+            st.just(max(samples) + 1.0),
+        )
+    )
+    required = draw(
+        st.one_of(
+            st.just(0.0),
+            sample_values,
+            st.sampled_from(samples).map(lambda s: max(s - allocated, 0.0)),
+        )
+    )
+    return cdf, allocated, required
+
+
+def bits(value):
+    """The float's eight bytes: tells 0.0 from -0.0, which ``==`` does not."""
+    assert type(value) is float
+    return struct.pack("<d", value)
+
+
+class TestResidualQueries:
+    @settings(max_examples=400, deadline=None)
+    @given(residual_queries())
+    @example((EmpiricalCDF([0.1 + 0.2, 0.3, 1.0]), 0.2, 0.1))
+    @example((EmpiricalCDF([5.0, 7.5]), 0.0, 5.0))
+    @example((EmpiricalCDF([5.0, 7.5]), 9.0, 0.0))
+    @example((EmpiricalCDF([-2.0, -1.0, 3.0]), 0.0, 0.0))
+    def test_guarantee_equals_the_shifted_cdf_route(self, query):
+        cdf, allocated, required = query
+        expected = probabilistic_guarantee(
+            shifted_cdf(cdf, allocated), required
+        )
+        assert bits(residual_guarantee(cdf, allocated, required)) == bits(
+            expected
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        residual_queries(),
+        st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+    )
+    @example((EmpiricalCDF([1.0, 2.0, 4.0, 8.0]), 3.0, 0.0), 0.5)
+    @example((EmpiricalCDF([3.0]), 1.0, 0.0), 0.9)
+    def test_rate_equals_the_shifted_cdf_route(self, query, probability):
+        cdf, allocated, _ = query
+        expected = guaranteed_rate_at(
+            shifted_cdf(cdf, allocated), probability
+        )
+        assert bits(residual_rate_at(cdf, allocated, probability)) == bits(
+            expected
+        )
+
+    def test_arguments_are_checked_as_the_shifted_route_checks_them(self):
+        cdf = EmpiricalCDF([1.0, 2.0])
+        with pytest.raises(ConfigurationError):
+            residual_guarantee(cdf, -1.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            residual_guarantee(cdf, 0.0, -1.0)
+        with pytest.raises(ConfigurationError):
+            residual_rate_at(cdf, -1.0, 0.5)
+        with pytest.raises(ConfigurationError):
+            residual_rate_at(cdf, 0.0, 1.0)

@@ -1,30 +1,47 @@
 """Differential battery: what a membership change installs.
 
 A remap may install the mapping admission control solved one call
-earlier instead of solving again (``PGOSScheduler.offer_mapping``), and
-the V_P / V_S vectors are compiled only when the packet path asks.
-Both are shortcuts around pure functions, so the proof is differential:
-after **every** remap the installed ``ResourceMapping`` must equal a
-fresh ``compute_mapping`` of the scheduler's own inputs — dict iteration
-order of ``rates_mbps`` and ``packets`` included, because the delivery
-loop's float sums follow it — and the lazily compiled schedule must
-equal an eager ``mapping.compile``.
+earlier instead of solving again (``PGOSScheduler.offer_mapping``), the
+V_P / V_S vectors are compiled only when the packet path asks, and an
+admission solve keeps the placements the solve before it settled
+(``PlacementFold``).  All three are shortcuts around pure functions, so
+the proof is differential: after **every** remap the installed
+``ResourceMapping`` must equal a fresh ``compute_mapping`` of the
+scheduler's own inputs — dict iteration order of ``rates_mbps`` and
+``packets`` included, because the delivery loop's float sums follow it
+— the lazily compiled schedule must equal an eager ``mapping.compile``,
+and **every** solve an ``AdmissionController`` runs on its fold — each
+open, rejection, partial solve and degradation-ladder rung of every
+test in this module — must equal the solve on no fold at all.
 
 ``derandomize=True``: this battery gates the byte-identity of every
 report checksum under churn, so it must itself be reproducible.
 """
 
+from dataclasses import replace
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import pgos
-from repro.core.mapping import best_effort_mapping, compute_mapping
+from repro.core import admission, pgos
+from repro.core.admission import AdmissionController
+from repro.core.mapping import (
+    PathQoSEstimate,
+    PlacementFold,
+    best_effort_mapping,
+    compute_mapping,
+)
 from repro.core.spec import StreamSpec
 from repro.errors import AdmissionError
 from repro.middleware.service import IQPathsService
+from repro.monitoring.cdf import EmpiricalCDF
 from repro.network.emulab import make_figure8_testbed
+from repro.network.faults import FaultCampaign, PathFault
+from repro.obs.context import Observability
+from repro.robustness.degradation import DegradationLevel, plan_degradation
 from tests.oracles import ScalarReferenceService
 
 #: Shared, read-only: a service only ever reads its realization.
@@ -56,6 +73,46 @@ def as_items(mapping):
         list(mapping.achieved_violation_rate.items()),
         mapping.tw,
     )
+
+
+def solve_outcome(specs, cdfs, tw, qos, fold=None):
+    """``(mapping, comparable outcome)`` of one solve; a refusal is an
+    outcome too (the stream it names and what it says)."""
+    try:
+        mapping = compute_mapping(specs, cdfs, tw, qos=qos, fold=fold)
+    except AdmissionError as exc:
+        return None, ("refused", exc.stream_name, str(exc))
+    return mapping, as_items(mapping)
+
+
+class FoldChecks:
+    """Stands in for ``compute_mapping`` where a fold is passed: solves
+    on the fold, solves again on none, and demands the same outcome."""
+
+    def __init__(self):
+        self.solves = 0
+        self.refusals = 0
+
+    def __call__(self, specs, cdfs, tw, qos=None, fold=None):
+        assert fold is not None
+        fresh = solve_outcome(specs, cdfs, tw, qos)[1]
+        self.solves += 1
+        try:
+            mapping = compute_mapping(specs, cdfs, tw, qos=qos, fold=fold)
+        except AdmissionError as exc:
+            self.refusals += 1
+            assert ("refused", exc.stream_name, str(exc)) == fresh
+            raise
+        assert as_items(mapping) == fresh
+        return mapping
+
+
+@pytest.fixture(autouse=True)
+def fold_checks():
+    """Every admission solve of every test here is differential."""
+    checks = FoldChecks()
+    with mock.patch.object(admission, "compute_mapping", checks):
+        yield checks
 
 
 class CheckedService:
@@ -341,3 +398,331 @@ class TestScheduleOnDemand:
         assert checked.open("a", 1)
         assert checked.scheduler.mapping is None
         assert checked.scheduler.schedule is None
+
+
+# ----------------------------------------------------------------------
+# the placement fold
+# ----------------------------------------------------------------------
+def sampled_cdf(mean, seed, std=2.0, n=400):
+    rng = np.random.default_rng(seed)
+    return EmpiricalCDF(np.clip(mean + std * rng.standard_normal(n), 0, None))
+
+
+QOS_LEVELS = [
+    None,
+    {"A": PathQoSEstimate(rtt_ms=34.0), "B": PathQoSEstimate(rtt_ms=38.0)},
+    {"A": PathQoSEstimate(rtt_ms=38.0), "B": PathQoSEstimate(rtt_ms=34.0)},
+    {"A": PathQoSEstimate(rtt_ms=40.0), "B": PathQoSEstimate(rtt_ms=41.0)},
+]
+
+
+class FoldProgram:
+    """One persistent fold against a stream set, paths and levels that
+    change under it; after every change, and after the partial solve a
+    refusal is followed by, the fold must answer as a fresh one."""
+
+    def __init__(self, fold):
+        self.fold = fold
+        self.specs = []
+        self.paths = {"A": sampled_cdf(70.0, 1), "B": sampled_cdf(45.0, 2)}
+        self.quarantined = set()
+        self.qos = None
+        self.tw = 1.0
+        self.opened = 0
+        self.samples = 2
+        self.solves = 0
+
+    def check(self):
+        specs = list(self.specs)
+        cdfs = {
+            p: cdf for p, cdf in self.paths.items()
+            if p not in self.quarantined
+        }
+        _, outcome = solve_outcome(specs, cdfs, self.tw, self.qos, self.fold)
+        assert outcome == solve_outcome(specs, cdfs, self.tw, self.qos)[1]
+        self.solves += 1
+        if outcome[0] == "refused":
+            # What AdmissionController._reject asks next.
+            others = [s for s in specs if s.name != outcome[1]]
+            _, partial = solve_outcome(
+                others, cdfs, self.tw, self.qos, self.fold
+            )
+            assert partial == solve_outcome(
+                others, cdfs, self.tw, self.qos
+            )[1]
+
+    def apply(self, op, arg):
+        specs = self.specs
+        guaranteed = [
+            i for i, s in enumerate(specs) if s.probability is not None
+        ]
+        if op == "open":
+            specs.append(
+                StreamSpec(
+                    name=f"s{self.opened}",
+                    **TEMPLATES[arg % len(TEMPLATES)],
+                )
+            )
+            self.opened += 1
+        elif op == "close" and specs:
+            del specs[arg % len(specs)]
+        elif op == "downgrade" and guaranteed:
+            # A ladder rung: one stream re-sorts further back.
+            i = guaranteed[arg % len(guaranteed)]
+            specs[i] = replace(
+                specs[i], probability=specs[i].probability * 0.8
+            )
+        elif op == "demote" and guaranteed:
+            # The last rung: the stream leaves the fold altogether.
+            i = guaranteed[arg % len(guaranteed)]
+            specs[i] = replace(
+                specs[i],
+                probability=None,
+                elastic=True,
+                nominal_mbps=specs[i].required_mbps,
+            )
+        elif op == "copy" and specs:
+            # plan_degradation restarts its ladder from equal specs that
+            # are other objects.
+            i = arg % len(specs)
+            specs[i] = replace(specs[i])
+        elif op == "sample":
+            # A monitor's next sample: a new snapshot object, the
+            # distribution where it was or well below.
+            path = "AB"[arg % 2]
+            self.samples += 1
+            self.paths[path] = sampled_cdf(
+                (70.0 if path == "A" else 45.0) / (1 + arg // 2 % 3),
+                self.samples,
+            )
+        elif op == "quarantine":
+            # Flip one path; never both down.
+            self.quarantined ^= {"AB"[arg % 2]}
+            if len(self.quarantined) == 2:
+                self.quarantined = set()
+        elif op == "qos":
+            self.qos = QOS_LEVELS[arg % len(QOS_LEVELS)]
+        elif op == "tw":
+            # 0.011 s holds 5.5 packets of the violation-bound template:
+            # its window quota, and so its rate, rounds differently.
+            self.tw = [1.0, 0.5, 0.011][arg % 3]
+        self.check()
+
+    def run(self, program):
+        for op, arg in program:
+            self.apply(op, arg)
+        return self
+
+
+FOLD_OPS = [
+    "open", "open", "open", "close", "downgrade", "demote", "copy",
+    "sample", "quarantine", "qos", "tw",
+]
+
+
+def _stale_fold(ignored):
+    """A fold that forgets to look at one of its validity keys."""
+
+    class StaleFold(PlacementFold):
+        def _memo_for(self, cdfs, tw, qos):
+            memo = self._memo
+            if memo is not None:
+                if ignored == "cdf identity" and list(cdfs) == list(memo.cdfs):
+                    cdfs = memo.cdfs
+                elif ignored == "path list" and set(cdfs) <= set(memo.cdfs):
+                    cdfs = memo.cdfs
+                elif ignored == "qos":
+                    qos = self._qos
+                elif ignored == "tw":
+                    tw = self._tw
+            return super()._memo_for(cdfs, tw, qos)
+
+    return StaleFold()
+
+
+#: Per validity key, a program whose last step moves only that key.
+KEY_MOVES = {
+    "cdf identity": [("open", 1), ("open", 2), ("sample", 2)],
+    "path list": [("open", 1), ("open", 2), ("quarantine", 0)],
+    "qos": [("qos", 1), ("open", 6), ("open", 1), ("qos", 2)],
+    "tw": [("open", 4), ("open", 0), ("tw", 2)],
+}
+
+
+class TestPlacementFold:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(FOLD_OPS), st.integers(0, 63)),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_persistent_fold_answers_as_a_fresh_one(self, program):
+        FoldProgram(PlacementFold()).run(program)
+
+    @pytest.mark.parametrize("key", sorted(KEY_MOVES))
+    def test_each_validity_key_is_needed(self, key):
+        """Mutation check of the differential itself: the program passes
+        on the real fold and fails on one that ignores ``key``."""
+        program = KEY_MOVES[key]
+        assert FoldProgram(PlacementFold()).run(program).solves == len(program)
+        stale = FoldProgram(_stale_fold(key)).run(program[:-1])
+        with pytest.raises(AssertionError):
+            stale.apply(*program[-1])
+
+    def test_prefix_is_kept_and_only_the_suffix_placed(self):
+        fold = PlacementFold()
+        run = FoldProgram(fold).run([("open", 0), ("open", 1), ("open", 2)])
+        # 1 + 2 + 3 placements without the fold; P-descending templates
+        # arrive in precedence order, so each open appends one.
+        assert (fold.solves, fold.placements, fold.reused) == (3, 3, 3)
+        # A downgrade of the first stream re-sorts it to the back:
+        # nothing ahead of its old position, so everything is placed again.
+        run.apply("downgrade", 0)
+        assert (fold.placements, fold.reused) == (6, 3)
+        # Closing the stream now last keeps the two ahead of it.
+        run.apply("close", 0)
+        assert (fold.placements, fold.reused) == (6, 5)
+
+    def test_refusal_keeps_the_streams_ahead_of_the_refused(self):
+        fold = PlacementFold()
+        run = FoldProgram(fold).run([("open", 1), ("open", 2)])
+        before = fold.placements
+        # Sorts between the two (P 0.95 > 0.93 > 0.9) and fits nowhere.
+        run.specs.append(
+            StreamSpec(name="huge", required_mbps=400.0, probability=0.93)
+        )
+        run.check()
+        # The refused solve kept s0 and stopped at "huge"; the partial
+        # solve kept s0 and placed s1, which the refusal never reached.
+        assert fold.placements - before == 1
+        assert [r.spec.name for r in fold._placed] == ["s0", "s1"]
+
+    def test_fold_keeps_its_own_copy_of_the_shares(self):
+        """The elastic epilogue adds a guaranteed+elastic stream's fill
+        onto ``rates[name]`` in place; the fold's record must not grow
+        with it, nor with what a caller does to the mapping."""
+        fold = PlacementFold()
+        specs = [
+            StreamSpec(
+                name="video",
+                required_mbps=5.0,
+                probability=0.9,
+                elastic=True,
+                nominal_mbps=15.0,
+            ),
+            StreamSpec(name="ctl", required_mbps=3.0, probability=0.99),
+        ]
+        cdfs = {"A": sampled_cdf(70.0, 1), "B": sampled_cdf(45.0, 2)}
+        fresh = as_items(compute_mapping(specs, cdfs, 1.0))
+        first = compute_mapping(specs, cdfs, 1.0, fold=fold)
+        assert sum(first.rates_mbps["video"].values()) > 5.0
+        assert as_items(first) == fresh
+        first.rates_mbps["ctl"]["A"] = first.rates_mbps["ctl"]["B"] = 1e3
+        assert as_items(compute_mapping(specs, cdfs, 1.0, fold=fold)) == fresh
+        assert fold.reused == 2
+
+    def test_caller_editing_its_cdfs_in_place_is_seen(self):
+        fold = PlacementFold()
+        specs = [StreamSpec(name="a", required_mbps=25.0, probability=0.9)]
+        cdfs = {"A": sampled_cdf(70.0, 1), "B": sampled_cdf(45.0, 2)}
+        compute_mapping(specs, cdfs, 1.0, fold=fold)
+        cdfs["A"] = sampled_cdf(20.0, 3)
+        assert as_items(
+            compute_mapping(specs, cdfs, 1.0, fold=fold)
+        ) == as_items(compute_mapping(specs, cdfs, 1.0))
+        assert fold.reused == 0
+
+
+class TestLadderOnTheFold:
+    def test_every_rung_of_the_ladder_is_differential(self, fold_checks):
+        """Downgrades re-sort a stream, the second rejection strips it:
+        each rung's solve on the controller's fold equals a fresh one
+        (held by the ``fold_checks`` stand-in), and the ladder restarted
+        on the same controller reuses what the last run placed."""
+        specs = [
+            StreamSpec(name=f"g{i}", required_mbps=rate, probability=p)
+            for i, (rate, p) in enumerate(
+                [(10.0, 0.99), (8.0, 0.95), (8.0, 0.9), (6.0, 0.9), (5.0, 0.8)]
+            )
+        ] + [StreamSpec(name="bulk", elastic=True, nominal_mbps=30.0)]
+        cdfs = {"A": sampled_cdf(22.0, 5, std=6.0)}
+        controller = AdmissionController(tw=1.0)
+        plan = plan_degradation(
+            specs, cdfs, 1.0, quarantine_active=True, admission=controller
+        )
+        assert plan.level is DegradationLevel.DOWNGRADED
+        assert any(p is not None for p in plan.downgraded.values())
+        assert any(p is None for p in plan.downgraded.values())
+        assert fold_checks.refusals >= 3
+        placements = controller.fold.placements
+        solves = fold_checks.solves
+        again = plan_degradation(
+            specs, cdfs, 1.0, quarantine_active=True, admission=controller
+        )
+        assert again == plan
+        assert plan == plan_degradation(
+            specs, cdfs, 1.0, quarantine_active=True
+        )
+        # Same rungs, nearly all of their placements already in the memo
+        # or the fold: fewer new placements than rungs.
+        rungs = fold_checks.solves - solves
+        assert controller.fold.placements - placements < rungs * len(specs) / 2
+
+    def test_flash_crowd_during_an_outage(self, fold_checks):
+        """The chaos shape end to end: lenient opens while a path is
+        quarantined, every open re-planning the ladder — and a profile
+        of it that tells the open's solve from the ladder's."""
+        obs = Observability(profile=True)
+        realization = make_figure8_testbed(
+            profile_a="abilene-moderate", profile_b="light"
+        ).realize(seed=77, duration=60.0, dt=0.1)
+        service = IQPathsService(
+            realization,
+            warmup_intervals=200,
+            strict_admission=False,
+            campaign=FaultCampaign(
+                faults=(
+                    PathFault(path="A", start=3.0, end=20.0, severity=1.0),
+                ),
+                name="outage-A",
+            ),
+            obs=obs,
+        )
+        service.open_stream(StreamSpec(name="bulk", elastic=True,
+                                       nominal_mbps=30.0))
+        service.advance(8.0)
+        assert service.health.quarantined()
+        for i in range(14):
+            service.open_stream(
+                StreamSpec(
+                    name=f"g{i}",
+                    required_mbps=6.0 + i % 3,
+                    probability=[0.99, 0.95, 0.9][i % 3],
+                )
+            )
+            if i % 4 == 3:
+                service.advance(0.2)
+            if i == 9:
+                service.close_stream("g2")
+        assert service.degradation_level is DegradationLevel.DOWNGRADED
+        fold = service._admission.fold
+        assert fold_checks.refusals > 10
+        assert fold.reused > fold.placements
+        counted = {
+            name: obs.metrics.get(f"mapping.fold_{name}").value
+            for name in ("solves", "placements", "reused")
+        }
+        assert counted == {
+            "solves": fold_checks.solves,
+            "placements": fold.placements,
+            "reused": fold.reused,
+        }
+        spans = {}
+        for row in obs.prof.report().rows:
+            spans[row["name"]] = spans.get(row["name"], 0) + row["count"]
+        assert spans["service.admission"] == 15
+        assert spans["service.degradation_plan"] >= 14
+        service.advance(30.0)
+        assert not service.health.quarantined()
