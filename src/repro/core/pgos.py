@@ -121,6 +121,9 @@ class PGOSScheduler(SchedulerBase):
         self._obs = NULL_OBS
         self._clock: Callable[[], float] = lambda: 0.0
         self.monitors: dict[str, PathMonitor] = {}
+        #: Names of :attr:`streams`, kept beside the list so a duplicate
+        #: check costs one lookup, not a scan of the population.
+        self._names: set[str] = set()
         self.mapping: Optional[ResourceMapping] = None
         self._compiled: Optional[tuple[ResourceMapping, Schedule]] = None
         self._offer: Optional[_SolvedMapping] = None
@@ -143,6 +146,7 @@ class PGOSScheduler(SchedulerBase):
         tw: float,
     ) -> None:
         super().setup(streams, path_names, dt, tw)
+        self._names = {s.name for s in self.streams}
         self.monitors = {
             p: PathMonitor(
                 p,
@@ -204,11 +208,12 @@ class PGOSScheduler(SchedulerBase):
     # ------------------------------------------------------------------
     def add_stream(self, spec: StreamSpec) -> None:
         """Admit a new stream mid-run (forces a remap, Figure 7 line 2)."""
-        if any(s.name == spec.name for s in self.streams):
+        if spec.name in self._names:
             raise ConfigurationError(
                 f"stream {spec.name!r} already scheduled"
             )
         self.streams.append(spec)
+        self._names.add(spec.name)
         self.mapping = None  # "previous scheduling vectors" are void
 
     def remove_stream(self, name: str) -> StreamSpec:
@@ -216,6 +221,7 @@ class PGOSScheduler(SchedulerBase):
         for i, spec in enumerate(self.streams):
             if spec.name == name:
                 del self.streams[i]
+                self._names.discard(name)
                 self.mapping = None
                 return spec
         raise ConfigurationError(f"unknown stream {name!r}")
@@ -474,6 +480,7 @@ class PGOSScheduler(SchedulerBase):
         state).
         """
         self.streams = [StreamSpec.from_dict(d) for d in state["streams"]]
+        self._names = {s.name for s in self.streams}
         for path, monitor_state in state["monitors"].items():
             monitor = self.monitors.get(path)
             if monitor is None:

@@ -301,7 +301,7 @@ class IQPathsService:
         )
         # setup() replaced the stream list; drop the bootstrap spec, the
         # caller's open_stream() adds it through the normal path.
-        self.scheduler.streams.clear()
+        self.scheduler.remove_stream(first_spec.name)
         self._scheduler_bound = True
         if self.health is not None:
             self.scheduler.set_quarantine(self.health.quarantined())

@@ -250,6 +250,16 @@ class SlidingWindowCDF:
         """Whether the history window has filled up."""
         return len(self) == self.window
 
+    @property
+    def incremental(self) -> IncrementalWindowCDF:
+        """The live sorted window.
+
+        Restoring a snapshot replaces this object rather than resetting
+        it, so its identity together with its ``updates`` count names
+        one point in the window's history.
+        """
+        return self._inc
+
     def update(self, sample: float) -> None:
         """Append one bandwidth measurement (Mbps)."""
         prof = self._obs.prof

@@ -6,6 +6,14 @@ new stream joins or the CDF changes dramatically" (Figure 7, line 2);
 :meth:`PathMonitor.cdf_changed_significantly` quantifies *dramatically* as
 a Kolmogorov–Smirnov distance between the current window's CDF and the CDF
 snapshot taken at the last remap.
+
+That distance is only computed when it could exceed the threshold.  On a
+full window of ``n`` samples one new sample moves the window's CDF, and so
+the distance to the fixed reference, by at most ``1/n``: a check that
+measured ``d`` leaves ``(threshold - d) * n`` updates, less one count of
+margin against float rounding, whose answer is already known to be
+``False``.  ``docs/sim.md`` ("When the remap trigger can be skipped")
+gives the argument and the points where that quiet horizon resets.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.errors import ConfigurationError
 from repro.monitoring.cdf import EmpiricalCDF, SlidingWindowCDF, ks_distance
+from repro.monitoring.incremental import IncrementalWindowCDF
 from repro.monitoring.predictors import EWMAPredictor
 from repro.obs.context import NULL_OBS, Observability
 from repro.obs.events import Category
@@ -54,6 +63,12 @@ class PathMonitor:
         self.rtt_ms = EWMAPredictor(alpha=0.2)
         self.loss_rate = EWMAPredictor(alpha=0.2)
         self._reference_cdf: Optional[EmpiricalCDF] = None
+        # Quiet horizon of the remap trigger: while the bandwidth window
+        # is this object and its update count is at most this value, the
+        # KS distance provably stays within ks_threshold.  Derived state,
+        # never checkpointed.
+        self._quiet_window: Optional[IncrementalWindowCDF] = None
+        self._quiet_until = 0
         self._obs = obs if obs is not None else NULL_OBS
         self._clock: Callable[[], float] = clock or (lambda: 0.0)
         # One-step-ahead bandwidth forecast, kept only for the
@@ -142,6 +157,7 @@ class PathMonitor:
         """Snapshot the current CDF as the reference for change detection."""
         old = self._reference_cdf
         self._reference_cdf = self.cdf()
+        self._quiet_window = None
         if self._obs.enabled:
             self._obs.metrics.counter("monitor.cdf_refreshes").inc()
             self._obs.trace.emit(
@@ -199,21 +215,40 @@ class PathMonitor:
         )
         forecast = state["bw_forecast"]
         self._bw_forecast = None if forecast is None else float(forecast)
+        self._quiet_window = None
 
     def cdf_changed_significantly(self) -> bool:
-        """Whether the distribution drifted beyond ``ks_threshold``."""
+        """Whether the distribution drifted beyond ``ks_threshold``.
+
+        The distance is computed only when it could have crossed the
+        threshold since the last computation (see the module docstring);
+        otherwise the answer is the known ``False``.
+        """
         if self._reference_cdf is None:
             return True  # never mapped against this path yet
+        window = self.bandwidth.incremental
+        if window is self._quiet_window and window.updates <= self._quiet_until:
+            return False
         ks = ks_distance(self.cdf(), self._reference_cdf)
         shifted = ks > self.ks_threshold
-        if shifted and self._obs.enabled:
-            self._obs.metrics.counter("monitor.cdf_shifts").inc()
-            self._obs.trace.emit(
-                self._clock(),
-                Category.MONITOR,
-                "cdf_shift",
-                path=self.name,
-                ks_distance=ks,
-                threshold=self.ks_threshold,
-            )
+        if self._obs.enabled:
+            self._obs.metrics.counter("monitor.ks_evaluations").inc()
+            if shifted:
+                self._obs.metrics.counter("monitor.cdf_shifts").inc()
+                self._obs.trace.emit(
+                    self._clock(),
+                    Category.MONITOR,
+                    "cdf_shift",
+                    path=self.name,
+                    ks_distance=ks,
+                    threshold=self.ks_threshold,
+                )
+        if not shifted and window.full:
+            # In counts of 1/n, one per update; the one count of margin
+            # absorbs the rounding of k/n, so a distance the float
+            # comparison would see above the threshold is never skipped.
+            n = window.window
+            slack = int(self.ks_threshold * n - ks * n) - 1
+            self._quiet_window = window
+            self._quiet_until = window.updates + max(slack, 0)
         return shifted

@@ -263,6 +263,61 @@ def test_resume_false_ignores_checkpoint(tmp_path):
     assert report.to_dict() == golden().to_dict()
 
 
+def test_resume_inside_a_quiet_horizon():
+    """A snapshot cut while a monitor's remap trigger is skipping.
+
+    The horizon is derived state outside ``state_dict``: the resumed
+    service evaluates its first check and must land on the same
+    decisions, hence the same report checksum.
+    """
+    import json
+
+    from repro.core.spec import StreamSpec
+    from repro.middleware.service import IQPathsService
+    from repro.network.emulab import make_figure8_testbed
+    from repro.runner.cache import payload_digest
+
+    realization = make_figure8_testbed().realize(
+        seed=5, duration=85.0, dt=0.1
+    )
+
+    def fresh():
+        service = IQPathsService(realization, warmup_intervals=100)
+        service.open_streams(
+            [
+                StreamSpec(name="crit", required_mbps=8.0, probability=0.9),
+                StreamSpec(name="bulk", elastic=True, nominal_mbps=20.0),
+            ]
+        )
+        return service
+
+    def checksum(service):
+        return payload_digest(
+            {n: r.mbps.tolist() for n, r in service.reports().items()}
+        )
+
+    uninterrupted = fresh()
+    uninterrupted.advance(70.0)
+
+    cut = fresh()
+    cut.advance(50.0)  # 100 seeded + 500 observed: the windows are full
+    quiet = [
+        m
+        for m in cut.scheduler.monitors.values()
+        if m._quiet_window is m.bandwidth.incremental
+        and m.bandwidth.incremental.updates < m._quiet_until
+    ]
+    assert quiet, "the cut must fall inside some monitor's quiet horizon"
+    state = json.loads(json.dumps(cut.state_dict()))
+    resumed = IQPathsService(realization, warmup_intervals=100)
+    resumed.load_state_dict(state)
+    resumed.advance(20.0)
+    assert checksum(resumed) == checksum(uninterrupted)
+    assert payload_digest(resumed.state_dict()) == payload_digest(
+        uninterrupted.state_dict()
+    )
+
+
 def test_driver_refuses_midrun_restore(tmp_path):
     from repro.workload.scenarios import make_scale_run
 

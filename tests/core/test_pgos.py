@@ -254,6 +254,58 @@ class TestPGOSAllocate:
             PGOSScheduler(split_strategy="sideways")
 
 
+class TestStreamNames:
+    """The name set beside ``streams`` follows every writer of the list."""
+
+    @staticmethod
+    def assert_duplicate_refused(scheduler, name):
+        before = [s.name for s in scheduler.streams]
+        with pytest.raises(ConfigurationError, match="already scheduled"):
+            scheduler.add_stream(StreamSpec(name=name, elastic=True))
+        assert [s.name for s in scheduler.streams] == before
+
+    def test_after_setup(self, rng):
+        scheduler = seeded_scheduler(rng)
+        self.assert_duplicate_refused(scheduler, "crit")
+        self.assert_duplicate_refused(scheduler, "bulk")
+
+    def test_after_remove_and_readd(self, rng):
+        scheduler = seeded_scheduler(rng)
+        spec = scheduler.remove_stream("crit")
+        scheduler.add_stream(spec)  # the name is free again
+        assert [s.name for s in scheduler.streams] == ["bulk", "crit"]
+        self.assert_duplicate_refused(scheduler, "crit")
+
+    def test_after_restore(self, rng):
+        scheduler = seeded_scheduler(rng)
+        state = scheduler.state_dict()
+        restored = PGOSScheduler(min_history=30)
+        restored.setup(
+            [StreamSpec(name="other", elastic=True)], ["A", "B"],
+            dt=0.1, tw=1.0,
+        )
+        restored.load_state_dict(state)
+        restored.add_stream(StreamSpec(name="other", elastic=True))
+        self.assert_duplicate_refused(restored, "crit")
+        self.assert_duplicate_refused(restored, "other")
+
+    def test_after_service_bind(self):
+        from repro.middleware.service import IQPathsService
+        from repro.network.emulab import make_figure8_testbed
+
+        realization = make_figure8_testbed().realize(
+            seed=3, duration=30.0, dt=0.1
+        )
+        service = IQPathsService(realization, warmup_intervals=100)
+        # Binding sets the scheduler up with the first spec and drops it
+        # again; the open then adds it through add_stream.
+        service.open_stream(
+            StreamSpec(name="first", required_mbps=5.0, probability=0.9)
+        )
+        assert [s.name for s in service.scheduler.streams] == ["first"]
+        self.assert_duplicate_refused(service.scheduler, "first")
+
+
 class TestOfferedMapping:
     """remap() installs a handed-over mapping only for its own question."""
 

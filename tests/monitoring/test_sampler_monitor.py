@@ -1,10 +1,13 @@
 """Throughput sampler and the per-path monitor."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.monitoring.monitor import PathMonitor
+from repro.obs.context import Observability
 from repro.monitoring.sampler import ThroughputSampler
 
 
@@ -91,3 +94,80 @@ class TestPathMonitor:
             monitor.observe_loss(2.0)
         with pytest.raises(ConfigurationError):
             monitor.guaranteed_bandwidth(1.5)
+
+
+class TestRemapTriggerSkip:
+    """The quiet horizon: when the KS distance is computed, and when not."""
+
+    @staticmethod
+    def quiet_monitor(rng):
+        """A full, stable window just checked: its next checks may skip."""
+        monitor = PathMonitor("A", window=100, ks_threshold=0.2)
+        monitor.bind_observability(Observability())
+        monitor.observe_bandwidth_many(50 + rng.standard_normal(100))
+        monitor.mark_remapped()
+        assert not monitor.cdf_changed_significantly()
+        return monitor
+
+    @staticmethod
+    def evaluations(monitor) -> int:
+        return monitor._obs.metrics.counter("monitor.ks_evaluations").value
+
+    def test_checks_inside_the_horizon_skip(self, rng):
+        monitor = self.quiet_monitor(rng)
+        assert self.evaluations(monitor) == 1
+        # Distance 0 leaves 20 counts, less one of margin: 19 updates.
+        for _ in range(19):
+            monitor.observe_bandwidth(50.0)
+            assert not monitor.cdf_changed_significantly()
+        assert self.evaluations(monitor) == 1
+        monitor.observe_bandwidth(50.0)
+        monitor.cdf_changed_significantly()
+        assert self.evaluations(monitor) == 2
+
+    def test_a_filling_window_evaluates_every_check(self, rng):
+        monitor = PathMonitor("A", window=100, ks_threshold=0.2)
+        monitor.bind_observability(Observability())
+        monitor.observe_bandwidth_many(50 + rng.standard_normal(50))
+        monitor.mark_remapped()
+        for _ in range(5):
+            monitor.observe_bandwidth(50.0)
+            monitor.cdf_changed_significantly()
+        assert self.evaluations(monitor) == 5
+
+    def test_mark_remapped_forces_an_evaluation(self, rng):
+        monitor = self.quiet_monitor(rng)
+        monitor.mark_remapped()
+        monitor.cdf_changed_significantly()
+        assert self.evaluations(monitor) == 2
+
+    def test_load_state_dict_forces_an_evaluation(self, rng):
+        monitor = self.quiet_monitor(rng)
+        monitor.load_state_dict(monitor.state_dict())
+        monitor.cdf_changed_significantly()
+        assert self.evaluations(monitor) == 2
+
+    def test_replaced_window_forces_an_evaluation(self, rng):
+        # Restoring the window alone restarts its update count; the
+        # horizon belongs to the window object it was measured on.
+        monitor = self.quiet_monitor(rng)
+        window = monitor.bandwidth.incremental
+        monitor.bandwidth.load_state_dict(monitor.bandwidth.state_dict())
+        assert monitor.bandwidth.incremental is not window
+        monitor.cdf_changed_significantly()
+        assert self.evaluations(monitor) == 2
+
+    def test_state_dict_unchanged_by_the_horizon(self, rng):
+        samples = 50 + rng.standard_normal(100)
+        checked = PathMonitor("A", window=100)
+        unchecked = PathMonitor("A", window=100)
+        for monitor in (checked, unchecked):
+            monitor.observe_bandwidth_many(samples)
+            monitor.mark_remapped()
+        checked.cdf_changed_significantly()
+        assert checked._quiet_window is checked.bandwidth.incremental
+        state = checked.state_dict()
+        assert list(state) == [
+            "bandwidth", "rtt_ms", "loss_rate", "reference_cdf", "bw_forecast"
+        ]
+        assert json.dumps(state) == json.dumps(unchecked.state_dict())
