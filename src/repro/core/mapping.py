@@ -32,7 +32,7 @@ same paths places only the streams behind the first difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -178,7 +178,6 @@ def _packets_from_rates(
     return packets
 
 
-@dataclass(frozen=True)
 class ResourceMapping:
     """The output of the mapping step.
 
@@ -187,7 +186,8 @@ class ResourceMapping:
     packets:
         ``Tp_i^j``: stream name -> path name -> packets per window.
     rates_mbps:
-        The same shares expressed as rates.
+        The same shares expressed as rates.  Never mutated once the
+        mapping exists: a solve's packet table is built from it.
     achieved_probability:
         Per guaranteed stream, the probability with which the mapping
         meets its requirement (Lemma 1, union-bounded when split).
@@ -196,13 +196,77 @@ class ResourceMapping:
         packets missing deadlines (Lemma 2).
     tw:
         Scheduling-window length used for packet conversion.
+
+    A mapping holds either its packet table or the specs it was solved
+    for, from which the table is built once, the first time ``packets``
+    is read: only the packet path's V_P / V_S compile, :meth:`paths_of`
+    and a checkpoint read it, and interval-mode delivery never does
+    (docs/sim.md, "What a solve hands to delivery").  A solve passes
+    ``specs``; a table that cannot be re-derived from its rates (an even
+    split, a restored checkpoint) is passed as ``packets``.
     """
 
-    packets: dict[str, dict[str, int]]
-    rates_mbps: dict[str, dict[str, float]]
-    achieved_probability: dict[str, float] = field(default_factory=dict)
-    achieved_violation_rate: dict[str, float] = field(default_factory=dict)
-    tw: float = 1.0
+    __slots__ = (
+        "rates_mbps",
+        "achieved_probability",
+        "achieved_violation_rate",
+        "tw",
+        "_packets",
+        "_specs",
+    )
+
+    def __init__(
+        self,
+        rates_mbps: dict[str, dict[str, float]],
+        achieved_probability: Optional[dict[str, float]] = None,
+        achieved_violation_rate: Optional[dict[str, float]] = None,
+        tw: float = 1.0,
+        *,
+        packets: Optional[dict[str, dict[str, int]]] = None,
+        specs: Optional[Sequence[StreamSpec]] = None,
+    ):
+        if (packets is None) == (specs is None):
+            raise ConfigurationError(
+                "a mapping takes its packet table or the specs to build "
+                "it from, exactly one of the two"
+            )
+        self.rates_mbps = rates_mbps
+        self.achieved_probability = (
+            {} if achieved_probability is None else achieved_probability
+        )
+        self.achieved_violation_rate = (
+            {} if achieved_violation_rate is None else achieved_violation_rate
+        )
+        self.tw = tw
+        self._packets = packets
+        # A copy: the caller's list (a scheduler's streams) moves on.
+        self._specs = None if specs is None else tuple(specs)
+
+    @property
+    def packets(self) -> dict[str, dict[str, int]]:
+        """``Tp_i^j``, built from the solve's rates on first read."""
+        if self._packets is None:
+            self._packets = _packets_from_rates(
+                self._specs, self.rates_mbps, self.tw
+            )
+            self._specs = None
+        return self._packets
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResourceMapping):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in (
+                "packets",
+                "rates_mbps",
+                "achieved_probability",
+                "achieved_violation_rate",
+                "tw",
+            )
+        )
+
+    __hash__ = None  # equal by (mutable) contents
 
     def paths_of(self, stream: str) -> list[str]:
         """Paths carrying a non-null sub-stream of ``stream``."""
@@ -496,11 +560,13 @@ def even_split_mapping(
                 1.0 - float(guarantees[p][i]) for p in path_order
             )
             achieved_p[spec.name] = max(0.0, 1.0 - misses)
+    # An explicit table: the ``total / n`` shares need not sum back to
+    # ``total`` bit for bit, so it cannot be re-derived from the rates.
     return ResourceMapping(
-        packets=packets,
         rates_mbps=rates,
         achieved_probability=achieved_p,
         tw=tw,
+        packets=packets,
     )
 
 
@@ -563,10 +629,10 @@ def best_effort_mapping(
             prior[p] = prior.get(p, 0.0) + r
         rates[spec.name] = prior
     return ResourceMapping(
-        packets=_packets_from_rates(specs, rates, tw),
         rates_mbps=rates,
         achieved_probability=achieved_p,
         tw=tw,
+        specs=specs,
     )
 
 
@@ -706,6 +772,12 @@ def compute_mapping(
     ----------
     specs:
         All streams to map (guaranteed, violation-bound, and elastic).
+        The mapping keeps a copy of the sequence to build its packet
+        table from, if that is ever read.  A spec both guaranteed and
+        elastic is mapped (its elastic share on top of its guaranteed
+        one), but interval-mode delivery files two requests for it on
+        one path, so the service refuses it at open: a layered stream
+        is a guaranteed base stream plus an elastic fill stream.
     cdfs:
         Per-path available-bandwidth CDFs from monitoring.
     tw:
@@ -770,9 +842,10 @@ def compute_mapping(
         placed[-1].allocated if placed else dict.fromkeys(path_order, 0.0)
     )
 
-    # Elastic streams: divide leftover mean bandwidth by weight.  A stream
-    # may be both guaranteed and elastic (video base + fill); its elastic
-    # share is added on top of the guaranteed mapping above.
+    # Elastic streams: divide leftover mean bandwidth by weight.  A spec
+    # both guaranteed and elastic gets its elastic share added on top of
+    # its guaranteed mapping above (see ``specs`` in the docstring for
+    # why the service still refuses one).
     elastic = [s for s in specs if s.elastic]
     leftover = {p: memo.leftover_mean(p, allocated[p]) for p in path_order}
     total_leftover = sum(leftover.values())
@@ -795,9 +868,9 @@ def compute_mapping(
         rates[spec.name] = prior
 
     return ResourceMapping(
-        packets=_packets_from_rates(specs, rates, tw),
         rates_mbps=rates,
         achieved_probability=achieved_p,
         achieved_violation_rate=achieved_v,
         tw=tw,
+        specs=specs,
     )

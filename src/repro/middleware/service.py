@@ -121,6 +121,24 @@ def _session_clock(service: "IQPathsService") -> Callable[[], float]:
     return clock
 
 
+def _check_servable(spec: StreamSpec) -> None:
+    """Refuse a spec interval-mode delivery cannot serve, before any state.
+
+    A spec both guaranteed (or violation-bound) and elastic would file a
+    rule-1/2 request and a rule-3 request on one path, which the
+    water-fill refuses at the next step — after the open was committed.
+    """
+    if spec.elastic and (
+        spec.guaranteed or spec.max_violation_rate is not None
+    ):
+        raise ConfigurationError(
+            f"stream {spec.name!r} is both guaranteed and elastic, which "
+            "delivery cannot serve on one path; open a guaranteed base "
+            "stream plus an elastic fill stream instead (as "
+            "repro.apps.video.layered_video_streams does)"
+        )
+
+
 class IQPathsService:
     """The full middleware behind one object.
 
@@ -506,6 +524,7 @@ class IQPathsService:
         """
         if spec.name in self.handles and self.handles[spec.name].open:
             raise ConfigurationError(f"stream {spec.name!r} already open")
+        _check_servable(spec)
         if not self._scheduler_bound:
             self._bind_scheduler(spec)
         decision = self._admit([spec])
@@ -544,6 +563,7 @@ class IQPathsService:
                 raise ConfigurationError(
                     f"stream {spec.name!r} already open"
                 )
+            _check_servable(spec)
         if not self._scheduler_bound:
             self._bind_scheduler(specs[0])
         decision = self._admit(specs)

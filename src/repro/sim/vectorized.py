@@ -53,6 +53,8 @@ import numpy as np
 
 from repro.core.batchstate import BatchState
 from repro.core.pgos import (
+    LEVEL_SCHEDULED_ELSEWHERE,
+    LEVEL_SCHEDULED_HERE,
     LEVEL_UNSCHEDULED,
     PGOSScheduler,
 )
@@ -76,37 +78,36 @@ class _PathTemplate:
     __slots__ = (
         "rows",
         "weight",
-        "kind",
+        "level",
         "param",
-        "has_demand",
         "level_groups",
         "idx_rule1",
         "idx_rule2",
         "idx_rule3",
         "idx_fallback",
-        "idx_nodemand",
         "idx_hd",
         "rows_hd",
     )
 
-    def __init__(self, slots: list[tuple[int, float, int, int, float, bool]]):
-        rows = np.array([s[0] for s in slots], dtype=np.int64)
-        weight = np.array([s[1] for s in slots])
-        level = np.array([s[2] for s in slots], dtype=np.int64)
-        kind = np.array([s[3] for s in slots], dtype=np.int64)
-        param = np.array([s[4] for s in slots])
-        has_demand = np.array([s[5] for s in slots], dtype=bool)
+    def __init__(
+        self,
+        rows: np.ndarray,
+        weight: np.ndarray,
+        level: np.ndarray,
+        kind: np.ndarray,
+        param: np.ndarray,
+        has_demand: np.ndarray,
+    ):
         self.rows = rows
         self.weight = weight
-        self.kind = kind
+        self.level = level
         self.param = param
-        self.has_demand = has_demand
         # Strict-priority groups in ascending level, slot order preserved
         # (matches water_fill's sorted({r.level}) iteration; a group that
         # is fully inactive this step degenerates to a no-op, exactly as
         # an absent level would).
         self.level_groups = [
-            np.flatnonzero(level == lv) for lv in sorted(set(level.tolist()))
+            np.flatnonzero(level == lv) for lv in np.unique(level)
         ]
         self.idx_rule1 = np.flatnonzero((kind == _KIND_RULE1) & has_demand)
         self.idx_rule2 = np.flatnonzero((kind == _KIND_RULE2) & has_demand)
@@ -114,9 +115,34 @@ class _PathTemplate:
         self.idx_fallback = np.flatnonzero(
             (kind == _KIND_FALLBACK) & has_demand
         )
-        self.idx_nodemand = np.flatnonzero(~has_demand)
         self.idx_hd = np.flatnonzero(has_demand)
         self.rows_hd = rows[self.idx_hd]
+
+    def demands(self, bm_col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The step's per-slot demands and which slots file a request.
+
+        ``bm_col`` is the backlog in Mbps per batch row; a demand of inf
+        encodes the scalar's ``None`` (unbounded).
+        """
+        d = np.full(len(self.rows), np.inf)
+        active = np.ones(len(self.rows), dtype=bool)
+        idx = self.idx_rule1
+        if idx.size:
+            d[idx] = np.minimum(bm_col[self.rows[idx]], self.param[idx])
+        idx = self.idx_rule2
+        if idx.size:
+            excess = np.maximum(bm_col[self.rows[idx]] - self.param[idx], 0.0)
+            d[idx] = excess
+            # Scalar drops the rule-2 request entirely when the excess is
+            # negligible (excess > 1e-9 gate).
+            active[idx] = excess > 1e-9
+        idx = self.idx_rule3
+        if idx.size:
+            d[idx] = bm_col[self.rows[idx]]
+        idx = self.idx_fallback
+        if idx.size:
+            d[idx] = bm_col[self.rows[idx]] / self.param[idx]
+        return d, active
 
 
 class VectorizedDelivery:
@@ -180,105 +206,108 @@ class VectorizedDelivery:
         """Compile PGOS's request lists into per-path slot arrays.
 
         Mirrors ``PGOSScheduler._allocate_inner`` (or
-        ``_fallback_requests`` when ``fallback``) entry by entry: per
-        serving spec, the rule-1/rule-2 entry for each usable path, then
-        the rule-3 entries for elastic specs — so each path's slot order
-        equals the scalar request-list order that drives water-fill's
-        pending iteration and its sequential float folds.
+        ``_fallback_requests`` when ``fallback``) request for request,
+        built from per-stream columns rather than one request at a time
+        (docs/sim.md, "What a solve hands to delivery").  On each usable
+        path the scalar loop files, per serving spec in order, at most
+        one rule-1/rule-2 request and then at most one rule-3 request, so
+        spec ``i``'s candidates sit at slots ``2i`` and ``2i + 1`` and a
+        path keeps the present ones in that order: the request-list
+        order that drives water-fill's pending iteration and its
+        sequential float folds.
         """
         svc = self.service
         sched = svc.scheduler
         batch = self.batch
         usable = sched.usable_paths
-        per_path: dict[str, list] = {p: [] for p in usable}
-        seen: dict[str, set] = {p: set() for p in usable}
-
-        def add(path, row, weight, level, kind, param, has_demand, stream):
-            if stream in seen[path]:
-                # Same error (and message) water_fill raises when one
-                # stream files two requests on one path.
-                raise ConfigurationError(
-                    f"duplicate request for stream {stream!r} on one path"
-                )
-            seen[path].add(stream)
-            per_path[path].append(
-                (row, weight, level, kind, param, has_demand)
-            )
+        streams = sched.streams
+        if svc.obs.enabled:
+            svc.obs.metrics.counter("delivery.template_compiles").inc()
+        if not streams:
+            return {}
+        n, n_paths = len(streams), len(usable)
+        rows = np.array([batch.row(s.name) for s in streams], dtype=np.int64)
+        # Demand presence comes from the *original* handle spec (the
+        # service keys backlog_mbps off h.spec), which is what the batch
+        # columns were filled from at open time.
+        has_demand = ~np.isnan(batch.demand_mbps[rows])
+        elastic = np.array([s.elastic for s in streams], dtype=bool)
 
         if fallback:
-            n = len(usable)
-            for spec in sched.streams:
-                row = batch.row(spec.name)
-                has_demand = not np.isnan(batch.demand_mbps[row])
-                for path in usable:
-                    add(
-                        path,
-                        row,
-                        spec.weight,
-                        LEVEL_UNSCHEDULED if spec.elastic else 0,
-                        _KIND_FALLBACK,
-                        float(n),
-                        has_demand,
-                        spec.name,
-                    )
-            return {p: _PathTemplate(s) for p, s in per_path.items() if s}
+            # Every spec on every usable path, the same request each.
+            template = _PathTemplate(
+                rows,
+                np.array([s.weight for s in streams]),
+                np.where(elastic, LEVEL_UNSCHEDULED, LEVEL_SCHEDULED_HERE),
+                np.full(n, _KIND_FALLBACK),
+                np.full(n, float(n_paths)),
+                has_demand,
+            )
+            return {p: template for p in usable}
 
-        mapping = sched.mapping
-        for spec in sched.streams:
-            row = batch.row(spec.name)
-            # Demand presence comes from the *original* handle spec (the
-            # service keys backlog_mbps off h.spec), which is what the
-            # batch columns were filled from at open time.
-            has_demand = not np.isnan(batch.demand_mbps[row])
-            rates = mapping.rates_mbps.get(spec.name, {})
-            # Compile-time Python sum in dict insertion order — the same
-            # sequential fold the scalar allocator runs per interval.
-            mapped_total = sum(rates.values())
-            guaranteed = spec.guaranteed or spec.max_violation_rate is not None
-            for path in usable:
-                mapped_here = rates.get(path, 0.0)
-                if guaranteed and mapped_here > 0:
-                    add(
-                        path,
-                        row,
-                        mapped_here,
-                        0,
-                        _KIND_RULE1,
-                        mapped_here,
-                        has_demand,
-                        spec.name,
-                    )
-                elif guaranteed and mapped_total > 0:
-                    # Rule-2 slots with a bounded demand are *dynamic*:
-                    # present only when the step's excess exceeds 1e-9.
-                    # The slot is compiled unconditionally and gated per
-                    # step by the active mask.
-                    add(
-                        path,
-                        row,
-                        max(mapped_total, 1e-6),
-                        1,
-                        _KIND_RULE2,
-                        mapped_total,
-                        has_demand,
-                        spec.name,
-                    )
-            if spec.elastic:
-                for path in usable:
-                    weight = max(rates.get(path, 0.0), 0.0)
-                    if weight <= 0:
-                        weight = spec.weight / len(usable)
-                    add(
-                        path,
-                        row,
-                        weight,
-                        LEVEL_UNSCHEDULED,
-                        _KIND_RULE3,
-                        0.0,
-                        has_demand,
-                        spec.name,
-                    )
-        return {p: _PathTemplate(s) for p, s in per_path.items() if s}
+        rates_mbps = sched.mapping.rates_mbps
+        per_stream = [rates_mbps.get(s.name, {}) for s in streams]
+        rate = np.array(
+            [[rates.get(p, 0.0) for p in usable] for rates in per_stream]
+        )
+        # Compile-time Python sum in dict insertion order — the same
+        # sequential fold the scalar allocator runs per interval.
+        total = np.array([sum(rates.values()) for rates in per_stream], float)
+        guaranteed = np.array(
+            [s.guaranteed or s.max_violation_rate is not None for s in streams]
+        )
+        rule1 = guaranteed[:, None] & (rate > 0)
+        # Rule-2 slots with a bounded demand are *dynamic*: present only
+        # when the step's excess exceeds 1e-9, gated per step by the
+        # active mask (see _PathTemplate.demands).
+        rule12 = rule1 | (guaranteed & (total > 0))[:, None]
+        both = rule12 & elastic[:, None]
+        if both.any():
+            # Same error (and message) water_fill raises when one stream
+            # files two requests on one path.
+            name = streams[int(np.flatnonzero(both.any(axis=1))[0])].name
+            raise ConfigurationError(
+                f"duplicate request for stream {name!r} on one path"
+            )
+        # Rule 3: max(rate, 0.0), or the spec's weight spread evenly over
+        # the usable paths where that is not positive.
+        spread = np.array([s.weight if s.elastic else 0.0 for s in streams])
+        weight3 = np.maximum(rate, 0.0)
+        weight3 = np.where(weight3 <= 0, (spread / n_paths)[:, None], weight3)
+
+        present = np.empty((2 * n, n_paths), dtype=bool)
+        present[0::2] = rule12
+        present[1::2] = elastic[:, None]
+        weight = np.empty((2 * n, n_paths))
+        weight[0::2] = np.where(rule1, rate, np.maximum(total, 1e-6)[:, None])
+        weight[1::2] = weight3
+        level = np.empty((2 * n, n_paths), dtype=np.int64)
+        level[0::2] = np.where(
+            rule1, LEVEL_SCHEDULED_HERE, LEVEL_SCHEDULED_ELSEWHERE
+        )
+        level[1::2] = LEVEL_UNSCHEDULED
+        kind = np.empty((2 * n, n_paths), dtype=np.int64)
+        kind[0::2] = np.where(rule1, _KIND_RULE1, _KIND_RULE2)
+        kind[1::2] = _KIND_RULE3
+        param = np.empty((2 * n, n_paths))
+        param[0::2] = np.where(rule1, rate, total[:, None])
+        param[1::2] = 0.0
+        slot_rows = np.repeat(rows, 2)
+        slot_has_demand = np.repeat(has_demand, 2)
+
+        templates = {}
+        for j, path in enumerate(usable):
+            idx = np.flatnonzero(present[:, j])
+            if idx.size:
+                templates[path] = _PathTemplate(
+                    slot_rows[idx],
+                    weight[idx, j],
+                    level[idx, j],
+                    kind[idx, j],
+                    param[idx, j],
+                    slot_has_demand[idx],
+                )
+        return templates
 
     def _current_templates(self) -> dict[str, _PathTemplate]:
         """The step's request templates, honoring PGOS's remap protocol.
@@ -384,32 +413,8 @@ class VectorizedDelivery:
             raise ConfigurationError(
                 f"capacity must be >= 0, got {capacity_mbps}"
             )
-        nslots = len(template.rows)
-        # Per-step demands: inf encodes the scalar's None (unbounded).
-        d = np.full(nslots, np.inf)
-        active = np.ones(nslots, dtype=bool)
-        idx = template.idx_rule1
-        if idx.size:
-            d[idx] = np.minimum(
-                bm_col[template.rows[idx]], template.param[idx]
-            )
-        idx = template.idx_rule2
-        if idx.size:
-            excess = np.maximum(
-                bm_col[template.rows[idx]] - template.param[idx], 0.0
-            )
-            d[idx] = excess
-            # Scalar drops the rule-2 request entirely when the excess is
-            # negligible (excess > 1e-9 gate).
-            active[idx] = excess > 1e-9
-        idx = template.idx_rule3
-        if idx.size:
-            d[idx] = bm_col[template.rows[idx]]
-        idx = template.idx_fallback
-        if idx.size:
-            d[idx] = bm_col[template.rows[idx]] / template.param[idx]
-
-        granted = np.zeros(nslots)
+        d, active = template.demands(bm_col)
+        granted = np.zeros(len(d))
         weight = template.weight
         remaining = capacity_mbps
         for group in template.level_groups:

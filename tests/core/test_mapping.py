@@ -1,17 +1,33 @@
 """Utility-based resource mapping (Section 5.2.2)."""
 
+import copy
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.checkpoint import (
+    CheckpointConfig,
+    CheckpointStore,
+    run_scale_scenario_checkpointed,
+)
 from repro.errors import AdmissionError, ConfigurationError
+from repro.core import mapping as mapping_module
 from repro.core.mapping import (
+    PlacementFold,
+    ResourceMapping,
+    _packets_from_rates,
+    best_effort_mapping,
     compute_mapping,
     even_split_mapping,
     largest_remainder_split,
     shifted_cdf,
 )
+from repro.core.pgos import PGOSScheduler
 from repro.core.spec import StreamSpec
 from repro.monitoring.cdf import EmpiricalCDF
+from repro.workload.scenarios import make_scale_run, make_scenario
 
 
 def cdf(mean, std, rng, n=3000):
@@ -229,3 +245,164 @@ class TestCompile:
             compute_mapping(
                 [StreamSpec(name="s", required_mbps=1.0)], two_paths, tw=0.0
             )
+
+
+def as_items(table):
+    """A nested dict as item lists: an equality that sees order too."""
+    return [(k, list(v.items())) for k, v in table.items()]
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Packet tables built: the stream counts of each table, in order."""
+    builds = []
+
+    def counting(specs, rates, tw):
+        builds.append(len(rates))
+        return _packets_from_rates(specs, rates, tw)
+
+    monkeypatch.setattr(mapping_module, "_packets_from_rates", counting)
+    return builds
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Every mapping constructed, with a copy of its rates at birth."""
+    made = []
+    init = ResourceMapping.__init__
+
+    def recording(self, rates_mbps, *args, **kwargs):
+        init(self, rates_mbps, *args, **kwargs)
+        made.append((self, copy.deepcopy(rates_mbps)))
+
+    monkeypatch.setattr(ResourceMapping, "__init__", recording)
+    return made
+
+
+class TestLazyPacketTable:
+    """A solve hands over its rates; the packet table waits for a reader."""
+
+    SPECS = (
+        StreamSpec(name="ctl", required_mbps=20.0, probability=0.95),
+        StreamSpec(
+            name="vb",
+            required_mbps=10.0,
+            max_violation_rate=0.05,
+            packet_size=1000,
+        ),
+        StreamSpec(name="bulk", elastic=True, nominal_mbps=40.0),
+        StreamSpec(
+            name="fill", elastic=True, nominal_mbps=10.0, packet_size=500
+        ),
+    )
+
+    def test_late_read_equals_the_table_at_solve_time(self, two_paths):
+        specs = list(self.SPECS)
+        fold = PlacementFold()
+        mapping = compute_mapping(specs, two_paths, tw=1.0, fold=fold)
+        expected = as_items(
+            _packets_from_rates(list(specs), mapping.rates_mbps, 1.0)
+        )
+        rates = copy.deepcopy(mapping.rates_mbps)
+        # The caller's list moves on: a stream joins, one leaves, one is
+        # replaced by an equal-named spec with other packets ...
+        specs.append(
+            StreamSpec(name="late", required_mbps=5.0, probability=0.9)
+        )
+        del specs[0]
+        specs[2] = replace(specs[2], packet_size=200)
+        # ... and the same fold solves again.
+        compute_mapping(specs, two_paths, tw=1.0, fold=fold)
+        assert as_items(mapping.packets) == expected
+        assert mapping.is_split("bulk")
+        assert as_items(mapping.rates_mbps) == as_items(rates)
+
+    def test_table_is_built_once_per_mapping(self, two_paths, table_builds):
+        mapping = compute_mapping(self.SPECS, two_paths, tw=1.0)
+        assert table_builds == []
+        table = mapping.packets
+        mapping.paths_of("bulk")
+        mapping.is_split("ctl")
+        mapping.compile(include_best_effort=True)
+        assert mapping.packets is table
+        assert table_builds == [len(self.SPECS)]
+
+    def test_best_effort_mapping_is_lazy_too(self, rng, table_builds):
+        paths = {"A": cdf(10, 2, rng), "B": cdf(10, 2, rng)}
+        specs = [
+            StreamSpec(name="huge", required_mbps=80.0, probability=0.95),
+            StreamSpec(name="bulk", elastic=True, nominal_mbps=10.0),
+        ]
+        mapping = best_effort_mapping(specs, paths, tw=1.0)
+        assert table_builds == []
+        assert mapping.paths_of("huge")
+        assert table_builds == [2]
+
+    def test_explicit_table_is_never_rebuilt(self, two_paths, table_builds):
+        mapping = even_split_mapping(self.SPECS, two_paths, tw=1.0)
+        assert set(mapping.packets) == {s.name for s in self.SPECS}
+        assert table_builds == []
+
+    def test_table_or_specs_exactly_one(self):
+        with pytest.raises(ConfigurationError):
+            ResourceMapping(rates_mbps={})
+        with pytest.raises(ConfigurationError):
+            ResourceMapping(rates_mbps={}, packets={}, specs=())
+
+    def test_restored_table_equals_the_saved_one(self, rng, table_builds):
+        samples = {
+            "A": np.clip(50 + 4 * rng.standard_normal(200), 0, None),
+            "B": np.clip(30 + 10 * rng.standard_normal(200), 0, None),
+        }
+        scheduler = PGOSScheduler()
+        scheduler.setup(list(self.SPECS), ["A", "B"], dt=0.1, tw=1.0)
+        scheduler.seed_history(samples)
+        scheduler.remap()
+        state = json.loads(json.dumps(scheduler.state_dict()))
+        assert table_builds == [len(self.SPECS)]
+        restored = PGOSScheduler()
+        restored.setup(list(self.SPECS), ["A", "B"], dt=0.1, tw=1.0)
+        restored.load_state_dict(state)
+        assert as_items(restored.mapping.packets) == as_items(
+            scheduler.mapping.packets
+        )
+        assert restored.state_dict()["mapping"] == state["mapping"]
+        # The restored table is the saved one, not built again.
+        assert table_builds == [len(self.SPECS)]
+
+    def test_churn_run_builds_no_table_and_edits_no_rates(
+        self, table_builds, constructed
+    ):
+        scenario = make_scenario("baseline", duration=20.0)
+        driver = make_scale_run(scenario, seed=0, max_sessions=40)
+        report = driver.run(scenario.duration)
+        assert report.offered == 40
+        assert len(constructed) > 40
+        assert table_builds == []
+        for mapping, rates in constructed:
+            assert as_items(mapping.rates_mbps) == as_items(rates)
+
+    def test_checkpointing_builds_one_table_per_saved_mapping(
+        self, tmp_path, monkeypatch, table_builds
+    ):
+        saved = []
+        state_dict = PGOSScheduler.state_dict
+
+        def recording(self):
+            if self.mapping is not None and not any(
+                m is self.mapping for m in saved
+            ):
+                saved.append(self.mapping)
+            return state_dict(self)
+
+        monkeypatch.setattr(PGOSScheduler, "state_dict", recording)
+        run_scale_scenario_checkpointed(
+            make_scenario("baseline", duration=8.0),
+            CheckpointStore(tmp_path),
+            seed=0,
+            max_sessions=40,
+            config=CheckpointConfig(every_s=1.0),
+            fingerprint="a" * 64,
+        )
+        assert len(saved) > 1
+        assert len(table_builds) == len(saved)

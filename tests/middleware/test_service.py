@@ -1,6 +1,7 @@
 """The middleware facade: dynamic joins/leaves, upcalls, reports."""
 
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -213,6 +214,75 @@ class TestAdmission:
             scheduler.mapping.achieved_probability["ctl"]
             == handle.achieved_probability
         )
+
+
+class TestGuaranteedElasticRefused:
+    """A spec both guaranteed and elastic is refused before any state:
+    delivery would file two requests for it on one path and fail at the
+    next step, after the open was committed."""
+
+    LAYERED = StreamSpec(
+        name="v",
+        required_mbps=5,
+        probability=0.9,
+        elastic=True,
+        nominal_mbps=10,
+    )
+
+    @staticmethod
+    def snapshot(service):
+        return json.dumps(service.state_dict())
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LAYERED,
+            StreamSpec(
+                name="v",
+                required_mbps=5,
+                max_violation_rate=0.05,
+                elastic=True,
+                nominal_mbps=10,
+            ),
+        ],
+    )
+    def test_open_refuses_and_changes_nothing(self, service, spec):
+        service.open_stream(critical())
+        service.advance(1.0)
+        before = self.snapshot(service)
+        with pytest.raises(
+            ConfigurationError, match="'v'.*base stream plus an elastic fill"
+        ):
+            service.open_stream(spec)
+        assert self.snapshot(service) == before
+        assert "v" not in service.handles
+        service.advance(1.0)
+
+    def test_refused_first_open_leaves_the_service_unbound(self, service):
+        with pytest.raises(ConfigurationError):
+            service.open_stream(self.LAYERED)
+        assert not service._scheduler_bound
+        service.open_stream(critical())
+        service.advance(1.0)
+
+    def test_batch_with_one_such_spec_commits_none(self, service):
+        service.open_stream(critical())
+        service.advance(1.0)
+        before = self.snapshot(service)
+        with pytest.raises(ConfigurationError, match="'v'"):
+            service.open_streams(
+                [elastic(), critical("ctl", 2.0), self.LAYERED]
+            )
+        assert self.snapshot(service) == before
+        assert set(service.handles) == {"viz"}
+        service.advance(1.0)
+
+    def test_the_two_stream_form_is_served(self, service):
+        service.open_streams(
+            [critical("base", 5.0, 0.9), elastic("fill", 10.0)]
+        )
+        service.advance(5.0)
+        assert service.report("fill").mean_mbps > 0.0
 
 
 class TestLifetime:

@@ -43,6 +43,8 @@ class ScalarReferenceService(IQPathsService):
     def __init__(self, *args, **kwargs):
         self._delivered: dict[str, list[float]] = {}
         self._backlog_bytes: dict[str, float] = {}
+        #: The mapping the last counted request build was made under.
+        self._built_for = None
         super().__init__(*args, **kwargs)
 
     # -- stream lifecycle ----------------------------------------------
@@ -102,6 +104,7 @@ class ScalarReferenceService(IQPathsService):
                 self._backlog_bytes[spec.name], self.dt
             )
         requests = self.scheduler.allocate(k, backlog_mbps)
+        self._count_request_build()
         delivered = {h.name: 0.0 for h in open_handles}
         for p in self.path_names:
             granted = water_fill(
@@ -120,6 +123,25 @@ class ScalarReferenceService(IQPathsService):
         if self.obs.enabled:
             self._emit_shortfalls(k, delivered)
 
+    def _count_request_build(self) -> None:
+        """Tick ``delivery.template_compiles`` where the product compiles.
+
+        The engine compiles its request templates once per installed
+        mapping, and on every step before monitoring history exists;
+        this loop rebuilds its requests every step, so it counts the
+        same events from what it delivered under: a step without
+        history, or a mapping object no step before it used.
+        """
+        scheduler = self.scheduler
+        if not scheduler.has_history:
+            self._built_for = None
+        elif scheduler.mapping is self._built_for:
+            return
+        else:
+            self._built_for = scheduler.mapping
+        if self.obs.enabled:
+            self.obs.metrics.counter("delivery.template_compiles").inc()
+
     # -- checkpointing -------------------------------------------------
     def _delivered_state(self) -> dict[str, list[float]]:
         return {
@@ -135,6 +157,7 @@ class ScalarReferenceService(IQPathsService):
 
     def load_state_dict(self, state: dict) -> None:
         super().load_state_dict(state)
+        self._built_for = None
         self._backlog_bytes = {
             name: float(v) for name, v in state["backlog_bytes"].items()
         }
