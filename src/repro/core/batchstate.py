@@ -27,11 +27,27 @@ scalar reference loop, ``tests/oracles``):
   with the *same expression order*, so every per-step comparison sees
   bit-identical floats.
 
-The history matrix is allocated once at full column width (one column
-per post-warmup interval of the realization): a delivery step writes
-one column for the open rows, a close slices the stream's lifetime out
-of its row, and unwritten columns are the zeros an idle interval would
-have recorded anyway.
+The history matrix is the one store of delivered history, read in
+place.  It is allocated at full column width (one column per
+post-warmup interval of the realization) and every write goes through
+:meth:`BatchState.write`, which also keeps ``written``, the high-water
+mark of columns ever written: a delivery step writes one column for
+the open rows, and unwritten columns are the zeros an idle interval
+would have recorded anyway.
+
+* **Reads are views.**  :meth:`BatchState.history_array` returns a
+  read-only view of ``history[row, start:cur_col]``, never a copy.
+* **A close records a span, not a copy.**  The closed stream keeps its
+  ``(row, start, stop)``.  The row may be recycled, but its next
+  occupant opens at a column >= ``stop`` (columns only move forward)
+  and only ever writes at or after its own open column, so the closed
+  span is never overwritten.
+* **Growth copies only what was written.**  ``_grow`` copies
+  ``history[:old, :written]`` into a fresh zero matrix; the untouched
+  tail keeps its zero pages unmapped, so opening a large population
+  before the first step costs no history memory.  A view taken before
+  a grow or a reset keeps reading the old matrix, whose values no
+  later write changes.
 """
 
 from __future__ import annotations
@@ -48,6 +64,11 @@ __all__ = ["BatchState"]
 
 #: Initial row capacity; grows by doubling.
 _INITIAL_CAPACITY = 64
+
+#: The series of a stream with no record (unknown, or closed before a
+#: checkpoint restore).
+_EMPTY = np.zeros(0)
+_EMPTY.flags.writeable = False
 
 
 class BatchState:
@@ -94,8 +115,12 @@ class BatchState:
         self._free: list[int] = []
         #: Next never-used row when the free list is empty.
         self._high = 0
-        #: Lifetime history of *closed* streams (frozen at close).
-        self._frozen: dict[str, np.ndarray] = {}
+        #: Closed streams' lifetime spans ``(row, start, stop)`` in
+        #: ``history`` (see the module docstring for why they survive
+        #: row recycling).
+        self._closed: dict[str, tuple[int, int, int]] = {}
+        #: High-water mark: every column >= ``written`` is still zero.
+        self.written = 0
         #: Memoized ``rows_in_order()`` result (membership-keyed).
         self._order_cache: Optional[np.ndarray] = None
 
@@ -145,7 +170,8 @@ class BatchState:
             grown[:old] = column
             setattr(self, field, grown)
         history = np.zeros((new, self.n_columns))
-        history[:old] = self.history
+        written = self.written
+        history[:old, :written] = self.history[:, :written]
         self.history = history
         self._capacity = new
 
@@ -217,16 +243,15 @@ class BatchState:
         self._order_cache = None
         # A reopened name starts a fresh history, as the scalar reference
         # resets its ``_delivered`` list.
-        self._frozen.pop(spec.name, None)
+        self._closed.pop(spec.name, None)
         return row
 
     def close(self, name: str, cur_col: int) -> int:
-        """Free a stream's row; its lifetime history is frozen for reports."""
+        """Free a stream's row; its lifetime span stays readable in place."""
         row = self._rows.pop(name, None)
         if row is None:
             raise ConfigurationError(f"stream {name!r} has no row")
-        start = int(self.opened_col[row])
-        self._frozen[name] = self.history[row, start:cur_col].copy()
+        self._closed[name] = (row, int(self.opened_col[row]), cur_col)
         self.backlog_bytes[row] = 0.0
         self._free.append(row)
         self._order_cache = None
@@ -235,18 +260,42 @@ class BatchState:
     # ------------------------------------------------------------------
     # scalar-faithful views (reports / checkpoints)
     # ------------------------------------------------------------------
+    def write(self, rows, cols, values) -> None:
+        """Write delivered mbps into ``history[rows, cols]``.
+
+        The one writer of the matrix: ``cols`` is a column index (a
+        delivery step, ``rows`` an index array) or a slice with a
+        ``stop`` (a restored series, ``rows`` one row).  It advances
+        ``written``, which bounds what :meth:`_grow` copies.
+        """
+        self.history[rows, cols] = values
+        stop = cols.stop if type(cols) is slice else cols + 1
+        if stop > self.written:
+            self.written = stop
+
     def history_array(self, name: str, cur_col: int) -> np.ndarray:
-        """Delivered-mbps series for one open or closed stream."""
+        """Read-only view of one open or closed stream's delivered mbps.
+
+        The view shares the history matrix: it is never a copy, and it
+        keeps that matrix alive while held.  Its values never change
+        (later writes land at columns past it, or in a new matrix after
+        a grow or reset); ``np.array(view)`` detaches a writable copy.
+        """
         row = self._rows.get(name)
         if row is not None:
             start = int(self.opened_col[row])
-            return self.history[row, start:cur_col].copy()
-        frozen = self._frozen.get(name)
-        if frozen is not None:
-            return frozen
-        # Stream closed before a checkpoint restore: those restore with
-        # an empty record (see IQPathsService.state_dict).
-        return np.zeros(0)
+            stop = cur_col
+        else:
+            span = self._closed.get(name)
+            if span is None:
+                # Unknown, or closed before a checkpoint restore: those
+                # restore with an empty record (see
+                # IQPathsService.state_dict).
+                return _EMPTY
+            row, start, stop = span
+        view = self.history[row, start:stop]
+        view.flags.writeable = False
+        return view
 
     def backlog_items(self) -> Iterator[tuple[str, float]]:
         """(name, backlog_bytes) pairs in scalar dict order."""
@@ -267,11 +316,11 @@ class BatchState:
                 f"{len(series)} samples from column {start} "
                 f"(width {self.n_columns})"
             )
-        self.history[row, start:stop] = series
+        self.write(row, slice(start, stop), series)
 
     def freeze_empty(self, name: str) -> None:
         """Record an empty lifetime for a closed stream (restore path)."""
-        self._frozen[name] = np.zeros(0)
+        self._closed[name] = (0, 0, 0)
 
     def delivered_bytes_of(self, name: str) -> float:
         """Cumulative delivered bytes of one open stream (telemetry)."""
@@ -290,5 +339,6 @@ class BatchState:
         self._rows = {}
         self._free = []
         self._high = 0
-        self._frozen = {}
+        self._closed = {}
+        self.written = 0
         self._order_cache = None

@@ -83,7 +83,14 @@ class StreamHandle:
 
 @dataclass(frozen=True)
 class StreamReport:
-    """Delivered-throughput summary for one stream's lifetime."""
+    """Delivered-throughput summary for one stream's lifetime.
+
+    ``mbps`` is a read-only view into the service's delivered-history
+    matrix, not a copy: writing into it raises ``ValueError``, its
+    values never change as the service runs on, and while the report
+    is held it keeps that matrix alive.  ``np.array(report.mbps)``
+    gives a detached, writable copy.
+    """
 
     name: str
     mbps: np.ndarray
@@ -857,6 +864,11 @@ class IQPathsService:
         * Observability (metrics/trace) is not checkpointed; it is
           diagnostic output and is excluded from result checksums.
 
+        Restoring replaces the history matrix rather than overwriting
+        it: a :class:`StreamReport` taken before :meth:`load_state_dict`
+        is a read-only view of the old matrix and keeps its values (and
+        that matrix) for as long as it is held.
+
         Raises :class:`CheckpointError` while :meth:`at` actions are
         pending — callables cannot be serialized, so checkpoints must be
         taken at quiescent points (the churn driver's step boundaries).
@@ -921,11 +933,11 @@ class IQPathsService:
 
     def _delivered_state(self) -> dict[str, list[float]]:
         """Open streams' delivered histories, in handle order
-        (``float()`` converts ``np.float64`` losslessly)."""
+        (``tolist()`` yields the same Python floats ``float()`` would)."""
         col = self._k - self._start_k
         batch = self._vec.batch
         return {
-            name: [float(v) for v in batch.history_array(name, col)]
+            name: batch.history_array(name, col).tolist()
             for name in self._open
         }
 

@@ -387,7 +387,7 @@ class VectorizedDelivery:
         rows = batch.rows_in_order()
         if rows.size:
             vals = delivered_col[rows]
-            batch.history[rows, col] = vals
+            batch.write(rows, col, vals)
             thr = batch.threshold_mbps[rows]
             batch.shortfall_windows[rows] += vals < thr
 
@@ -502,9 +502,7 @@ class VectorizedDelivery:
                 svc._opened_interval[name] - svc._start_k,
             )
             self.batch.set_backlog(name, float(backlog))
-            series = np.asarray(
-                [float(v) for v in delivered[name]]
-            )
+            series = np.array(delivered[name], dtype=float)
             if series.size:
                 self.batch.load_history(name, series)
         for handle in svc.handles.values():

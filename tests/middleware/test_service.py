@@ -285,6 +285,59 @@ class TestGuaranteedElasticRefused:
         assert service.report("fill").mean_mbps > 0.0
 
 
+class TestReportViews:
+    """A report's series is a read-only view of the service's history:
+    it cannot be written through, and nothing the service does later
+    changes it."""
+
+    def test_writing_into_a_report_raises(self, service):
+        service.open_stream(critical())
+        service.open_stream(elastic())
+        service.advance(5.0)
+        service.close_stream("bulk")
+        service.advance(1.0)
+        restored = IQPathsService(
+            service.realization, warmup_intervals=200
+        )
+        restored.load_state_dict(json.loads(json.dumps(service.state_dict())))
+        # Open, closed, restored open, restored closed.
+        for svc in (service, restored):
+            for name in ("viz", "bulk"):
+                with pytest.raises(ValueError):
+                    svc.report(name).mbps[:] = 0.0
+        assert service.report("bulk").mean_mbps > 0.0
+
+    def test_earlier_report_keeps_its_values(self, service):
+        service.open_stream(critical())
+        service.open_stream(elastic())
+        service.advance(5.0)
+        batch = service._vec.batch
+        bulk_row = batch.row("bulk")
+        taken = {"open": service.report("bulk")}
+        service.advance(2.0)
+        service.close_stream("bulk")
+        taken["closed"] = service.report("bulk")
+        taken["viz"] = service.report("viz")
+        expected = {key: np.array(rep.mbps) for key, rep in taken.items()}
+        assert all(series.size for series in expected.values())
+        service.open_stream(elastic("bulk2"))
+        assert batch.row("bulk2") == bulk_row
+        service.advance(2.0)
+        capacity = batch.capacity
+        service.open_streams(
+            [elastic(f"e{i}", nominal=0.5) for i in range(capacity)]
+        )
+        assert batch.capacity > capacity
+        service.advance(1.0)
+        np.testing.assert_array_equal(
+            service.report("bulk").mbps, expected["closed"]
+        )
+        service.load_state_dict(json.loads(json.dumps(service.state_dict())))
+        service.advance(1.0)
+        for key, rep in taken.items():
+            np.testing.assert_array_equal(rep.mbps, expected[key])
+
+
 class TestLifetime:
     @pytest.mark.parametrize(
         "service_cls", [IQPathsService, ScalarReferenceService]

@@ -1,11 +1,15 @@
 """BatchState: row recycling, stable indirection, and scalar-order views."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.batchstate import BatchState
 from repro.core.spec import StreamSpec
 from repro.errors import ConfigurationError
+from repro.middleware.service import IQPathsService
+from repro.network.emulab import make_figure8_testbed
 from repro.units import bytes_in_interval
 
 
@@ -81,7 +85,7 @@ class TestGrowth:
         for i, s in enumerate(specs):
             batch.open(s, stream_id=i, opened_col=0)
             batch.backlog_bytes[batch.row(s.name)] = 100.0 * i
-            batch.history[batch.row(s.name), 0] = float(i)
+            batch.write(batch.row(s.name), 0, float(i))
         assert batch.capacity >= 5
         for i, s in enumerate(specs):
             row = batch.row(s.name)
@@ -145,6 +149,134 @@ class TestHistoryViews:
         batch = make_batch()
         batch.freeze_empty("gone")
         assert len(batch.history_array("gone", cur_col=3)) == 0
+
+
+def held_arrays(batch: BatchState) -> int:
+    """Number of ndarrays reachable from the batch's attributes."""
+    count = 0
+    stack = list(vars(batch).values())
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            count += 1
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return count
+
+
+class TestHistoryInPlace:
+    """The history matrix is the one store, read in place."""
+
+    def test_reads_are_read_only_views(self):
+        batch = make_batch()
+        row = batch.open(spec("s"), stream_id=1, opened_col=0)
+        batch.write(row, slice(0, 3), [1.0, 2.0, 3.0])
+        open_view = batch.history_array("s", cur_col=3)
+        batch.close("s", cur_col=3)
+        closed_view = batch.history_array("s", cur_col=9)
+        for view in (open_view, closed_view, batch.history_array("x", 3)):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[:] = 0.0
+        assert np.shares_memory(open_view, batch.history)
+        assert np.shares_memory(closed_view, batch.history)
+
+    def test_reports_allocate_no_copy_of_the_history(self):
+        realization = make_figure8_testbed().realize(
+            seed=77, duration=240.0, dt=0.1
+        )
+        service = IQPathsService(realization, warmup_intervals=200)
+        service.open_streams(
+            [elastic_spec(f"e{i}") for i in range(300)]
+        )
+        service.advance(60.0)
+        for i in range(0, 300, 3):
+            service.close_stream(f"e{i}")
+        service.advance(1.0)
+        nbytes = service._vec.batch.history.nbytes
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            reports = service.reports()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 300
+        # Copies of these series would be ~16 % of the matrix.
+        assert peak - base < 0.05 * nbytes
+
+    def test_long_churn_holds_no_array_per_closed_stream(self):
+        cycles = 3000
+        batch = make_batch(n_columns=cycles + 1, capacity=4)
+        expected = {name: [] for name in ("a", "b", "c")}
+        for i, name in enumerate(expected):
+            batch.open(spec(name), stream_id=i, opened_col=0)
+        held = held_arrays(batch)
+        for col in range(cycles):
+            name = f"c{col}"
+            batch.open(spec(name), stream_id=3 + col, opened_col=col)
+            expected[name] = []
+            rows = batch.rows_in_order()
+            values = 10.0 * col + np.arange(1, rows.size + 1)
+            batch.write(rows, col, values)
+            for stream, value in zip(batch.names(), values):
+                expected[stream].append(value)
+            batch.close(name, cur_col=col + 1)
+        assert held_arrays(batch) == held
+        assert batch.capacity == 4
+        # Recycled rows never overwrote a closed span.
+        for name, series in expected.items():
+            np.testing.assert_array_equal(
+                batch.history_array(name, cur_col=cycles), series
+            )
+
+    def test_growth_after_writes_preserves_every_written_column(self):
+        batch = make_batch(n_columns=12, capacity=1)
+        expected = {}
+        for col in range(8):
+            if col == 3:
+                batch.close("s1", cur_col=3)
+            name = f"s{col}"
+            batch.open(spec(name), stream_id=col, opened_col=col)
+            expected[name] = []
+            rows = batch.rows_in_order()
+            values = 100.0 * col + np.arange(1, rows.size + 1)
+            batch.write(rows, col, values)
+            for stream, value in zip(batch.names(), values):
+                expected[stream].append(value)
+        assert batch.capacity == 8
+        assert batch.written == 8
+        for name, series in expected.items():
+            np.testing.assert_array_equal(
+                batch.history_array(name, cur_col=8), series
+            )
+        assert not batch.history[:, batch.written:].any()
+
+    def test_growth_after_load_history_preserves_the_series(self):
+        batch = make_batch(n_columns=10, capacity=1)
+        batch.open(spec("r"), stream_id=0, opened_col=2)
+        batch.load_history("r", np.asarray([1.5, 2.5, 3.5]))
+        assert batch.written == 5
+        before = batch.history_array("r", cur_col=5)
+        batch.open(spec("x"), stream_id=1, opened_col=5)
+        assert batch.capacity == 2
+        np.testing.assert_array_equal(
+            batch.history_array("r", cur_col=5), [1.5, 2.5, 3.5]
+        )
+        # A view taken before the grow still reads the old matrix.
+        np.testing.assert_array_equal(before, [1.5, 2.5, 3.5])
+        assert not np.shares_memory(before, batch.history)
+
+    def test_reset_drops_the_high_water_mark(self):
+        batch = make_batch(n_columns=4)
+        row = batch.open(spec("s"), stream_id=1, opened_col=0)
+        batch.write(row, 2, 1.0)
+        assert batch.written == 3
+        batch.reset()
+        assert batch.written == 0
 
 
 class TestCountersAndBacklog:
