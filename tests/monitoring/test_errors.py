@@ -1,5 +1,7 @@
 """Prediction-error metrics (the Figure-4 scoring machinery)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,26 @@ class TestPercentileFailureRate:
         f1 = percentile_prediction_failure_rate(x, q=1, history=500)
         f25 = percentile_prediction_failure_rate(x, q=25, history=500)
         assert f1 <= f25
+
+    @pytest.mark.parametrize("index", [0, 300, 1200, 1999])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, rng, index, bad):
+        # A NaN threshold or outcome compares False, so it used to count
+        # as a success and bias the failure rate low; in the history or
+        # in the horizon, it must be named instead.
+        x = 50 + 5 * rng.standard_normal(2000)
+        x[index] = bad
+        with pytest.raises(ConfigurationError, match=f"index {index}\\b"):
+            percentile_prediction_failure_rate(x, history=500, horizon=5)
+
+    def test_memory_is_linear_in_series(self, rng):
+        # Thresholds come from one rolling window, not from a dense
+        # positions x history matrix (24k x 500 float64 = 94 MB).
+        x = 50 + 5 * rng.standard_normal(24_000)
+        tracemalloc.start()
+        try:
+            percentile_prediction_failure_rate(x, q=10, history=500, horizon=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

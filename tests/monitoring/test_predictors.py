@@ -91,7 +91,7 @@ class TestSlidingMedian:
             if online.ready:
                 expected[i] = online.predict()
             online.update(v)
-        assert np.allclose(vectorized, expected, equal_nan=True)
+        assert np.array_equal(vectorized, expected, equal_nan=True)
 
 
 class TestAR1:
@@ -141,7 +141,7 @@ class TestPercentile:
             if online.ready:
                 expected[i] = online.predict()
             online.update(v)
-        assert np.allclose(vectorized, expected, equal_nan=True)
+        assert np.array_equal(vectorized, expected, equal_nan=True)
 
     def test_conservative_guarantee_level(self, rng):
         # The prediction is exceeded ~90 % of the time on IID data.
@@ -155,11 +155,52 @@ class TestPercentile:
             p.update(v)
         assert hits / total == pytest.approx(0.9, abs=0.03)
 
+    def test_series_rejects_non_finite_samples(self):
+        x = np.arange(40, dtype=float)
+        for bad in (np.nan, np.inf, -np.inf):
+            x_bad = x.copy()
+            x_bad[27] = bad
+            p = PercentilePredictor(q=10, window=20)
+            with pytest.raises(ConfigurationError, match="index 27"):
+                p.predict_series(x_bad)
+            # Rejected before any state changes.
+            assert not p._buffer
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PercentilePredictor(q=150)
         with pytest.raises(ConfigurationError):
             PercentilePredictor(window=1)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: MovingAveragePredictor(window=10),
+        lambda: SlidingMedianPredictor(window=10),
+        lambda: PercentilePredictor(q=10, window=10),
+    ],
+    ids=["MA", "SMA", "P10"],
+)
+@pytest.mark.parametrize(
+    "prefix_len, n", [(0, 6), (0, 57), (4, 3), (4, 57), (15, 57)],
+    ids=["short", "long", "prefed-short", "prefed-long", "prefed-full"],
+)
+def test_series_leaves_update_state(factory, prefix_len, n, rng):
+    """predict_series leaves exactly the state update() would have."""
+    prefix = 50 + 5 * rng.standard_normal(prefix_len)
+    x = 50 + 5 * rng.standard_normal(n)
+    vectorized = factory()
+    for v in prefix:
+        vectorized.update(v)
+    vectorized.predict_series(x)
+    twin = factory()
+    for v in np.concatenate([prefix, x]):
+        twin.update(v)
+    assert list(vectorized._buffer) == list(twin._buffer)
+    if isinstance(twin, MovingAveragePredictor):
+        assert vectorized._sum.hex() == twin._sum.hex()
+    assert vectorized.predict() == twin.predict()
 
 
 def test_default_lineup_is_ma_ewma_sma():
