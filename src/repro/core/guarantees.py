@@ -29,8 +29,7 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.monitoring.cdf import EmpiricalCDF
-from repro.monitoring.incremental import lerp_order_statistics
+from repro.monitoring.cdf import EmpiricalCDF, lerp_order_statistics
 from repro.units import mbps_to_bytes_per_s
 
 

@@ -4,13 +4,9 @@ The paper's Statistical Monitoring component tracks the *distribution* of
 each overlay path's available bandwidth (not just its average) and feeds it
 to the PGOS routing/scheduling component.  This package provides:
 
-* :mod:`repro.monitoring.sampler` — turning byte deliveries into
-  per-interval bandwidth samples;
-* :mod:`repro.monitoring.cdf` — empirical CDFs and the sliding-window CDF
-  the scheduler consults;
-* :mod:`repro.monitoring.incremental` — the sorted-window fast path behind
-  :class:`~repro.monitoring.cdf.SlidingWindowCDF`: O(log W) insert/evict,
-  no re-sorts, queries bit-identical to the batch CDF;
+* :mod:`repro.monitoring.cdf` — the sliding window the scheduler feeds,
+  kept sorted under O(log W) insert/evict, and the immutable empirical
+  CDF its snapshots freeze, bit-identical to one built from scratch;
 * :mod:`repro.monitoring.predictors` — the average-bandwidth predictors the
   paper compares against (MA, SMA, EWMA, AR(1)) and the percentile
   predictor it proposes;
@@ -20,7 +16,6 @@ to the PGOS routing/scheduling component.  This package provides:
 """
 
 from repro.monitoring.cdf import EmpiricalCDF, SlidingWindowCDF, ks_distance
-from repro.monitoring.incremental import IncrementalWindowCDF
 from repro.monitoring.errors import (
     mean_relative_error,
     percentile_prediction_failure_rate,
@@ -35,11 +30,9 @@ from repro.monitoring.predictors import (
     Predictor,
     SlidingMedianPredictor,
 )
-from repro.monitoring.sampler import ThroughputSampler
 
 __all__ = [
     "EmpiricalCDF",
-    "IncrementalWindowCDF",
     "SlidingWindowCDF",
     "ks_distance",
     "Predictor",
@@ -52,5 +45,4 @@ __all__ = [
     "percentile_prediction_failure_rate",
     "prediction_error_series",
     "PathMonitor",
-    "ThroughputSampler",
 ]

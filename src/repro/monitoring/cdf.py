@@ -5,25 +5,52 @@ per path over a sliding history window.  The PGOS guarantees (Lemmas 1 and
 2) are direct reads of this object: ``1 - F(b0)`` for the probabilistic
 guarantee and the partial mean ``M[b0]`` for the violation bound.
 
-Two construction paths exist:
-
-* :class:`EmpiricalCDF` — the immutable batch form, sorting its input
-  once; :meth:`EmpiricalCDF.from_sorted` skips the sort when the caller
-  already holds a sorted array (the residual-shift in the mapping step,
-  the incremental window's snapshot).
-* :class:`SlidingWindowCDF` — the online form, a window kept by
-  :class:`repro.monitoring.incremental.IncrementalWindowCDF`: sorted
-  under O(log W) insert/evict instead of re-sorted on every snapshot.
+* :class:`SlidingWindowCDF` — the live window: the last ``window``
+  samples, kept sorted under O(log W) insert/evict (one
+  ``searchsorted`` and one slice move each), with a FIFO of arrival
+  order so the evicted sample is found by value.
+* :class:`EmpiricalCDF` — the immutable form that answers the queries;
+  the window itself reads only ``percentile`` off its buffer.  A
+  window's :meth:`~SlidingWindowCDF.snapshot` copies the sorted buffer
+  into one through :meth:`EmpiricalCDF.from_sorted`, never re-sorting,
+  so each query runs the same numpy operation on the same array a
+  batch-built CDF would: the results are bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from collections import deque
+from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.monitoring.incremental import IncrementalWindowCDF
+from repro.errors import CheckpointError, ConfigurationError
+
+
+def lerp_order_statistics(
+    n: int, p: float, at: Callable[[int], float]
+) -> float:
+    """The ``p``-quantile of ``n`` ascending values read through ``at``.
+
+    ``np.percentile``'s default (linear) method, bit for bit, on values
+    the caller need not hold as an array: ``at(i)`` is the ``i``-th
+    order statistic, read at most twice.
+    """
+    pos = p * (n - 1)
+    lo = int(pos)
+    if lo + 1 >= n:
+        return float(at(n - 1))
+    frac = pos - lo
+    lo_v = at(lo)
+    hi_v = at(lo + 1)
+    diff = hi_v - lo_v
+    # numpy's _lerp switches to the upper-anchored form at t >= 0.5
+    # for precision; mirror it or ~1% of quantiles differ in the
+    # last ulp from np.percentile.
+    if frac >= 0.5:
+        return float(hi_v - diff * (1.0 - frac))
+    return float(lo_v + diff * frac)
+
 
 class EmpiricalCDF:
     """Immutable empirical CDF built from a sample array.
@@ -57,7 +84,7 @@ class EmpiricalCDF:
         """Build from an already-sorted array, skipping the O(n log n) sort.
 
         This is the fast construction path for callers that maintain
-        sortedness themselves (the incremental sliding window) or apply a
+        sortedness themselves (the sliding window's snapshot) or apply a
         monotone transform to an existing CDF's samples (the residual
         shift in the mapping step).
 
@@ -211,10 +238,10 @@ class SlidingWindowCDF:
 
     This is the monitoring module's live view of a path: the last
     ``window`` samples (the paper uses 500–1000 samples of 0.1–1 s each,
-    i.e. minutes of history).  ``snapshot()`` freezes the current window
-    as an :class:`EmpiricalCDF` for the mapping step.  The window is
-    kept sorted under O(log W) insert/evict, so a snapshot is a copy
-    rather than a sort.
+    i.e. minutes of history), held both in arrival order (a FIFO, for
+    eviction) and in sorted order (a preallocated buffer).
+    ``snapshot()`` freezes the window as an :class:`EmpiricalCDF`, which
+    answers the queries; ``percentile`` alone reads the buffer in place.
 
     Parameters
     ----------
@@ -234,7 +261,13 @@ class SlidingWindowCDF:
         self.window = window
         self._obs = obs if obs is not None else NULL_OBS
         self._cached: EmpiricalCDF | None = None
-        self._inc = IncrementalWindowCDF(window)
+        self._fifo: deque[float] = deque()
+        self._arr = np.empty(window, dtype=float)
+        self._size = 0
+        #: Samples inserted since construction, a restore counting as
+        #: ``window`` of them (see :meth:`load_state_dict`).  The clock
+        #: a monitor's quiet horizon runs on; never checkpointed.
+        self.updates = 0
 
     def bind_observability(self, obs) -> None:
         """Attach (or replace) the observability context."""
@@ -243,22 +276,33 @@ class SlidingWindowCDF:
         self._obs = obs if obs is not None else NULL_OBS
 
     def __len__(self) -> int:
-        return len(self._inc)
+        return self._size
 
     @property
     def full(self) -> bool:
         """Whether the history window has filled up."""
-        return len(self) == self.window
+        return self._size == self.window
 
-    @property
-    def incremental(self) -> IncrementalWindowCDF:
-        """The live sorted window.
-
-        Restoring a snapshot replaces this object rather than resetting
-        it, so its identity together with its ``updates`` count names
-        one point in the window's history.
-        """
-        return self._inc
+    def _insert(self, sample: float) -> None:
+        """Insert one sample, evicting the oldest when the window is full."""
+        if not np.isfinite(sample):
+            raise ConfigurationError(f"sample must be finite, got {sample}")
+        v = float(sample)
+        if v == 0.0:
+            v = 0.0  # normalize -0.0 so eviction-by-value is unambiguous
+        arr = self._arr
+        size = self._size
+        if size == self.window:
+            old = self._fifo.popleft()
+            idx = int(np.searchsorted(arr[:size], old, side="left"))
+            arr[idx : size - 1] = arr[idx + 1 : size]
+            size -= 1
+        idx = int(np.searchsorted(arr[:size], v, side="right"))
+        arr[idx + 1 : size + 1] = arr[idx:size]
+        arr[idx] = v
+        self._size = size + 1
+        self._fifo.append(v)
+        self.updates += 1
 
     def update(self, sample: float) -> None:
         """Append one bandwidth measurement (Mbps)."""
@@ -270,7 +314,7 @@ class SlidingWindowCDF:
             self._update_inner(sample)
 
     def _update_inner(self, sample: float) -> None:
-        self._inc.update(sample)
+        self._insert(sample)
         self._cached = None
         if self._obs.enabled:
             self._obs.metrics.counter("cdf.updates").inc()
@@ -287,7 +331,7 @@ class SlidingWindowCDF:
     def _extend_inner(self, samples: Iterable[float]) -> None:
         count = 0
         for s in samples:
-            self._inc.update(s)
+            self._insert(s)
             count += 1
         self._cached = None
         if count and self._obs.enabled:
@@ -296,123 +340,87 @@ class SlidingWindowCDF:
     def snapshot(self) -> EmpiricalCDF:
         """Freeze the current window as an immutable CDF.
 
-        The snapshot is cached and invalidated on update, so repeated
+        The snapshot is cached until the next ``update``, ``extend``
+        (even an empty one) or ``load_state_dict``, so repeated
         guarantee evaluations within a scheduling window reuse one
-        frozen CDF; even a rebuild is a copy of the maintained sorted
-        buffer, never a sort.
+        frozen CDF; even a rebuild is a copy of the sorted buffer,
+        never a sort.
         """
-        if len(self) == 0:
+        if self._size == 0:
             raise ConfigurationError("no samples observed yet")
         if self._cached is None:
             prof = self._obs.prof
             if prof.enabled:
                 with prof.span("cdf.snapshot"):
-                    self._cached = self._inc.snapshot()
+                    self._cached = self._freeze()
             else:
-                self._cached = self._inc.snapshot()
+                self._cached = self._freeze()
             if self._obs.enabled:
                 self._obs.metrics.counter("cdf.snapshot_rebuilds").inc()
         elif self._obs.enabled:
             self._obs.metrics.counter("cdf.snapshot_reuses").inc()
         return self._cached
 
+    def _freeze(self) -> EmpiricalCDF:
+        return EmpiricalCDF.from_sorted(
+            self._arr[: self._size], copy=True, validate=False
+        )
+
     def percentile(self, q: float) -> float:
-        """Percentile of the current window."""
-        prof = self._obs.prof
-        if prof.enabled:
-            with prof.span("cdf.query"):
-                return self._percentile_inner(q)
-        return self._percentile_inner(q)
+        """The ``q``-th percentile of the current window, ``q`` in [0, 100].
 
-    def _percentile_inner(self, q: float) -> float:
-        if self._cached is None:
-            # Interpolate on the maintained sorted buffer (bit-identical
-            # to np.percentile, no snapshot copy, no partition pass).
-            return self._inc.percentile(q)
-        return self.snapshot().percentile(q)
-
-    def evaluate(self, b: float) -> float:
-        """``F(b)`` over the current window."""
-        prof = self._obs.prof
-        if prof.enabled:
-            with prof.span("cdf.query"):
-                return self._evaluate_inner(b)
-        return self._evaluate_inner(b)
-
-    def _evaluate_inner(self, b: float) -> float:
-        if self._cached is None:
-            # O(log W) direct read; building/caching a snapshot is left
-            # to callers that will query repeatedly.
-            return self._inc.evaluate(b)
-        return self.snapshot().evaluate(b)
-
-    def evaluate_strict(self, b: float) -> float:
-        """``F(b-)`` over the current window."""
-        prof = self._obs.prof
-        if prof.enabled:
-            with prof.span("cdf.query"):
-                return self._evaluate_strict_inner(b)
-        return self._evaluate_strict_inner(b)
-
-    def _evaluate_strict_inner(self, b: float) -> float:
-        if self._cached is None:
-            return self._inc.evaluate_strict(b)
-        return self.snapshot().evaluate_strict(b)
-
-    def partial_mean_below(self, b0: float) -> float:
-        """``M[b0]`` over the current window."""
-        prof = self._obs.prof
-        if prof.enabled:
-            with prof.span("cdf.query"):
-                return self._partial_mean_below_inner(b0)
-        return self._partial_mean_below_inner(b0)
-
-    def _partial_mean_below_inner(self, b0: float) -> float:
-        if self._cached is None:
-            return self._inc.partial_mean_below(b0)
-        return self.snapshot().partial_mean_below(b0)
-
-    def mean(self) -> float:
-        """Mean of the current window."""
-        if self._cached is None:
-            return self._inc.mean()
-        return self.snapshot().mean()
+        Interpolated on the sorted buffer with no snapshot copy; bit for
+        bit ``snapshot().percentile(q)``.
+        """
+        if self._size == 0:
+            raise ConfigurationError("no samples observed yet")
+        if not 0.0 <= q <= 100.0:
+            raise ConfigurationError(f"q must be in [0, 100], got {q}")
+        return lerp_order_statistics(
+            self._size, q / 100.0, self._arr.__getitem__
+        )
 
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
     def window_values(self) -> list[float]:
         """The window's samples in arrival order (oldest first)."""
-        return self._inc.window_values()
+        return list(self._fifo)
 
     def state_dict(self) -> dict:
-        """JSON-serializable snapshot.
+        """JSON-serializable snapshot: the window in arrival order.
 
-        Arrival order fully determines the state: replaying it into a
-        fresh window reproduces the sorted buffer bit-for-bit.
+        Arrival order is the complete state: replaying it into an empty
+        window performs at most ``window`` inserts and no evictions,
+        reproducing the sorted buffer bit for bit (same values, same
+        insertion ties).
         """
         return {"window": self.window, "values": self.window_values()}
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot, replacing the window's contents.
+        """Restore a :meth:`state_dict` snapshot in place.
 
-        The cached frozen CDF is dropped — rebuilding it is
-        deterministic.
+        Every sample is replaced and the cached snapshot dropped.  The
+        restore counts as ``window`` updates whatever it holds: it may
+        replace the whole window, and a quiet horizon keyed on
+        :attr:`updates` is always shorter than ``window``, so none
+        outlives a restore.
         """
         if int(state["window"]) != self.window:
-            raise ConfigurationError(
+            raise CheckpointError(
                 f"window mismatch: have {self.window}, checkpoint has "
                 f"{state['window']}"
             )
-        self._inc = IncrementalWindowCDF(self.window)
-        self._inc.extend(float(v) for v in state["values"])
+        updates = self.updates
+        self._fifo.clear()
+        self._size = 0
+        for v in state["values"]:
+            self._insert(float(v))
+        self.updates = updates + self.window
         self._cached = None
 
 
-def ks_distance(
-    a: Union[EmpiricalCDF, "SlidingWindowCDF"],
-    b: Union[EmpiricalCDF, "SlidingWindowCDF"],
-) -> float:
+def ks_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
     """Kolmogorov–Smirnov distance ``sup_x |F_a(x) - F_b(x)|``.
 
     Used as the remap trigger: the paper rebuilds scheduling vectors "when
@@ -424,9 +432,5 @@ def ks_distance(
     so the grid is never sorted or deduplicated — the seed's ``union1d``
     sort was the last O(n log n) step in the remap-trigger path.
     """
-    if isinstance(a, SlidingWindowCDF):
-        a = a.snapshot()
-    if isinstance(b, SlidingWindowCDF):
-        b = b.snapshot()
     grid = np.concatenate([a.samples, b.samples])
     return float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid))))

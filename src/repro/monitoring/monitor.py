@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Optional
 
 from repro.errors import ConfigurationError
 from repro.monitoring.cdf import EmpiricalCDF, SlidingWindowCDF, ks_distance
-from repro.monitoring.incremental import IncrementalWindowCDF
 from repro.monitoring.predictors import EWMAPredictor
 from repro.obs.context import NULL_OBS, Observability
 from repro.obs.events import Category
@@ -63,12 +62,11 @@ class PathMonitor:
         self.rtt_ms = EWMAPredictor(alpha=0.2)
         self.loss_rate = EWMAPredictor(alpha=0.2)
         self._reference_cdf: Optional[EmpiricalCDF] = None
-        # Quiet horizon of the remap trigger: while the bandwidth window
-        # is this object and its update count is at most this value, the
-        # KS distance provably stays within ks_threshold.  Derived state,
-        # never checkpointed.
-        self._quiet_window: Optional[IncrementalWindowCDF] = None
-        self._quiet_until = 0
+        # Quiet horizon of the remap trigger: while the bandwidth
+        # window's update count is at most this value, the KS distance
+        # provably stays within ks_threshold; -1 is no horizon.  Derived
+        # state, never checkpointed.
+        self._quiet_until = -1
         self._obs = obs if obs is not None else NULL_OBS
         self._clock: Callable[[], float] = clock or (lambda: 0.0)
         # One-step-ahead bandwidth forecast, kept only for the
@@ -157,7 +155,7 @@ class PathMonitor:
         """Snapshot the current CDF as the reference for change detection."""
         old = self._reference_cdf
         self._reference_cdf = self.cdf()
-        self._quiet_window = None
+        self._quiet_until = -1
         if self._obs.enabled:
             self._obs.metrics.counter("monitor.cdf_refreshes").inc()
             self._obs.trace.emit(
@@ -215,7 +213,7 @@ class PathMonitor:
         )
         forecast = state["bw_forecast"]
         self._bw_forecast = None if forecast is None else float(forecast)
-        self._quiet_window = None
+        self._quiet_until = -1
 
     def cdf_changed_significantly(self) -> bool:
         """Whether the distribution drifted beyond ``ks_threshold``.
@@ -226,8 +224,8 @@ class PathMonitor:
         """
         if self._reference_cdf is None:
             return True  # never mapped against this path yet
-        window = self.bandwidth.incremental
-        if window is self._quiet_window and window.updates <= self._quiet_until:
+        window = self.bandwidth
+        if window.updates <= self._quiet_until:
             return False
         ks = ks_distance(self.cdf(), self._reference_cdf)
         shifted = ks > self.ks_threshold
@@ -249,6 +247,5 @@ class PathMonitor:
             # comparison would see above the threshold is never skipped.
             n = window.window
             slack = int(self.ks_threshold * n - ks * n) - 1
-            self._quiet_window = window
             self._quiet_until = window.updates + max(slack, 0)
         return shifted

@@ -22,7 +22,7 @@ from collections import deque
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.monitoring.incremental import lerp_order_statistics
+from repro.monitoring.cdf import lerp_order_statistics
 
 
 class Predictor:
@@ -269,12 +269,12 @@ class PercentilePredictor(Predictor):
         entries are NaN.  The window is one sorted list rolled across
         the series (``bisect`` out the leaving sample, ``insort`` the
         entering one) and read through
-        :func:`~repro.monitoring.incremental.lerp_order_statistics`,
+        :func:`~repro.monitoring.cdf.lerp_order_statistics`,
         numpy's linear interpolation on the two order statistics: the
         values are sample values either way, so the result is exact in
         O(n + window) memory, where a ``sliding_window_view`` percentile
         would partition a dense ``n x window`` copy.  A plain list beats
-        :class:`~repro.monitoring.incremental.IncrementalWindowCDF` here
+        :class:`~repro.monitoring.cdf.SlidingWindowCDF` here
         by about 6x, whose per-update numpy calls cost more than the
         list's memmove at these window sizes.
 

@@ -304,8 +304,7 @@ def test_resume_inside_a_quiet_horizon():
     quiet = [
         m
         for m in cut.scheduler.monitors.values()
-        if m._quiet_window is m.bandwidth.incremental
-        and m.bandwidth.incremental.updates < m._quiet_until
+        if m.bandwidth.updates < m._quiet_until
     ]
     assert quiet, "the cut must fall inside some monitor's quiet horizon"
     state = json.loads(json.dumps(cut.state_dict()))

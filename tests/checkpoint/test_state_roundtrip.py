@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.errors import CheckpointError
-from repro.monitoring.incremental import IncrementalWindowCDF
 from repro.monitoring.cdf import SlidingWindowCDF
 from repro.robustness.health import (
     HealthThresholds,
@@ -112,37 +111,6 @@ class TestHealthMachine:
         assert original.state_dict() == restored.state_dict()
 
 
-class TestIncrementalWindowCDF:
-    def test_fixpoint_past_eviction(self):
-        window = 32
-        original = IncrementalWindowCDF(window)
-        # Overfill so the FIFO has already evicted (the hard case:
-        # restore must rebuild the sorted buffer without re-evicting).
-        for i in range(100):
-            original.update(float((i * 37) % 50) / 7.0)
-
-        restored = IncrementalWindowCDF(window)
-        restored.load_state_dict(roundtrip(original.state_dict()))
-        assert restored.window_values() == original.window_values()
-        assert list(restored.sorted_view()) == list(
-            original.sorted_view()
-        )
-
-        for v in [3.3, 0.1, 9.9]:
-            original.update(v)
-            restored.update(v)
-        assert list(restored.sorted_view()) == list(
-            original.sorted_view()
-        )
-
-    def test_window_mismatch_rejected(self):
-        original = IncrementalWindowCDF(8)
-        original.update(1.0)
-        other = IncrementalWindowCDF(16)
-        with pytest.raises(CheckpointError, match="window"):
-            other.load_state_dict(original.state_dict())
-
-
 class TestSlidingWindowCDF:
     def test_fixpoint(self):
         original = SlidingWindowCDF(window=20)
@@ -159,6 +127,40 @@ class TestSlidingWindowCDF:
         snap_a, snap_b = original.snapshot(), restored.snapshot()
         for q in [0.1, 0.5, 0.9]:
             assert snap_a.quantile(q) == snap_b.quantile(q)
+
+    def test_fixpoint_past_eviction(self):
+        window = 32
+        original = SlidingWindowCDF(window)
+        # Overfill so the FIFO has already evicted (the hard case:
+        # restore must rebuild the sorted buffer without re-evicting).
+        for i in range(100):
+            original.update(float((i * 37) % 50) / 7.0)
+
+        restored = SlidingWindowCDF(window)
+        restored.load_state_dict(roundtrip(original.state_dict()))
+        assert restored.window_values() == original.window_values()
+        assert list(restored.snapshot().samples) == list(
+            original.snapshot().samples
+        )
+
+        for v in [3.3, 0.1, 9.9]:
+            original.update(v)
+            restored.update(v)
+        assert list(restored.snapshot().samples) == list(
+            original.snapshot().samples
+        )
+
+    def test_window_mismatch_rejected(self):
+        original = SlidingWindowCDF(8)
+        original.update(1.0)
+        other = SlidingWindowCDF(16)
+        other.update(2.0)
+        with pytest.raises(
+            CheckpointError, match="have 16, checkpoint has 8"
+        ):
+            other.load_state_dict(original.state_dict())
+        # A refused restore leaves the window as it was.
+        assert other.window_values() == [2.0]
 
 
 class TestSimulatorQueue:

@@ -98,7 +98,7 @@ class TestSlidingWindowCDF:
         window = SlidingWindowCDF(window=10)
         window.extend(range(1, 11))
         assert window.percentile(50) == pytest.approx(5.5)
-        assert window.evaluate(5) == 0.5
+        assert window.snapshot().evaluate(5) == 0.5
 
     def test_non_finite_rejected(self):
         window = SlidingWindowCDF()

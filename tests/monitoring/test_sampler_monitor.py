@@ -1,4 +1,4 @@
-"""Throughput sampler and the per-path monitor."""
+"""The per-path monitor and its remap trigger."""
 
 import json
 
@@ -8,44 +8,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.monitoring.monitor import PathMonitor
 from repro.obs.context import Observability
-from repro.monitoring.sampler import ThroughputSampler
-
-
-class TestSampler:
-    def test_single_interval_rate(self):
-        sampler = ThroughputSampler(dt=0.1)
-        sampler.record(0.05, 125_000)  # 1.25e5 B in 0.1 s = 10 Mbps
-        closed = sampler.record(0.1, 0)
-        assert closed == pytest.approx([10.0])
-
-    def test_idle_intervals_emit_zero(self):
-        sampler = ThroughputSampler(dt=0.1)
-        sampler.record(0.0, 125_000)
-        closed = sampler.record(0.35, 125_000)
-        assert closed == pytest.approx([10.0, 0.0, 0.0])
-
-    def test_flush(self):
-        sampler = ThroughputSampler(dt=0.1)
-        sampler.record(0.0, 125_000)
-        assert sampler.flush(0.2) == pytest.approx([10.0, 0.0])
-
-    def test_samples_accumulate(self):
-        sampler = ThroughputSampler(dt=0.1)
-        for i in range(5):
-            sampler.record(i * 0.1, 125_000)
-        sampler.flush(0.5)
-        assert len(sampler.samples) == 5
-        assert sampler.samples == pytest.approx([10.0] * 5)
-
-    def test_time_going_backwards_rejected(self):
-        sampler = ThroughputSampler(dt=0.1)
-        sampler.record(0.5, 100)
-        with pytest.raises(ConfigurationError):
-            sampler.record(0.1, 100)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ThroughputSampler(dt=0.1).record(0.0, -1)
 
 
 class TestPathMonitor:
@@ -148,12 +110,13 @@ class TestRemapTriggerSkip:
         assert self.evaluations(monitor) == 2
 
     def test_replaced_window_forces_an_evaluation(self, rng):
-        # Restoring the window alone restarts its update count; the
-        # horizon belongs to the window object it was measured on.
+        # Restoring the window alone, in place, counts as a full window
+        # of updates: past every horizon, whatever the restore holds.
         monitor = self.quiet_monitor(rng)
-        window = monitor.bandwidth.incremental
-        monitor.bandwidth.load_state_dict(monitor.bandwidth.state_dict())
-        assert monitor.bandwidth.incremental is not window
+        window = monitor.bandwidth
+        window.load_state_dict({"window": 100, "values": [50.0] * 5})
+        assert monitor.bandwidth is window
+        assert window.window_values() == [50.0] * 5
         monitor.cdf_changed_significantly()
         assert self.evaluations(monitor) == 2
 
@@ -165,7 +128,7 @@ class TestRemapTriggerSkip:
             monitor.observe_bandwidth_many(samples)
             monitor.mark_remapped()
         checked.cdf_changed_significantly()
-        assert checked._quiet_window is checked.bandwidth.incremental
+        assert checked.bandwidth.updates <= checked._quiet_until
         state = checked.state_dict()
         assert list(state) == [
             "bandwidth", "rtt_ms", "loss_rate", "reference_cdf", "bw_forecast"

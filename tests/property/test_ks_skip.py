@@ -22,8 +22,7 @@ from collections import deque
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.monitoring.cdf import EmpiricalCDF, ks_distance
-from repro.monitoring.incremental import IncrementalWindowCDF
+from repro.monitoring.cdf import EmpiricalCDF, SlidingWindowCDF, ks_distance
 from repro.monitoring.monitor import PathMonitor
 
 value_strategy = st.one_of(
@@ -48,13 +47,13 @@ def test_one_replacement_moves_distance_at_most_one_over_n(
 ):
     n = len(initial)
     ref = EmpiricalCDF(reference)
-    inc = IncrementalWindowCDF(n)
-    inc.extend(initial)
-    assert inc.full
-    before = ks_distance(inc.snapshot(), ref)
+    window = SlidingWindowCDF(n)
+    window.extend(initial)
+    assert window.full
+    before = ks_distance(window.snapshot(), ref)
     for v in replacements:
-        inc.update(v)
-        after = ks_distance(inc.snapshot(), ref)
+        window.update(v)
+        after = ks_distance(window.snapshot(), ref)
         # Both are k/n - j/m in floats: the slack above 1/n is rounding.
         assert abs(after - before) <= 1.0 / n + 1e-12
         before = after
