@@ -31,7 +31,8 @@ Top-level structure:
     Experiment definitions for every figure in the paper's evaluation.
 """
 
-from repro._version import __version__
+__version__ = "1.0.0"
+
 from repro.core.spec import StreamSpec, WindowConstraint
 from repro.core.pgos import PGOSScheduler
 from repro.core.guarantees import probabilistic_guarantee, violation_bound

@@ -9,20 +9,16 @@
   with a-priori knowledge of available bandwidth, Figure 9d/10d.
 * :mod:`repro.baselines.meanpred` — a PGOS-shaped scheduler that uses mean
   prediction instead of percentile prediction (ablation).
-* :mod:`repro.baselines.dwcs` — single-link Dynamic Window-Constrained
-  Scheduling (West & Poellabauer), the algorithm PGOS descends from.
 """
 
 from repro.baselines.wfq import WFQScheduler
 from repro.baselines.msfq import MSFQScheduler
 from repro.baselines.optsched import OptSchedScheduler
 from repro.baselines.meanpred import MeanPredictionScheduler
-from repro.baselines.dwcs import DWCSScheduler
 
 __all__ = [
     "WFQScheduler",
     "MSFQScheduler",
     "OptSchedScheduler",
     "MeanPredictionScheduler",
-    "DWCSScheduler",
 ]

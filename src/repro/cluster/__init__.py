@@ -15,7 +15,6 @@ counts, across re-runs, and to the in-process baseline
 protocol, the seed derivation, and the merge-determinism rules.
 """
 
-from repro.cluster.envelope import estimate_cluster_envelope
 from repro.cluster.epochs import epoch_boundaries, epochs_completed
 from repro.cluster.local import run_partitioned
 from repro.cluster.master import ClusterMaster
@@ -29,7 +28,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "epoch_boundaries",
     "epochs_completed",
-    "estimate_cluster_envelope",
     "partition_map",
     "run_partitioned",
     "shard_of",

@@ -14,7 +14,7 @@
 * :mod:`repro.harness.cli` — ``python -m repro.harness fig9 --seed 7``.
 """
 
-from repro.harness.chaos import ChaosReport, run_chaos_campaign, run_chaos_suite
+from repro.harness.chaos import ChaosReport, run_chaos_campaign
 from repro.harness.experiment import ExperimentResult, run_schedule_experiment
 from repro.harness.metrics import StreamSummary, frame_jitter_ms, summarize_stream
 
@@ -26,5 +26,4 @@ __all__ = [
     "frame_jitter_ms",
     "ChaosReport",
     "run_chaos_campaign",
-    "run_chaos_suite",
 ]

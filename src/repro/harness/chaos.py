@@ -30,7 +30,7 @@ the trace against an independent replay of the tracker's transition log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -270,18 +270,3 @@ def standard_chaos_run(seed: int = 7, duration: float = 80.0) -> ChaosReport:
         ["A", "B"], duration=duration, seed=seed
     )
     return run_chaos_campaign(realization, smartpointer_streams(), campaign)
-
-
-def run_chaos_suite(
-    realization: TestbedRealization,
-    streams: Sequence[StreamSpec],
-    campaigns: Sequence[FaultCampaign],
-    **kwargs,
-) -> list[ChaosReport]:
-    """Sweep several campaigns over fresh service instances."""
-    if not campaigns:
-        raise ConfigurationError("at least one campaign is required")
-    return [
-        run_chaos_campaign(realization, streams, campaign, **kwargs)
-        for campaign in campaigns
-    ]

@@ -23,20 +23,15 @@ from repro.overlay.forwarding import ForwardingResult, run_relay_session
 from repro.overlay.multicast import (
     MulticastTree,
     multicast_guaranteed_rate,
-    multicast_guaranteed_rates,
     run_multicast_session,
 )
-from repro.overlay.operators import ReductionOperator, run_processed_relay
 
 __all__ = [
-    "ReductionOperator",
-    "run_processed_relay",
     "LogicalLink",
     "OverlayMesh",
     "ForwardingResult",
     "run_relay_session",
     "MulticastTree",
     "multicast_guaranteed_rate",
-    "multicast_guaranteed_rates",
     "run_multicast_session",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError
 from repro.core.guarantees import guaranteed_rate_at
 from repro.monitoring.cdf import EmpiricalCDF
 from repro.overlay.mesh import MeshRealization
@@ -119,38 +119,6 @@ def multicast_guaranteed_rate(
     if not rates:
         raise ConfigurationError("tree has no clients")
     return float(min(rates))
-
-
-def multicast_guaranteed_rates(
-    realization: MeshRealization,
-    tree: MulticastTree,
-    probabilities: np.ndarray,
-) -> np.ndarray:
-    """Guaranteed multicast rates for many probability levels at once.
-
-    Builds each leaf's end-to-end bottleneck CDF once and evaluates the
-    whole quantile sweep with a single vectorized ``percentile`` call per
-    leaf — the batch analogue of calling
-    :func:`multicast_guaranteed_rate` per probability, and bit-identical
-    to it elementwise.
-    """
-    probs = np.asarray(probabilities, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise ConfigurationError("probabilities must be a non-empty 1-D array")
-    if np.any((probs <= 0.0) | (probs >= 1.0)):
-        raise ConfigurationError(
-            f"probabilities must be in (0, 1), got {probabilities}"
-        )
-    paths = tree.paths_to_leaves()
-    if not paths:
-        raise ConfigurationError("tree has no clients")
-    per_leaf = np.empty((len(paths), probs.size), dtype=float)
-    for i, (leaf, path) in enumerate(paths.items()):
-        cdf = EmpiricalCDF(realization.route_bottleneck_series(path))
-        per_leaf[i] = cdf.percentile((1.0 - probs) * 100.0)
-    return np.array(
-        [float(min(per_leaf[:, j])) for j in range(probs.size)]
-    )
 
 
 def run_multicast_session(

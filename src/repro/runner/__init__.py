@@ -9,7 +9,8 @@ warm reruns of unchanged figures pure cache hits.  Because tasks are
 pure functions of their specs, parallel runs are byte-identical to
 serial ones regardless of worker count or completion order.
 
-Front door: ``python -m repro.runner`` (or ``tools/run_all.py``).
+Front door: ``python -m repro.runner`` (``--with-chaos --with-scale``
+for the full evaluation).
 """
 
 from repro.runner.cache import CacheStats, ResultCache

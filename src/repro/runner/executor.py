@@ -189,13 +189,6 @@ class RunReport:
     def all_ok(self) -> bool:
         return self.failed == 0 and self.interrupted == 0
 
-    def outcome_for(self, spec: RunSpec) -> Optional[RunOutcome]:
-        target = spec.content_hash
-        for outcome in self.outcomes:
-            if outcome.spec.content_hash == target:
-                return outcome
-        return None
-
     def summary_record(self) -> dict[str, Any]:
         return {
             "total": len(self.outcomes),

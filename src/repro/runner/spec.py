@@ -1,7 +1,7 @@
 """Declarative run specifications with stable content hashes.
 
 A :class:`RunSpec` names one unit of the evaluation — a figure, a
-sweep point, a chaos campaign — as plain data: a task ``kind`` (the
+chaos campaign, a workload run — as plain data: a task ``kind`` (the
 dispatch key into :data:`repro.runner.tasks.TASKS`), a display ``name``,
 a JSON-serializable ``params`` mapping, and an optional explicit
 ``seed``.  Everything downstream keys off the spec's *content hash*:
@@ -63,8 +63,8 @@ class RunSpec:
     ----------
     kind:
         Task type — a key of :data:`repro.runner.tasks.TASKS`
-        (``"figure"``, ``"sweep_point"``, ``"noise_point"``,
-        ``"chaos"``, ``"selftest"``).
+        (``"figure"``, ``"chaos"``, ``"workload"``, ``"envelope"``,
+        ``"selftest"``).
     name:
         Display/output name; figure specs use the figure id so their
         reports land in ``<output>/<name>.txt``.  The name is part of

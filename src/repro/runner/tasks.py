@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -100,70 +100,6 @@ def run_figure(
         "report": result.render() + "\n",
         "measured": jsonify(result.measured),
         "notes": list(result.notes),
-    }
-
-
-# ----------------------------------------------------------------------
-# sweep points
-# ----------------------------------------------------------------------
-def run_sweep_point(
-    spec: RunSpec, runtime: Optional[TaskRuntime] = None
-) -> dict[str, Any]:
-    """One cross-traffic intensity: params ``{"scale": ..., ...}``.
-
-    Calls the same :func:`repro.harness.sweep.cross_traffic_point` the
-    serial sweep loop uses, with the same base seed, so a fanned-out
-    sweep reassembles bit-identically to ``sweep_cross_traffic``.
-    """
-    from repro.harness.sweep import cross_traffic_point, render_sweep
-
-    point = cross_traffic_point(
-        scale=float(spec.params["scale"]),
-        algorithms=tuple(spec.params.get("algorithms", ("MSFQ", "PGOS"))),
-        seed=spec.effective_seed(),
-        duration=float(spec.params.get("duration", 90.0)),
-        dt=float(spec.params.get("dt", 0.1)),
-        warmup_intervals=int(spec.params.get("warmup_intervals", 200)),
-    )
-    return {
-        "point": jsonify(asdict(point)),
-        "report": render_sweep([point]) + "\n",
-    }
-
-
-def run_noise_point(
-    spec: RunSpec, runtime: Optional[TaskRuntime] = None
-) -> dict[str, Any]:
-    """One probing-quality level: params describe the probe declaratively.
-
-    ``{"label": ..., "noise_cv": ..., "bias": ..., "smoothing_intervals":
-    ..., "perfect": bool}`` — the probe object is built here, inside the
-    worker, so specs stay plain data.
-    """
-    from repro.harness.sweep import measurement_noise_point
-    from repro.monitoring.probe import ProbingEstimator
-
-    label = str(spec.params["label"])
-    probe = None
-    if not spec.params.get("perfect", False):
-        probe = ProbingEstimator(
-            noise_cv=float(spec.params.get("noise_cv", 0.0)),
-            bias=float(spec.params.get("bias", 1.0)),
-            smoothing_intervals=int(
-                spec.params.get("smoothing_intervals", 1)
-            ),
-        )
-    point = measurement_noise_point(
-        label,
-        probe,
-        seed=spec.effective_seed(),
-        duration=float(spec.params.get("duration", 90.0)),
-        dt=float(spec.params.get("dt", 0.1)),
-        warmup_intervals=int(spec.params.get("warmup_intervals", 200)),
-    )
-    return {
-        "point": jsonify(asdict(point)),
-        "report": f"{point.label}: attainment {point.attainment:.3f}\n",
     }
 
 
@@ -327,54 +263,6 @@ def run_envelope(
     }
 
 
-def run_cluster(
-    spec: RunSpec, runtime: Optional[TaskRuntime] = None
-) -> dict[str, Any]:
-    """One sharded cluster run: params ``{"scenario": ..., "shards": ...}``.
-
-    Spawns a worker fleet via :class:`repro.cluster.ClusterMaster`, so
-    this task parallelizes *within* one spec — unlike every other kind,
-    whose parallelism is across specs.  The payload embeds the merged
-    report's checksum, which by the cluster's determinism contract is
-    independent of ``shards``; the executor's result cache therefore
-    keys only on the simulated work, never on the worker topology
-    (``shards`` rides in ``params`` and does change the spec hash —
-    intentionally, since wall-time telemetry differs).
-
-    With ``runtime.checkpoint_dir`` set, per-partition snapshots land
-    under ``<dir>/cluster`` and a retried attempt resumes them.
-    """
-    from repro.cluster import ClusterMaster
-
-    checkpoint_root = None
-    resume = False
-    if runtime is not None and runtime.checkpoint_dir is not None:
-        checkpoint_root = os.path.join(runtime.checkpoint_dir, "cluster")
-        resume = True
-    with ClusterMaster(
-        scenario=str(spec.params["scenario"]),
-        seed=spec.effective_seed(),
-        shards=int(spec.params.get("shards", 2)),
-        epoch_s=float(spec.params.get("epoch_s", 2.0)),
-        max_sessions=spec.params.get("max_sessions"),
-        checkpoint_root=checkpoint_root,
-        hang_timeout=float(spec.params.get("hang_timeout", 60.0)),
-        topology=spec.params.get("topology"),
-    ) as master:
-        report = master.run(
-            rate_scale=float(spec.params.get("rate_scale", 1.0)),
-            duration=spec.params.get("duration"),
-            resume=resume,
-        )
-    if runtime is not None:
-        runtime.beat()
-    return {
-        "report": report.render() + "\n",
-        "cluster": jsonify(report.to_dict()),
-        "checksum": report.checksum(),
-    }
-
-
 # ----------------------------------------------------------------------
 # selftest (executor plumbing probes)
 # ----------------------------------------------------------------------
@@ -445,12 +333,9 @@ TASKS: dict[
     str, Callable[[RunSpec, Optional[TaskRuntime]], dict[str, Any]]
 ] = {
     "figure": run_figure,
-    "sweep_point": run_sweep_point,
-    "noise_point": run_noise_point,
     "chaos": run_chaos,
     "workload": run_workload,
     "envelope": run_envelope,
-    "cluster": run_cluster,
     "selftest": run_selftest,
 }
 

@@ -24,11 +24,9 @@ from repro.topo.generators import (
     build_testbed,
     topo_checksum,
 )
-from repro.topo.mesh import overlay_mesh_from_testbed
 from repro.topo.paths import (
     greedy_disjoint_routes,
     route_is_simple,
-    routes_edge_disjoint,
     routes_node_disjoint,
     shortest_route,
 )
@@ -60,11 +58,9 @@ __all__ = [
     "build_repetita_wan",
     "build_testbed",
     "greedy_disjoint_routes",
-    "overlay_mesh_from_testbed",
     "parse_topology",
     "resolve_topology",
     "route_is_simple",
-    "routes_edge_disjoint",
     "routes_node_disjoint",
     "shortest_route",
     "topo_checksum",

@@ -129,14 +129,3 @@ def routes_node_disjoint(routes: list[list[str]]) -> bool:
             return False
         seen |= interior
     return True
-
-
-def routes_edge_disjoint(routes: list[list[str]]) -> bool:
-    """True when no two routes share a directed edge."""
-    seen: set[tuple[str, str]] = set()
-    for route in routes:
-        for edge in zip(route[:-1], route[1:]):
-            if edge in seen:
-                return False
-            seen.add(edge)
-    return True

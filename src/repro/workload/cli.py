@@ -1,8 +1,8 @@
 """Command-line front door for the workload engine.
 
-Runs one named scenario (or its capacity-envelope search), in this
-process or sharded across worker processes, and prints the
-deterministic report plus wall-clock throughput figures::
+Runs one named scenario, in this process or sharded across worker
+processes, or searches its capacity envelope in this process, and
+prints the deterministic report plus wall-clock throughput figures::
 
     python -m repro.workload --scenario baseline --seed 0
     python -m repro.workload --scenario flash-crowd --rate-scale 1.5 \\
@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "metrics export format; auto picks prometheus exposition "
-            "text for a .prom extension, JSON otherwise (default: auto)"
+            "text for a .prom extension, JSON otherwise (default: auto; "
+            "requires --metrics-out)"
         ),
     )
     parser.add_argument(
@@ -152,19 +153,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--envelope", action="store_true",
-        help="binary-search the capacity envelope instead of one run",
+        help=(
+            "binary-search the capacity envelope instead of one run "
+            "(in this process; --json-out is its only export)"
+        ),
     )
     parser.add_argument(
         "--ceiling", type=float, default=0.05,
-        help="envelope violation-rate ceiling (default: 0.05)",
+        help=(
+            "envelope violation-rate ceiling (default: 0.05; requires "
+            "--envelope)"
+        ),
     )
     parser.add_argument(
         "--iterations", type=int, default=6,
-        help="envelope bisection iterations (default: 6)",
+        help="envelope bisection iterations (default: 6; requires --envelope)",
     )
     parser.add_argument(
         "--probe-duration", type=float, default=30.0,
-        help="duration of each envelope probe run (default: 30s)",
+        help=(
+            "duration of each envelope probe run (default: 30s; requires "
+            "--envelope)"
+        ),
     )
     parser.add_argument(
         "--checkpoint-dir", type=Path, default=None,
@@ -220,6 +230,12 @@ _SHARDED_ONLY = ("epoch_s", "hang_timeout", "kill_shard_at", "check_identity")
 _IN_PROCESS_ONLY = (
     "kill_at", "checkpoint_every", "metrics_out", "profile_out",
 )
+#: Flags that only steer an envelope search / that it has no use for.
+_ENVELOPE_ONLY = ("ceiling", "iterations", "probe_duration")
+_NOT_ENVELOPE = (
+    "rate_scale", "duration", "shards", "trace_out", "metrics_out",
+    "profile_out", "checkpoint_dir", "checkpoint_every", "resume", "kill_at",
+)
 
 
 def validate_args(
@@ -234,15 +250,26 @@ def validate_args(
     the usual usage text and exit code 2.  The same goes for flags of
     the other execution mode: a worker fleet has no per-step kill hook,
     metrics registry or span profiler to export, and an in-process run
-    has no epochs or shards.
+    has no epochs or shards.  An envelope search picks its own rate
+    scales and probe duration and runs in this process, exporting
+    nothing but ``--json-out``; its search flags mean nothing to one run.
     """
-    if args.shards is None:
-        other_mode, why = _SHARDED_ONLY, "requires --shards"
+
+    def refuse(dests: tuple[str, ...], why: str) -> None:
+        for dest in dests:
+            if getattr(args, dest) != parser.get_default(dest):
+                parser.error(f"--{dest.replace('_', '-')} {why}")
+
+    if args.envelope:
+        refuse(_NOT_ENVELOPE, "cannot be combined with --envelope")
     else:
-        other_mode, why = _IN_PROCESS_ONLY, "cannot be combined with --shards"
-    for dest in other_mode:
-        if getattr(args, dest) != parser.get_default(dest):
-            parser.error(f"--{dest.replace('_', '-')} {why}")
+        refuse(_ENVELOPE_ONLY, "requires --envelope")
+    if args.shards is None:
+        refuse(_SHARDED_ONLY, "requires --shards")
+    else:
+        refuse(_IN_PROCESS_ONLY, "cannot be combined with --shards")
+    if args.metrics_out is None:
+        refuse(("metrics_format",), "requires --metrics-out")
     if args.resume and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
     if args.kill_at and args.checkpoint_dir is None:
@@ -257,44 +284,21 @@ def validate_args(
         )
 
 
-def _fleet_options(args: argparse.Namespace) -> dict:
-    """The ``ClusterMaster`` keywords the command line sets."""
-    return {
-        "shards": args.shards,
-        "epoch_s": args.epoch_s,
-        "max_sessions": args.max_sessions,
-        "checkpoint_root": args.checkpoint_dir,
-        "hang_timeout": args.hang_timeout,
-        "topology": args.topology,
-    }
-
-
 def _run_envelope(args: argparse.Namespace) -> int:
-    search = dict(
+    t0 = time.perf_counter()
+    envelope = estimate_envelope(
+        args.scenario,
         seed=args.seed,
         ceiling=args.ceiling,
         iterations=args.iterations,
         probe_duration=args.probe_duration,
+        max_sessions=args.max_sessions,
+        topology=args.topology,
     )
-    t0 = time.perf_counter()
-    if args.shards is None:
-        envelope = estimate_envelope(
-            args.scenario,
-            max_sessions=args.max_sessions,
-            topology=args.topology,
-            **search,
-        )
-    else:
-        from repro.cluster import estimate_cluster_envelope
-
-        envelope = estimate_cluster_envelope(
-            args.scenario, **search, **_fleet_options(args)
-        )
     wall = time.perf_counter() - t0
     print(envelope.render())
     print(f"checksum {envelope.checksum()}")
-    where = "" if args.shards is None else f" on {args.shards} shards"
-    print(f"wall {wall:.2f}s over {len(envelope.probes)} probes{where}")
+    print(f"wall {wall:.2f}s over {len(envelope.probes)} probes")
     if args.json_out is not None:
         args.json_out.write_text(
             json.dumps(envelope.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -366,8 +370,15 @@ def _run_sharded(args: argparse.Namespace, obs):
     from repro.cluster import ClusterMaster
 
     with ClusterMaster(
-        scenario=args.scenario, seed=args.seed, obs=obs,
-        **_fleet_options(args),
+        scenario=args.scenario,
+        seed=args.seed,
+        shards=args.shards,
+        epoch_s=args.epoch_s,
+        max_sessions=args.max_sessions,
+        checkpoint_root=args.checkpoint_dir,
+        hang_timeout=args.hang_timeout,
+        topology=args.topology,
+        obs=obs,
     ) as master:
         return master.run(
             rate_scale=args.rate_scale,

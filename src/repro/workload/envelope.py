@@ -24,11 +24,7 @@ from typing import Any, Callable, Mapping, Optional
 from repro.errors import ConfigurationError
 from repro.runner.cache import payload_digest
 from repro.workload.driver import WorkloadReport
-from repro.workload.scenarios import (
-    ScaleScenario,
-    make_scenario,
-    run_scale_scenario,
-)
+from repro.workload.scenarios import make_scenario, run_scale_scenario
 
 
 def _round6(value: float) -> float:
@@ -122,7 +118,6 @@ def estimate_envelope(
     max_sessions: Optional[int] = None,
     resume_probes: Optional[Mapping[float, Mapping[str, Any]]] = None,
     on_probe: Optional[Callable[[EnvelopeProbe], None]] = None,
-    probe_fn: Optional[Callable[[float], tuple[int, float]]] = None,
     topology: Optional[str] = None,
 ) -> CapacityEnvelope:
     """Binary-search the max sustainable arrival-rate scale.
@@ -140,12 +135,6 @@ def estimate_envelope(
     journal); ``resume_probes`` maps ``rate_scale`` to a previously
     journaled probe dict — probes found there are reused without
     rerunning (and ``on_probe`` does not fire for them).
-
-    ``probe_fn`` swaps out *how* one probe runs: given a rate scale it
-    returns ``(offered, violation_rate)``.  The sharded control plane
-    (:func:`repro.cluster.estimate_cluster_envelope`) injects a probe
-    that fans the run across worker shards; the search logic — and so
-    the probe sequence for identical probe results — is unchanged.
     """
     if not 0 < ceiling < 1:
         raise ConfigurationError(
@@ -177,18 +166,14 @@ def estimate_envelope(
             )
             probes.append(entry)
             return entry.sustainable
-        if probe_fn is not None:
-            offered, violation_rate = probe_fn(scale)
-        else:
-            report = run_scale_scenario(
-                scenario.scaled(scale), seed=seed, max_sessions=max_sessions
-            )
-            offered, violation_rate = report.offered, report.violation_rate
-        ok = violation_rate <= ceiling and offered > 0
+        report = run_scale_scenario(
+            scenario.scaled(scale), seed=seed, max_sessions=max_sessions
+        )
+        ok = report.violation_rate <= ceiling and report.offered > 0
         entry = EnvelopeProbe(
             rate_scale=scale,
-            offered=int(offered),
-            violation_rate=_round6(violation_rate),
+            offered=int(report.offered),
+            violation_rate=_round6(report.violation_rate),
             sustainable=ok,
         )
         probes.append(entry)

@@ -1,12 +1,10 @@
-"""Master/worker integration: protocol, supervision, runner task."""
+"""Master/worker integration: protocol and supervision."""
 
 import pytest
 
 from repro.cluster import ClusterMaster, run_partitioned
 from repro.errors import ClusterError
 from repro.obs.context import Observability
-from repro.runner.spec import RunSpec
-from repro.runner.tasks import execute_spec
 
 DURATION = 6.0
 MAX_SESSIONS = 24
@@ -117,21 +115,3 @@ def test_cluster_trace_events_emitted():
     assert {"shard_spawn", "epoch_barrier", "merge"} <= names
     spawns = [e for e in cluster_events if e.name == "shard_spawn"]
     assert len(spawns) == 2
-
-
-def test_runner_cluster_task_payload_checksum_is_shard_free():
-    spec = RunSpec(
-        kind="cluster",
-        name="cluster-test",
-        params={
-            "scenario": "baseline",
-            "shards": 2,
-            "duration": DURATION,
-            "max_sessions": MAX_SESSIONS,
-        },
-        seed=0,
-    )
-    payload = execute_spec(spec)
-    assert payload["checksum"] == _baseline().checksum()
-    assert payload["cluster"]["shards"] == 2
-    assert "report" in payload

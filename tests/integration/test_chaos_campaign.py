@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.smartpointer import smartpointer_streams
-from repro.harness.chaos import run_chaos_campaign, run_chaos_suite
+from repro.harness.chaos import run_chaos_campaign
 from repro.network.emulab import make_figure8_testbed
 from repro.network.faults import FaultCampaign, correlated_outage
 from repro.robustness.health import PathHealth
@@ -157,14 +157,13 @@ class TestChaosSweep:
     """Multi-seed sweep; excluded from tier-1 (run with -m chaos)."""
 
     def test_every_seed_detects_and_recovers(self, realization):
-        campaigns = [
-            FaultCampaign.random(["A", "B"], duration=80.0, seed=seed)
-            for seed in range(5)
-        ]
-        reports = run_chaos_suite(
-            realization, smartpointer_streams(), campaigns
-        )
-        for report in reports:
+        for seed in range(5):
+            campaign = FaultCampaign.random(
+                ["A", "B"], duration=80.0, seed=seed
+            )
+            report = run_chaos_campaign(
+                realization, smartpointer_streams(), campaign
+            )
             assert report.detected, report.campaign
             assert report.recovered, report.campaign
             for name in ("Atom", "Bond1"):

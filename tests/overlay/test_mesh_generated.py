@@ -9,18 +9,47 @@ what order the logical links were inserted in.
 import pytest
 
 from repro.errors import TopologyError
+from repro.network.node import NodeKind
 from repro.overlay.mesh import OverlayMesh
 from repro.topo import (
     PRESETS,
     build_testbed,
-    overlay_mesh_from_testbed,
     route_is_simple,
     routes_node_disjoint,
 )
 
+#: Node kinds the overlay routes through: hosts and cross-traffic
+#: nodes are left out, as on the Figure-8 testbed.
+MESH_KINDS = (NodeKind.SERVER, NodeKind.CLIENT, NodeKind.ROUTER)
+
+#: Profiles assigned round-robin over the *sorted* link names, so the
+#: assignment is a pure function of structure.
+MESH_PROFILE_ROTATION = ("calm", "light", "steady")
+
 
 def _mesh(preset):
-    return overlay_mesh_from_testbed(build_testbed(PRESETS[preset]))
+    """Mirror a preset's switch fabric as an overlay mesh.
+
+    One directed logical link per switch-level underlay link, added in
+    sorted-name order, so two testbeds with the same structure give
+    identical meshes whatever order their nodes were inserted in.
+    """
+    topology = build_testbed(PRESETS[preset]).topology
+    kinds = {node.name: node.kind for node in topology.nodes}
+    mesh = OverlayMesh()
+    links = sorted(topology.links, key=lambda l: l.name)
+    for i, link in enumerate(links):
+        if kinds[link.a.name] not in MESH_KINDS:
+            continue
+        if kinds[link.b.name] not in MESH_KINDS:
+            continue
+        mesh.add_link(
+            link.a.name,
+            link.b.name,
+            profile=MESH_PROFILE_ROTATION[i % len(MESH_PROFILE_ROTATION)],
+            capacity_mbps=link.capacity_mbps,
+        )
+    return mesh
 
 
 def _reinserted(mesh, order):

@@ -19,7 +19,7 @@ class TestGenerator:
             "class `EmpiricalCDF`",
             "make_figure8_testbed",
             "run_schedule_experiment",
-            "class `DWCSScheduler`",
+            "class `WFQScheduler`",
         ):
             assert needle in text, needle
 

@@ -92,10 +92,10 @@ def test_unknown_scenario_rejected(capsys):
     capsys.readouterr()
 
 
-def _usage_error(argv, capsys):
+def _usage_error(argv, capsys, base=FAST_ARGS):
     """stderr of a run that argparse refused (exit 2, usage text)."""
     with pytest.raises(SystemExit) as excinfo:
-        main(FAST_ARGS + argv)
+        main(base + argv)
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err
@@ -140,6 +140,45 @@ class TestFlagValidation:
             == 0
         )
         assert "checksum " in capsys.readouterr().out
+
+
+class TestEnvelopeFlags:
+    """An envelope search and one run share no flags but the scenario's."""
+
+    ENVELOPE = ["--scenario", "baseline", "--envelope"]
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--rate-scale", "3"],
+            ["--duration", "50"],
+            ["--shards", "2"],
+            ["--trace-out", "trace.jsonl"],
+            ["--metrics-out", "metrics.json"],
+            ["--profile-out", "profile.json"],
+            ["--checkpoint-dir", "ckpt"],
+            ["--checkpoint-every", "2.0"],
+            ["--resume"],
+            ["--kill-at", "5.0"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_run_flags_refuse_envelope(self, flag, capsys):
+        err = _usage_error(flag, capsys, base=self.ENVELOPE)
+        assert f"{flag[0]} cannot be combined with --envelope" in err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--ceiling", "0.5"], ["--iterations", "1"], ["--probe-duration", "4"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_search_flags_require_envelope(self, flag, capsys):
+        err = _usage_error(flag, capsys)
+        assert f"{flag[0]} requires --envelope" in err
+
+    def test_metrics_format_requires_metrics_out(self, capsys):
+        err = _usage_error(["--metrics-format", "json"], capsys)
+        assert "--metrics-format requires --metrics-out" in err
 
 
 class TestSharded:

@@ -1,6 +1,7 @@
 """Capacity-envelope estimation: search behavior and determinism."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -56,15 +57,16 @@ class TestSearch:
 
 
 class TestDegenerateCeilings:
-    def test_unsatisfiable_load_reports_zero(self):
+    def test_unsatisfiable_load_reports_zero(self, monkeypatch):
         # A load rejected at any arrival rate: even the lightest probe
         # violates and the envelope collapses to zero capacity.
-        envelope = estimate_envelope(
-            "baseline",
-            ceiling=0.05,
-            probe_fn=lambda scale: (30, 1.0),
-            **FAST,
+        monkeypatch.setattr(
+            "repro.workload.envelope.run_scale_scenario",
+            lambda *args, **kwargs: SimpleNamespace(
+                offered=30, violation_rate=1.0
+            ),
         )
+        envelope = estimate_envelope("baseline", ceiling=0.05, **FAST)
         assert envelope.max_sustainable_scale == 0.0
         assert not envelope.probes[0].sustainable
 
