@@ -3,7 +3,8 @@
 Every algorithm in the evaluation — PGOS, WFQ, MSFQ, OptSched — implements
 :class:`SchedulerBase`: per measurement interval it emits, for each overlay
 path, a list of :class:`PathShareRequest` entries (stream, demand, weight,
-priority level).  The experiment driver then resolves contention on each
+priority level).  :func:`deliver_interval`, the one interval step the
+figures and the scalar test oracle run, then resolves contention on each
 path with :func:`water_fill`:
 
 * strict priority across levels (level 0 served before level 1, ...);
@@ -25,6 +26,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.core.spec import StreamSpec
 from repro.obs.context import NULL_OBS, Observability
+from repro.units import bytes_in_interval, mbps_from_bytes
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,75 @@ def water_fill(
     return granted
 
 
+#: Sender-buffer bound per CBR stream, in seconds of its demand.
+BUFFER_SECONDS = 2.0
+
+
+def deliver_interval(
+    scheduler: SchedulerBase,
+    k: int,
+    specs: Sequence[StreamSpec],
+    path_names: Sequence[str],
+    capacity_mbps: Callable[[str], float],
+    dt: float,
+    backlog_bytes: dict[str, float],
+    dropped_bytes: dict[str, float],
+) -> dict[str, dict[str, float]]:
+    """One interval of the paper's delivery loop, on plain floats.
+
+    1. Each CBR stream's arrivals accrue into ``backlog_bytes``, bounded
+       at :data:`BUFFER_SECONDS` of its demand; the overflow is added to
+       ``dropped_bytes``.
+    2. One ``scheduler.allocate(k, backlog_mbps)`` (past information only).
+    3. Each path, in ``path_names`` order, water-fills its requests
+       against ``capacity_mbps(path)``.
+    4. A CBR stream's grant is capped at, and drains, its backlog.
+
+    Returns ``delivered[stream][path]`` in Mbps for every positive grant,
+    each stream's paths in ``path_names`` order.  A grant to a stream
+    outside ``specs`` raises :class:`ConfigurationError`.
+    """
+    backlog_mbps: dict[str, Optional[float]] = {}
+    by_name: dict[str, StreamSpec] = {}
+    for s in specs:
+        name = s.name
+        by_name[name] = s
+        if s.demand_mbps is None:
+            backlog_mbps[name] = None
+            continue
+        queued = backlog_bytes[name] + bytes_in_interval(s.demand_mbps, dt)
+        limit = bytes_in_interval(s.demand_mbps, BUFFER_SECONDS)
+        if queued > limit:
+            dropped_bytes[name] += queued - limit
+            queued = limit
+        backlog_bytes[name] = queued
+        backlog_mbps[name] = mbps_from_bytes(queued, dt)
+
+    requests = scheduler.allocate(k, backlog_mbps)
+
+    delivered: dict[str, dict[str, float]] = {}
+    for p in path_names:
+        path_requests = requests.get(p)
+        if not path_requests:
+            continue
+        granted = water_fill(path_requests, capacity_mbps(p))
+        for name, mbps in granted.items():
+            if mbps <= 0:
+                continue
+            spec = by_name.get(name)
+            if spec is None:
+                raise ConfigurationError(
+                    f"scheduler requested unknown stream {name!r}"
+                )
+            nbytes = bytes_in_interval(mbps, dt)
+            if spec.demand_mbps is not None:
+                # Cannot deliver more than is queued.
+                nbytes = min(nbytes, backlog_bytes[name])
+                backlog_bytes[name] -= nbytes
+            delivered.setdefault(name, {})[p] = mbps_from_bytes(nbytes, dt)
+    return delivered
+
+
 class SchedulerBase:
     """Interface implemented by PGOS and every baseline.
 
@@ -116,8 +187,8 @@ class SchedulerBase:
 
         scheduler.setup(streams, path_names, dt, tw)
         for k in range(n_intervals):
-            requests = scheduler.allocate(k)         # uses past info only
-            ... driver water-fills each path and delivers ...
+            deliver_interval(scheduler, k, ...)      # allocate(k, backlog):
+                                                     # past info only
             scheduler.observe(k, measured_available) # feedback
     """
 

@@ -1,18 +1,14 @@
 """The interval-driven experiment runner.
 
-One loop shared by every throughput figure in the paper:
-
-1. Non-elastic streams accrue CBR arrivals into bounded backlogs.
-2. The scheduler (PGOS or a baseline) emits per-path bandwidth requests —
-   using only information from past intervals.
-3. Each path resolves contention with :func:`repro.core.scheduler.water_fill`
-   against its *realized* available bandwidth for the interval.
-4. Deliveries drain backlogs; overflowing backlogs drop bytes (bounded
-   receiver/sender buffers); the scheduler gets the interval's measured
-   availability as feedback.
-
-The result records per-(stream, path) throughput series — exactly the
-curves plotted in Figures 9, 10, 12, and 13.
+One loop shared by every throughput figure in the paper.  Each interval
+is one :func:`repro.core.scheduler.deliver_interval` — CBR accrual into
+bounded backlogs, one scheduler allocation from past information only,
+a per-path water-fill against the *realized* availability, grants capped
+at the backlog: the same step the scalar test oracle
+(``tests/oracles/scalar_service.py``) runs.  The scheduler then gets the
+interval's measured availability as feedback.  The result records
+per-(stream, path) throughput series — exactly the curves plotted in
+Figures 9, 10, 12, and 13.
 """
 
 from __future__ import annotations
@@ -23,11 +19,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.scheduler import SchedulerBase, water_fill
+from repro.core.scheduler import SchedulerBase, deliver_interval
 from repro.core.spec import StreamSpec
 from repro.monitoring.probe import ProbingEstimator
 from repro.network.emulab import TestbedRealization
-from repro.units import bytes_in_interval, mbps_from_bytes
 
 
 @dataclass
@@ -106,7 +101,6 @@ def run_schedule_experiment(
     realization: TestbedRealization,
     streams: Sequence[StreamSpec],
     warmup_intervals: int = 100,
-    buffer_seconds: float = 2.0,
     tw: Optional[float] = None,
     probe: Optional["ProbingEstimator"] = None,
     probe_seed: Optional[int] = None,
@@ -124,9 +118,6 @@ def run_schedule_experiment(
     warmup_intervals:
         Probe-phase length: the scheduler observes these intervals (filling
         monitors/predictors) but no application traffic is recorded.
-    buffer_seconds:
-        Per-stream sender-buffer bound, in seconds of the stream's required
-        rate; overflow is dropped and counted.
     tw:
         Scheduling-window length; defaults to ``10 * dt`` (1 s at the
         default 0.1 s interval, the paper's operating point).
@@ -179,54 +170,22 @@ def run_schedule_experiment(
     }
     backlog_bytes: dict[str, float] = {s.name: 0.0 for s in streams}
     dropped: dict[str, float] = {s.name: 0.0 for s in streams}
-    buffer_limit: dict[str, float] = {}
-    for s in streams:
-        if s.demand_mbps is not None:
-            buffer_limit[s.name] = bytes_in_interval(
-                s.demand_mbps, buffer_seconds
-            )
-
-    by_name = {s.name: s for s in streams}
     for k in range(warmup_intervals, n_total):
         idx = k - warmup_intervals
-        # 1. arrivals
-        backlog_mbps: dict[str, Optional[float]] = {}
-        for s in streams:
-            if s.demand_mbps is None:
-                backlog_mbps[s.name] = None
-                continue
-            backlog_bytes[s.name] += bytes_in_interval(s.demand_mbps, dt)
-            limit = buffer_limit[s.name]
-            if backlog_bytes[s.name] > limit:
-                dropped[s.name] += backlog_bytes[s.name] - limit
-                backlog_bytes[s.name] = limit
-            backlog_mbps[s.name] = mbps_from_bytes(backlog_bytes[s.name], dt)
-
-        # 2. scheduler decision (uses only past observations)
-        requests = scheduler.allocate(k, backlog_mbps)
-
-        # 3. per-path contention against realized availability
-        for p in path_names:
-            path_requests = requests.get(p, [])
-            if not path_requests:
-                continue
-            granted = water_fill(path_requests, float(avail[p][k]))
-            for stream_name, mbps in granted.items():
-                if mbps <= 0:
-                    continue
-                spec = by_name.get(stream_name)
-                if spec is None:
-                    raise ConfigurationError(
-                        f"scheduler requested unknown stream {stream_name!r}"
-                    )
-                nbytes = bytes_in_interval(mbps, dt)
-                if spec.demand_mbps is not None:
-                    # Cannot deliver more than is queued.
-                    nbytes = min(nbytes, backlog_bytes[stream_name])
-                    backlog_bytes[stream_name] -= nbytes
-                delivered[stream_name][p][idx] += mbps_from_bytes(nbytes, dt)
-
-        # 4. feedback
+        grants = deliver_interval(
+            scheduler,
+            k,
+            streams,
+            path_names,
+            lambda p: float(avail[p][k]),
+            dt,
+            backlog_bytes,
+            dropped,
+        )
+        for stream_name, shares in grants.items():
+            series = delivered[stream_name]
+            for p, mbps in shares.items():
+                series[p][idx] = mbps
         feed(k)
 
     return ExperimentResult(

@@ -31,6 +31,7 @@ import numpy as np
 from repro.errors import AdmissionError, CheckpointError, ConfigurationError
 from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.pgos import PGOSScheduler
+from repro.core.scheduler import BUFFER_SECONDS
 from repro.core.spec import StreamSpec
 from repro.harness.metrics import fraction_of_time_at_least
 from repro.network.emulab import TestbedRealization
@@ -44,9 +45,6 @@ from repro.robustness.degradation import (
 )
 from repro.robustness.health import HealthTracker
 from repro.sim.vectorized import VectorizedDelivery
-
-#: Sender-buffer bound per elastic stream, in seconds of its demand.
-BUFFER_SECONDS = 2.0
 
 #: Session seconds between ``metrics_snapshot`` trace events.
 METRICS_SNAPSHOT_SECONDS = 5.0
@@ -753,33 +751,30 @@ class IQPathsService:
         while self._pending and self._pending[0][0] <= k:
             _, action = self._pending.pop(0)
             action()
-        if not self.obs.enabled and not self.obs.prof.enabled:
-            # Uninstrumented fast path: the batch state knows the open
-            # set, so skip the O(all handles) scan (the delivery core
-            # only needs handles for trace emission).
-            if self._vec.batch.n_open and self._scheduler_bound:
-                self._deliver(k, ())
-            self._observe(k)
-            self._update_health(k)
-            self._k += 1
-            return
-        open_handles = list(self._open.values())
-        if open_handles and self._scheduler_bound:
-            prof = self.obs.prof
+        obs = self.obs
+        prof = obs.prof
+        # The batch state knows the open set, so the step never scans
+        # every handle; the delivery core needs handles only for trace
+        # emission.  (An idle interval is the history column's default
+        # zero — no write needed.)
+        if self._vec.batch.n_open and self._scheduler_bound:
+            handles = (
+                list(self._open.values())
+                if obs.enabled or prof.enabled
+                else ()
+            )
             if prof.enabled:
                 with prof.span("service.delivery"):
-                    self._deliver(k, open_handles)
+                    self._deliver(k, handles)
             else:
-                self._deliver(k, open_handles)
-        # (An idle interval is the history column's default zero — no
-        # write needed.)
+                self._deliver(k, handles)
         self._observe(k)
         self._update_health(k)
         self._k += 1
-        if self.obs.enabled and (self._k - self._start_k) % (
+        if obs.enabled and (self._k - self._start_k) % (
             self._snapshot_every
         ) == 0:
-            self.obs.metrics.snapshot(self.now)
+            obs.metrics.snapshot(self.now)
 
     def _deliver(self, k: int, open_handles: list[StreamHandle]) -> None:
         """One interval of backlog accrual, PGOS allocation, water-fill

@@ -141,33 +141,16 @@ class Topology:
         max-flow fallback when greedy under-counts.  Raises if fewer
         than ``k`` such paths exist.
         """
-        from repro.topo.paths import greedy_disjoint_routes
+        from repro.topo.paths import disjoint_routes
 
         if src not in self._nodes or dst not in self._nodes:
             raise TopologyError(f"unknown endpoint in {src!r}->{dst!r}")
-        adjacency = {
-            node: set(self._graph.successors(node))
-            for node in self._graph
-        }
-        found = greedy_disjoint_routes(
-            adjacency, src, dst, k, disjoint="edge"
-        )
-        if len(found) < k:
-            try:
-                exact = sorted(
-                    nx.edge_disjoint_paths(self._graph, src, dst), key=len
-                )
-            except nx.NetworkXNoPath:
-                exact = []
-            if len(exact) >= k:
-                found = [list(route) for route in exact[:k]]
-            else:
-                count = max(len(found), len(exact))
-                raise TopologyError(
-                    f"only {count} edge-disjoint paths from {src} to "
-                    f"{dst}; {k} requested"
-                )
-        return [self.path(names) for names in found[:k]]
+        return [
+            self.path(names)
+            for names in disjoint_routes(
+                self._graph, src, dst, k, disjoint="edge"
+            )
+        ]
 
     def shared_links(self, paths: Iterable[OverlayPath]) -> set[str]:
         """Names of links used by more than one of the given paths.

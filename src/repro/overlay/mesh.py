@@ -109,33 +109,11 @@ class OverlayMesh:
         does depend on construction order — remains only as an exact
         fallback for adversarial meshes where greedy under-counts.
         """
-        from repro.topo.paths import greedy_disjoint_routes
+        from repro.topo.paths import disjoint_routes
 
         if src not in self._graph or dst not in self._graph:
             raise TopologyError(f"unknown endpoint in {src!r}->{dst!r}")
-        adjacency = {
-            node: set(self._graph.successors(node))
-            for node in self._graph
-        }
-        found = greedy_disjoint_routes(
-            adjacency, src, dst, k, disjoint="node"
-        )
-        if len(found) < k:
-            try:
-                exact = sorted(
-                    nx.node_disjoint_paths(self._graph, src, dst), key=len
-                )
-            except nx.NetworkXNoPath:
-                exact = []
-            if len(exact) >= k:
-                found = [list(route) for route in exact[:k]]
-            else:
-                count = max(len(found), len(exact))
-                raise TopologyError(
-                    f"only {count} node-disjoint routes from {src} to "
-                    f"{dst}; {k} requested"
-                )
-        return [list(route) for route in found[:k]]
+        return disjoint_routes(self._graph, src, dst, k, disjoint="node")
 
     def realize(
         self, seed: int, duration: float, dt: float

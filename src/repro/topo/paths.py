@@ -12,15 +12,18 @@ The algorithm: repeatedly take the lexicographically-smallest minimum-
 hop route from ``src`` to ``dst``, then remove its interior nodes
 (node-disjoint mode) or its edges (edge-disjoint mode) and repeat.
 Greedy peeling can under-count on adversarial graphs (max-flow is the
-exact answer); callers that need the exact count fall back to a flow
-computation when greedy comes up short (see
-:meth:`repro.overlay.mesh.OverlayMesh.routes`).
+exact answer); :func:`disjoint_routes` falls back to ``networkx``'s flow
+decomposition when greedy comes up short.  It backs both
+:meth:`repro.overlay.mesh.OverlayMesh.routes` (node-disjoint) and
+:meth:`repro.network.topology.Topology.edge_disjoint_paths`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Iterable, Mapping
+
+import networkx as nx
 
 from repro.errors import TopologyError
 
@@ -113,6 +116,37 @@ def greedy_disjoint_routes(
             for a, b in zip(route[:-1], route[1:]):
                 work[a].discard(b)
     return routes
+
+
+def disjoint_routes(
+    graph: nx.DiGraph, src: str, dst: str, k: int, disjoint: str
+) -> list[list[str]]:
+    """Exactly ``k`` mutually disjoint routes of ``graph``, shortest first.
+
+    Greedy peeling (:func:`greedy_disjoint_routes`) first; when it
+    under-counts, ``networkx``'s max-flow decomposition — whose result
+    depends on construction order — is the exact fallback.  Raises
+    :class:`TopologyError` when fewer than ``k`` routes exist.
+    """
+    adjacency = {node: set(graph.successors(node)) for node in graph}
+    found = greedy_disjoint_routes(adjacency, src, dst, k, disjoint=disjoint)
+    if len(found) < k:
+        flow_routes = (
+            nx.node_disjoint_paths
+            if disjoint == "node"
+            else nx.edge_disjoint_paths
+        )
+        try:
+            exact = sorted(flow_routes(graph, src, dst), key=len)
+        except nx.NetworkXNoPath:
+            exact = []
+        if len(exact) < k:
+            raise TopologyError(
+                f"only {max(len(found), len(exact))} {disjoint}-disjoint "
+                f"routes from {src} to {dst}; {k} requested"
+            )
+        found = exact
+    return [list(route) for route in found[:k]]
 
 
 def route_is_simple(route: list[str]) -> bool:

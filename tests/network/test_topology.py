@@ -107,6 +107,20 @@ class TestPaths:
         with pytest.raises(TopologyError, match="node-disjoint"):
             diamond().disjoint_paths("s", "t", k=3)
 
+    def test_edge_disjoint_paths_may_share_a_router(self):
+        # s -> {a, b} -> m -> {c, d} -> t: every route crosses m.
+        topo = Topology()
+        for x, y in [("s", "a"), ("s", "b"), ("a", "m"), ("b", "m"),
+                     ("m", "c"), ("m", "d"), ("c", "t"), ("d", "t")]:
+            topo.add_link(Link(a=Node(x), b=Node(y), capacity_mbps=10.0))
+        with pytest.raises(TopologyError, match="node-disjoint"):
+            topo.disjoint_paths("s", "t", k=2)
+        paths = topo.edge_disjoint_paths("s", "t", k=2)
+        assert [p.name for p in paths] == ["s->a->m->c->t", "s->b->m->d->t"]
+        assert topo.shared_links(paths) == set()
+        with pytest.raises(TopologyError, match="edge-disjoint"):
+            topo.edge_disjoint_paths("s", "t", k=3)
+
     def test_shared_links_empty_for_disjoint(self):
         topo = diamond()
         paths = topo.disjoint_paths("s", "t", k=2)

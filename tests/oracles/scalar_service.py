@@ -2,10 +2,13 @@
 
 :class:`repro.middleware.service.IQPathsService` delivers through the
 columnar :class:`repro.sim.vectorized.VectorizedDelivery` engine, whose
-contract is bit-identity with the loop below: per-stream backlog
-accrual, one ``scheduler.allocate`` pass, a per-path
-:func:`repro.core.scheduler.water_fill`, per-grant accounting — all on
-plain Python floats, dicts and lists.
+contract is bit-identity with the loop below.  The oracle overrides only
+``_deliver`` (the product's ``_step_inner`` drives it), and each interval
+is one :func:`repro.core.scheduler.deliver_interval` — the step the
+figures' ``run_schedule_experiment`` runs too — against the fault-scaled
+``_effective_avail``: per-stream backlog accrual, one
+``scheduler.allocate`` pass, a per-path water-fill, per-grant accounting,
+all on plain Python floats, dicts and lists.
 
 :class:`ScalarReferenceService` keeps its *own* delivery state
 (``_delivered`` lists, ``_backlog_bytes`` dict) and never reads the
@@ -21,19 +24,18 @@ product for the duration of a ``with`` block.
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import defaultdict
 from unittest import mock
 
 import numpy as np
 
-from repro.core.scheduler import water_fill
+from repro.core.scheduler import deliver_interval
 from repro.errors import ConfigurationError
 from repro.middleware.service import (
     IQPathsService,
     StreamHandle,
     StreamReport,
 )
-from repro.units import bytes_in_interval, mbps_from_bytes
 from repro.workload import scenarios
 
 
@@ -60,66 +62,29 @@ class ScalarReferenceService(IQPathsService):
         return handle
 
     # -- the loop ------------------------------------------------------
-    def _step_inner(self) -> None:
-        k = self._k
-        while self._pending and self._pending[0][0] <= k:
-            _, action = self._pending.pop(0)
-            action()
-        open_handles = [h for h in self.handles.values() if h.open]
-        if open_handles and self._scheduler_bound:
-            prof = self.obs.prof
-            if prof.enabled:
-                with prof.span("service.delivery"):
-                    self._deliver(k, open_handles)
-            else:
-                self._deliver(k, open_handles)
-        else:
-            for h in open_handles:
-                self._delivered[h.name].append(0.0)
-        self._observe(k)
-        self._update_health(k)
-        self._k += 1
-        if self.obs.enabled and (self._k - self._start_k) % (
-            self._snapshot_every
-        ) == 0:
-            self.obs.metrics.snapshot(self.now)
-
-    def _deliver(self, k: int, open_handles: list[StreamHandle]) -> None:
-        backlog_mbps: dict[str, Optional[float]] = {}
-        for h in open_handles:
-            spec = h.spec
-            if spec.demand_mbps is None:
-                backlog_mbps[spec.name] = None
-                continue
-            self._backlog_bytes[spec.name] += bytes_in_interval(
-                spec.demand_mbps, self.dt
-            )
-            limit = bytes_in_interval(
-                spec.demand_mbps, self.buffer_seconds
-            )
-            self._backlog_bytes[spec.name] = min(
-                self._backlog_bytes[spec.name], limit
-            )
-            backlog_mbps[spec.name] = mbps_from_bytes(
-                self._backlog_bytes[spec.name], self.dt
-            )
-        requests = self.scheduler.allocate(k, backlog_mbps)
+    def _deliver(self, k: int, open_handles) -> None:
+        specs = [h.spec for h in self._open.values()]
+        grants = deliver_interval(
+            self.scheduler,
+            k,
+            specs,
+            self.path_names,
+            lambda p: self._effective_avail(p, k),
+            self.dt,
+            self._backlog_bytes,
+            # The product keeps no drop count.
+            defaultdict(float),
+        )
         self._count_request_build()
-        delivered = {h.name: 0.0 for h in open_handles}
-        for p in self.path_names:
-            granted = water_fill(
-                requests.get(p, []), self._effective_avail(p, k)
-            )
-            for name, mbps in granted.items():
-                if mbps <= 0 or name not in delivered:
-                    continue
-                nbytes = bytes_in_interval(mbps, self.dt)
-                if self.handles[name].spec.demand_mbps is not None:
-                    nbytes = min(nbytes, self._backlog_bytes[name])
-                    self._backlog_bytes[name] -= nbytes
-                delivered[name] += mbps_from_bytes(nbytes, self.dt)
-        for name, mbps in delivered.items():
-            self._delivered[name].append(mbps)
+        delivered: dict[str, float] = {}
+        for spec in specs:
+            # A left fold in path order, as the product sums (``sum()``
+            # compensates on Python >= 3.12).
+            total = 0.0
+            for mbps in grants.get(spec.name, {}).values():
+                total += mbps
+            delivered[spec.name] = total
+            self._delivered[spec.name].append(total)
         if self.obs.enabled:
             self._emit_shortfalls(k, delivered)
 
