@@ -15,9 +15,13 @@ Three properties matter:
 * **Atomic.**  Writes go through :func:`repro.fsutil.atomic_write_text`
   (temp file + fsync + rename), so a crash mid-write leaves the previous
   checkpoint intact — there is never a torn snapshot on disk.
-* **Verified.**  ``digest`` commits to the payload bytes; a load
-  re-serializes the parsed payload and compares.  Bit-rot, truncation,
-  or hand-editing is detected, never silently resumed.
+* **Verified.**  ``digest`` commits to the payload bytes, and those
+  bytes are exactly the payload text in the file: a save encodes the
+  payload once, hashes that text and writes it verbatim as the last
+  envelope member.  A load re-serializes the parsed payload and
+  compares.  Bit-rot, truncation, or hand-editing is detected, never
+  silently resumed.  The whole file is strict JSON: a NaN anywhere in
+  the envelope raises at write time.
 * **Order-preserving.**  The payload is serialized with
   ``sort_keys=False``: dict iteration order is part of the simulation's
   determinism (float sums accumulate in insertion order), so the
@@ -61,9 +65,13 @@ def _dumps_payload(payload: Mapping[str, Any]) -> str:
     )
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def payload_checksum(payload: Mapping[str, Any]) -> str:
     """SHA-256 over the canonical serialized payload."""
-    return hashlib.sha256(_dumps_payload(payload).encode("utf-8")).hexdigest()
+    return _sha256(_dumps_payload(payload))
 
 
 @dataclass(frozen=True)
@@ -141,21 +149,30 @@ class CheckpointStore:
         fingerprint: str,
         meta: Optional[Mapping[str, Any]] = None,
     ) -> Path:
-        """Atomically persist ``payload`` as the latest checkpoint."""
-        digest = payload_checksum(payload)
-        envelope = {
-            "schema": CHECKPOINT_SCHEMA,
-            "fingerprint": fingerprint,
-            "meta": dict(meta) if meta else {},
-            "digest": digest,
-            "payload": payload,
-        }
-        serialized = json.dumps(envelope, sort_keys=False, indent=None)
+        """Atomically persist ``payload`` as the latest checkpoint.
+
+        The payload is encoded once: the digest covers that text, and
+        the file carries it verbatim after the small envelope head.
+        """
+        body = _dumps_payload(payload)
+        digest = _sha256(body)
+        meta = dict(meta) if meta else {}
+        head = json.dumps(
+            {
+                "schema": CHECKPOINT_SCHEMA,
+                "fingerprint": fingerprint,
+                "meta": meta,
+                "digest": digest,
+            },
+            sort_keys=False,
+            allow_nan=False,
+        )
+        serialized = "".join((head[:-1], ', "payload": ', body, "}"))
         with self._obs.prof.span("checkpoint.save"):
             atomic_write_text(self.path, serialized)
         if self._obs.enabled:
             self._obs.trace.emit(
-                float(envelope["meta"].get("t", 0.0)),
+                float(meta.get("t", 0.0)),
                 Category.CHECKPOINT,
                 "snapshot_write",
                 size=len(serialized),
@@ -257,7 +274,23 @@ class CheckpointStore:
                 f"checkpoint {self.path} has schema {envelope['schema']}; "
                 f"this code reads schema {CHECKPOINT_SCHEMA}"
             )
-        digest = payload_checksum(envelope["payload"])
+        for key, kind in (
+            ("fingerprint", str),
+            ("meta", dict),
+            ("digest", str),
+            ("payload", dict),
+        ):
+            if not isinstance(envelope[key], kind):
+                raise CheckpointError(
+                    f"checkpoint {self.path}: {key!r} must be a "
+                    f"{kind.__name__}, got {type(envelope[key]).__name__}"
+                )
+        try:
+            digest = payload_checksum(envelope["payload"])
+        except ValueError as exc:
+            raise CheckpointError(
+                f"checkpoint {self.path}: payload is not strict JSON: {exc}"
+            ) from exc
         if digest != envelope["digest"]:
             raise CheckpointError(
                 f"checkpoint {self.path} failed digest verification "

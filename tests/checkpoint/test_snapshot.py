@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -16,12 +17,14 @@ from repro.checkpoint import (
     GRACEFUL_EXIT_CODE,
     InterruptFlag,
 )
-from repro.checkpoint.snapshot import payload_checksum
+from repro.checkpoint.snapshot import _dumps_payload, payload_checksum
+from repro.checkpoint.workload import load_run_snapshot
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
     StaleCheckpointError,
 )
+from repro.obs.context import Observability
 
 FP = "f" * 64
 OTHER_FP = "0" * 64
@@ -127,6 +130,58 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         with pytest.raises(ValueError):
             store.save({"x": float("nan")}, fingerprint=FP)
+
+    def test_nan_meta_rejected_at_write(self, tmp_path):
+        # The whole file is strict JSON, the envelope head included.
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(ValueError):
+            store.save({"x": 1}, fingerprint=FP, meta={"t": float("nan")})
+        assert not store.exists()
+
+    def test_digest_commits_to_payload_bytes_on_disk(self, tmp_path):
+        # The payload text in the file is the canonical text the digest
+        # covers, byte for byte: it is encoded once and written verbatim.
+        store = CheckpointStore(tmp_path)
+        payload = {"z": [1.5, None, "x"], "a": {"k": -0.0, "u": "\u00e9"}}
+        store.save(payload, fingerprint=FP, meta={"t": 2.0})
+        raw = store.path.read_text()
+        marker = '"payload": '
+        assert raw.count(marker) == 1 and raw.endswith("}")
+        body = raw[raw.index(marker) + len(marker) : -1]
+        assert body == _dumps_payload(payload)
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        assert digest == json.loads(raw)["digest"] == payload_checksum(payload)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("meta", None),
+            ("meta", []),
+            ("payload", {"x": float("nan")}),
+            ("payload", [1, 2]),
+            ("fingerprint", 7),
+            ("digest", None),
+        ],
+    )
+    def test_malformed_envelope_strict_raises_lenient_is_none(
+        self, tmp_path, key, value
+    ):
+        store = CheckpointStore(tmp_path)
+        meta = {"seed": 0}
+        store.save({"x": 1}, fingerprint=FP, meta=meta)
+        envelope = json.loads(store.path.read_text())
+        envelope[key] = value
+        store.path.write_text(json.dumps(envelope))
+
+        with pytest.raises(CheckpointError):
+            store.load(fingerprint=FP)
+        with pytest.raises(CheckpointError):
+            load_run_snapshot(store, FP, meta, strict=True)
+        assert store.load(fingerprint=FP, strict=False) is None
+        assert load_run_snapshot(store, FP, meta) is None
+        # With a trace bound, the reject is an event, not a crash.
+        store.bind_observability(Observability())
+        assert store.load(fingerprint=FP, strict=False) is None
 
 
 class TestCheckpointConfig:
