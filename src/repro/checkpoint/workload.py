@@ -49,6 +49,7 @@ def run_scale_scenario_checkpointed(
     strict_resume: bool = False,
     interrupt: Optional[InterruptFlag] = None,
     on_step: Optional[Callable[[int, float], None]] = None,
+    partition: Optional[str] = None,
 ) -> WorkloadReport:
     """Run ``scenario`` with periodic checkpoints, resuming if possible.
 
@@ -78,6 +79,9 @@ def run_scale_scenario_checkpointed(
     on_step:
         Extra per-step hook ``(k, t)``, called after checkpoint
         bookkeeping (the kill-injection harness hangs here).
+    partition:
+        Run that tenant's slice only (see :func:`make_scale_run`);
+        the slice's identity names it, so a slot holds one partition.
 
     A completed run clears the checkpoint slot: finished work must not
     be "resumed".
@@ -90,7 +94,7 @@ def run_scale_scenario_checkpointed(
         # with the virtual time each snapshot captured.
         store.bind_observability(obs)
 
-    meta = run_identity(scenario, seed, max_sessions)
+    meta = run_identity(scenario, seed, max_sessions, partition)
     payload = None
     if resume:
         payload = load_run_snapshot(
@@ -122,6 +126,7 @@ def run_scale_scenario_checkpointed(
         max_sessions=max_sessions,
         obs=obs,
         on_step=step_hook,
+        partition=partition,
     )
     hooks["driver"] = driver
     hooks["every_steps"] = config.every_steps(driver.service.dt)

@@ -1,21 +1,23 @@
-"""The cluster master: spawns shards, drives the barrier, merges.
+"""The cluster master: spawns shards, supervises them, merges.
 
 :class:`ClusterMaster` owns a fleet of worker processes (one per shard
 that owns at least one tenant partition) and runs jobs against them: it
-hands each worker its partition list, grants virtual-time epochs in
-lockstep, collects per-partition report payloads, and performs the
-canonical merge.  Supervision mirrors the experiment executor's
-semantics: ``epoch_done`` doubles as a heartbeat, a silent or dead
-shard is killed and respawned from its partition checkpoints (bounded
-respawn budget), and a code-fingerprint mismatch in the handshake
-aborts the run before any mixed-version bytes can be computed.
+hands each worker its partition list, collects per-partition report
+payloads, and performs the canonical merge.  Partitions share no
+instant, so nothing paces the workers.  Supervision mirrors the
+experiment executor's semantics: every frame is a heartbeat, a silent
+or dead shard is killed and respawned from its partition checkpoints
+(bounded respawn budget), and a code-fingerprint mismatch in the
+handshake aborts the run before any mixed-version bytes can be
+computed.
 
-Workers survive across jobs — the capacity-envelope fan-out reuses one
-fleet for every probe instead of paying spawn cost per probe.
+Workers survive across jobs: the spine's ``cluster2`` pays the spawn
+cost once, then runs a warm-up job and the timed jobs on one fleet.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import subprocess
@@ -28,8 +30,8 @@ from pathlib import Path
 from typing import Any, BinaryIO, Optional
 
 import repro
+from repro.checkpoint.policy import CheckpointConfig
 from repro.cluster import protocol
-from repro.cluster.epochs import epoch_boundaries
 from repro.cluster.partition import partition_map
 from repro.cluster.report import ClusterReport, cluster_report_from_payloads
 from repro.errors import ClusterError, ConfigurationError
@@ -48,20 +50,14 @@ _STDERR_TAIL_BYTES = 4096
 
 @dataclass
 class _Shard:
-    """One shard's process, protocol state, and barrier counters."""
+    """One shard's process and the payloads of its current job."""
 
     shard: int
     partitions: list[str]
     proc: Optional[subprocess.Popen] = None
     incarnation: int = 0
     stderr_path: Optional[Path] = None
-    completed: int = -1
-    granted: int = 0
-    #: Grants are held until the worker's ``resumed`` frame arrives —
-    #: a resuming worker expects its first ``epoch_go`` at its own
-    #: checkpointed epoch, not at 0.
-    ready: bool = False
-    finalized: bool = False
+    assign: Optional[dict[str, Any]] = None
     payloads: Optional[dict[str, Any]] = None
     last_heard: float = field(default_factory=time.monotonic)
     respawns: int = 0
@@ -92,7 +88,8 @@ class ClusterMaster:
         Hash-space size for tenant placement.  Only shards owning at
         least one partition get a worker process.
     epoch_s:
-        Virtual seconds per barrier epoch (also the checkpoint cadence).
+        Virtual seconds between a partition's snapshots (and
+        heartbeats).
     checkpoint_root:
         Directory for per-partition snapshot slots.  Required for crash
         supervision — without it a dead shard is unrecoverable and the
@@ -101,9 +98,10 @@ class ClusterMaster:
         across master restarts.
     hang_timeout:
         Wall seconds of shard silence before it is presumed hung,
-        killed, and respawned.
+        killed, and respawned; positive.
     max_respawns:
-        Respawn budget *per shard per job*.
+        Respawn budget *per shard per job*; zero makes the first
+        death fatal.
     """
 
     def __init__(
@@ -121,10 +119,19 @@ class ClusterMaster:
     ):
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
+        if hang_timeout <= 0:
+            raise ConfigurationError(
+                f"hang_timeout must be positive, got {hang_timeout}"
+            )
+        if max_respawns < 0:
+            raise ConfigurationError(
+                f"max_respawns must be >= 0, got {max_respawns}"
+            )
         self.scenario = scenario
         self.seed = seed
         self.shards = shards
         self.epoch_s = epoch_s
+        self._cadence = CheckpointConfig(every_s=epoch_s)
         self.max_sessions = max_sessions
         # Generated-topology reference every job of this master runs on
         # (None = Figure-8); forwarded verbatim in each assignment so
@@ -140,19 +147,14 @@ class ClusterMaster:
         self.checkpoint_root = Path(checkpoint_root)
         self.checkpoint_root.mkdir(parents=True, exist_ok=True)
         self.fingerprint = code_fingerprint()
-        self.partitions = list(partition_ids())
-        self.shard_map = {
-            partition: shard
-            for shard, owned in partition_map(
-                self.partitions, shards
-            ).items()
-            for partition in owned
-        }
         self._fleet: dict[int, _Shard] = {
             shard: _Shard(shard=shard, partitions=owned)
-            for shard, owned in partition_map(
-                self.partitions, shards
-            ).items()
+            for shard, owned in partition_map(partition_ids(), shards).items()
+        }
+        self.shard_map = {
+            partition: state.shard
+            for state in self._fleet.values()
+            for partition in state.partitions
         }
         self._queue: "queue.Queue[tuple[int, int, Optional[dict]]]" = (
             queue.Queue()
@@ -272,9 +274,11 @@ class ClusterMaster:
     ) -> ClusterReport:
         """Run one sharded job and return the merged report.
 
-        ``kill_at_epoch`` maps shard id to the epoch after which that
-        shard SIGKILLs itself (supervision tests); the respawned
-        incarnation never re-arms it.
+        ``kill_at_epoch`` maps shard id to ``e``: that shard SIGKILLs
+        itself once it has simulated ``(e + 1) * epoch_s`` virtual
+        seconds, counted over its partitions in order (supervision
+        tests).  The kill fires once per job; a respawn does not
+        repeat it.
         """
         if self._closing:
             raise ClusterError("master is closed")
@@ -286,17 +290,10 @@ class ClusterMaster:
             duration=duration,
             topology=self.topology,
         )
-        boundaries = epoch_boundaries(scenario.duration, self.epoch_s)
-        n_epochs = len(boundaries)
         t0 = time.perf_counter()
-        respawns_before = sum(s.respawns for s in self._fleet.values())
-
         for state in self._fleet.values():
-            state.completed = -1
-            state.granted = 0
-            state.ready = False
-            state.finalized = False
             state.payloads = None
+            state.respawns = 0
             if state.proc is None or state.proc.poll() is not None:
                 self._spawn(state)
                 self._emit(
@@ -306,27 +303,43 @@ class ClusterMaster:
                     pid=state.proc.pid,
                     partitions=state.partitions,
                 )
-            self._assign(state, job, scenario, rate_scale, resume=resume,
-                         kill_at_epoch=(kill_at_epoch or {}).get(state.shard))
+            state.assign = protocol.assign(
+                job=job,
+                scenario=self.scenario,
+                seed=self.seed,
+                partitions=state.partitions,
+                rate_scale=rate_scale,
+                duration=scenario.duration,
+                max_sessions=self.max_sessions,
+                epoch_s=self.epoch_s,
+                checkpoint_root=str(self.checkpoint_root),
+                resume=resume,
+                kill_at_epoch=(kill_at_epoch or {}).get(state.shard),
+                topology=self.topology,
+            )
+            protocol.write_frame(state.stdin, state.assign)
             state.last_heard = time.monotonic()
 
-        self._drive(job, scenario, boundaries, n_epochs, rate_scale)
+        self._drive()
 
-        payloads: dict[str, Any] = {}
-        for state in self._fleet.values():
-            assert state.payloads is not None
-            payloads.update(state.payloads)
+        payloads = {
+            partition: payload
+            for state in self._fleet.values()
+            for partition, payload in state.payloads.items()
+        }
+        steps = round(scenario.duration / STEP_DT)
         report = cluster_report_from_payloads(
             payloads,
             shards=self.shards,
             shard_map=self.shard_map,
             telemetry={
-                "epochs": n_epochs,
+                # Snapshot intervals per partition.
+                "epochs": math.ceil(
+                    steps / self._cadence.every_steps(STEP_DT)
+                ),
                 "epoch_s": self.epoch_s,
                 "workers": len(self._fleet),
-                "respawns": sum(
-                    s.respawns for s in self._fleet.values()
-                ) - respawns_before,
+                "respawns": sum(s.respawns for s in self._fleet.values()),
                 "wall_s": round(time.perf_counter() - t0, 3),
             },
         )
@@ -339,42 +352,19 @@ class ClusterMaster:
         )
         return report
 
-    def _assign(
-        self,
-        state: _Shard,
-        job: int,
-        scenario,
-        rate_scale: float,
-        resume: bool,
-        kill_at_epoch: Optional[int],
-    ) -> None:
-        protocol.write_frame(
-            state.stdin,
-            protocol.assign(
-                job=job,
-                scenario=self.scenario,
-                seed=self.seed,
-                partitions=state.partitions,
-                rate_scale=rate_scale,
-                duration=scenario.duration,
-                max_sessions=self.max_sessions,
-                epoch_s=self.epoch_s,
-                checkpoint_root=str(self.checkpoint_root),
-                resume=resume,
-                kill_at_epoch=kill_at_epoch,
-                topology=self.topology,
-            ),
-        )
-
-    def _drive(
-        self, job, scenario, boundaries, n_epochs, rate_scale
-    ) -> None:
-        """The barrier event loop: grants, heartbeats, supervision."""
-        dt = STEP_DT
+    def _drive(self) -> None:
+        """Collect every shard's report; respawn the dead and silent."""
         fleet = self._fleet
         while any(s.payloads is None for s in fleet.values()):
-            self._grant(job, n_epochs)
-            self._check_hangs(job, scenario, rate_scale)
+            now = time.monotonic()
+            for state in fleet.values():
+                if (
+                    state.payloads is None
+                    and now - state.last_heard > self.hang_timeout
+                ):
+                    self._respawn(
+                        state, why=f"silent for {self.hang_timeout:g}s"
+                    )
             try:
                 shard, incarnation, message = self._queue.get(
                     timeout=_QUEUE_POLL_S
@@ -386,84 +376,23 @@ class ClusterMaster:
                 continue  # stale frame from a killed incarnation
             state.last_heard = time.monotonic()
             if message is None:
-                if state.payloads is not None:
-                    continue  # clean exit after its report was acked
-                self._respawn(
-                    job, scenario, rate_scale, state,
-                    why="exited unexpectedly",
-                )
+                if state.payloads is None:
+                    self._respawn(state, why="exited unexpectedly")
                 continue
             kind = message.get("type")
-            if kind == "resumed":
-                state.completed = int(message["completed"]) - 1
-                state.granted = int(message["completed"])
-                state.ready = True
-            elif kind == "epoch_done":
-                state.completed = int(message["epoch"])
-                if all(
-                    s.completed >= state.completed
-                    for s in fleet.values()
-                ):
-                    self._emit(
-                        "epoch_barrier",
-                        boundaries[state.completed] * dt,
-                        epoch=state.completed,
-                        step=boundaries[state.completed],
-                    )
-            elif kind == "report":
+            if kind == "report":
                 state.payloads = dict(message["payloads"])
-                protocol.write_frame(
-                    state.stdin, protocol.report_ack(job)
-                )
             elif kind == "error":
                 self._fail(
                     f"shard {shard} failed: {message.get('message')}; "
                     f"stderr: {state.stderr_tail()}"
                 )
-            else:
+            elif kind != "progress":
                 self._fail(
                     f"shard {shard} sent unexpected {kind!r} frame"
                 )
 
-    def _grant(self, job, n_epochs) -> None:
-        fleet = self._fleet
-        min_completed = min(s.completed for s in fleet.values())
-        for state in fleet.values():
-            if not state.ready or state.payloads is not None:
-                continue
-            if (
-                state.granted < n_epochs
-                and state.granted == state.completed + 1
-                and min_completed >= state.granted - 1
-            ):
-                protocol.write_frame(
-                    state.stdin, protocol.epoch_go(job, state.granted)
-                )
-                state.granted += 1
-            elif (
-                not state.finalized
-                and state.granted == n_epochs
-                and state.completed == n_epochs - 1
-            ):
-                protocol.write_frame(
-                    state.stdin, protocol.epoch_go(job, n_epochs)
-                )
-                state.finalized = True
-
-    def _check_hangs(self, job, scenario, rate_scale) -> None:
-        now = time.monotonic()
-        for state in self._fleet.values():
-            if state.payloads is not None:
-                continue
-            if now - state.last_heard > self.hang_timeout:
-                self._respawn(
-                    job, scenario, rate_scale, state,
-                    why=f"silent for {self.hang_timeout:.0f}s",
-                )
-
-    def _respawn(
-        self, job, scenario, rate_scale, state: _Shard, why: str
-    ) -> None:
+    def _respawn(self, state: _Shard, why: str) -> None:
         if state.respawns >= self.max_respawns:
             self._fail(
                 f"shard {state.shard} {why} and exhausted its respawn "
@@ -472,31 +401,23 @@ class ClusterMaster:
             )
         self._emit(
             "shard_exit",
-            max(0.0, (state.completed + 1) * self.epoch_s),
+            0.0,
             shard=state.shard,
             reason=why,
             respawns=state.respawns,
         )
         self._kill(state)
         state.respawns += 1
-        state.completed = -1
-        state.granted = 0
-        state.ready = False
-        state.finalized = False
         self._spawn(state)
         self._emit(
             "shard_respawn",
-            max(0.0, (state.completed + 1) * self.epoch_s),
+            0.0,
             shard=state.shard,
             pid=state.proc.pid,
             attempt=state.respawns,
         )
-        # Resume from the partition checkpoints; never re-arm the kill.
-        self._assign(
-            state, job, scenario, rate_scale,
-            resume=True, kill_at_epoch=None,
-        )
-        state.last_heard = time.monotonic()
+        # The same assignment, resumed from the partition checkpoints.
+        protocol.write_frame(state.stdin, {**state.assign, "resume": True})
 
     # ------------------------------------------------------------------
     # teardown

@@ -11,21 +11,15 @@ Message flow (worker lifetime)::
     worker -> master   hello     {shard, pid, fingerprint, protocol}
     master -> worker   welcome   {}
     master -> worker   assign    {job, scenario, seed, partitions, ...}
-    worker -> master   resumed   {job, completed}        # 0 when fresh
-    master -> worker   epoch_go  {job, epoch}            # barrier grant
-    worker -> master   epoch_done{job, epoch, step}      # + heartbeat
-    master -> worker   epoch_go  {job, epoch=n_epochs}   # finalize
-    worker -> master   report    {job, payloads}
-    master -> worker   report_ack{job}                   # next assign ok
+    worker -> master   progress  {job, partition, step}  # per snapshot
+    worker -> master   report    {job, payloads}         # next assign ok
     master -> worker   shutdown  {}
     either direction   error     {message}
 
-The worker runs epoch ``e`` (steps up to its boundary) only after
-receiving ``epoch_go`` for ``e``; the master grants ``epoch_go(e)`` to
-a shard only once every shard has completed epoch ``e - 1`` — a
-lockstep barrier on virtual time, which is what lets a killed shard be
-respawned and caught up without any other shard running ahead more
-than one epoch.
+The worker runs its partitions one after another, each to the end;
+nothing on the wire paces it.  ``progress`` is only a heartbeat: the
+master treats any frame as proof of life and respawns a shard that
+dies or goes silent.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from typing import Any, BinaryIO, Mapping, Optional
 from repro.errors import ClusterProtocolError
 
 #: Bumped on any wire-incompatible change; checked in the handshake.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Refuse absurd frame lengths (corrupt header / desynced stream)
 #: before attempting a giant read.
@@ -175,34 +169,21 @@ def assign(
         "resume": resume,
         "kill_at_epoch": kill_at_epoch,
         # Generated-topology reference (repro.topo preset string);
-        # None = the Figure-8 testbed.  Workers read it with .get(),
-        # so old workers ignore it rather than crash — but the master
-        # and workers already share a code fingerprint via the
-        # handshake, which rules out genuine version skew.
+        # None = the Figure-8 testbed.
         "topology": topology,
     }
 
 
-def resumed(job: int, completed: int) -> dict[str, Any]:
-    return {"type": "resumed", "job": job, "completed": completed}
-
-
-def epoch_go(job: int, epoch: int) -> dict[str, Any]:
-    return {"type": "epoch_go", "job": job, "epoch": epoch}
-
-
-def epoch_done(job: int, epoch: int, step: int) -> dict[str, Any]:
-    return {"type": "epoch_done", "job": job, "epoch": epoch, "step": step}
+def progress(job: int, partition: str, step: int) -> dict[str, Any]:
+    return {
+        "type": "progress", "job": job, "partition": partition, "step": step
+    }
 
 
 def report(
     job: int, payloads: Mapping[str, Mapping[str, Any]]
 ) -> dict[str, Any]:
     return {"type": "report", "job": job, "payloads": dict(payloads)}
-
-
-def report_ack(job: int) -> dict[str, Any]:
-    return {"type": "report_ack", "job": job}
 
 
 def shutdown() -> dict[str, Any]:

@@ -2,7 +2,8 @@
 
 A :class:`ClusterReport` wraps the canonical merged payload produced by
 :func:`repro.workload.driver.merge_report_payloads` plus *telemetry*
-about how the run executed (shard count, placement, epochs, respawns).
+about how the run executed (shard count, placement, snapshot
+intervals, respawns).
 The determinism contract draws the line between the two: the checksum
 covers **only** the merged payload, which is a pure function of
 ``(scenario, seed)`` — shard count, placement, respawns, and wall time

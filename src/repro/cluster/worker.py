@@ -1,11 +1,12 @@
 """One shard's worker process: ``python -m repro.cluster.worker``.
 
-A worker owns a set of tenant partitions and simulates each one's
-slice — its own testbed realization, IQPathsService, and ChurnDriver,
-all pure functions of ``(seed, scenario, partition)``.  It speaks the
-framed protocol on stdin/stdout and advances simulation in
-barrier-granted virtual-time epochs, checkpointing every partition at
-each epoch boundary when a checkpoint root is assigned.
+A worker owns a set of tenant partitions and runs each one's slice in
+turn through :func:`~repro.checkpoint.workload.run_scale_scenario_checkpointed`
+— its own testbed realization, IQPathsService and ChurnDriver, all pure
+functions of ``(seed, scenario, partition)`` — snapshotting it every
+``epoch_s`` virtual seconds into the partition's slot.  It speaks the
+framed protocol on stdin/stdout: one ``progress`` frame per snapshot
+(the heartbeat), one ``report`` frame per job.
 
 Stdout hygiene: the protocol stream is the *duplicated* stdout file
 descriptor; ``sys.stdout`` itself is rebound to stderr immediately, so
@@ -17,35 +18,33 @@ from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
+from pathlib import Path
 from typing import Any, BinaryIO, Mapping, Optional
 
+from repro.checkpoint.policy import CheckpointConfig
 from repro.checkpoint.snapshot import CheckpointStore
-from repro.checkpoint.workload import (
-    load_run_snapshot,
-    restore_run_snapshot,
-    save_run_snapshot,
-)
+from repro.checkpoint.workload import run_scale_scenario_checkpointed
 from repro.cluster import protocol
-from repro.cluster.epochs import epoch_boundaries, epochs_completed
 from repro.errors import ClusterProtocolError
 from repro.runner.fingerprint import code_fingerprint
-from repro.workload.driver import ChurnDriver
-from repro.workload.scenarios import (
-    make_scale_run,
-    make_scenario,
-    run_identity,
-)
+from repro.workload.scenarios import STEP_DT, make_scenario
 
 
 def _run_job(
     assign: Mapping[str, Any],
-    proto_in: BinaryIO,
     proto_out: BinaryIO,
     fingerprint: str,
+    shard: int,
 ) -> None:
-    """Execute one assigned run: epochs, checkpoints, report upload."""
+    """Run each assigned partition in order, then upload the report.
+
+    ``kill_at_epoch`` (supervision tests) SIGKILLs this process once
+    the shard's clock — its partitions' virtual time laid end to end,
+    in order — reaches ``(kill_at_epoch + 1) * epoch_s``.  The kill
+    marker lives under the checkpoint root, so a respawn handed the
+    same assignment does not die again.
+    """
     job = int(assign["job"])
     scenario = make_scenario(
         assign["scenario"],
@@ -53,102 +52,45 @@ def _run_job(
         duration=assign["duration"],
         topology=assign["topology"],
     )
-    duration = scenario.duration
-    epoch_s = float(assign["epoch_s"])
-    partitions = list(assign["partitions"])
-    seed = int(assign["seed"])
-    max_sessions = assign["max_sessions"]
-    checkpoint_root = assign["checkpoint_root"]
-    kill_at_epoch = assign["kill_at_epoch"]
+    root = Path(assign["checkpoint_root"])
+    config = CheckpointConfig(every_s=float(assign["epoch_s"]))
+    every_steps = config.every_steps(STEP_DT)
+    switch = None
+    if assign["kill_at_epoch"] is not None:
+        from repro.harness.crash import KillSwitch
 
-    drivers: dict[str, ChurnDriver] = {}
-    stores: dict[str, CheckpointStore] = {}
-    metas: dict[str, dict[str, Any]] = {}
-    for partition in partitions:
-        drivers[partition] = make_scale_run(
-            scenario,
-            seed=seed,
-            max_sessions=max_sessions,
-            partition=partition,
+        switch = KillSwitch(
+            root / f"shard-{shard}",
+            [(int(assign["kill_at_epoch"]) + 1) * config.every_s],
         )
-        if checkpoint_root is not None:
-            stores[partition] = CheckpointStore.for_partition(
-                checkpoint_root, partition
-            )
-            metas[partition] = run_identity(
-                scenario, seed, max_sessions, partition
-            )
 
-    boundaries = epoch_boundaries(duration, epoch_s)
-    n_epochs = len(boundaries)
+    payloads = {}
+    for index, partition in enumerate(assign["partitions"]):
+        offset = index * scenario.duration
 
-    completed = 0
-    if assign["resume"] and stores:
-        # Lenient by design (the respawn path must make progress even
-        # past a damaged slot): an unusable or mismatched snapshot
-        # leaves that partition at step 0.
-        for p in partitions:
-            payload = load_run_snapshot(stores[p], fingerprint, metas[p])
-            if payload is not None:
-                restore_run_snapshot(drivers[p], payload)
-        # The join point is the *least* advanced partition: a kill can
-        # land between two partitions' snapshot writes, and replayed
-        # epochs are no-ops for the partitions already past them.
-        completed = min(
-            epochs_completed(boundaries, drivers[p].completed_steps)
-            for p in partitions
-        )
-    for partition in partitions:
-        drivers[partition].begin(duration)
-    protocol.write_frame(proto_out, protocol.resumed(job, completed))
-
-    for epoch in range(completed, n_epochs):
-        message = protocol.expect(
-            protocol.read_frame(proto_in), "epoch_go"
-        )
-        if message["job"] != job or message["epoch"] != epoch:
-            raise ClusterProtocolError(
-                f"expected epoch_go(job={job}, epoch={epoch}), "
-                f"got {message!r}"
-            )
-        target = boundaries[epoch]
-        for partition in partitions:
-            driver = drivers[partition]
-            driver.advance_to(max(target, driver.completed_steps))
-        for partition in partitions:
-            if partition in stores:
-                save_run_snapshot(
-                    drivers[partition],
-                    stores[partition],
-                    fingerprint,
-                    metas[partition],
-                    target,
-                    target * drivers[partition].service.dt,
+        def on_step(k: int, t: float) -> None:
+            if (k + 1) % every_steps == 0:
+                protocol.write_frame(
+                    proto_out, protocol.progress(job, partition, k + 1)
                 )
-        if kill_at_epoch is not None and epoch == int(kill_at_epoch):
-            # Kill-injection for the supervision tests: die *after* the
-            # epoch's snapshots land but *before* the master hears
-            # about it — the worst-ordered crash the barrier permits.
-            os.kill(os.getpid(), signal.SIGKILL)
-        protocol.write_frame(
-            proto_out, protocol.epoch_done(job, epoch, target)
-        )
+            if switch is not None:
+                switch.maybe_kill(offset + t)
 
-    message = protocol.expect(protocol.read_frame(proto_in), "epoch_go")
-    if message["job"] != job or message["epoch"] != n_epochs:
-        raise ClusterProtocolError(
-            f"expected finalize epoch_go(job={job}, epoch={n_epochs}), "
-            f"got {message!r}"
-        )
-    payloads = {
-        partition: drivers[partition].finalize(duration).to_dict()
-        for partition in partitions
-    }
+        payloads[partition] = run_scale_scenario_checkpointed(
+            scenario,
+            CheckpointStore.for_partition(root, partition),
+            seed=int(assign["seed"]),
+            max_sessions=assign["max_sessions"],
+            config=config,
+            fingerprint=fingerprint,
+            resume=assign["resume"],
+            on_step=on_step,
+            partition=partition,
+        ).to_dict()
+    if switch is not None:
+        # The job is done: the next job's kill is armed afresh.
+        switch.marker_path.unlink(missing_ok=True)
     protocol.write_frame(proto_out, protocol.report(job, payloads))
-    protocol.expect(protocol.read_frame(proto_in), "report_ack")
-    # Acked means durably merged: finished work must not be "resumed".
-    for store in stores.values():
-        store.clear()
 
 
 def serve(
@@ -170,10 +112,7 @@ def serve(
         if message is None or message.get("type") == "shutdown":
             return 0
         _run_job(
-            protocol.expect(message, "assign"),
-            proto_in,
-            proto_out,
-            fingerprint,
+            protocol.expect(message, "assign"), proto_out, fingerprint, shard
         )
 
 

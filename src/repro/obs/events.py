@@ -99,11 +99,11 @@ EVENT_NAMES: dict[str, tuple[str, ...]] = {
         "snapshot_reject",
     ),
     # The sharded control plane (repro.cluster): worker lifecycle and
-    # the barrier-synchronized virtual-time epochs the master drives.
+    # the merge.  Slices share no instant, so the lifecycle events sit
+    # at virtual time 0 and the merge at the run's duration.
     Category.CLUSTER: (
         "shard_spawn",
         "shard_respawn",
-        "epoch_barrier",
         "shard_exit",
         "merge",
     ),

@@ -93,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--epoch-s", type=float, default=2.0,
         help=(
-            "virtual seconds per barrier epoch and per-partition "
-            "snapshot (default: 2.0; requires --shards)"
+            "virtual seconds between a partition's snapshots, which "
+            "are also the shard's heartbeats (default: 2.0; requires "
+            "--shards)"
         ),
     )
     parser.add_argument(
@@ -108,8 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-shard-at", type=_shard_epoch, default=None,
         metavar="SHARD:EPOCH",
         help=(
-            "kill-injection: SIGKILL shard SHARD after epoch EPOCH "
-            "(supervision smoke tests; requires --shards)"
+            "kill-injection: SIGKILL shard SHARD once it has simulated "
+            "(EPOCH+1) * --epoch-s virtual seconds, counted over its "
+            "partitions in order; once per run (supervision smoke "
+            "tests; requires --shards)"
         ),
     )
     parser.add_argument(
@@ -250,9 +253,10 @@ def validate_args(
     the usual usage text and exit code 2.  The same goes for flags of
     the other execution mode: a worker fleet has no per-step kill hook,
     metrics registry or span profiler to export, and an in-process run
-    has no epochs or shards.  An envelope search picks its own rate
-    scales and probe duration and runs in this process, exporting
-    nothing but ``--json-out``; its search flags mean nothing to one run.
+    has no shards.  A cadence or timeout must be positive.  An envelope
+    search picks its own rate scales and probe duration and runs in this
+    process, exporting nothing but ``--json-out``; its search flags mean
+    nothing to one run.
     """
 
     def refuse(dests: tuple[str, ...], why: str) -> None:
@@ -270,6 +274,12 @@ def validate_args(
         refuse(_IN_PROCESS_ONLY, "cannot be combined with --shards")
     if args.metrics_out is None:
         refuse(("metrics_format",), "requires --metrics-out")
+    for dest in ("epoch_s", "hang_timeout", "checkpoint_every"):
+        value = getattr(args, dest)
+        if value is not None and value <= 0:
+            parser.error(
+                f"--{dest.replace('_', '-')} must be positive, got {value}"
+            )
     if args.resume and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
     if args.kill_at and args.checkpoint_dir is None:

@@ -360,9 +360,9 @@ class ChurnDriver:
         """Validate the run window and emit the start event; idempotent.
 
         Returns the total step count for ``duration``.  Callers that
-        step the run in epochs (:mod:`repro.cluster`) call this once,
-        then :meth:`advance_to` repeatedly, then :meth:`finalize`;
-        :meth:`run` is exactly that sequence in one call.
+        step the run in pieces call this once, then :meth:`advance_to`
+        repeatedly, then :meth:`finalize`; :meth:`run` is exactly that
+        sequence in one call.
         """
         service = self.service
         state = self._state
@@ -392,8 +392,8 @@ class ChurnDriver:
     def advance_to(self, step: int) -> None:
         """Run churn steps until ``step`` of them have completed.
 
-        A no-op when ``step`` steps are already done (the resume /
-        epoch-catch-up case); never rolls back.
+        A no-op when ``step`` steps are already done (the resume
+        case); never rolls back.
         """
         state = self._state
         if step < state.k:

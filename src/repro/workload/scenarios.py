@@ -64,11 +64,8 @@ WARMUP_INTERVALS = 100
 #: Slack appended to the realization beyond warmup + scenario duration.
 REALIZATION_SLACK_S = 5.0
 
-_DT = 0.1
-
-#: Public alias of the delivery-step interval: the cluster layer sizes
-#: its virtual-time epochs in steps without building a driver first.
-STEP_DT = _DT
+#: The delivery-step interval of every scale run (virtual seconds).
+STEP_DT = 0.1
 
 
 @dataclass(frozen=True)
@@ -221,7 +218,7 @@ def build_service(
     else:
         testbed = build_testbed(parse_topology(scenario.topology))
     total = (
-        WARMUP_INTERVALS * _DT + scenario.duration + REALIZATION_SLACK_S
+        WARMUP_INTERVALS * STEP_DT + scenario.duration + REALIZATION_SLACK_S
     )
     # The topology reference joins the seed namespace only when set, so
     # Figure-8 runs keep their exact historical bytes.
@@ -245,7 +242,7 @@ def build_service(
     realization = testbed.realize(
         seed=realization_seed,
         duration=total,
-        dt=_DT,
+        dt=STEP_DT,
     )
     campaign = None
     if scenario.with_chaos:

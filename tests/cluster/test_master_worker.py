@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.checkpoint.snapshot import CheckpointStore
 from repro.cluster import ClusterMaster, run_partitioned
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ConfigurationError
 from repro.obs.context import Observability
 
 DURATION = 6.0
@@ -18,13 +19,17 @@ def _baseline():
 
 
 def _cluster(
-    kill_at_epoch=None, resume=False, max_sessions=MAX_SESSIONS, **fleet
+    kill_at_epoch=None,
+    resume=False,
+    max_sessions=MAX_SESSIONS,
+    shards=2,
+    **fleet,
 ):
-    """One 2-shard job on a fleet of its own."""
+    """One job on a fleet of its own (two shards by default)."""
     with ClusterMaster(
         scenario="baseline",
         seed=0,
-        shards=2,
+        shards=shards,
         epoch_s=EPOCH_S,
         max_sessions=max_sessions,
         **fleet,
@@ -40,6 +45,7 @@ def test_two_shard_run_matches_in_process_baseline():
     assert report.merged == baseline.merged
     assert report.checksum() == baseline.checksum()
     assert report.shards == 2
+    assert report.telemetry["epochs"] == 3  # 6 s in 2 s snapshot intervals
 
 
 def test_sigkilled_shard_is_respawned_and_resumes(tmp_path):
@@ -57,17 +63,87 @@ def test_sigkilled_shard_is_respawned_and_resumes(tmp_path):
     assert "merge" in names
 
 
+# One shard owns bronze, gold and silver and runs them in that order;
+# its kill clock lays their 6 s end to end, so a kill at (e + 1) * 2 s
+# lands in bronze for e = 1 and in gold (at its 2 s) for e = 3.
+@pytest.mark.parametrize(
+    "epoch", [1, 3], ids=["first-partition", "second-partition"]
+)
+def test_one_shard_fleet_survives_a_kill_in_any_partition(tmp_path, epoch):
+    report = _cluster(
+        kill_at_epoch={0: epoch},
+        shards=1,
+        checkpoint_root=tmp_path / "cluster",
+    )
+    assert report.telemetry["workers"] == 1
+    assert report.telemetry["respawns"] == 1
+    assert report.merged == _baseline().merged
+
+
+def test_kill_in_second_partition_leaves_only_its_slot(tmp_path):
+    # Budget 0 stops the job at the kill: the finished first partition
+    # has cleared its slot (a respawn reruns it), the second holds its
+    # last snapshot, and a resumed job still merges to the same bytes.
+    root = tmp_path / "cluster"
+    with pytest.raises(ClusterError, match="respawn budget"):
+        _cluster(
+            kill_at_epoch={0: 3},
+            shards=1,
+            checkpoint_root=root,
+            max_respawns=0,
+        )
+    assert not CheckpointStore.for_partition(root, "bronze").exists()
+    gold = CheckpointStore.for_partition(root, "gold").load()
+    assert gold.meta["partition"] == "gold"
+    assert gold.meta["step"] == 20
+    assert not CheckpointStore.for_partition(root, "silver").exists()
+    report = _cluster(resume=True, shards=1, checkpoint_root=root)
+    assert report.merged == _baseline().merged
+
+
+@pytest.mark.parametrize(
+    "fleet",
+    [
+        {"hang_timeout": 0},
+        {"hang_timeout": -1.0},
+        {"max_respawns": -1},
+        {"epoch_s": 0.0},
+    ],
+    ids=lambda fleet: "=".join(map(str, *fleet.items())),
+)
+def test_bad_supervision_settings_rejected_at_construction(fleet):
+    with pytest.raises(ConfigurationError):
+        ClusterMaster(scenario="baseline", shards=1, **fleet)
+
+
 def test_respawn_budget_exhaustion_raises(tmp_path):
-    # Epoch 0 re-arms on every incarnation only if the master passed
-    # the kill back — it never does, so exhaustion needs a shard that
-    # dies during the *handshake*.  Simulate by killing more often than
-    # the budget allows: budget 0 means the first death is fatal.
+    # Budget 0 means the first death is fatal.
     with pytest.raises(ClusterError, match="respawn budget"):
         _cluster(
             kill_at_epoch={0: 0},
             checkpoint_root=tmp_path / "cluster",
             max_respawns=0,
         )
+
+
+def test_respawn_budget_and_kill_are_per_job(tmp_path):
+    # Budget 1 covers one kill per job: the second job on the same
+    # fleet is killed again and still has its respawn.
+    with ClusterMaster(
+        scenario="baseline",
+        seed=0,
+        shards=1,
+        epoch_s=EPOCH_S,
+        max_sessions=MAX_SESSIONS,
+        checkpoint_root=tmp_path / "cluster",
+        max_respawns=1,
+    ) as master:
+        reports = [
+            master.run(duration=DURATION, kill_at_epoch={0: 1})
+            for _ in range(2)
+        ]
+    assert [r.telemetry["respawns"] for r in reports] == [1, 1]
+    assert reports[1].merged == _baseline().merged
 
 
 def test_resume_skips_partition_snapshots_of_another_max_sessions(tmp_path):
@@ -112,6 +188,6 @@ def test_cluster_trace_events_emitted():
         e for e in obs.trace.events() if e.category == "cluster"
     ]
     names = {e.name for e in cluster_events}
-    assert {"shard_spawn", "epoch_barrier", "merge"} <= names
+    assert {"shard_spawn", "merge"} <= names
     spawns = [e for e in cluster_events if e.name == "shard_spawn"]
     assert len(spawns) == 2

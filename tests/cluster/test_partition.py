@@ -1,12 +1,7 @@
-"""Rendezvous placement and the epoch schedule."""
+"""Rendezvous placement of tenant partitions onto shards."""
 
 import pytest
 
-from repro.cluster.epochs import (
-    epoch_boundaries,
-    epochs_completed,
-    total_steps,
-)
 from repro.cluster.partition import partition_map, shard_of
 from repro.errors import ConfigurationError
 from repro.workload.scenarios import partition_ids
@@ -62,32 +57,3 @@ class TestPartitionMap:
     def test_duplicate_partition_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
             partition_map(["gold", "gold"], 2)
-
-
-class TestEpochSchedule:
-    def test_boundaries_end_at_total_steps(self):
-        boundaries = epoch_boundaries(10.0, 2.0)
-        assert boundaries == [20, 40, 60, 80, 100]
-        assert boundaries[-1] == total_steps(10.0)
-
-    def test_short_final_epoch(self):
-        assert epoch_boundaries(5.0, 2.0) == [20, 40, 50]
-
-    def test_single_epoch_when_epoch_exceeds_duration(self):
-        assert epoch_boundaries(3.0, 60.0) == [30]
-
-    def test_epochs_completed_counts_full_epochs_only(self):
-        boundaries = [20, 40, 50]
-        assert epochs_completed(boundaries, 0) == 0
-        assert epochs_completed(boundaries, 19) == 0
-        assert epochs_completed(boundaries, 20) == 1
-        assert epochs_completed(boundaries, 49) == 2
-        assert epochs_completed(boundaries, 50) == 3
-
-    def test_epoch_smaller_than_dt_rejected(self):
-        with pytest.raises(ConfigurationError):
-            epoch_boundaries(10.0, 0.01)
-
-    def test_nonpositive_duration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            total_steps(0.0)

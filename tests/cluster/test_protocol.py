@@ -64,11 +64,11 @@ class TestFrames:
 
     def test_multiple_frames_in_sequence(self):
         stream = io.BytesIO()
-        protocol.write_frame(stream, protocol.epoch_go(0, 1))
-        protocol.write_frame(stream, protocol.epoch_done(0, 1, 20))
+        protocol.write_frame(stream, protocol.progress(0, "gold", 20))
+        protocol.write_frame(stream, protocol.report(0, {}))
         stream.seek(0)
-        assert protocol.read_frame(stream)["type"] == "epoch_go"
-        assert protocol.read_frame(stream)["type"] == "epoch_done"
+        assert protocol.read_frame(stream)["type"] == "progress"
+        assert protocol.read_frame(stream)["type"] == "report"
         assert protocol.read_frame(stream) is None
 
 

@@ -131,6 +131,22 @@ class TestFlagValidation:
         )
         assert "--checkpoint-every" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--checkpoint-dir", "ckpt", "--checkpoint-every", "0"],
+            ["--checkpoint-dir", "ckpt", "--checkpoint-every", "-1"],
+            ["--shards", "1", "--epoch-s", "0"],
+            ["--shards", "1", "--epoch-s", "-2"],
+            ["--shards", "1", "--hang-timeout", "0"],
+            ["--shards", "1", "--hang-timeout", "-5"],
+        ],
+        ids=lambda flags: " ".join(flags[2:]),
+    )
+    def test_nonpositive_cadence_is_a_usage_error(self, flags, capsys):
+        err = _usage_error(flags, capsys)
+        assert f"{flags[2]} must be positive" in err
+
     def test_checkpoint_dir_alone_still_runs(self, tmp_path, capsys):
         assert (
             main(
@@ -206,7 +222,7 @@ class TestSharded:
         ]
         assert {e["cat"] for e in events} == {"cluster"}
         names = {e["name"] for e in events}
-        assert {"shard_spawn", "epoch_barrier", "merge"} <= names
+        assert {"shard_spawn", "merge"} <= names
         capsys.readouterr()
 
     def test_kill_shard_at_wants_shard_colon_epoch(self, capsys):

@@ -43,6 +43,10 @@ class TestRegistry:
         scenario = make_scenario("baseline", duration=12.5)
         assert scenario.duration == 12.5
 
+    def test_nonpositive_duration_rejected(self):
+        with pytest.raises(ConfigurationError):
+            make_scenario("baseline", duration=0.0)
+
     def test_baseline_sized_for_a_thousand_sessions(self):
         assert make_scenario("baseline").expected_sessions() >= 1100
 
