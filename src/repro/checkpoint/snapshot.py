@@ -106,21 +106,6 @@ class CheckpointStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._obs = obs if obs is not None else NULL_OBS
 
-    @classmethod
-    def for_partition(
-        cls,
-        root: Union[str, Path],
-        partition: str,
-        obs: Optional[Observability] = None,
-    ) -> "CheckpointStore":
-        """A partition's own snapshot slot under a shared cluster root.
-
-        Keyed by partition id — *not* by shard — so snapshots survive a
-        resume under a different shard count: whichever worker owns the
-        partition next finds its state at the same path.
-        """
-        return cls(Path(root) / f"partition-{partition}", obs=obs)
-
     def bind_observability(self, obs: Optional[Observability]) -> None:
         """Attach a run's obs context so snapshot events land on its bus.
 

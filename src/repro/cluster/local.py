@@ -38,9 +38,8 @@ def run_partitioned(
         duration=duration,
         topology=topology,
     )
-    partitions = partition_ids()
     payloads = {}
-    for partition in partitions:
+    for partition in partition_ids():
         driver = make_scale_run(
             scenario,
             seed=seed,
@@ -52,6 +51,5 @@ def run_partitioned(
     return cluster_report_from_payloads(
         payloads,
         shards=0,
-        shard_map={p: 0 for p in partitions},
         telemetry={"mode": "in-process"},
     )

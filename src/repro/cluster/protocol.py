@@ -1,25 +1,12 @@
-"""The master/worker wire protocol: length-prefixed canonical JSON.
+"""A length-prefixed canonical-JSON frame codec.
 
 Every message is one *frame*: a 4-byte big-endian payload length
 followed by that many bytes of UTF-8 JSON with sorted keys.  Frames are
-deterministic — the same message always encodes to the same bytes — so
-protocol transcripts are diffable and the handshake can carry exact
-code fingerprints.
+deterministic — the same message always encodes to the same bytes.
 
-Message flow (worker lifetime)::
-
-    worker -> master   hello     {shard, pid, fingerprint, protocol}
-    master -> worker   welcome   {}
-    master -> worker   assign    {job, scenario, seed, partitions, ...}
-    worker -> master   progress  {job, partition, step}  # per snapshot
-    worker -> master   report    {job, payloads}         # next assign ok
-    master -> worker   shutdown  {}
-    either direction   error     {message}
-
-The worker runs its partitions one after another, each to the end;
-nothing on the wire paces it.  ``progress`` is only a heartbeat: the
-master treats any frame as proof of life and respawns a shard that
-dies or goes silent.
+No process speaks this codec any more: the runner's executor carries a
+sharded run's payloads.  It stays because the measurement spine times
+a ``report`` frame's encode and decode (``cluster.frame_*_us``).
 """
 
 from __future__ import annotations
@@ -29,9 +16,6 @@ import struct
 from typing import Any, BinaryIO, Mapping, Optional
 
 from repro.errors import ClusterProtocolError
-
-#: Bumped on any wire-incompatible change; checked in the handshake.
-PROTOCOL_VERSION = 2
 
 #: Refuse absurd frame lengths (corrupt header / desynced stream)
 #: before attempting a giant read.
@@ -50,12 +34,6 @@ def encode_frame(message: Mapping[str, Any]) -> bytes:
             f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES"
         )
     return _HEADER.pack(len(body)) + body
-
-
-def write_frame(stream: BinaryIO, message: Mapping[str, Any]) -> None:
-    """Encode and flush one frame (flushing keeps the peer unblocked)."""
-    stream.write(encode_frame(message))
-    stream.flush()
 
 
 def _read_exact(stream: BinaryIO, n: int) -> Optional[bytes]:
@@ -99,96 +77,8 @@ def read_frame(stream: BinaryIO) -> Optional[dict[str, Any]]:
     return message
 
 
-def expect(
-    message: Optional[Mapping[str, Any]], *types: str
-) -> Mapping[str, Any]:
-    """Assert a message arrived and is one of ``types``.
-
-    A peer-sent ``error`` message is surfaced verbatim (unless the
-    caller explicitly expects one), so failures carry the *other*
-    side's diagnosis rather than a generic type mismatch.
-    """
-    if message is None:
-        raise ClusterProtocolError(
-            f"peer closed the stream; expected {' or '.join(types)}"
-        )
-    kind = message.get("type")
-    if kind == "error" and "error" not in types:
-        raise ClusterProtocolError(
-            f"peer reported error: {message.get('message')}"
-        )
-    if kind not in types:
-        raise ClusterProtocolError(
-            f"expected {' or '.join(types)}, got {kind!r}"
-        )
-    return message
-
-
-# ----------------------------------------------------------------------
-# message constructors — one per type, so spellings live in one place
-# ----------------------------------------------------------------------
-def hello(shard: int, pid: int, fingerprint: str) -> dict[str, Any]:
-    return {
-        "type": "hello",
-        "shard": shard,
-        "pid": pid,
-        "fingerprint": fingerprint,
-        "protocol": PROTOCOL_VERSION,
-    }
-
-
-def welcome() -> dict[str, Any]:
-    return {"type": "welcome", "protocol": PROTOCOL_VERSION}
-
-
-def assign(
-    job: int,
-    scenario: str,
-    seed: int,
-    partitions: list[str],
-    rate_scale: float = 1.0,
-    duration: Optional[float] = None,
-    max_sessions: Optional[int] = None,
-    epoch_s: float = 2.0,
-    checkpoint_root: Optional[str] = None,
-    resume: bool = False,
-    kill_at_epoch: Optional[int] = None,
-    topology: Optional[str] = None,
-) -> dict[str, Any]:
-    return {
-        "type": "assign",
-        "job": job,
-        "scenario": scenario,
-        "seed": seed,
-        "partitions": sorted(partitions),
-        "rate_scale": rate_scale,
-        "duration": duration,
-        "max_sessions": max_sessions,
-        "epoch_s": epoch_s,
-        "checkpoint_root": checkpoint_root,
-        "resume": resume,
-        "kill_at_epoch": kill_at_epoch,
-        # Generated-topology reference (repro.topo preset string);
-        # None = the Figure-8 testbed.
-        "topology": topology,
-    }
-
-
-def progress(job: int, partition: str, step: int) -> dict[str, Any]:
-    return {
-        "type": "progress", "job": job, "partition": partition, "step": step
-    }
-
-
 def report(
     job: int, payloads: Mapping[str, Mapping[str, Any]]
 ) -> dict[str, Any]:
+    """The ``report`` message: one job's per-partition payloads."""
     return {"type": "report", "job": job, "payloads": dict(payloads)}
-
-
-def shutdown() -> dict[str, Any]:
-    return {"type": "shutdown"}
-
-
-def error(message: str) -> dict[str, Any]:
-    return {"type": "error", "message": message}

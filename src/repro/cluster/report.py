@@ -2,11 +2,11 @@
 
 A :class:`ClusterReport` wraps the canonical merged payload produced by
 :func:`repro.workload.driver.merge_report_payloads` plus *telemetry*
-about how the run executed (shard count, placement, snapshot
-intervals, respawns).
+about how the run executed (shard count, snapshot intervals,
+respawns).
 The determinism contract draws the line between the two: the checksum
 covers **only** the merged payload, which is a pure function of
-``(scenario, seed)`` — shard count, placement, respawns, and wall time
+``(scenario, seed)`` — shard count, respawns, and wall time
 are execution details and must never leak into it.
 """
 
@@ -24,7 +24,6 @@ class ClusterReport:
 
     merged: dict[str, Any]
     shards: int
-    shard_map: dict[str, int] = field(default_factory=dict)
     telemetry: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -48,7 +47,7 @@ class ClusterReport:
         return tuple(self.merged["partitions"])
 
     def checksum(self) -> str:
-        """Digest of the merged payload only — placement-independent."""
+        """Digest of the merged payload only — shard-count-independent."""
         return merged_checksum(self.merged)
 
     def to_dict(self) -> dict[str, Any]:
@@ -57,7 +56,6 @@ class ClusterReport:
             "merged": self.merged,
             "checksum": self.checksum(),
             "shards": self.shards,
-            "shard_map": dict(self.shard_map),
             "telemetry": dict(self.telemetry),
         }
 
@@ -72,11 +70,6 @@ class ClusterReport:
             f"  violation_rate={m['violation_rate']:.4f} "
             f"delivered={m['delivered_megabits']:.1f} Mb",
         ]
-        if self.shard_map:
-            placement = ", ".join(
-                f"{p}->s{s}" for p, s in sorted(self.shard_map.items())
-            )
-            lines.append(f"  placement {placement}")
         if self.telemetry:
             extras = ", ".join(
                 f"{k}={v}" for k, v in sorted(self.telemetry.items())
@@ -88,7 +81,6 @@ class ClusterReport:
 def cluster_report_from_payloads(
     payloads: Mapping[str, Mapping[str, Any]],
     shards: int,
-    shard_map: Mapping[str, int],
     telemetry: Mapping[str, Any],
 ) -> ClusterReport:
     """Merge per-partition payloads into one :class:`ClusterReport`."""
@@ -97,6 +89,5 @@ def cluster_report_from_payloads(
     return ClusterReport(
         merged=merge_report_payloads(payloads),
         shards=shards,
-        shard_map=dict(shard_map),
         telemetry=dict(telemetry),
     )

@@ -58,17 +58,16 @@ class StaleCheckpointError(CheckpointError):
 
 
 class ClusterError(ReproError):
-    """Raised when the sharded control plane cannot complete a run.
+    """Raised when a sharded run cannot complete.
 
-    Covers worker-spawn failures, exhausted respawn budgets, and
-    shard reports that fail the canonical-merge invariants.
+    Covers a partition whose task failed or exhausted its respawn
+    budget.
     """
 
 
 class ClusterProtocolError(ClusterError):
-    """Raised on malformed frames or out-of-contract messages.
+    """Raised on malformed frames: unparseable, oversized or torn.
 
-    The framed master/worker protocol is deterministic and versioned;
-    anything unparseable, oversized, or sent out of sequence is a bug
-    (or a code-fingerprint mismatch), never something to paper over.
+    The frame codec is deterministic; a bad frame is a bug, never
+    something to paper over.
     """

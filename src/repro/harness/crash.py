@@ -129,9 +129,11 @@ def run_crash_test(
        resumes from the last verified checkpoint.
     3. Compare payloads byte for byte.
 
-    Returns a summary dict (``identical``, checksums, attempts, kill
-    points); raises nothing on mismatch — callers check ``identical``
-    so the CLI can exit nonzero with the full summary printed.
+    Returns a summary dict (``identical``, ``passed``, checksums,
+    attempts, kill points); raises nothing on failure — callers check
+    ``passed`` so the CLI can exit nonzero with the full summary
+    printed.  ``passed`` also demands ``attempts == kills + 1``: a
+    survivor that was never killed proves nothing about resume.
     """
     import tempfile
 
@@ -188,6 +190,7 @@ def run_crash_test(
     )
     return {
         "identical": identical,
+        "passed": identical and outcome.attempts == kills + 1,
         "scenario": scenario,
         "seed": seed,
         "workers": workers,

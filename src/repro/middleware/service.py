@@ -341,7 +341,7 @@ class IQPathsService:
         ``admission.degraded`` are the first-class counters
         ``tools/trace_report.py`` correlates with health transitions;
         the per-tenant twins carry the multi-tenant breakdown and the
-        per-partition twins the cluster's per-shard breakdown.
+        per-partition twins the cluster's per-partition breakdown.
         """
         if not self.obs.enabled:
             return

@@ -31,7 +31,6 @@ class Category:
     RUNNER = "runner"
     WORKLOAD = "workload"
     CHECKPOINT = "checkpoint"
-    CLUSTER = "cluster"
 
 
 #: Every known category (validation + exhaustive round-trip tests).
@@ -46,7 +45,6 @@ CATEGORIES = (
     Category.RUNNER,
     Category.WORKLOAD,
     Category.CHECKPOINT,
-    Category.CLUSTER,
 )
 
 #: Known event names per category.  The bus accepts unknown names (new
@@ -97,15 +95,6 @@ EVENT_NAMES: dict[str, tuple[str, ...]] = {
         "snapshot_write",
         "snapshot_restore",
         "snapshot_reject",
-    ),
-    # The sharded control plane (repro.cluster): worker lifecycle and
-    # the merge.  Slices share no instant, so the lifecycle events sit
-    # at virtual time 0 and the merge at the run's duration.
-    Category.CLUSTER: (
-        "shard_spawn",
-        "shard_respawn",
-        "shard_exit",
-        "merge",
     ),
 }
 

@@ -136,8 +136,8 @@ def run_workload(
 ) -> dict[str, Any]:
     """One churn scenario: params ``{"scenario": ..., "rate_scale": ...}``.
 
-    Executes :func:`repro.workload.run_scale_scenario` with the spec's
-    seed.
+    Runs the scenario with the spec's seed; a ``partition`` param runs
+    that tenant's slice only (the sharded cluster's task).
     The payload embeds the report's own ``checksum`` so byte-identity
     across worker counts (and against fresh runs) is a string compare.
 
@@ -148,9 +148,11 @@ def run_workload(
     payload — is byte-identical either way.  ``kill_points`` (a list of
     virtual times, honored only when checkpointing) arms the
     kill-injection harness: the worker SIGKILLs *itself* at each point,
-    once, which is how the crash tests exercise the supervisor.
+    once per completed run (the marker is removed when the run ends,
+    so the same spec run again is killed again), which is how the
+    crash tests exercise the supervisor.
     """
-    from repro.workload import make_scenario, run_scale_scenario
+    from repro.workload import make_scale_run, make_scenario
 
     scenario = make_scenario(
         str(spec.params["scenario"]),
@@ -160,10 +162,14 @@ def run_workload(
     )
     seed = spec.effective_seed()
     max_sessions = spec.params.get("max_sessions")
+    partition = spec.params.get("partition")
     if runtime is None or runtime.checkpoint_dir is None:
-        report = run_scale_scenario(
-            scenario, seed=seed, max_sessions=max_sessions
-        )
+        report = make_scale_run(
+            scenario,
+            seed=seed,
+            max_sessions=max_sessions,
+            partition=partition,
+        ).run(scenario.duration)
     else:
         from repro.checkpoint import (
             CheckpointConfig,
@@ -196,7 +202,11 @@ def run_workload(
                 every_s=float(spec.params.get("checkpoint_every", 5.0))
             ),
             on_step=on_step,
+            partition=partition,
         )
+        if switch is not None:
+            # The run is done: the next run of this spec is armed afresh.
+            switch.marker_path.unlink(missing_ok=True)
     return {
         "report": report.render() + "\n",
         "workload": jsonify(report.to_dict()),

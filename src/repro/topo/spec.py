@@ -7,7 +7,7 @@ instances: anyone holding the spec rebuilds the byte-identical
 topology, and :func:`TopoSpec.checksum` is the short proof.
 
 Specs travel the stack as strings (scenario fields, runner spec
-params, cluster ``assign`` frames): either a preset name from
+params): either a preset name from
 :data:`PRESETS` (``fat_tree_k4``) or ``preset:traffic``
 (``fat_tree_k4:dc-incast``) to override the traffic scenario.
 """

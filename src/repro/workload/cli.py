@@ -1,8 +1,9 @@
 """Command-line front door for the workload engine.
 
-Runs one named scenario, in this process or sharded across worker
-processes, or searches its capacity envelope in this process, and
-prints the deterministic report plus wall-clock throughput figures::
+Runs one named scenario, in this process or sharded into one worker
+process per tenant partition, or searches its capacity envelope in
+this process, and prints the deterministic report plus wall-clock
+throughput figures::
 
     python -m repro.workload --scenario baseline --seed 0
     python -m repro.workload --scenario flash-crowd --rate-scale 1.5 \\
@@ -12,12 +13,13 @@ prints the deterministic report plus wall-clock throughput figures::
     python -m repro.workload --scenario baseline --shards 2 \\
         --check-identity
 
-``--shards N`` runs the scenario on a :class:`repro.cluster.ClusterMaster`
-fleet; ``--check-identity`` reruns it in-process
-(:func:`repro.cluster.run_partitioned`) and fails unless the merged
-payloads are byte-identical.  Wall-clock rates (sessions/sec, steps/sec)
-are printed but deliberately kept *out* of the report payload and its
-checksum, so the checksum stays a pure function of the run's identity.
+``--shards N`` runs the scenario as one supervised task per tenant
+partition (:class:`repro.cluster.ClusterMaster`); ``--check-identity``
+reruns it in-process (:func:`repro.cluster.run_partitioned`) and fails
+unless the merged payloads are byte-identical.  Wall-clock rates
+(sessions/sec, steps/sec) are printed but deliberately kept *out* of
+the report payload and its checksum, so the checksum stays a pure
+function of the run's identity.
 """
 
 from __future__ import annotations
@@ -85,34 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--shards", type=int, default=None,
         help=(
-            "run sharded across worker processes: hash-space size for "
-            "tenant placement; the merged report is byte-identical at "
+            "run sharded: one worker process per tenant partition, at "
+            "most N at once; the merged report is byte-identical at "
             "every shard count (default: one in-process run)"
-        ),
-    )
-    parser.add_argument(
-        "--epoch-s", type=float, default=2.0,
-        help=(
-            "virtual seconds between a partition's snapshots, which "
-            "are also the shard's heartbeats (default: 2.0; requires "
-            "--shards)"
         ),
     )
     parser.add_argument(
         "--hang-timeout", type=float, default=60.0,
         help=(
-            "wall seconds of shard silence before respawn (default: "
-            "60; requires --shards)"
-        ),
-    )
-    parser.add_argument(
-        "--kill-shard-at", type=_shard_epoch, default=None,
-        metavar="SHARD:EPOCH",
-        help=(
-            "kill-injection: SIGKILL shard SHARD once it has simulated "
-            "(EPOCH+1) * --epoch-s virtual seconds, counted over its "
-            "partitions in order; once per run (supervision smoke "
-            "tests; requires --shards)"
+            "wall seconds without a partition's heartbeat before its "
+            "process is killed and retried (default: 60; requires "
+            "--shards)"
         ),
     )
     parser.add_argument(
@@ -131,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out", type=Path, default=None,
         help=(
             "export the run's trace (JSONL) here; with --shards, the "
-            "master's CLUSTER events"
+            "runner's events (spec_start, spec_retry, spec_end)"
         ),
     )
     parser.add_argument(
@@ -185,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
             "enable crash-safe execution: snapshot run state here, "
             "auto-resume from the last verified snapshot, and exit 75 "
             "after flushing a final snapshot on SIGINT/SIGTERM; with "
-            "--shards, the per-partition snapshot root (default there: "
-            "a private temp dir, respawn only)"
+            "--shards, the root of the per-partition snapshot slots "
+            "(default there: a private temp dir)"
         ),
     )
     parser.add_argument(
@@ -202,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
             "strict resume: fail loudly if the checkpoint is corrupt, "
             "written by different code, or taken for another run "
             "(default is lenient — unusable checkpoints restart "
-            "fresh); with --shards, resume partitions from "
-            "--checkpoint-dir snapshots (default there: start fresh)"
+            "fresh; refused with --shards, whose partitions always "
+            "resume leniently)"
         ),
     )
     parser.add_argument(
@@ -211,28 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="T",
         help=(
             "kill-injection: SIGKILL this process at virtual time T "
-            "(repeatable; once per point across restarts; requires "
-            "--checkpoint-dir)"
+            "(repeatable; once per point across restarts; with "
+            "--shards, every partition's process on its own clock; "
+            "requires --checkpoint-dir)"
         ),
     )
     return parser
 
 
-def _shard_epoch(arg: str) -> dict[int, int]:
-    try:
-        shard, epoch = arg.split(":", 1)
-        return {int(shard): int(epoch)}
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"wants SHARD:EPOCH (two ints), got {arg!r}"
-        ) from None
-
-
 #: Flags that only mean something on a sharded run / an in-process one.
-_SHARDED_ONLY = ("epoch_s", "hang_timeout", "kill_shard_at", "check_identity")
-_IN_PROCESS_ONLY = (
-    "kill_at", "checkpoint_every", "metrics_out", "profile_out",
-)
+_SHARDED_ONLY = ("hang_timeout", "check_identity")
+_IN_PROCESS_ONLY = ("metrics_out", "profile_out", "resume")
 #: Flags that only steer an envelope search / that it has no use for.
 _ENVELOPE_ONLY = ("ceiling", "iterations", "probe_duration")
 _NOT_ENVELOPE = (
@@ -251,12 +225,12 @@ def validate_args(
     user believing resume (or kill-injection) was armed when nothing
     was.  Fail fast, through ``parser.error`` so the message carries
     the usual usage text and exit code 2.  The same goes for flags of
-    the other execution mode: a worker fleet has no per-step kill hook,
-    metrics registry or span profiler to export, and an in-process run
-    has no shards.  A cadence or timeout must be positive.  An envelope
-    search picks its own rate scales and probe duration and runs in this
-    process, exporting nothing but ``--json-out``; its search flags mean
-    nothing to one run.
+    the other execution mode: a sharded run ships back no metrics
+    registry or span profile and always resumes leniently, and an
+    in-process run has no shards.  A cadence or timeout must be
+    positive.  An envelope search picks its own rate scales and probe
+    duration and runs in this process, exporting nothing but
+    ``--json-out``; its search flags mean nothing to one run.
     """
 
     def refuse(dests: tuple[str, ...], why: str) -> None:
@@ -274,7 +248,7 @@ def validate_args(
         refuse(_IN_PROCESS_ONLY, "cannot be combined with --shards")
     if args.metrics_out is None:
         refuse(("metrics_format",), "requires --metrics-out")
-    for dest in ("epoch_s", "hang_timeout", "checkpoint_every"):
+    for dest in ("hang_timeout", "checkpoint_every"):
         value = getattr(args, dest)
         if value is not None and value <= 0:
             parser.error(
@@ -353,11 +327,7 @@ def _run_checkpointed(args: argparse.Namespace, obs):
             max_sessions=args.max_sessions,
             obs=obs,
             config=CheckpointConfig(
-                every_s=(
-                    args.checkpoint_every
-                    if args.checkpoint_every is not None
-                    else DEFAULT_CHECKPOINT_EVERY_S
-                )
+                every_s=args.checkpoint_every or DEFAULT_CHECKPOINT_EVERY_S
             ),
             strict_resume=args.resume,
             interrupt=flag,
@@ -376,14 +346,14 @@ def _run_checkpointed(args: argparse.Namespace, obs):
 
 
 def _run_sharded(args: argparse.Namespace, obs):
-    """The scenario on a worker fleet, merged."""
+    """The scenario as one supervised task per partition, merged."""
     from repro.cluster import ClusterMaster
 
     with ClusterMaster(
         scenario=args.scenario,
         seed=args.seed,
         shards=args.shards,
-        epoch_s=args.epoch_s,
+        epoch_s=args.checkpoint_every or DEFAULT_CHECKPOINT_EVERY_S,
         max_sessions=args.max_sessions,
         checkpoint_root=args.checkpoint_dir,
         hang_timeout=args.hang_timeout,
@@ -393,8 +363,7 @@ def _run_sharded(args: argparse.Namespace, obs):
         return master.run(
             rate_scale=args.rate_scale,
             duration=args.duration,
-            resume=args.resume,
-            kill_at_epoch=args.kill_shard_at,
+            kill_at=args.kill_at or (),
         )
 
 

@@ -77,6 +77,7 @@ def test_sigkilled_run_resumes_byte_identical(workers, tmp_path):
     )
     assert summary["status"] == "ok"
     assert summary["identical"], summary
+    assert summary["passed"], summary
     assert summary["attempts"] == 4  # 3 kills + the surviving attempt
     assert len(summary["kill_points"]) == 3
     assert summary["survivor_checksum"] == summary["golden_checksum"]
@@ -91,6 +92,26 @@ def test_sigkilled_run_resumes_byte_identical(workers, tmp_path):
     specs = [r for r in records if r.get("type") == "spec"]
     assert specs and specs[-1]["attempts"] == 4
     assert specs[-1]["status"] == "ok"
+
+
+def test_crash_test_without_kills_does_not_pass(monkeypatch, tmp_path):
+    """Identical bytes from a survivor that was never killed prove
+    nothing: the verdict fails unless every kill point fired.  The
+    forked worker inherits the disarmed switch."""
+    monkeypatch.setattr(KillSwitch, "maybe_kill", lambda self, t: None)
+    summary = run_crash_test(
+        scenario="baseline",
+        seed=0,
+        kills=2,
+        duration=6.0,
+        max_sessions=30,
+        checkpoint_every=1.0,
+        workers=1,
+        work_dir=tmp_path,
+    )
+    assert summary["identical"]
+    assert summary["attempts"] == 1
+    assert not summary["passed"]
 
 
 def test_crash_test_manifests_match_across_widths(tmp_path):
@@ -109,7 +130,7 @@ def test_crash_test_manifests_match_across_widths(tmp_path):
         )
         for workers in (1, 2)
     ]
-    assert all(s["identical"] for s in summaries)
+    assert all(s["passed"] for s in summaries)
     assert (
         summaries[0]["survivor_checksum"]
         == summaries[1]["survivor_checksum"]

@@ -1,4 +1,4 @@
-"""Master/worker integration: protocol and supervision."""
+"""ClusterMaster on the runner's executor: supervision and kill injection."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.obs.context import Observability
 DURATION = 6.0
 MAX_SESSIONS = 24
 EPOCH_S = 2.0
+PARTITIONS = ("bronze", "gold", "silver")
 
 
 def _baseline():
@@ -18,14 +19,8 @@ def _baseline():
     )
 
 
-def _cluster(
-    kill_at_epoch=None,
-    resume=False,
-    max_sessions=MAX_SESSIONS,
-    shards=2,
-    **fleet,
-):
-    """One job on a fleet of its own (two shards by default)."""
+def _cluster(kill_at=(), max_sessions=MAX_SESSIONS, shards=2, **fleet):
+    """One job on a master of its own (two shards by default)."""
     with ClusterMaster(
         scenario="baseline",
         seed=0,
@@ -34,9 +29,15 @@ def _cluster(
         max_sessions=max_sessions,
         **fleet,
     ) as master:
-        return master.run(
-            duration=DURATION, resume=resume, kill_at_epoch=kill_at_epoch
-        )
+        return master.run(duration=DURATION, kill_at=kill_at)
+
+
+def _slots(root):
+    """Every partition slot under ``root`` holding a snapshot."""
+    return [
+        CheckpointStore(path.parent).load()
+        for path in sorted(root.glob("*/checkpoint.json"))
+    ]
 
 
 def test_two_shard_run_matches_in_process_baseline():
@@ -46,59 +47,46 @@ def test_two_shard_run_matches_in_process_baseline():
     assert report.checksum() == baseline.checksum()
     assert report.shards == 2
     assert report.telemetry["epochs"] == 3  # 6 s in 2 s snapshot intervals
+    assert report.telemetry["workers"] == 2
+    assert report.telemetry["respawns"] == 0
 
 
 def test_sigkilled_shard_is_respawned_and_resumes(tmp_path):
     obs = Observability()
     report = _cluster(
-        kill_at_epoch={0: 1}, checkpoint_root=tmp_path / "cluster", obs=obs
+        kill_at=(3.0,), checkpoint_root=tmp_path / "cluster", obs=obs
     )
-    assert report.telemetry["respawns"] == 1
+    # The kill point arms every partition's task once.
+    assert report.telemetry["respawns"] == len(PARTITIONS)
     assert report.merged == _baseline().merged
-    names = [
-        e.name for e in obs.trace.events() if e.category == "cluster"
+    runner = [e for e in obs.trace.events() if e.category == "runner"]
+    retries = [e for e in runner if e.name == "spec_retry"]
+    assert sorted(e.fields["spec"] for e in retries) == [
+        f"baseline-{p}" for p in PARTITIONS
     ]
-    assert "shard_exit" in names
-    assert "shard_respawn" in names
-    assert "merge" in names
+    assert {e.fields["status"] for e in retries} == {"crashed"}
+    ends = [e for e in runner if e.name == "spec_end"]
+    assert [(e.fields["status"], e.fields["attempts"]) for e in ends] == [
+        ("ok", 2)
+    ] * len(PARTITIONS)
 
 
-# One shard owns bronze, gold and silver and runs them in that order;
-# its kill clock lays their 6 s end to end, so a kill at (e + 1) * 2 s
-# lands in bronze for e = 1 and in gold (at its 2 s) for e = 3.
-@pytest.mark.parametrize(
-    "epoch", [1, 3], ids=["first-partition", "second-partition"]
-)
-def test_one_shard_fleet_survives_a_kill_in_any_partition(tmp_path, epoch):
-    report = _cluster(
-        kill_at_epoch={0: epoch},
-        shards=1,
-        checkpoint_root=tmp_path / "cluster",
-    )
-    assert report.telemetry["workers"] == 1
-    assert report.telemetry["respawns"] == 1
-    assert report.merged == _baseline().merged
-
-
-def test_kill_in_second_partition_leaves_only_its_slot(tmp_path):
-    # Budget 0 stops the job at the kill: the finished first partition
-    # has cleared its slot (a respawn reruns it), the second holds its
-    # last snapshot, and a resumed job still merges to the same bytes.
+def test_fatal_kill_leaves_every_partition_its_slot(tmp_path):
+    # Budget 0 stops each partition at its kill with its last snapshot
+    # in its slot; the same job run again (its kills already spent)
+    # resumes every slot and still merges to the same bytes.
     root = tmp_path / "cluster"
     with pytest.raises(ClusterError, match="respawn budget"):
         _cluster(
-            kill_at_epoch={0: 3},
-            shards=1,
-            checkpoint_root=root,
-            max_respawns=0,
+            kill_at=(2.0,), shards=1, checkpoint_root=root, max_respawns=0
         )
-    assert not CheckpointStore.for_partition(root, "bronze").exists()
-    gold = CheckpointStore.for_partition(root, "gold").load()
-    assert gold.meta["partition"] == "gold"
-    assert gold.meta["step"] == 20
-    assert not CheckpointStore.for_partition(root, "silver").exists()
-    report = _cluster(resume=True, shards=1, checkpoint_root=root)
+    slots = _slots(root)
+    assert sorted(s.meta["partition"] for s in slots) == list(PARTITIONS)
+    assert {s.meta["step"] for s in slots} == {20}
+    report = _cluster(kill_at=(2.0,), shards=1, checkpoint_root=root)
+    assert report.telemetry["respawns"] == 0
     assert report.merged == _baseline().merged
+    assert not _slots(root)
 
 
 @pytest.mark.parametrize(
@@ -120,15 +108,15 @@ def test_respawn_budget_exhaustion_raises(tmp_path):
     # Budget 0 means the first death is fatal.
     with pytest.raises(ClusterError, match="respawn budget"):
         _cluster(
-            kill_at_epoch={0: 0},
+            kill_at=(1.0,),
             checkpoint_root=tmp_path / "cluster",
             max_respawns=0,
         )
 
 
 def test_respawn_budget_and_kill_are_per_job(tmp_path):
-    # Budget 1 covers one kill per job: the second job on the same
-    # fleet is killed again and still has its respawn.
+    # Budget 1 covers one kill per partition per job: the second job on
+    # the same master and root is killed again and still has its retry.
     with ClusterMaster(
         scenario="baseline",
         seed=0,
@@ -139,10 +127,9 @@ def test_respawn_budget_and_kill_are_per_job(tmp_path):
         max_respawns=1,
     ) as master:
         reports = [
-            master.run(duration=DURATION, kill_at_epoch={0: 1})
-            for _ in range(2)
+            master.run(duration=DURATION, kill_at=(3.0,)) for _ in range(2)
         ]
-    assert [r.telemetry["respawns"] for r in reports] == [1, 1]
+    assert [r.telemetry["respawns"] for r in reports] == [3, 3]
     assert reports[1].merged == _baseline().merged
 
 
@@ -152,42 +139,26 @@ def test_resume_skips_partition_snapshots_of_another_max_sessions(tmp_path):
     # must not adopt them.
     root = tmp_path / "cluster"
     with pytest.raises(ClusterError, match="respawn budget"):
-        _cluster(kill_at_epoch={0: 1}, checkpoint_root=root, max_respawns=0)
-    assert list(root.glob("partition-*/checkpoint.json"))
+        _cluster(kill_at=(3.0,), checkpoint_root=root, max_respawns=0)
+    assert _slots(root)
     half = MAX_SESSIONS // 2
-    report = _cluster(resume=True, max_sessions=half, checkpoint_root=root)
+    report = _cluster(
+        kill_at=(3.0,), max_sessions=half, checkpoint_root=root
+    )
     fresh = run_partitioned(
         "baseline", seed=0, duration=DURATION, max_sessions=half
     )
     assert report.merged == fresh.merged
 
 
-def test_master_reuses_fleet_across_jobs():
-    with ClusterMaster(
-        scenario="baseline",
-        seed=0,
-        shards=2,
-        epoch_s=EPOCH_S,
-        max_sessions=MAX_SESSIONS,
-    ) as master:
-        first = master.run(duration=DURATION)
-        pids = {
-            s.proc.pid for s in master._fleet.values()
-        }
-        second = master.run(duration=DURATION)
-        assert {
-            s.proc.pid for s in master._fleet.values()
-        } == pids
-    assert first.merged == second.merged
-
-
 def test_cluster_trace_events_emitted():
     obs = Observability()
     _cluster(obs=obs)
-    cluster_events = [
-        e for e in obs.trace.events() if e.category == "cluster"
+    events = [e for e in obs.trace.events() if e.category == "runner"]
+    names = [e.name for e in events]
+    assert names[0] == "run_start" and names[-1] == "run_end"
+    starts = [e for e in events if e.name == "spec_start"]
+    assert sorted(e.fields["spec"] for e in starts) == [
+        f"baseline-{p}" for p in PARTITIONS
     ]
-    names = {e.name for e in cluster_events}
-    assert {"shard_spawn", "merge"} <= names
-    spawns = [e for e in cluster_events if e.name == "shard_spawn"]
-    assert len(spawns) == 2
+    assert names.count("spec_end") == len(PARTITIONS)

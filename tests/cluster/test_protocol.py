@@ -1,4 +1,4 @@
-"""Frame codec and message contract of the cluster wire protocol."""
+"""The cluster's frame codec."""
 
 import io
 
@@ -9,15 +9,12 @@ from repro.errors import ClusterProtocolError
 
 
 def _round_trip(message):
-    stream = io.BytesIO()
-    protocol.write_frame(stream, message)
-    stream.seek(0)
-    return protocol.read_frame(stream)
+    return protocol.read_frame(io.BytesIO(protocol.encode_frame(message)))
 
 
 class TestFrames:
     def test_round_trip(self):
-        message = protocol.hello(3, 1234, "abc123")
+        message = protocol.report(3, {"gold": {"offered": 12}})
         assert _round_trip(message) == message
 
     def test_encoding_is_deterministic(self):
@@ -63,32 +60,10 @@ class TestFrames:
             protocol.read_frame(stream)
 
     def test_multiple_frames_in_sequence(self):
-        stream = io.BytesIO()
-        protocol.write_frame(stream, protocol.progress(0, "gold", 20))
-        protocol.write_frame(stream, protocol.report(0, {}))
-        stream.seek(0)
+        stream = io.BytesIO(
+            protocol.encode_frame({"type": "progress", "step": 20})
+            + protocol.encode_frame(protocol.report(0, {}))
+        )
         assert protocol.read_frame(stream)["type"] == "progress"
         assert protocol.read_frame(stream)["type"] == "report"
         assert protocol.read_frame(stream) is None
-
-
-class TestExpect:
-    def test_matching_type_passes_through(self):
-        message = protocol.welcome()
-        assert protocol.expect(message, "welcome") is message
-
-    def test_mismatch_raises_with_both_types(self):
-        with pytest.raises(ClusterProtocolError, match="welcome.*hello"):
-            protocol.expect(protocol.hello(0, 1, "f"), "welcome")
-
-    def test_none_raises_eof_flavored(self):
-        with pytest.raises(ClusterProtocolError, match="closed"):
-            protocol.expect(None, "welcome")
-
-    def test_peer_error_is_surfaced_verbatim(self):
-        with pytest.raises(ClusterProtocolError, match="shard on fire"):
-            protocol.expect(protocol.error("shard on fire"), "welcome")
-
-    def test_expected_error_passes_through(self):
-        message = protocol.error("fine")
-        assert protocol.expect(message, "error") is message

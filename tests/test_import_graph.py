@@ -1,8 +1,8 @@
 """Every ``src/repro`` module is reachable from something that runs.
 
 Walks static imports (stdlib ``ast``) from the entry points: examples,
-the measurement spine, tools, each package's ``__main__``, the
-``iqpaths`` script and the cluster worker the master spawns.
+the measurement spine, tools, each package's ``__main__`` and the
+``iqpaths`` script.
 ``from pkg import Name`` follows ``pkg/__init__``'s own import of
 ``Name``, and an ``__init__``'s imports count only for names its own
 body uses, so a re-export alone does not make a module reachable.
@@ -13,8 +13,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-#: Modules run by name: the iqpaths console script and the worker.
-RUN_BY_NAME = ("repro.harness.cli", "repro.cluster.worker")
+#: Modules run by name: the iqpaths console script.
+RUN_BY_NAME = ("repro.harness.cli",)
 
 
 def _file(module):

@@ -136,8 +136,6 @@ class TestFlagValidation:
         [
             ["--checkpoint-dir", "ckpt", "--checkpoint-every", "0"],
             ["--checkpoint-dir", "ckpt", "--checkpoint-every", "-1"],
-            ["--shards", "1", "--epoch-s", "0"],
-            ["--shards", "1", "--epoch-s", "-2"],
             ["--shards", "1", "--hang-timeout", "0"],
             ["--shards", "1", "--hang-timeout", "-5"],
         ],
@@ -198,7 +196,7 @@ class TestEnvelopeFlags:
 
 
 class TestSharded:
-    """``--shards N``: the worker fleet behind the same front door."""
+    """``--shards N``: one supervised task per partition, same front door."""
 
     SHARDS = ["--shards", "2"]
     SHARDED = FAST_ARGS + SHARDS
@@ -213,30 +211,37 @@ class TestSharded:
         assert f"identity ok ({baseline.checksum()})" in out
         assert "shards=2" in out
 
-    def test_trace_out_carries_the_master_events(self, tmp_path, capsys):
+    def test_trace_out_carries_the_runner_events(self, tmp_path, capsys):
         trace_out = tmp_path / "trace.jsonl"
         assert main(self.SHARDED + ["--trace-out", str(trace_out)]) == 0
         events = [
             json.loads(line)
             for line in trace_out.read_text().splitlines()
         ]
-        assert {e["cat"] for e in events} == {"cluster"}
-        names = {e["name"] for e in events}
-        assert {"shard_spawn", "merge"} <= names
+        assert {e["cat"] for e in events} == {"runner"}
+        names = [e["name"] for e in events]
+        assert names.count("spec_start") == names.count("spec_end") == 3
         capsys.readouterr()
 
-    def test_kill_shard_at_wants_shard_colon_epoch(self, capsys):
-        err = _usage_error(
-            self.SHARDS + ["--kill-shard-at", "first"], capsys
-        )
-        assert "SHARD:EPOCH" in err
+    def test_kill_at_kills_every_partition_once(self, tmp_path, capsys):
+        json_out = tmp_path / "killed.json"
+        flags = [
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+            "--checkpoint-every", "2",
+            "--kill-at", "4",
+            "--check-identity",
+            "--json-out", str(json_out),
+        ]
+        assert main(self.SHARDED + flags) == 0
+        assert "identity ok" in capsys.readouterr().out
+        killed = json.loads(json_out.read_text())
+        assert killed["telemetry"]["respawns"] == 3
+        assert killed["telemetry"]["epochs"] == 5  # 10 s every 2 s
 
     @pytest.mark.parametrize(
         "flag",
         [
-            ["--epoch-s", "1.0"],
             ["--hang-timeout", "5"],
-            ["--kill-shard-at", "0:1"],
             ["--check-identity"],
         ],
         ids=lambda flag: flag[0],
@@ -248,10 +253,9 @@ class TestSharded:
     @pytest.mark.parametrize(
         "flag",
         [
-            ["--kill-at", "5.0"],
-            ["--checkpoint-every", "2.0"],
             ["--metrics-out", "metrics.json"],
             ["--profile-out", "profile.json"],
+            ["--resume"],
         ],
         ids=lambda flag: flag[0],
     )
