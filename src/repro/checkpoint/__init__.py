@@ -7,8 +7,9 @@ of mutable mid-run state (engine clock and queue, RNG substreams,
 monitor windows, health machines, service sessions, churn-driver loop
 state), written atomically so a crash mid-write can never corrupt the
 last good snapshot.  A run resumed from a checkpoint produces the same
-report, byte for byte, as one that never crashed — the kill-injection
-harness in :mod:`repro.harness.crash` asserts exactly that.
+report, byte for byte, as one that never crashed — runs SIGKILLed by
+:class:`KillSwitch` (``python -m repro.workload ... --kill-at T``)
+assert exactly that.
 
 Layout:
 
@@ -17,7 +18,8 @@ Layout:
     code-fingerprint staleness detection.
 :mod:`repro.checkpoint.policy`
     When to snapshot (:class:`CheckpointConfig`), how to stop
-    (:class:`InterruptFlag`, :data:`GRACEFUL_EXIT_CODE`).
+    (:class:`InterruptFlag`, :data:`GRACEFUL_EXIT_CODE`), how to be
+    stopped (:class:`KillSwitch`).
 :mod:`repro.checkpoint.workload`
     The glue that runs a scale scenario under a checkpoint policy and
     resumes it.
@@ -27,6 +29,7 @@ from repro.checkpoint.policy import (
     GRACEFUL_EXIT_CODE,
     CheckpointConfig,
     InterruptFlag,
+    KillSwitch,
     RunInterrupted,
 )
 from repro.checkpoint.snapshot import (
@@ -43,6 +46,7 @@ __all__ = [
     "CheckpointStore",
     "GRACEFUL_EXIT_CODE",
     "InterruptFlag",
+    "KillSwitch",
     "RunInterrupted",
     "run_scale_scenario_checkpointed",
 ]

@@ -9,16 +9,24 @@ it latches ``SIGINT``/``SIGTERM`` instead of dying mid-step, the run
 loop polls it between steps, flushes a final checkpoint, and the CLI
 exits with :data:`GRACEFUL_EXIT_CODE` (75, ``EX_TEMPFAIL``: "try again
 later" — the conventional code for a transient, resumable stop).
+
+:class:`KillSwitch` is its uncooperative twin, the kill injector behind
+``--kill-at``: it SIGKILLs its own process at planned virtual times, so
+resume is proven against real crashes, not polite exceptions.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import signal
 import types
 from dataclasses import dataclass
-from typing import Optional
+from pathlib import Path
+from typing import Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, ReproError
+from repro.fsutil import atomic_write_text
 
 #: Exit code for "interrupted but checkpointed; rerun to resume"
 #: (BSD ``EX_TEMPFAIL``).
@@ -126,3 +134,60 @@ class InterruptFlag:
         for signum, previous in self._previous.items():
             signal.signal(signum, previous)
         self._previous.clear()
+
+
+class KillSwitch:
+    """Self-SIGKILL at planned virtual times, exactly once per point.
+
+    The kills-delivered counter lives in ``kills.json`` next to the
+    checkpoint.  It is written *before* the kill (atomic replace, so
+    the count survives the SIGKILL) and is intentionally not part of
+    the digest-verified snapshot: it records kill progress, not
+    simulation state, and advancing it must not move the resume point.
+    """
+
+    MARKER = "kills.json"
+
+    def __init__(
+        self,
+        root: Union[str, Path],
+        kill_points: Sequence[float],
+    ):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.kill_points = sorted(float(t) for t in kill_points)
+
+    @property
+    def marker_path(self) -> Path:
+        return self.root / self.MARKER
+
+    @property
+    def kills_done(self) -> int:
+        """Kill points already delivered (0 when the marker is absent)."""
+        try:
+            data = json.loads(self.marker_path.read_text())
+            return int(data["kills"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return 0
+
+    def maybe_kill(self, t: float) -> None:
+        """SIGKILL this process if virtual time reached the next point."""
+        done = self.kills_done
+        if done >= len(self.kill_points):
+            return
+        if t < self.kill_points[done]:
+            return
+        # Count first, kill second: if the count is durable the next
+        # attempt skips this point, so progress is monotone even when a
+        # kill lands before the next periodic checkpoint.
+        atomic_write_text(
+            self.marker_path, json.dumps({"kills": done + 1})
+        )
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def reset(self) -> None:
+        """Forget delivered kills once the run has completed.
+
+        The same run started again is then killed again.
+        """
+        self.marker_path.unlink(missing_ok=True)

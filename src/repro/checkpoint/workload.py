@@ -12,8 +12,9 @@ scaffolding deterministically and loads the rest.
 Determinism contract: a run killed at any point and resumed from its
 last checkpoint returns a :class:`~repro.workload.driver.WorkloadReport`
 whose ``to_dict()`` payload is byte-identical to an uninterrupted
-run's.  ``tests/checkpoint`` and the kill-injection harness
-(:mod:`repro.harness.crash`) enforce this.
+run's.  ``tests/checkpoint`` and real SIGKILLs from
+:class:`~repro.checkpoint.policy.KillSwitch` (``--kill-at``) enforce
+this.
 """
 
 from __future__ import annotations

@@ -74,6 +74,9 @@ _HB_THROTTLE_S = 0.2
 #: Grace period after terminate() before escalating to kill().
 _TERM_GRACE_S = 5.0
 
+#: Base of the deterministic exponential retry backoff (seconds).
+_RETRY_BACKOFF_S = 0.05
+
 #: Characters of stderr preserved in manifests/errors for dead workers.
 _STDERR_TAIL_CHARS = 2000
 
@@ -320,7 +323,6 @@ class _Orchestrator:
         t0: float,
         hang_timeout_s: Optional[float] = None,
         checkpoint_root: Optional[str] = None,
-        retry_backoff_s: float = 0.05,
         stderr_dir: Optional[str] = None,
         interrupt: Optional["InterruptFlag"] = None,
     ):
@@ -334,7 +336,6 @@ class _Orchestrator:
         self.t0 = t0
         self.hang_timeout_s = hang_timeout_s
         self.checkpoint_root = checkpoint_root
-        self.retry_backoff_s = retry_backoff_s
         self.stderr_dir = stderr_dir
         self.interrupt = interrupt
         self.ctx = _mp_context()
@@ -466,7 +467,7 @@ class _Orchestrator:
         tail = _stderr_tail(job.stderr_path)
         if job.attempt <= self.retries:
             delay = _retry_delay(
-                job.spec.content_hash, job.attempt, self.retry_backoff_s
+                job.spec.content_hash, job.attempt, _RETRY_BACKOFF_S
             )
             self.emit(
                 "spec_retry",
@@ -685,7 +686,6 @@ def run_specs(
     manifest_path: Optional[str] = None,
     hang_timeout_s: Optional[float] = None,
     checkpoint_root: Optional[str] = None,
-    retry_backoff_s: float = 0.05,
     interrupt: Optional["InterruptFlag"] = None,
 ) -> RunReport:
     """Execute ``specs`` and return their outcomes in submission order.
@@ -723,9 +723,6 @@ def run_specs(
         Directory under which each spec gets a checkpoint slot keyed by
         content hash; checkpoint-aware tasks resume there across retry
         attempts.  ``None`` disables task checkpointing.
-    retry_backoff_s:
-        Base of the deterministic exponential retry backoff (seeded
-        jitter; doubles per attempt).
     interrupt:
         Optional :class:`~repro.checkpoint.policy.InterruptFlag`.  When
         it trips, the run stops gracefully: live workers are
@@ -737,10 +734,6 @@ def run_specs(
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
-    if retry_backoff_s < 0:
-        raise ConfigurationError(
-            f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
-        )
     if hang_timeout_s is not None and hang_timeout_s <= 0:
         raise ConfigurationError(
             f"hang_timeout_s must be positive, got {hang_timeout_s}"
@@ -777,7 +770,6 @@ def run_specs(
         t0=t0,
         hang_timeout_s=hang_timeout_s,
         checkpoint_root=checkpoint_root,
-        retry_backoff_s=retry_backoff_s,
         stderr_dir=stderr_tmp.name if stderr_tmp is not None else None,
         interrupt=interrupt,
     )

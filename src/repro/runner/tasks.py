@@ -146,11 +146,11 @@ def run_workload(
     default 5.0) and a retried attempt resumes from the last verified
     snapshot instead of starting over.  The report — and therefore the
     payload — is byte-identical either way.  ``kill_points`` (a list of
-    virtual times, honored only when checkpointing) arms the
-    kill-injection harness: the worker SIGKILLs *itself* at each point,
-    once per completed run (the marker is removed when the run ends,
-    so the same spec run again is killed again), which is how the
-    crash tests exercise the supervisor.
+    virtual times, honored only when checkpointing) arms a
+    :class:`~repro.checkpoint.KillSwitch`: the worker SIGKILLs *itself*
+    at each point, once per completed run (the marker is removed when
+    the run ends, so the same spec run again is killed again), which is
+    how ``--shards N --kill-at T`` exercises the supervisor.
     """
     from repro.workload import make_scale_run, make_scenario
 
@@ -174,9 +174,9 @@ def run_workload(
         from repro.checkpoint import (
             CheckpointConfig,
             CheckpointStore,
+            KillSwitch,
             run_scale_scenario_checkpointed,
         )
-        from repro.harness.crash import KillSwitch
 
         kill_points = spec.params.get("kill_points") or []
         switch = (
@@ -205,8 +205,7 @@ def run_workload(
             partition=partition,
         )
         if switch is not None:
-            # The run is done: the next run of this spec is armed afresh.
-            switch.marker_path.unlink(missing_ok=True)
+            switch.reset()
     return {
         "report": report.render() + "\n",
         "workload": jsonify(report.to_dict()),

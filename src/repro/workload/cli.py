@@ -25,6 +25,7 @@ function of the run's identity.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -197,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "kill-injection: SIGKILL this process at virtual time T "
             "(repeatable; once per point across restarts; with "
-            "--shards, every partition's process on its own clock; "
-            "requires --checkpoint-dir)"
+            "--shards, every partition's process on its own clock, "
+            "no more points than its respawn budget; requires "
+            "--checkpoint-dir)"
         ),
     )
     return parser
@@ -228,9 +230,11 @@ def validate_args(
     the other execution mode: a sharded run ships back no metrics
     registry or span profile and always resumes leniently, and an
     in-process run has no shards.  A cadence or timeout must be
-    positive.  An envelope search picks its own rate scales and probe
-    duration and runs in this process, exporting nothing but
-    ``--json-out``; its search flags mean nothing to one run.
+    positive.  Each ``--kill-at`` point costs a sharded partition one
+    respawn, so more points than the respawn budget cannot finish.  An
+    envelope search picks its own rate scales and probe duration and
+    runs in this process, exporting nothing but ``--json-out``; its
+    search flags mean nothing to one run.
     """
 
     def refuse(dests: tuple[str, ...], why: str) -> None:
@@ -266,6 +270,20 @@ def validate_args(
             "(a kill schedule is only meaningful against a known "
             "snapshot cadence)"
         )
+    if args.kill_at and args.shards is not None:
+        from repro.cluster import ClusterMaster
+
+        budget = (
+            inspect.signature(ClusterMaster)
+            .parameters["max_respawns"]
+            .default
+        )
+        if len(args.kill_at) > budget:
+            parser.error(
+                f"--kill-at given {len(args.kill_at)} times, but with "
+                f"--shards each partition is respawned at most {budget} "
+                "times (its respawn budget)"
+            )
 
 
 def _run_envelope(args: argparse.Namespace) -> int:
@@ -307,15 +325,14 @@ def _run_checkpointed(args: argparse.Namespace, obs):
         CheckpointStore,
         GRACEFUL_EXIT_CODE,
         InterruptFlag,
+        KillSwitch,
         RunInterrupted,
         run_scale_scenario_checkpointed,
     )
 
     store = CheckpointStore(args.checkpoint_dir)
-    on_step = None
+    switch = on_step = None
     if args.kill_at:
-        from repro.harness.crash import KillSwitch
-
         switch = KillSwitch(args.checkpoint_dir, args.kill_at)
         on_step = lambda k, t: switch.maybe_kill(t)  # noqa: E731
     flag = InterruptFlag().install()
@@ -342,6 +359,8 @@ def _run_checkpointed(args: argparse.Namespace, obs):
         return None, GRACEFUL_EXIT_CODE
     finally:
         flag.restore()
+    if switch is not None:
+        switch.reset()
     return report, 0
 
 

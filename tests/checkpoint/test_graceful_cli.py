@@ -1,9 +1,9 @@
-"""End-to-end graceful interrupt: real processes, real signals.
+"""End-to-end interrupt and kill: real processes, real signals.
 
 These are subprocess tests of the CLI contract: SIGINT/SIGTERM makes a
 checkpoint-enabled run flush its snapshot and exit with code 75
-(``EX_TEMPFAIL``), and rerunning the same command completes with the
-same bytes as a never-interrupted run.
+(``EX_TEMPFAIL``), ``--kill-at`` SIGKILLs it mid-run, and rerunning the
+same command completes with the same bytes as a never-interrupted run.
 """
 
 from __future__ import annotations
@@ -108,6 +108,39 @@ def test_workload_cli_interrupt_resume_identical(tmp_path, sig):
     assert out.read_bytes() == golden_out.read_bytes()
     # Completed runs cleared their slots.
     assert not (ckpt_dir / "checkpoint.json").exists()
+
+
+def test_kill_at_sigkills_each_point_then_resumes_identical(tmp_path):
+    # Each rerun of the same command dies at the next planned point
+    # (SIGKILL: 137 in a shell) until the last attempt finishes from
+    # its snapshot, byte-identical to a run that never checkpointed.
+    ckpt_dir = tmp_path / "ckpt"
+    killed_out = tmp_path / "killed.json"
+    small = ["--duration", "8", "--max-sessions", "40"]
+    kill_cmd = [
+        sys.executable, "-m", "repro.workload", *small,
+        "--checkpoint-dir", str(ckpt_dir), "--checkpoint-every", "1",
+        "--kill-at", "3", "--kill-at", "6", "--json-out", str(killed_out),
+    ]
+    for expected in (-signal.SIGKILL, -signal.SIGKILL, 0):
+        run = subprocess.run(
+            kill_cmd, env=_env(), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert run.returncode == expected, run.stderr
+    golden_out = tmp_path / "golden.json"
+    golden = subprocess.run(
+        [
+            sys.executable, "-m", "repro.workload", *small,
+            "--json-out", str(golden_out),
+        ],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert golden.returncode == 0, golden.stderr
+    assert killed_out.read_bytes() == golden_out.read_bytes()
+    # The completed run disarmed its marker: the same command on this
+    # directory would be killed again.
+    assert not (ckpt_dir / "kills.json").exists()
 
 
 def test_runner_cli_interrupt_exits_75(tmp_path):

@@ -16,6 +16,7 @@ from repro.checkpoint import (
     CheckpointStore,
     GRACEFUL_EXIT_CODE,
     InterruptFlag,
+    KillSwitch,
 )
 from repro.checkpoint.snapshot import _dumps_payload, payload_checksum
 from repro.checkpoint.workload import load_run_snapshot
@@ -215,6 +216,33 @@ class TestInterruptFlag:
 
     def test_graceful_exit_code_is_tempfail(self):
         assert GRACEFUL_EXIT_CODE == 75
+
+
+class TestKillSwitch:
+    def test_counter_survives_marker_io(self, tmp_path):
+        switch = KillSwitch(tmp_path, [5.0, 9.0])
+        assert switch.kills_done == 0
+        # Before the first point: no kill, no marker.
+        switch.maybe_kill(4.99)
+        assert not switch.marker_path.exists()
+        # A pre-existing marker (a previous attempt died here) counts.
+        switch.marker_path.write_text(json.dumps({"kills": 2}))
+        assert switch.kills_done == 2
+        # All points delivered: reaching later times never kills again.
+        switch.maybe_kill(100.0)
+
+    def test_corrupt_marker_reads_as_zero(self, tmp_path):
+        switch = KillSwitch(tmp_path, [5.0])
+        switch.marker_path.write_text("not json")
+        assert switch.kills_done == 0
+
+    def test_reset_rearms_every_point(self, tmp_path):
+        switch = KillSwitch(tmp_path, [5.0])
+        switch.marker_path.write_text(json.dumps({"kills": 1}))
+        switch.reset()
+        assert not switch.marker_path.exists()
+        assert switch.kills_done == 0
+        switch.reset()  # idempotent
 
 
 class TestCheckpointTraceEvents:

@@ -19,8 +19,10 @@ def selftest(name: str, **params) -> RunSpec:
 
 @pytest.fixture
 def fast_escalation(monkeypatch):
-    """Shrink the SIGTERM grace so kill-escalation tests stay quick."""
+    """Shrink the SIGTERM grace and retry backoff so kill-escalation
+    tests stay quick."""
     monkeypatch.setattr(executor_mod, "_TERM_GRACE_S", 0.5)
+    monkeypatch.setattr(executor_mod, "_RETRY_BACKOFF_S", 0.01)
 
 
 class TestHangWatchdog:
@@ -43,7 +45,6 @@ class TestHangWatchdog:
             workers=1,
             retries=1,
             hang_timeout_s=0.5,
-            retry_backoff_s=0.01,
         )
         outcome = report.outcomes[0]
         assert outcome.status == "ok"

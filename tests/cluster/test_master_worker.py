@@ -51,23 +51,29 @@ def test_two_shard_run_matches_in_process_baseline():
     assert report.telemetry["respawns"] == 0
 
 
-def test_sigkilled_shard_is_respawned_and_resumes(tmp_path):
+@pytest.mark.parametrize("shards", [1, 2])
+def test_sigkilled_shard_is_respawned_and_resumes(shards, tmp_path):
+    # Two kill points arm every partition's task twice, serial (one
+    # shard) and parallel alike; the respawn count is exact, so a
+    # partition that was never killed fails the test.
     obs = Observability()
     report = _cluster(
-        kill_at=(3.0,), checkpoint_root=tmp_path / "cluster", obs=obs
+        kill_at=(2.0, 4.0),
+        shards=shards,
+        checkpoint_root=tmp_path / "cluster",
+        obs=obs,
     )
-    # The kill point arms every partition's task once.
-    assert report.telemetry["respawns"] == len(PARTITIONS)
+    assert report.telemetry["respawns"] == 2 * len(PARTITIONS) == 6
     assert report.merged == _baseline().merged
     runner = [e for e in obs.trace.events() if e.category == "runner"]
     retries = [e for e in runner if e.name == "spec_retry"]
     assert sorted(e.fields["spec"] for e in retries) == [
-        f"baseline-{p}" for p in PARTITIONS
+        f"baseline-{p}" for p in PARTITIONS for _ in range(2)
     ]
     assert {e.fields["status"] for e in retries} == {"crashed"}
     ends = [e for e in runner if e.name == "spec_end"]
     assert [(e.fields["status"], e.fields["attempts"]) for e in ends] == [
-        ("ok", 2)
+        ("ok", 3)
     ] * len(PARTITIONS)
 
 

@@ -80,12 +80,22 @@ class TestFaultPaths:
                 "value": "ok",
             },
         )
-        report = run_specs([spec], workers=1, retries=1, timeout_s=60.0)
+        manifest_path = tmp_path / "manifest.jsonl"
+        report = run_specs(
+            [spec],
+            workers=1,
+            retries=1,
+            timeout_s=60.0,
+            manifest_path=str(manifest_path),
+        )
         outcome = report.outcomes[0]
         assert outcome.status == "ok"
         assert outcome.attempts == 2
         assert outcome.payload["value"] == "ok"
         assert marker.exists()
+        # The manifest records the retry, not just the outcome.
+        (record,) = load_manifest(manifest_path).entries
+        assert (record["status"], record["attempts"]) == ("ok", 2)
 
     def test_timeout_terminates_worker(self):
         spec = RunSpec(

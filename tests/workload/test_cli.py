@@ -238,6 +238,21 @@ class TestSharded:
         assert killed["telemetry"]["respawns"] == 3
         assert killed["telemetry"]["epochs"] == 5  # 10 s every 2 s
 
+    def test_more_kills_than_the_respawn_budget_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        # Each kill point costs every partition one respawn; three
+        # cannot finish on the default budget of two, so refuse before
+        # any work instead of failing after it.
+        ckpt = tmp_path / "ckpt"
+        flags = ["--checkpoint-dir", str(ckpt), "--checkpoint-every", "2"]
+        for t in ("3", "5", "7"):
+            flags += ["--kill-at", t]
+        err = _usage_error(self.SHARDS + flags, capsys)
+        assert "--kill-at given 3 times" in err
+        assert "at most 2 times" in err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize(
         "flag",
         [
