@@ -14,15 +14,17 @@ the hint the application needs to renegotiate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
-from repro.errors import AdmissionError
+from repro.errors import AdmissionError, ConfigurationError
 from repro.core.guarantees import residual_guarantee
 from repro.core.mapping import (
     PathQoSEstimate,
     PlacementFold,
     ResourceMapping,
     compute_mapping,
+    eligible_paths,
 )
 from repro.core.spec import StreamSpec
 from repro.monitoring.cdf import EmpiricalCDF
@@ -45,6 +47,9 @@ class AdmissionDecision:
     admitted_streams: tuple[str, ...] = field(default_factory=tuple)
 
 
+_NAME = attrgetter("name")
+
+
 class AdmissionController:
     """Admits stream sets against the current path distributions.
 
@@ -58,7 +63,7 @@ class AdmissionController:
 
     def __init__(self, tw: float = 1.0):
         if tw <= 0:
-            raise ValueError(f"tw must be positive, got {tw}")
+            raise ConfigurationError(f"tw must be positive, got {tw}")
         self.tw = tw
         self.fold = PlacementFold()
 
@@ -96,16 +101,23 @@ class AdmissionController:
         exc: AdmissionError,
     ) -> AdmissionDecision:
         rejected = exc.stream_name
-        others = [s for s in specs if s.name != rejected]
-        rejected_spec = next(s for s in specs if s.name == rejected)
+        names = list(map(_NAME, specs))
+        i = names.index(rejected)
+        rejected_spec = specs[i]
+        others = list(specs)
+        del others[i], names[i]
+        if rejected in names:
+            # A name given twice: every spec of it goes.
+            others = [s for s in others if s.name != rejected]
+            names = [name for name in names if name != rejected]
         suggestion = None
         admitted_names: tuple[str, ...] = ()
         try:
             partial = compute_mapping(
                 others, cdfs, self.tw, qos=qos, fold=self.fold
             )
-            admitted_names = tuple(s.name for s in others)
-            suggestion = self._best_offer(rejected_spec, cdfs, partial)
+            admitted_names = tuple(names)
+            suggestion = self._best_offer(rejected_spec, cdfs, partial, qos)
         except AdmissionError:
             # Even the remaining set does not fit; no hint available.
             partial = None
@@ -123,8 +135,10 @@ class AdmissionController:
         spec: StreamSpec,
         cdfs: Mapping[str, EmpiricalCDF],
         partial: ResourceMapping,
+        qos: Mapping[str, PathQoSEstimate] | None,
     ) -> Optional[float]:
-        """Best single-path probability for ``spec`` given prior promises."""
+        """Best single-path probability for ``spec`` given prior promises,
+        over the paths whose RTT/loss levels meet its ceilings."""
         if spec.required_mbps is None:
             return None
         # One pass over the promises, every path's rates collected in
@@ -135,11 +149,11 @@ class AdmissionController:
             for path, rate in shares.items():
                 promised[path].append(rate)
         best = 0.0
-        for path, cdf in cdfs.items():
+        for path in eligible_paths(spec, list(cdfs), qos):
             best = max(
                 best,
                 residual_guarantee(
-                    cdf, sum(promised[path]), spec.required_mbps
+                    cdfs[path], sum(promised[path]), spec.required_mbps
                 ),
             )
         return best if best > 0 else None

@@ -32,7 +32,10 @@ same paths places only the streams behind the first difference.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
+from operator import attrgetter, is_, is_not
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -44,7 +47,7 @@ from repro.core.guarantees import (
     residual_guarantee,
     residual_rate_at,
 )
-from repro.core.spec import StreamSpec
+from repro.core.spec import FIRST_VIOLATION_BOUND, StreamSpec
 from repro.core.vectors import Schedule, build_schedule
 from repro.monitoring.cdf import EmpiricalCDF
 from repro.units import packets_per_window
@@ -204,20 +207,27 @@ class ResourceMapping:
     (docs/sim.md, "What a solve hands to delivery").  A solve passes
     ``specs``; a table that cannot be re-derived from its rates (an even
     split, a restored checkpoint) is passed as ``packets``.
+
+    A :func:`compute_mapping` solve derives ``rates_mbps`` — each placed
+    stream's shares, then the elastic split of what they left — on
+    first read too, from the fold's placement records and residual
+    answers, which it holds until then and no longer: a degradation
+    rung or an offer nobody installs never builds them.
     """
 
     __slots__ = (
-        "rates_mbps",
         "achieved_probability",
         "achieved_violation_rate",
         "tw",
+        "_rates",
         "_packets",
         "_specs",
+        "_solve",
     )
 
     def __init__(
         self,
-        rates_mbps: dict[str, dict[str, float]],
+        rates_mbps: Optional[dict[str, dict[str, float]]],
         achieved_probability: Optional[dict[str, float]] = None,
         achieved_violation_rate: Optional[dict[str, float]] = None,
         tw: float = 1.0,
@@ -230,7 +240,8 @@ class ResourceMapping:
                 "a mapping takes its packet table or the specs to build "
                 "it from, exactly one of the two"
             )
-        self.rates_mbps = rates_mbps
+        self._rates = rates_mbps
+        self._solve = None
         self.achieved_probability = (
             {} if achieved_probability is None else achieved_probability
         )
@@ -241,6 +252,14 @@ class ResourceMapping:
         self._packets = packets
         # A copy: the caller's list (a scheduler's streams) moves on.
         self._specs = None if specs is None else tuple(specs)
+
+    @property
+    def rates_mbps(self) -> dict[str, dict[str, float]]:
+        """Stream -> path -> Mbps; a solve's derived on first read."""
+        if self._rates is None:
+            self._rates = _solved_rates(*self._solve)
+            self._solve = None
+        return self._rates
 
     @property
     def packets(self) -> dict[str, dict[str, int]]:
@@ -381,16 +400,15 @@ def _map_probabilistic(
     required = spec.required_mbps
     target_p = spec.probability
     # --- single-path attempt -------------------------------------------
-    feasible: list[tuple[float, str]] = []
+    # Strongest guarantee wins; path_order breaks exact ties.
+    best_path, best_achieved = None, target_p
     for p in path_order:
         achieved = memo.guarantee(p, allocated[p], required)
-        if achieved >= target_p:
-            feasible.append((achieved, p))
-    if feasible:
-        # Strongest guarantee wins; path_order breaks exact ties.
-        best_achieved, best_path = max(
-            feasible, key=lambda t: (t[0], -path_order.index(t[1]))
-        )
+        if achieved > best_achieved or (
+            best_path is None and achieved == best_achieved
+        ):
+            best_path, best_achieved = p, achieved
+    if best_path is not None:
         return {best_path: required}, best_achieved
     # --- split across k paths (union bound) ----------------------------
     k = len(path_order)
@@ -648,6 +666,12 @@ class _Placement(NamedTuple):
     allocated: dict[str, float]
 
 
+_PRECEDENCE = attrgetter("mapping_precedence")
+_NAME = attrgetter("spec.name")
+_ACHIEVED = attrgetter("achieved")
+_ELASTIC = attrgetter("elastic")
+
+
 class PlacementFold:
     """The precedence-ordered placement fold, carried between solves.
 
@@ -656,17 +680,30 @@ class PlacementFold:
     placement is a function of the streams ahead of it and of nothing
     behind it.  The fold keeps that sequence with, per position, the
     shares, the achieved guarantee and the allocation after it; the next
-    solve over the same paths keeps the longest prefix the two
-    sequences share and places only what follows.  One more stream at
+    solve over the same paths keeps the positions ahead of the first
+    one that changed and places only what follows.  One more stream at
     the end of the precedence order costs one placement; a rejection
     leaves the streams ahead of the rejected one in place for the
     partial solve and the renegotiation that follow it.
 
+    The fold also keeps the last input and, in precedence order, the
+    streams of it that it places, with their keys
+    (``StreamSpec.mapping_precedence``, computed once per spec).  The
+    next input is compared with the last one by identity: one stream
+    added (an open, or a degradation rung after the partial solve that
+    dropped its stream) or removed (the partial solve after a
+    rejection) is applied to the order with a bisect on the keys, and
+    the edit's position is where the kept placements end.  Equal keys
+    keep input order, so an insert among tied keys goes after the tied
+    streams ahead of it in the input.  Any other edit sorts again, and
+    keeps the placements whose spec is the same object, or an equal
+    one, as before.
+
     What is kept answers the question only while it is the same
-    question: the fold empties itself when the usable path list, any
-    path's CDF snapshot (by identity — a monitor hands out one object
-    until its next sample), the RTT/loss levels or ``tw`` differ from
-    the solve before.  Specs and snapshots are held until then and no
+    question: the placements go when the usable path list, any path's
+    CDF snapshot (by identity — a monitor hands out one object until
+    its next sample), the RTT/loss levels or ``tw`` differ from the
+    solve before.  Specs and snapshots are held until then and no
     longer; nothing here points back at a service or scheduler.
 
     ``solves``, ``placements`` and ``reused`` count, over the fold's
@@ -675,13 +712,20 @@ class PlacementFold:
     """
 
     __slots__ = (
-        "_tw", "_qos", "_memo", "_placed", "solves", "placements", "reused",
+        "_tw", "_qos", "_memo", "_inputs", "_ordered", "_keys", "_placed",
+        "solves", "placements", "reused",
     )
 
     def __init__(self) -> None:
         self._tw: Optional[float] = None
         self._qos: Optional[dict[str, PathQoSEstimate]] = None
         self._memo: Optional[_ResidualMemo] = None
+        #: The last input, and the streams of it the fold places in
+        #: precedence order, with their keys.
+        self._inputs: tuple[StreamSpec, ...] = ()
+        self._ordered: list[StreamSpec] = []
+        self._keys: list[tuple] = []
+        #: One record per leading position of ``_ordered``.
         self._placed: list[_Placement] = []
         self.solves = 0
         self.placements = 0
@@ -699,7 +743,7 @@ class PlacementFold:
             memo is not None
             and self._tw == tw
             and list(memo.cdfs) == list(cdfs)
-            and all(memo.cdfs[p] is cdf for p, cdf in cdfs.items())
+            and all(map(is_, memo.cdfs.values(), cdfs.values()))
             and self._qos == qos
         ):
             # Copies: the caller may go on to edit its own mappings.
@@ -709,27 +753,89 @@ class PlacementFold:
             self._placed = []
         return memo
 
-    def _place(
-        self,
-        ordered: Sequence[StreamSpec],
-        cdfs: Mapping[str, EmpiricalCDF],
-        tw: float,
-        qos: Mapping[str, PathQoSEstimate] | None,
-    ) -> tuple[list[_Placement], _ResidualMemo]:
-        """Place ``ordered`` (already in precedence order) path by path.
+    def _reorder(self, specs: tuple[StreamSpec, ...]) -> int:
+        """Bring the precedence order to ``specs``; returns how many of
+        its leading positions hold what they held before."""
+        old, self._inputs = self._inputs, specs
+        n_old, n = len(old), len(specs)
+        # The first input position the two lists differ at.
+        j = next(compress(count(), map(is_not, old, specs)), min(n_old, n))
+        if n == n_old == j:
+            return len(self._ordered)
+        at = None
+        if n == n_old + 1:
+            if all(map(is_, islice(old, j, None), islice(specs, j + 1, None))):
+                at = self._insert(specs[j], j)
+        elif n == n_old - 1:
+            if all(map(is_, islice(old, j + 1, None), islice(specs, j, None))):
+                at = self._remove(old[j])
+        return self._resort() if at is None else at
 
-        Returns the fold's own records, to be read and not kept, and
-        the residual answers they were placed with.  Raises
-        :class:`AdmissionError` at the first stream that fits nowhere;
-        the streams ahead of it stay placed.
-        """
-        memo = self._memo_for(cdfs, tw, qos)
-        placed = self._placed
+    def _remove(self, spec: StreamSpec) -> Optional[int]:
+        key = spec.mapping_precedence
+        if key is None:
+            return len(self._ordered)
+        keys = self._keys
+        lo = bisect_left(keys, key)
+        # Among the tied keys, the spec itself.
+        i = next(
+            compress(
+                count(lo),
+                map(is_, islice(self._ordered, lo, bisect_right(keys, key, lo)),
+                    repeat(spec)),
+            ),
+            None,
+        )
+        if i is not None:
+            del self._ordered[i], keys[i]
+        return i
+
+    def _insert(self, spec: StreamSpec, j: int) -> int:
+        """Bisect in ``spec``, input position ``j``."""
+        key = spec.mapping_precedence
+        if key is None:
+            return len(self._ordered)
+        keys = self._keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            # Equal keys keep input order: ``spec`` goes after the tied
+            # streams ahead of it in the input.
+            i += list(map(_PRECEDENCE, islice(self._inputs, j))).count(key)
+        self._ordered.insert(i, spec)
+        keys.insert(i, key)
+        return i
+
+    def _resort(self) -> int:
+        """The stable sort by key; keeps the records placed for the same
+        specs (the same objects, or equal ones) at the same positions."""
+        ordered = sorted(filter(_PRECEDENCE, self._inputs), key=_PRECEDENCE)
+        self._ordered = ordered
+        self._keys = list(map(_PRECEDENCE, ordered))
         keep = 0
-        for record, spec in zip(placed, ordered):
+        for record, spec in zip(self._placed, ordered):
             if record.spec is not spec and record.spec != spec:
                 break
             keep += 1
+        return keep
+
+    def _place(
+        self,
+        specs: tuple[StreamSpec, ...],
+        cdfs: Mapping[str, EmpiricalCDF],
+        tw: float,
+        qos: Mapping[str, PathQoSEstimate] | None,
+    ) -> tuple[tuple[_Placement, ...], int, _ResidualMemo]:
+        """Place ``specs`` in precedence order, path by path.
+
+        Returns the placement records, how many of them (the leading
+        ones) are probabilistic guarantees, and the residual answers
+        they were placed with.  Raises :class:`AdmissionError` at the
+        first stream that fits nowhere; the streams ahead of it stay
+        placed.
+        """
+        memo = self._memo_for(cdfs, tw, qos)
+        placed = self._placed
+        keep = min(self._reorder(specs), len(placed))
         del placed[keep:]
         self.solves += 1
         self.reused += keep
@@ -738,7 +844,7 @@ class PlacementFold:
             dict(placed[-1].allocated) if placed
             else dict.fromkeys(path_order, 0.0)
         )
-        for spec in ordered[keep:]:
+        for spec in islice(self._ordered, keep, None):
             candidates = eligible_paths(spec, path_order, qos)
             if not candidates:
                 raise AdmissionError(
@@ -756,100 +862,38 @@ class PlacementFold:
                 allocated[p] += r
             placed.append(_Placement(spec, shares, achieved, dict(allocated)))
             self.placements += 1
-        return placed, memo
+        probabilistic = bisect_left(
+            self._keys, FIRST_VIOLATION_BOUND, 0, len(placed)
+        )
+        return tuple(placed), probabilistic, memo
 
 
-def compute_mapping(
-    specs: Sequence[StreamSpec],
-    cdfs: Mapping[str, EmpiricalCDF],
-    tw: float,
-    qos: Mapping[str, PathQoSEstimate] | None = None,
-    fold: Optional[PlacementFold] = None,
-) -> ResourceMapping:
-    """Run the full utility-based resource-mapping step.
+def _solved_rates(
+    placed: Sequence[_Placement],
+    memo: _ResidualMemo,
+    qos: Mapping[str, PathQoSEstimate] | None,
+    elastic: Sequence[StreamSpec],
+    total_weight: float,
+) -> dict[str, dict[str, float]]:
+    """A solve's ``rates_mbps``: the placed streams' shares, then the
+    elastic streams' split of the leftover mean bandwidth by weight.
 
-    Parameters
-    ----------
-    specs:
-        All streams to map (guaranteed, violation-bound, and elastic).
-        The mapping keeps a copy of the sequence to build its packet
-        table from, if that is ever read.  A spec both guaranteed and
-        elastic is mapped (its elastic share on top of its guaranteed
-        one), but interval-mode delivery files two requests for it on
-        one path, so the service refuses it at open: a layered stream
-        is a guaranteed base stream plus an elastic fill stream.
-    cdfs:
-        Per-path available-bandwidth CDFs from monitoring.
-    tw:
-        Scheduling-window length in seconds.
-    qos:
-        Optional monitored RTT/loss levels per path; streams with
-        ``max_rtt_ms`` / ``max_loss_rate`` ceilings are only placed on
-        paths meeting them.
-    fold:
-        The :class:`PlacementFold` of a caller that solves again and
-        again (admission control): placements the previous solve
-        settled against the same inputs are kept, not derived again.
-        The result is the one a fresh fold gives.
-
-    Raises
-    ------
-    AdmissionError
-        When some guaranteed stream fits neither on a single path nor split
-        across all of them (or no path meets its RTT/loss ceilings).
+    A spec both guaranteed and elastic gets its elastic share added on
+    top of its guaranteed one (see ``specs`` of :func:`compute_mapping`
+    for why the service still refuses one).
     """
-    if tw <= 0:
-        raise ConfigurationError(f"tw must be positive, got {tw}")
-    if not cdfs:
-        raise ConfigurationError("at least one path CDF is required")
-    if fold is None:
-        fold = PlacementFold()
-    path_order = list(cdfs)
-
-    # Precedence: probabilistic guarantees by P descending, then
-    # violation-bound streams by tightest bound first; required rate breaks
-    # ties (bigger first, it is harder to place).  One pre-keyed pass over
-    # the spec list replaces two filtered sorts with per-element lambda
-    # keys — the sort order (and tie stability) is unchanged.
-    prob_keyed: list[tuple[tuple, int, StreamSpec]] = []
-    viol_keyed: list[tuple[tuple, int, StreamSpec]] = []
-    for i, s in enumerate(specs):
-        if s.max_violation_rate is not None:
-            viol_keyed.append(
-                ((s.max_violation_rate, -(s.required_mbps or 0.0)), i, s)
-            )
-        elif s.probability is not None:
-            prob_keyed.append(
-                ((-s.probability, -(s.required_mbps or 0.0)), i, s)
-            )
-    prob_keyed.sort()
-    viol_keyed.sort()
-    ordered = [s for _, _, s in prob_keyed]
-    ordered += [s for _, _, s in viol_keyed]
-
-    placed, memo = fold._place(ordered, cdfs, tw, qos)
     rates: dict[str, dict[str, float]] = {}
-    achieved_p: dict[str, float] = {}
-    achieved_v: dict[str, float] = {}
-    for spec, shares, achieved, _ in placed:
+    for spec, shares, _, _ in placed:
         # A copy: the elastic share below is added onto it in place.
         rates[spec.name] = dict(shares)
-        if spec.max_violation_rate is not None:
-            achieved_v[spec.name] = achieved
-        else:
-            achieved_p[spec.name] = achieved
+    if not elastic:
+        return rates
+    path_order = list(memo.cdfs)
     allocated = (
         placed[-1].allocated if placed else dict.fromkeys(path_order, 0.0)
     )
-
-    # Elastic streams: divide leftover mean bandwidth by weight.  A spec
-    # both guaranteed and elastic gets its elastic share added on top of
-    # its guaranteed mapping above (see ``specs`` in the docstring for
-    # why the service still refuses one).
-    elastic = [s for s in specs if s.elastic]
     leftover = {p: memo.leftover_mean(p, allocated[p]) for p in path_order}
     total_leftover = sum(leftover.values())
-    total_weight = sum(s.weight for s in elastic) if elastic else 0.0
     for spec in elastic:
         share_total = (
             total_leftover * spec.weight / total_weight if total_weight else 0.0
@@ -866,11 +910,71 @@ def compute_mapping(
         for p, r in shares.items():
             prior[p] = prior.get(p, 0.0) + r
         rates[spec.name] = prior
+    return rates
 
-    return ResourceMapping(
-        rates_mbps=rates,
-        achieved_probability=achieved_p,
-        achieved_violation_rate=achieved_v,
-        tw=tw,
+
+def compute_mapping(
+    specs: Sequence[StreamSpec],
+    cdfs: Mapping[str, EmpiricalCDF],
+    tw: float,
+    qos: Mapping[str, PathQoSEstimate] | None = None,
+    fold: Optional[PlacementFold] = None,
+) -> ResourceMapping:
+    """Run the full utility-based resource-mapping step.
+
+    Parameters
+    ----------
+    specs:
+        All streams to map (guaranteed, violation-bound, and elastic).
+        The mapping keeps a copy of the sequence to build its rates and
+        packet table from, when they are read.  A spec both guaranteed
+        and elastic is mapped (its elastic share on top of its
+        guaranteed one), but interval-mode delivery files two requests
+        for it on one path, so the service refuses it at open: a
+        layered stream is a guaranteed base stream plus an elastic fill
+        stream.
+    cdfs:
+        Per-path available-bandwidth CDFs from monitoring.
+    tw:
+        Scheduling-window length in seconds.
+    qos:
+        Optional monitored RTT/loss levels per path; streams with
+        ``max_rtt_ms`` / ``max_loss_rate`` ceilings are only placed on
+        paths meeting them.
+    fold:
+        The :class:`PlacementFold` of a caller that solves again and
+        again (admission control and the scheduler's remap): placements
+        the previous solve settled against the same inputs are kept,
+        not derived again.  The result is the one a fresh fold gives.
+
+    Raises
+    ------
+    AdmissionError
+        When some guaranteed stream fits neither on a single path nor split
+        across all of them (or no path meets its RTT/loss ceilings).
+    """
+    if tw <= 0:
+        raise ConfigurationError(f"tw must be positive, got {tw}")
+    if not cdfs:
+        raise ConfigurationError("at least one path CDF is required")
+    if fold is None:
+        fold = PlacementFold()
+    specs = tuple(specs)
+    # Precedence: StreamSpec.mapping_precedence, ties in input order.
+    placed, probabilistic, memo = fold._place(specs, cdfs, tw, qos)
+    names = list(map(_NAME, placed))
+    achieved = list(map(_ACHIEVED, placed))
+    elastic = list(filter(_ELASTIC, specs))
+    # Summed now, so a solve refuses an elastic spec without a weight
+    # (ConfigurationError) whether or not its rates are ever read.
+    total_weight = sum(s.weight for s in elastic)
+    mapping = ResourceMapping(
+        None,
+        dict(zip(names[:probabilistic], achieved[:probabilistic])),
+        dict(zip(names[probabilistic:], achieved[probabilistic:])),
+        tw,
         specs=specs,
     )
+    # What rates_mbps is derived from, on first read.
+    mapping._solve = (placed, memo, fold._qos, elastic, total_weight)
+    return mapping

@@ -29,6 +29,7 @@ from repro.obs.context import NULL_OBS, Observability
 from repro.obs.events import Category
 from repro.core.mapping import (
     PathQoSEstimate,
+    PlacementFold,
     ResourceMapping,
     best_effort_mapping,
     compute_mapping,
@@ -127,6 +128,10 @@ class PGOSScheduler(SchedulerBase):
         self.mapping: Optional[ResourceMapping] = None
         self._compiled: Optional[tuple[ResourceMapping, Schedule]] = None
         self._offer: Optional[_SolvedMapping] = None
+        #: The placement fold remaps solve on; a service points it at
+        #: its admission controller's, so a remap that cannot adopt the
+        #: offer starts from admission's last placements.
+        self.fold = PlacementFold()
         self.remap_count = 0
         #: True while serving with a stale or best-effort mapping because
         #: the workload is not admittable at its requested guarantees.
@@ -382,7 +387,9 @@ class PGOSScheduler(SchedulerBase):
             ):
                 mapping = offer.mapping
             else:
-                mapping = compute_mapping(self.streams, cdfs, self.tw, qos=qos)
+                mapping = compute_mapping(
+                    self.streams, cdfs, self.tw, qos=qos, fold=self.fold
+                )
         except AdmissionError:
             if self.mapping is not None:
                 # Keep serving with the stale mapping rather than dropping

@@ -15,6 +15,11 @@ from typing import Optional
 from repro.errors import ConfigurationError
 from repro.units import DEFAULT_PACKET_SIZE, packets_per_window, rate_of_packets
 
+#: Sorts after every probabilistic ``StreamSpec.mapping_precedence`` and
+#: before every violation bound's: where the probabilistic guarantees of
+#: a precedence-ordered list end.
+FIRST_VIOLATION_BOUND = (1,)
+
 
 @dataclass(frozen=True)
 class WindowConstraint:
@@ -76,6 +81,13 @@ class StreamSpec:
     max_loss_rate:
         Optional loss-rate ceiling, analogous (the paper's future-work
         "message loss rate service guarantees").
+
+    ``mapping_precedence`` (derived, not a field) is where
+    :func:`repro.core.mapping.compute_mapping` places the stream:
+    probabilistic guarantees first, P descending, then violation bounds,
+    tightest first; within either, the bigger required rate first (it
+    is harder to place).  Equal keys keep input order.  ``None`` for a
+    purely elastic stream, which the placement fold does not place.
     """
 
     name: str
@@ -133,6 +145,19 @@ class StreamSpec:
             raise ConfigurationError(
                 f"max_loss_rate must be in [0, 1], got {self.max_loss_rate}"
             )
+        # Not a field: derived, so equality, hashing and the dict form
+        # ignore it.
+        if self.max_violation_rate is not None:
+            key = (
+                *FIRST_VIOLATION_BOUND,
+                self.max_violation_rate,
+                -(self.required_mbps or 0.0),
+            )
+        elif self.probability is not None:
+            key = (0, -self.probability, -(self.required_mbps or 0.0))
+        else:
+            key = None
+        object.__setattr__(self, "mapping_precedence", key)
 
     # ------------------------------------------------------------------
     # serialization (checkpointing / spec transport)

@@ -234,6 +234,9 @@ class IQPathsService:
         self._open: dict[str, StreamHandle] = {}
         self._opened_interval: dict[str, int] = {}
         self._admission = AdmissionController(tw=tw)
+        # One fold per service: admission's solves, the ladder's rungs
+        # and the scheduler's remaps all place on it.
+        self.scheduler.fold = self._admission.fold
         self._pending: list[tuple[int, Callable[[], None]]] = []
         self.upcalls: list[str] = []
         #: Health transitions and degradation decisions, human-readable.
@@ -355,20 +358,26 @@ class IQPathsService:
                 f"admission.{outcome}.partition.{self.partition}"
             ).inc()
 
-    def _count_fold(self) -> None:
-        """Publish the admission fold's lifetime counts as metrics.
+    def _fold_counts(self) -> tuple[int, int, int]:
+        fold = self._admission.fold
+        return fold.solves, fold.placements, fold.reused
+
+    def _count_fold(self, before: tuple[int, int, int]) -> None:
+        """Publish what admission did on the fold since ``before``.
 
         ``mapping.fold_solves`` mapping solves asked of the controller,
         ``mapping.fold_placements`` streams it placed for them and
         ``mapping.fold_reused`` placements it kept from the solve
         before: the split of an open into solve, ladder and bookkeeping.
+        The scheduler's remaps solve on the same fold and are not
+        counted here.
         """
         if not self.obs.enabled:
             return
-        fold = self._admission.fold
-        for name in ("solves", "placements", "reused"):
-            counter = self.obs.metrics.counter(f"mapping.fold_{name}")
-            counter.inc(getattr(fold, name) - counter.value)
+        for name, was, now in zip(
+            ("solves", "placements", "reused"), before, self._fold_counts()
+        ):
+            self.obs.metrics.counter(f"mapping.fold_{name}").inc(now - was)
 
     def _reject_upcall(
         self,
@@ -470,9 +479,10 @@ class IQPathsService:
         usable = self._usable_paths()
         cdfs = {p: scheduler.monitors[p].cdf() for p in usable}
         qos = scheduler.path_qos(usable)
+        before = self._fold_counts()
         with self.obs.prof.span("service.admission"):
             decision = self._admission.try_admit(specs, cdfs, qos)
-        self._count_fold()
+        self._count_fold(before)
         if decision.mapping is not None:
             if not decision.admitted:
                 specs = [
@@ -637,6 +647,7 @@ class IQPathsService:
         usable = self._usable_paths()
         cdfs = {p: self.scheduler.monitors[p].cdf() for p in usable}
         originals = [self._original[name] for name in self._open]
+        before = self._fold_counts()
         with self.obs.prof.span("service.degradation_plan"):
             plan = plan_degradation(
                 originals,
@@ -646,7 +657,7 @@ class IQPathsService:
                 admission=self._admission,
                 qos=self.scheduler.path_qos(usable),
             )
-        self._count_fold()
+        self._count_fold(before)
         if plan == self._plan:
             return
         self._apply_plan(plan)

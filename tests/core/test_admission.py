@@ -7,6 +7,7 @@ from repro.core.admission import AdmissionController
 from repro.core.guarantees import probabilistic_guarantee
 from repro.core.mapping import PathQoSEstimate, shifted_cdf
 from repro.core.spec import StreamSpec
+from repro.errors import ConfigurationError, ReproError
 from repro.monitoring.cdf import EmpiricalCDF
 
 
@@ -74,8 +75,9 @@ class TestAdmit:
         assert retry.admitted
 
     def test_invalid_tw(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError) as raised:
             AdmissionController(tw=0.0)
+        assert isinstance(raised.value, ReproError)
 
 
 class TestBestOffer:
@@ -103,6 +105,56 @@ class TestBestOffer:
             )
         assert 0.0 < best < 0.85
         assert decision.suggested_probability == best
+
+    #: A is big but slow, B fast but small.
+    CEILING_QOS = {
+        "A": PathQoSEstimate(rtt_ms=90.0),
+        "B": PathQoSEstimate(rtt_ms=20.0),
+    }
+
+    def ceiling_paths(self, rng, b_mbps):
+        return {
+            "A": EmpiricalCDF(np.clip(80 + 2 * rng.standard_normal(500), 0, None)),
+            "B": EmpiricalCDF(
+                np.clip(b_mbps + 4 * rng.standard_normal(500), 0, None)
+            ),
+        }
+
+    def test_hint_ignores_paths_over_the_rtt_ceiling(self, rng):
+        """Only B meets the 50 ms ceiling and B cannot carry 30 Mbps:
+        no hint, not A's P = 1.0."""
+        spec = StreamSpec(
+            name="ctl", required_mbps=30.0, probability=0.95, max_rtt_ms=50.0
+        )
+        decision = AdmissionController(tw=1.0).try_admit(
+            [spec], self.ceiling_paths(rng, 10.0), self.CEILING_QOS
+        )
+        assert not decision.admitted
+        assert decision.rejected_stream == "ctl"
+        assert decision.suggested_probability is None
+
+    def test_hint_is_the_eligible_paths_offer(self, rng):
+        paths = self.ceiling_paths(rng, 30.0)
+        spec = StreamSpec(
+            name="ctl", required_mbps=30.0, probability=0.95, max_rtt_ms=50.0
+        )
+        decision = AdmissionController(tw=1.0).try_admit(
+            [spec], paths, self.CEILING_QOS
+        )
+        assert not decision.admitted
+        offer = probabilistic_guarantee(paths["B"], 30.0)
+        assert 0.0 < offer < 0.95
+        assert decision.suggested_probability == offer
+
+    def test_no_eligible_path_no_hint(self, rng):
+        spec = StreamSpec(
+            name="ctl", required_mbps=5.0, probability=0.9, max_rtt_ms=10.0
+        )
+        decision = AdmissionController(tw=1.0).try_admit(
+            [spec], self.ceiling_paths(rng, 30.0), self.CEILING_QOS
+        )
+        assert not decision.admitted
+        assert decision.suggested_probability is None
 
 
 class TestCeilings:

@@ -267,15 +267,24 @@ def table_builds(monkeypatch):
 
 @pytest.fixture
 def constructed(monkeypatch):
-    """Every mapping constructed, with a copy of its rates at birth."""
+    """Every rates table a mapping was handed or derived on first read,
+    with a copy of it at birth."""
     made = []
     init = ResourceMapping.__init__
+    derive = mapping_module._solved_rates
 
     def recording(self, rates_mbps, *args, **kwargs):
         init(self, rates_mbps, *args, **kwargs)
-        made.append((self, copy.deepcopy(rates_mbps)))
+        if rates_mbps is not None:  # else a solve's, derived on read
+            made.append((rates_mbps, copy.deepcopy(rates_mbps)))
+
+    def deriving(*args):
+        rates = derive(*args)
+        made.append((rates, copy.deepcopy(rates)))
+        return rates
 
     monkeypatch.setattr(ResourceMapping, "__init__", recording)
+    monkeypatch.setattr(mapping_module, "_solved_rates", deriving)
     return made
 
 
@@ -343,6 +352,36 @@ class TestLazyPacketTable:
         assert set(mapping.packets) == {s.name for s in self.SPECS}
         assert table_builds == []
 
+    def test_rates_are_derived_on_first_read(self, two_paths, monkeypatch):
+        """A solve's rates wait for a reader, are derived once, and the
+        mapping lets go of the solve's residual answers after."""
+        derived = []
+        derive = mapping_module._solved_rates
+
+        def counting(*args):
+            derived.append(args)
+            return derive(*args)
+
+        monkeypatch.setattr(mapping_module, "_solved_rates", counting)
+        fresh = compute_mapping(self.SPECS, two_paths, tw=1.0)
+        assert derived == []
+        rates = fresh.rates_mbps
+        assert fresh.rates_mbps is rates
+        assert len(derived) == 1
+        assert fresh._solve is None
+        assert list(rates) == ["ctl", "vb", "bulk", "fill"]
+
+    def test_weightless_elastic_spec_is_refused_by_the_solve(
+        self, two_paths
+    ):
+        """Not by the first reader of the rates, which may never come."""
+        specs = [
+            StreamSpec(name="ctl", required_mbps=5.0, probability=0.9),
+            StreamSpec(name="e", elastic=True),
+        ]
+        with pytest.raises(ConfigurationError, match="weight"):
+            compute_mapping(specs, two_paths, tw=1.0)
+
     def test_table_or_specs_exactly_one(self):
         with pytest.raises(ConfigurationError):
             ResourceMapping(rates_mbps={})
@@ -379,8 +418,8 @@ class TestLazyPacketTable:
         assert report.offered == 40
         assert len(constructed) > 40
         assert table_builds == []
-        for mapping, rates in constructed:
-            assert as_items(mapping.rates_mbps) == as_items(rates)
+        for rates, at_birth in constructed:
+            assert as_items(rates) == as_items(at_birth)
 
     def test_checkpointing_builds_one_table_per_saved_mapping(
         self, tmp_path, monkeypatch, table_builds

@@ -1,5 +1,7 @@
 """Stream utility specifications."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -94,3 +96,26 @@ class TestStreamSpec:
         )
         assert spec.guaranteed and spec.elastic
         assert spec.demand_mbps is None
+
+    def test_mapping_precedence(self):
+        """Guarantees by P descending, then violation bounds tightest
+        first, bigger rate first within either; elastic unplaced."""
+        specs = [
+            StreamSpec(name="vb", required_mbps=4.0, max_violation_rate=0.1),
+            StreamSpec(name="lo", required_mbps=9.0, probability=0.9),
+            StreamSpec(name="hi", required_mbps=1.0, probability=0.99),
+            StreamSpec(name="big", required_mbps=20.0, probability=0.9),
+            StreamSpec(name="vb2", required_mbps=4.0, max_violation_rate=0.05),
+        ]
+        ordered = sorted(specs, key=lambda s: s.mapping_precedence)
+        assert [s.name for s in ordered] == ["hi", "big", "lo", "vb2", "vb"]
+        assert StreamSpec(
+            name="e", elastic=True, nominal_mbps=5.0
+        ).mapping_precedence is None
+
+    def test_mapping_precedence_is_derived_not_a_field(self):
+        spec = StreamSpec(name="s", required_mbps=10.0, probability=0.95)
+        assert "mapping_precedence" not in spec.to_dict()
+        assert StreamSpec.from_dict(spec.to_dict()) == spec
+        lowered = replace(spec, probability=0.5)
+        assert lowered.mapping_precedence == (0, -0.5, -10.0)

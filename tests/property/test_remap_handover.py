@@ -18,6 +18,7 @@ test in this module — must equal the solve on no fold at all.
 report checksum under churn, so it must itself be reproducible.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from unittest import mock
 
@@ -154,6 +155,10 @@ class CheckedService:
             installed = self._remap()
         self.remaps += 1
         self.solves += counting.call_count
+        # A remap that solves does so on the service's one fold ...
+        for call in counting.call_args_list:
+            assert call.kwargs["fold"] is self.service._admission.fold
+        # ... and installs what a fresh solve of its own inputs gives.
         assert installed is self.scheduler.mapping
         assert as_items(installed) == as_items(self._expected(previous))
         return installed
@@ -431,6 +436,7 @@ class FoldProgram:
         self.opened = 0
         self.samples = 2
         self.solves = 0
+        self.rungs = 0
 
     def check(self):
         specs = list(self.specs)
@@ -486,6 +492,36 @@ class FoldProgram:
             # are other objects.
             i = arg % len(specs)
             specs[i] = replace(specs[i])
+        elif op == "copy_all":
+            specs[:] = [replace(s) for s in specs]
+        elif op == "twin" and guaranteed:
+            # An open whose key ties one already placed: it goes last
+            # among the tied.
+            twin = specs[guaranteed[arg % len(guaranteed)]]
+            specs.append(replace(twin, name=f"s{self.opened}"))
+            self.opened += 1
+        elif op == "rung" and guaranteed:
+            # A rung to a P no other stream has.
+            i = guaranteed[arg % len(guaranteed)]
+            self.rungs += 1
+            specs[i] = replace(specs[i], probability=0.41 + 0.0007 * self.rungs)
+        elif op == "collide" and len(guaranteed) > 1:
+            # A rung onto another stream's key: the input order decides.
+            i = guaranteed[arg % len(guaranteed)]
+            k = guaranteed[(arg // len(guaranteed) + 1) % len(guaranteed)]
+            if k != i:
+                specs[i] = replace(
+                    specs[i],
+                    probability=specs[k].probability,
+                    required_mbps=specs[k].required_mbps,
+                )
+        elif op == "partial" and guaranteed:
+            # The partial solve without one stream, then the rung that
+            # puts it back where it was.
+            i = guaranteed[arg % len(guaranteed)]
+            spec = specs.pop(i)
+            self.check()
+            specs.insert(i, spec)
         elif op == "sample":
             # A monitor's next sample: a new snapshot object, the
             # distribution where it was or well below.
@@ -516,7 +552,8 @@ class FoldProgram:
 
 FOLD_OPS = [
     "open", "open", "open", "close", "downgrade", "demote", "copy",
-    "sample", "quarantine", "qos", "tw",
+    "copy_all", "twin", "rung", "collide", "partial", "sample",
+    "quarantine", "qos", "tw",
 ]
 
 
@@ -539,6 +576,31 @@ def _stale_fold(ignored):
 
     return StaleFold()
 
+
+def _tie_blind_fold(side):
+    """A fold that bisects a tied key in without the input order."""
+
+    class TieBlindFold(PlacementFold):
+        def _insert(self, spec, j):
+            key = spec.mapping_precedence
+            if key is None:
+                return len(self._ordered)
+            bisect = bisect_left if side == "first" else bisect_right
+            i = bisect(self._keys, key)
+            self._ordered.insert(i, spec)
+            self._keys.insert(i, key)
+            return i
+
+    return TieBlindFold()
+
+
+#: Per side a blind fold sends ties to, a program whose last step
+#: inserts a tied key the other way: an open of a second stream of one
+#: template, and the rung that puts the first of three back.
+TIE_MOVES = {
+    "first": [("open", 1), ("open", 1)],
+    "last": [("open", 1), ("open", 1), ("open", 1), ("partial", 0)],
+}
 
 #: Per validity key, a program whose last step moves only that key.
 KEY_MOVES = {
@@ -570,6 +632,44 @@ class TestPlacementFold:
         stale = FoldProgram(_stale_fold(key)).run(program[:-1])
         with pytest.raises(AssertionError):
             stale.apply(*program[-1])
+
+    @pytest.mark.parametrize("side", sorted(TIE_MOVES))
+    def test_ties_need_the_input_order(self, side):
+        """Mutation check: the program passes on the real fold and fails
+        on one that bisects a tied key to one side regardless of where
+        the stream stands in the input."""
+        program = TIE_MOVES[side]
+        FoldProgram(PlacementFold()).run(program)
+        blind = FoldProgram(_tie_blind_fold(side)).run(program[:-1])
+        with pytest.raises(AssertionError):
+            blind.apply(*program[-1])
+
+    def test_opens_and_partial_solves_are_bisected_not_sorted(
+        self, monkeypatch
+    ):
+        """Opens and closes, tied or not, and the partial solve with the
+        rung that puts its stream back are edits of the kept order; a
+        stream replaced in place, or every spec copied, sorts again."""
+        fold = PlacementFold()
+        sorted_by = []
+        resort = PlacementFold._resort
+        step = []
+
+        def counting(self):
+            if self is fold:
+                sorted_by.append(step[-1])
+            return resort(self)
+
+        monkeypatch.setattr(PlacementFold, "_resort", counting)
+        program = FoldProgram(fold)
+        for op, arg in [
+            ("open", 1), ("open", 0), ("open", 1), ("twin", 0),
+            ("partial", 1), ("close", 1), ("open", 2), ("rung", 2),
+            ("collide", 0), ("downgrade", 0), ("copy", 0), ("copy_all", 0),
+        ]:
+            step.append(op)
+            program.apply(op, arg)
+        assert sorted_by == ["rung", "collide", "downgrade", "copy", "copy_all"]
 
     def test_prefix_is_kept_and_only_the_suffix_placed(self):
         fold = PlacementFold()
@@ -690,6 +790,33 @@ class TestLadderOnTheFold:
             ),
             obs=obs,
         )
+        fold = service._admission.fold
+        # The scheduler's remaps solve on the same fold; the metrics
+        # count admission's work only.
+        remap_work = np.zeros(3, dtype=int)
+        #: What the remaps' solves would place on no fold.
+        fresh_placements = []
+        remap = service.scheduler.remap
+
+        def counted_remap():
+            before = np.array([fold.solves, fold.placements, fold.reused])
+            try:
+                return remap()
+            finally:
+                work = (
+                    np.array([fold.solves, fold.placements, fold.reused])
+                    - before
+                )
+                remap_work[:] += work
+                if work[0]:
+                    fresh_placements.append(
+                        sum(
+                            s.mapping_precedence is not None
+                            for s in service.scheduler.streams
+                        )
+                    )
+
+        service.scheduler.remap = counted_remap
         service.open_stream(StreamSpec(name="bulk", elastic=True,
                                        nominal_mbps=30.0))
         service.advance(8.0)
@@ -707,18 +834,21 @@ class TestLadderOnTheFold:
             if i == 9:
                 service.close_stream("g2")
         assert service.degradation_level is DegradationLevel.DOWNGRADED
-        fold = service._admission.fold
         assert fold_checks.refusals > 10
         assert fold.reused > fold.placements
+        # Remaps that refuse the offer start from the ladder's placements.
+        assert remap_work[0] > 0
+        assert remap_work[1] < sum(fresh_placements) / 2
         counted = {
             name: obs.metrics.get(f"mapping.fold_{name}").value
             for name in ("solves", "placements", "reused")
         }
         assert counted == {
             "solves": fold_checks.solves,
-            "placements": fold.placements,
-            "reused": fold.reused,
+            "placements": fold.placements - remap_work[1],
+            "reused": fold.reused - remap_work[2],
         }
+        assert fold.solves == fold_checks.solves + remap_work[0]
         spans = {}
         for row in obs.prof.report().rows:
             spans[row["name"]] = spans.get(row["name"], 0) + row["count"]
