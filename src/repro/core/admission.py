@@ -90,7 +90,7 @@ class AdmissionController:
         return AdmissionDecision(
             admitted=True,
             mapping=mapping,
-            admitted_streams=tuple(s.name for s in specs),
+            admitted_streams=tuple(map(_NAME, specs)),
         )
 
     def _reject(

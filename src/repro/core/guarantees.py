@@ -24,7 +24,7 @@ All bandwidths are Mbps at the API; conversions to byte rates happen here.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -212,11 +212,10 @@ def residual_guarantee(
     bit-equal to :func:`probabilistic_guarantee` of
     :func:`repro.core.mapping.shifted_cdf`, without building that
     distribution.  Subtracting a constant and clipping at zero keep the
-    samples ascending, so the count of residual samples below the
-    requirement is a bisect over the path's own samples under the key
-    ``max(s - allocated, 0.0)`` — the float operation the shift performs
-    on each, not the rearrangement ``s < required + allocated``, which
-    rounds differently.
+    samples ascending, so the residual samples below the requirement
+    are a prefix of the path's own samples: those with
+    ``max(s - allocated, 0.0) < required``, the float operation the
+    shift performs on each (:func:`_residual_below` counts them).
     """
     if required_mbps < 0:
         raise ConfigurationError(
@@ -226,13 +225,35 @@ def residual_guarantee(
     samples = cdf.sample_list()
     if allocated_mbps == 0:
         below = bisect_left(samples, required_mbps)
+    elif required_mbps > 0:
+        below = _residual_below(samples, allocated_mbps, required_mbps)
     else:
-        below = bisect_left(
-            samples,
-            required_mbps,
-            key=lambda s: max(s - allocated_mbps, 0.0),
-        )
+        # No residual is below zero.
+        below = 0
     return 1.0 - below / len(samples)
+
+
+def _residual_below(
+    samples: list[float], allocated: float, required: float
+) -> int:
+    """How many sorted ``samples`` satisfy ``s - allocated < required``.
+
+    For ``required > 0`` that is the key ``max(s - allocated, 0.0) <
+    required``.  The predicate is monotone in ``s`` (float subtraction
+    of a constant is), but it is not the rearrangement ``s < required +
+    allocated``: the two round differently within a few ulps of the
+    boundary.  The rearranged bisect, in C, is the first guess; the
+    exact predicate then moves the index over the samples on which the
+    two disagree, a whole run of equal samples per step, so a long run
+    of equal boundary samples costs one more bisect, not a scan.
+    """
+    i = bisect_left(samples, required + allocated)
+    while i and not samples[i - 1] - allocated < required:
+        i = bisect_left(samples, samples[i - 1], 0, i - 1)
+    n = len(samples)
+    while i < n and samples[i] - allocated < required:
+        i = bisect_right(samples, samples[i], i + 1)
+    return i
 
 
 def residual_rate_at(

@@ -72,10 +72,14 @@ def eligible_paths(
     spec: StreamSpec,
     path_order: Sequence[str],
     qos: Mapping[str, PathQoSEstimate] | None,
-) -> list[str]:
-    """Paths whose monitored RTT/loss satisfy the stream's ceilings."""
+) -> Sequence[str]:
+    """Paths whose monitored RTT/loss satisfy the stream's ceilings.
+
+    ``path_order`` itself when nothing constrains the stream: every
+    caller only reads the result.
+    """
     if qos is None or (spec.max_rtt_ms is None and spec.max_loss_rate is None):
-        return list(path_order)
+        return path_order
     out = []
     for p in path_order:
         estimate = qos.get(p)
@@ -894,22 +898,36 @@ def _solved_rates(
     )
     leftover = {p: memo.leftover_mean(p, allocated[p]) for p in path_order}
     total_leftover = sum(leftover.values())
+    # An elastic stream's shares depend on its weight and its eligible
+    # paths only, and catalog templates share both: each distinct pair
+    # is split once, and every stream of it takes a copy.
+    splits: dict[tuple, dict[str, float]] = {}
     for spec in elastic:
-        share_total = (
-            total_leftover * spec.weight / total_weight if total_weight else 0.0
-        )
+        weight = spec.weight
         candidates = eligible_paths(spec, path_order, qos)
-        eligible_leftover = sum(leftover[p] for p in candidates)
-        shares = {}
-        for p in candidates:
-            frac = leftover[p] / eligible_leftover if eligible_leftover else 0.0
-            r = share_total * frac
-            if r > 1e-9:
-                shares[p] = r
-        prior = rates.get(spec.name, {})
-        for p, r in shares.items():
-            prior[p] = prior.get(p, 0.0) + r
-        rates[spec.name] = prior
+        key = (weight, *candidates)
+        shares = splits.get(key)
+        if shares is None:
+            share_total = (
+                total_leftover * weight / total_weight if total_weight else 0.0
+            )
+            eligible_leftover = sum(leftover[p] for p in candidates)
+            shares = splits[key] = {}
+            for p in candidates:
+                frac = (
+                    leftover[p] / eligible_leftover
+                    if eligible_leftover
+                    else 0.0
+                )
+                r = share_total * frac
+                if r > 1e-9:
+                    shares[p] = r
+        prior = rates.get(spec.name)
+        if prior is None:
+            rates[spec.name] = dict(shares)
+        else:
+            for p, r in shares.items():
+                prior[p] = prior.get(p, 0.0) + r
     return rates
 
 

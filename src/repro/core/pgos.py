@@ -22,6 +22,7 @@ checks the two agree to within a packet quantum.
 from __future__ import annotations
 
 from collections import deque
+from operator import is_
 from typing import Callable, Deque, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import AdmissionError, ConfigurationError
@@ -74,9 +75,9 @@ class _SolvedMapping(NamedTuple):
         return (
             self.mapping.tw == tw
             and len(self.specs) == len(specs)
-            and all(a is b for a, b in zip(self.specs, specs))
+            and all(map(is_, self.specs, specs))
             and list(self.cdfs) == list(cdfs)
-            and all(self.cdfs[p] is cdf for p, cdf in cdfs.items())
+            and all(map(is_, self.cdfs.values(), cdfs.values()))
             and self.qos == qos
         )
 

@@ -475,7 +475,7 @@ class IQPathsService:
         same question (:meth:`PGOSScheduler.offer_mapping`).
         """
         scheduler = self.scheduler
-        specs = [self._original[name] for name in self._open] + new_specs
+        specs = list(map(self._original.__getitem__, self._open)) + new_specs
         usable = self._usable_paths()
         cdfs = {p: scheduler.monitors[p].cdf() for p in usable}
         qos = scheduler.path_qos(usable)
@@ -646,7 +646,7 @@ class IQPathsService:
         quarantined = self.health.quarantined()
         usable = self._usable_paths()
         cdfs = {p: self.scheduler.monitors[p].cdf() for p in usable}
-        originals = [self._original[name] for name in self._open]
+        originals = list(map(self._original.__getitem__, self._open))
         before = self._fold_counts()
         with self.obs.prof.span("service.degradation_plan"):
             plan = plan_degradation(

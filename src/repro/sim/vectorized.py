@@ -47,6 +47,8 @@ allocation rules, so the engine refuses any other scheduler.
 from __future__ import annotations
 
 import weakref
+from itertools import repeat
+from operator import attrgetter, is_not
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -70,6 +72,22 @@ _KIND_RULE1 = 0  # scheduled on this path: demand = min(backlog, mapped_here)
 _KIND_RULE2 = 1  # scheduled elsewhere: demand = max(backlog - mapped_total, 0)
 _KIND_RULE3 = 2  # unscheduled/elastic: demand = backlog
 _KIND_FALLBACK = 3  # no history yet: demand = backlog / n_usable
+_NO_DEMAND = 4  # grouping key of a slot without a bounded demand
+
+_NAME = attrgetter("name")
+_ELASTIC = attrgetter("elastic")
+_WEIGHT = attrgetter("weight")
+_PRECEDENCE = attrgetter("mapping_precedence")
+#: The shares of a stream absent from ``rates_mbps``; never written.
+_NO_RATES: dict[str, float] = {}
+
+
+def _slots_by(key: np.ndarray, size: int) -> list[np.ndarray]:
+    """Slot indices grouped by ``key`` value ``0 .. size - 1``, each group
+    in slot order: one stable argsort, cut at the bincount boundaries."""
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(key, minlength=size)).tolist()
+    return [order[lo:hi] for lo, hi in zip([0] + ends, ends[:size])]
 
 
 class _PathTemplate:
@@ -102,19 +120,21 @@ class _PathTemplate:
         self.weight = weight
         self.level = level
         self.param = param
-        # Strict-priority groups in ascending level, slot order preserved
-        # (matches water_fill's sorted({r.level}) iteration; a group that
-        # is fully inactive this step degenerates to a no-op, exactly as
-        # an absent level would).
+        # Strict-priority groups of the levels present, ascending, slot
+        # order preserved (matches water_fill's sorted({r.level})
+        # iteration; a group that is fully inactive this step
+        # degenerates to a no-op, exactly as an absent level would).
         self.level_groups = [
-            np.flatnonzero(level == lv) for lv in np.unique(level)
+            group
+            for group in _slots_by(level, LEVEL_UNSCHEDULED + 1)
+            if group.size
         ]
-        self.idx_rule1 = np.flatnonzero((kind == _KIND_RULE1) & has_demand)
-        self.idx_rule2 = np.flatnonzero((kind == _KIND_RULE2) & has_demand)
-        self.idx_rule3 = np.flatnonzero((kind == _KIND_RULE3) & has_demand)
-        self.idx_fallback = np.flatnonzero(
-            (kind == _KIND_FALLBACK) & has_demand
-        )
+        (
+            self.idx_rule1,
+            self.idx_rule2,
+            self.idx_rule3,
+            self.idx_fallback,
+        ) = _slots_by(np.where(has_demand, kind, _NO_DEMAND), _NO_DEMAND)
         self.idx_hd = np.flatnonzero(has_demand)
         self.rows_hd = rows[self.idx_hd]
 
@@ -207,14 +227,15 @@ class VectorizedDelivery:
 
         Mirrors ``PGOSScheduler._allocate_inner`` (or
         ``_fallback_requests`` when ``fallback``) request for request,
-        built from per-stream columns rather than one request at a time
-        (docs/sim.md, "What a solve hands to delivery").  On each usable
-        path the scalar loop files, per serving spec in order, at most
-        one rule-1/rule-2 request and then at most one rule-3 request, so
-        spec ``i``'s candidates sit at slots ``2i`` and ``2i + 1`` and a
-        path keeps the present ones in that order: the request-list
-        order that drives water-fill's pending iteration and its
-        sequential float folds.
+        built from per-stream columns, each one C-level pass over the
+        streams, rather than one request at a time (docs/sim.md, "What a
+        solve hands to delivery").  On each usable path the scalar loop
+        files, per serving spec in order, at most one rule-1/rule-2
+        request and then at most one rule-3 request, so spec ``i``'s
+        candidates sit at slots ``2i`` and ``2i + 1`` and a path keeps
+        the present ones in that order: the request-list order that
+        drives water-fill's pending iteration and its sequential float
+        folds.
         """
         svc = self.service
         sched = svc.scheduler
@@ -226,18 +247,20 @@ class VectorizedDelivery:
         if not streams:
             return {}
         n, n_paths = len(streams), len(usable)
-        rows = np.array([batch.row(s.name) for s in streams], dtype=np.int64)
+        names = list(map(_NAME, streams))
+        rows = np.fromiter(map(batch.row, names), np.int64, n)
         # Demand presence comes from the *original* handle spec (the
         # service keys backlog_mbps off h.spec), which is what the batch
         # columns were filled from at open time.
         has_demand = ~np.isnan(batch.demand_mbps[rows])
-        elastic = np.array([s.elastic for s in streams], dtype=bool)
+        elastic = np.fromiter(map(_ELASTIC, streams), bool, n)
+        weights = np.fromiter(map(_WEIGHT, streams), float, n)
 
         if fallback:
             # Every spec on every usable path, the same request each.
             template = _PathTemplate(
                 rows,
-                np.array([s.weight for s in streams]),
+                weights,
                 np.where(elastic, LEVEL_UNSCHEDULED, LEVEL_SCHEDULED_HERE),
                 np.full(n, _KIND_FALLBACK),
                 np.full(n, float(n_paths)),
@@ -246,15 +269,19 @@ class VectorizedDelivery:
             return {p: template for p in usable}
 
         rates_mbps = sched.mapping.rates_mbps
-        per_stream = [rates_mbps.get(s.name, {}) for s in streams]
-        rate = np.array(
-            [[rates.get(p, 0.0) for p in usable] for rates in per_stream]
-        )
+        per_stream = list(map(rates_mbps.get, names, repeat(_NO_RATES)))
+        rate = np.empty((n, n_paths))
+        for j, path in enumerate(usable):
+            rate[:, j] = np.fromiter(
+                map(dict.get, per_stream, repeat(path), repeat(0.0)), float, n
+            )
         # Compile-time Python sum in dict insertion order — the same
         # sequential fold the scalar allocator runs per interval.
-        total = np.array([sum(rates.values()) for rates in per_stream], float)
-        guaranteed = np.array(
-            [s.guaranteed or s.max_violation_rate is not None for s in streams]
+        total = np.fromiter(map(sum, map(dict.values, per_stream)), float, n)
+        # Guaranteed or violation-bound: exactly the specs with a
+        # placement precedence.
+        guaranteed = np.fromiter(
+            map(is_not, map(_PRECEDENCE, streams), repeat(None)), bool, n
         )
         rule1 = guaranteed[:, None] & (rate > 0)
         # Rule-2 slots with a bounded demand are *dynamic*: present only
@@ -271,7 +298,7 @@ class VectorizedDelivery:
             )
         # Rule 3: max(rate, 0.0), or the spec's weight spread evenly over
         # the usable paths where that is not positive.
-        spread = np.array([s.weight if s.elastic else 0.0 for s in streams])
+        spread = np.where(elastic, weights, 0.0)
         weight3 = np.maximum(rate, 0.0)
         weight3 = np.where(weight3 <= 0, (spread / n_paths)[:, None], weight3)
 
