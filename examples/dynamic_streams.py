@@ -29,14 +29,21 @@ def main() -> None:
         name="checkpoint", elastic=True, nominal_mbps=50.0
     )
 
+    # A close retires the stream, so its report is taken first.
+    closed = {}
+
+    def finish_checkpoint() -> None:
+        closed["checkpoint"] = service.report("checkpoint")
+        service.close_stream("checkpoint")
+
     service.open_stream(steering)
     service.at(20.0, lambda: service.open_stream(viz))
     service.at(45.0, lambda: service.open_stream(checkpoint))
-    service.at(90.0, lambda: service.close_stream("checkpoint"))
+    service.at(90.0, finish_checkpoint)
     service.advance(120.0)
 
     print(f"remaps over the session: {service.scheduler.remap_count}\n")
-    for name, report in service.reports().items():
+    for name, report in {**service.reports(), **closed}.items():
         attainment = (
             f"  guarantee held {report.attainment * 100:.1f}% of lifetime"
             if report.attainment is not None

@@ -50,7 +50,7 @@ from repro.obs.context import NULL_OBS, Observability
 from repro.obs.events import Category
 
 #: Envelope layout version; bumped whenever the payload tree changes shape.
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 def _dumps_payload(payload: Mapping[str, Any]) -> str:

@@ -27,21 +27,21 @@ scalar reference loop, ``tests/oracles``):
   with the *same expression order*, so every per-step comparison sees
   bit-identical floats.
 
-The history matrix is the one store of delivered history, read in
-place.  It is allocated at full column width (one column per
-post-warmup interval of the realization) and every write goes through
-:meth:`BatchState.write`, which also keeps ``written``, the high-water
-mark of columns ever written: a delivery step writes one column for
-the open rows, and unwritten columns are the zeros an idle interval
-would have recorded anyway.
+The history matrix is the one store of open streams' delivered
+history, read in place.  It is allocated at full column width (one
+column per post-warmup interval of the realization) and every write
+goes through :meth:`BatchState.write`, which also keeps ``written``,
+the high-water mark of columns ever written: a delivery step writes
+one column for the open rows, and unwritten columns are the zeros an
+idle interval would have recorded anyway.
 
 * **Reads are views.**  :meth:`BatchState.history_array` returns a
   read-only view of ``history[row, start:cur_col]``, never a copy.
-* **A close records a span, not a copy.**  The closed stream keeps its
-  ``(row, start, stop)``.  The row may be recycled, but its next
-  occupant opens at a column >= ``stop`` (columns only move forward)
-  and only ever writes at or after its own open column, so the closed
-  span is never overwritten.
+* **A view outlives its stream's close.**  A close forgets the name,
+  but the freed row's next occupant opens at a column >= the close
+  column (columns only move forward) and only ever writes at or after
+  its own open column, so a view taken before the close keeps its
+  values.
 * **Growth copies only what was written.**  ``_grow`` copies
   ``history[:old, :written]`` into a fresh zero matrix; the untouched
   tail keeps its zero pages unmapped, so opening a large population
@@ -52,12 +52,14 @@ would have recorded anyway.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import base64
+import binascii
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.core.spec import StreamSpec
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.units import bytes_in_interval
 
 __all__ = ["BatchState"]
@@ -65,8 +67,7 @@ __all__ = ["BatchState"]
 #: Initial row capacity; grows by doubling.
 _INITIAL_CAPACITY = 64
 
-#: The series of a stream with no record (unknown, or closed before a
-#: checkpoint restore).
+#: The series of a stream that is not open.
 _EMPTY = np.zeros(0)
 _EMPTY.flags.writeable = False
 
@@ -115,10 +116,6 @@ class BatchState:
         self._free: list[int] = []
         #: Next never-used row when the free list is empty.
         self._high = 0
-        #: Closed streams' lifetime spans ``(row, start, stop)`` in
-        #: ``history`` (see the module docstring for why they survive
-        #: row recycling).
-        self._closed: dict[str, tuple[int, int, int]] = {}
         #: High-water mark: every column >= ``written`` is still zero.
         self.written = 0
         #: Memoized ``rows_in_order()`` result (membership-keyed).
@@ -241,17 +238,13 @@ class BatchState:
         self.opened_col[row] = opened_col
         self._rows[spec.name] = row
         self._order_cache = None
-        # A reopened name starts a fresh history, as the scalar reference
-        # resets its ``_delivered`` list.
-        self._closed.pop(spec.name, None)
         return row
 
     def close(self, name: str, cur_col: int) -> int:
-        """Free a stream's row; its lifetime span stays readable in place."""
+        """Free a stream's row and forget its name; views stay valid."""
         row = self._rows.pop(name, None)
         if row is None:
             raise ConfigurationError(f"stream {name!r} has no row")
-        self._closed[name] = (row, int(self.opened_col[row]), cur_col)
         self.backlog_bytes[row] = 0.0
         self._free.append(row)
         self._order_cache = None
@@ -274,7 +267,8 @@ class BatchState:
             self.written = stop
 
     def history_array(self, name: str, cur_col: int) -> np.ndarray:
-        """Read-only view of one open or closed stream's delivered mbps.
+        """Read-only view of one open stream's delivered mbps (empty if
+        the stream is not open).
 
         The view shares the history matrix: it is never a copy, and it
         keeps that matrix alive while held.  Its values never change
@@ -282,18 +276,9 @@ class BatchState:
         a grow or reset); ``np.array(view)`` detaches a writable copy.
         """
         row = self._rows.get(name)
-        if row is not None:
-            start = int(self.opened_col[row])
-            stop = cur_col
-        else:
-            span = self._closed.get(name)
-            if span is None:
-                # Unknown, or closed before a checkpoint restore: those
-                # restore with an empty record (see
-                # IQPathsService.state_dict).
-                return _EMPTY
-            row, start, stop = span
-        view = self.history[row, start:stop]
+        if row is None:
+            return _EMPTY
+        view = self.history[row, int(self.opened_col[row]):cur_col]
         view.flags.writeable = False
         return view
 
@@ -318,9 +303,30 @@ class BatchState:
             )
         self.write(row, slice(start, stop), series)
 
-    def freeze_empty(self, name: str) -> None:
-        """Record an empty lifetime for a closed stream (restore path)."""
-        self._closed[name] = (0, 0, 0)
+    @staticmethod
+    def pack_series(series: Iterable[float]) -> str:
+        """A series as base64 of its little-endian float64 bytes: exact,
+        strict JSON, and one C call each way (:meth:`unpack_series`)."""
+        raw = np.asarray(series, dtype="<f8").tobytes()
+        return base64.b64encode(raw).decode("ascii")
+
+    @staticmethod
+    def unpack_series(text: str) -> np.ndarray:
+        """Read a :meth:`pack_series` string back, bit for bit; anything
+        else (not base64, not whole float64 values) is a
+        :class:`CheckpointError`, never a short series."""
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except (binascii.Error, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"delivered series is not base64: {exc}"
+            ) from None
+        if len(raw) % 8:
+            raise CheckpointError(
+                f"delivered series has {len(raw)} bytes, not a whole "
+                "number of float64 values"
+            )
+        return np.frombuffer(raw, dtype="<f8")
 
     def delivered_bytes_of(self, name: str) -> float:
         """Cumulative delivered bytes of one open stream (telemetry)."""
@@ -339,6 +345,5 @@ class BatchState:
         self._rows = {}
         self._free = []
         self._high = 0
-        self._closed = {}
         self.written = 0
         self._order_cache = None

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import AdmissionError, CheckpointError, ConfigurationError
 from repro.core.admission import AdmissionController, AdmissionDecision
+from repro.core.batchstate import BatchState
 from repro.core.pgos import PGOSScheduler
 from repro.core.scheduler import BUFFER_SECONDS
 from repro.core.spec import StreamSpec
@@ -48,6 +50,8 @@ from repro.sim.vectorized import VectorizedDelivery
 
 #: Session seconds between ``metrics_snapshot`` trace events.
 METRICS_SNAPSHOT_SECONDS = 5.0
+
+_SPEC = attrgetter("spec")
 
 
 @dataclass
@@ -81,13 +85,13 @@ class StreamHandle:
 
 @dataclass(frozen=True)
 class StreamReport:
-    """Delivered-throughput summary for one stream's lifetime.
+    """Delivered-throughput summary of one open stream's lifetime so far.
 
     ``mbps`` is a read-only view into the service's delivered-history
     matrix, not a copy: writing into it raises ``ValueError``, its
-    values never change as the service runs on, and while the report
-    is held it keeps that matrix alive.  ``np.array(report.mbps)``
-    gives a detached, writable copy.
+    values never change as the service runs on, the stream's close
+    included, and while the report is held it keeps that matrix alive.
+    ``np.array(report.mbps)`` gives a detached, writable copy.
     """
 
     name: str
@@ -227,12 +231,10 @@ class IQPathsService:
         self._snapshot_every = max(
             1, int(round(METRICS_SNAPSHOT_SECONDS / self.dt))
         )
+        #: The open streams' handles, in open order: a close retires the
+        #: stream, and a reopened name goes to the end, as it does in
+        #: ``scheduler.streams`` and the delivery batch.
         self.handles: dict[str, StreamHandle] = {}
-        #: The open handles, in ``handles`` order (a reopened name keeps
-        #: its first position): what admission and degradation walk, so
-        #: neither scans every stream the session ever opened.
-        self._open: dict[str, StreamHandle] = {}
-        self._opened_interval: dict[str, int] = {}
         self._admission = AdmissionController(tw=tw)
         # One fold per service: admission's solves, the ladder's rungs
         # and the scheduler's remaps all place on it.
@@ -241,9 +243,8 @@ class IQPathsService:
         self.upcalls: list[str] = []
         #: Health transitions and degradation decisions, human-readable.
         self.events: list[str] = []
-        # Degradation bookkeeping: requested spec per stream, the spec
-        # actually in the scheduler, and the active plan.
-        self._original: dict[str, StreamSpec] = {}
+        # Degradation bookkeeping: the spec actually in the scheduler per
+        # stream (the requested one is the handle's) and the active plan.
         self._serving: dict[str, StreamSpec] = {}
         self._plan: Optional[DegradationPlan] = None
         self.degradation_level = DegradationLevel.NORMAL
@@ -419,7 +420,6 @@ class IQPathsService:
         """Install an (admitted or degraded) stream into the service."""
         self.scheduler.add_stream(spec)
         self._serving[spec.name] = spec
-        self._original[spec.name] = spec
         handle = StreamHandle(
             spec=spec,
             opened_at=self.now,
@@ -428,10 +428,7 @@ class IQPathsService:
             admitted=admitted,
             tenant=tenant,
         )
-        reopened = spec.name in self.handles
-        self.handles[spec.name] = self._open[spec.name] = handle
-        if reopened:
-            self._rebuild_open()
+        self.handles[spec.name] = handle
         if self.obs.enabled:
             self.obs.metrics.counter("service.streams_opened").inc()
             self.obs.trace.emit(
@@ -447,15 +444,7 @@ class IQPathsService:
                 tenant=tenant,
             )
         self._vec.on_open(handle)
-        self._opened_interval[spec.name] = self._k
         return handle
-
-    def _rebuild_open(self) -> None:
-        """``_open`` from ``handles``: after a restore, and after a
-        reopened name took back its first position."""
-        self._open = {
-            name: h for name, h in self.handles.items() if h.open
-        }
 
     def _maybe_refresh_after_open(self) -> None:
         if self.health is not None and (
@@ -475,7 +464,7 @@ class IQPathsService:
         same question (:meth:`PGOSScheduler.offer_mapping`).
         """
         scheduler = self.scheduler
-        specs = list(map(self._original.__getitem__, self._open)) + new_specs
+        specs = list(map(_SPEC, self.handles.values())) + new_specs
         usable = self._usable_paths()
         cdfs = {p: scheduler.monitors[p].cdf() for p in usable}
         qos = scheduler.path_qos(usable)
@@ -537,7 +526,7 @@ class IQPathsService:
         event, and on the per-tenant ``admission.*.tenant.<name>``
         metric counters (the workload engine's join key).
         """
-        if spec.name in self.handles and self.handles[spec.name].open:
+        if spec.name in self.handles:
             raise ConfigurationError(f"stream {spec.name!r} already open")
         _check_servable(spec)
         if not self._scheduler_bound:
@@ -574,7 +563,7 @@ class IQPathsService:
                     f"duplicate stream {spec.name!r} in batch"
                 )
             seen.add(spec.name)
-            if spec.name in self.handles and self.handles[spec.name].open:
+            if spec.name in self.handles:
                 raise ConfigurationError(
                     f"stream {spec.name!r} already open"
                 )
@@ -602,16 +591,16 @@ class IQPathsService:
         return handles
 
     def close_stream(self, name: str) -> StreamHandle:
-        """Terminate a stream; its capacity is remapped to the others."""
-        handle = self.handles.get(name)
-        if handle is None or not handle.open:
+        """Terminate a stream; its capacity is remapped to the others.
+
+        The close retires the stream: take its :meth:`report` first."""
+        handle = self.handles.pop(name, None)
+        if handle is None:
             raise ConfigurationError(f"stream {name!r} is not open")
         if name in self._serving:
             self.scheduler.remove_stream(name)
             del self._serving[name]
         handle.closed_at = self.now
-        del self._open[name]
-        self._original.pop(name, None)
         self._vec.on_close(name)
         if self.obs.enabled:
             self.obs.metrics.counter("service.streams_closed").inc()
@@ -641,12 +630,12 @@ class IQPathsService:
         """Re-plan shedding/downgrades for the current path health."""
         if self.health is None or not self._scheduler_bound:
             return
-        if not self._open:
+        if not self.handles:
             return
         quarantined = self.health.quarantined()
         usable = self._usable_paths()
         cdfs = {p: self.scheduler.monitors[p].cdf() for p in usable}
-        originals = list(map(self._original.__getitem__, self._open))
+        originals = list(map(_SPEC, self.handles.values()))
         before = self._fold_counts()
         with self.obs.prof.span("service.degradation_plan"):
             plan = plan_degradation(
@@ -687,7 +676,7 @@ class IQPathsService:
     def _apply_plan(self, plan: DegradationPlan) -> None:
         """Diff the scheduler's stream set against ``plan`` and apply."""
         desired: dict[str, StreamSpec] = {}
-        for name in self._open:
+        for name in self.handles:
             spec = plan.spec_for(name)
             if spec is not None:
                 desired[name] = spec
@@ -732,7 +721,7 @@ class IQPathsService:
     def shed_streams(self) -> frozenset[str]:
         """Open streams currently paused by the degradation policy."""
         return frozenset(
-            name for name in self._open if name not in self._serving
+            name for name in self.handles if name not in self._serving
         )
 
     # ------------------------------------------------------------------
@@ -770,7 +759,7 @@ class IQPathsService:
         # zero — no write needed.)
         if self._vec.batch.n_open and self._scheduler_bound:
             handles = (
-                list(self._open.values())
+                list(self.handles.values())
                 if obs.enabled or prof.enabled
                 else ()
             )
@@ -859,16 +848,20 @@ class IQPathsService:
         preserved deliberately — handle iteration order feeds the
         delivery loop and the scheduler's float summations.
 
-        Two deliberate scope cuts:
+        The service's state is its open streams (a close retires the
+        stream), and each is written once:
 
-        * Delivery history is kept only for **open** streams (closed
-          streams restore with an empty record).  Workload checksums are
-          unaffected — the churn driver folds a stream's history into
-          its :class:`SessionRecord` at close time — but calling
-          :meth:`report` on a pre-checkpoint closed stream after a
-          restore returns an empty series.
-        * Observability (metrics/trace) is not checkpointed; it is
-          diagnostic output and is excluded from result checksums.
+        * ``handles`` has one entry per open stream, in open order, with
+          its requested spec and the history column it opened at.
+        * ``serving`` lists the streams the scheduler serves, in serving
+          order, with a spec only where the degradation plan serves
+          another one than the handle's (``null`` elsewhere).
+        * ``delivered`` packs each open stream's series as base64 of its
+          little-endian float64 bytes (:meth:`BatchState.pack_series`):
+          exact, and one C call each way.
+
+        Observability (metrics/trace) is not checkpointed; it is
+        diagnostic output and is excluded from result checksums.
 
         Restoring replaces the history matrix rather than overwriting
         it: a :class:`StreamReport` taken before :meth:`load_state_dict`
@@ -897,6 +890,8 @@ class IQPathsService:
                 },
                 "notes": list(plan.notes),
             }
+        handles = self.handles
+        batch = self._vec.batch
         return {
             "k": self._k,
             "start_k": self._start_k,
@@ -904,26 +899,20 @@ class IQPathsService:
             "handles": [
                 {
                     "spec": h.spec.to_dict(),
-                    "opened_at": h.opened_at,
+                    "opened_col": int(batch.opened_col[batch.row(name)]),
                     "stream_id": h.stream_id,
-                    "closed_at": h.closed_at,
                     "achieved_probability": h.achieved_probability,
                     "admitted": h.admitted,
                     "tenant": h.tenant,
                 }
-                for h in self.handles.values()
+                for name, h in handles.items()
             ],
             "delivered": self._delivered_state(),
-            "opened_interval": dict(self._opened_interval),
             "backlog_bytes": self._backlog_state(),
             "upcalls": list(self.upcalls),
             "events": list(self.events),
-            "original": [
-                [name, spec.to_dict()]
-                for name, spec in self._original.items()
-            ],
             "serving": [
-                [name, spec.to_dict()]
+                [name, None if spec == handles[name].spec else spec.to_dict()]
                 for name, spec in self._serving.items()
             ],
             "plan": plan_state,
@@ -937,14 +926,13 @@ class IQPathsService:
             ),
         }
 
-    def _delivered_state(self) -> dict[str, list[float]]:
-        """Open streams' delivered histories, in handle order
-        (``tolist()`` yields the same Python floats ``float()`` would)."""
+    def _delivered_state(self) -> dict[str, str]:
+        """Open streams' packed delivered histories, in open order."""
         col = self._k - self._start_k
         batch = self._vec.batch
         return {
-            name: batch.history_array(name, col).tolist()
-            for name in self._open
+            name: BatchState.pack_series(batch.history_array(name, col))
+            for name in self.handles
         }
 
     def _backlog_state(self) -> dict[str, float]:
@@ -966,33 +954,25 @@ class IQPathsService:
         self._k = int(state["k"])
         self._next_stream_id = int(state["next_stream_id"])
         self.handles = {}
-        self._opened_interval = {
-            name: int(v) for name, v in state["opened_interval"].items()
-        }
         for entry in state["handles"]:
-            handle = StreamHandle(
-                spec=StreamSpec.from_dict(entry["spec"]),
-                opened_at=float(entry["opened_at"]),
+            spec = StreamSpec.from_dict(entry["spec"])
+            self.handles[spec.name] = StreamHandle(
+                spec=spec,
+                # What ``now`` read at the open.
+                opened_at=int(entry["opened_col"]) * self.dt,
                 stream_id=int(entry["stream_id"]),
-                closed_at=(
-                    None
-                    if entry["closed_at"] is None
-                    else float(entry["closed_at"])
-                ),
                 achieved_probability=entry["achieved_probability"],
                 admitted=bool(entry["admitted"]),
                 tenant=entry["tenant"],
             )
-            self.handles[handle.name] = handle
-        self._rebuild_open()
         self.upcalls = list(state["upcalls"])
         self.events = list(state["events"])
-        self._original = {
-            name: StreamSpec.from_dict(spec_dict)
-            for name, spec_dict in state["original"]
-        }
         self._serving = {
-            name: StreamSpec.from_dict(spec_dict)
+            name: (
+                self.handles[name].spec
+                if spec_dict is None
+                else StreamSpec.from_dict(spec_dict)
+            )
             for name, spec_dict in state["serving"]
         }
         plan_state = state["plan"]
@@ -1022,15 +1002,14 @@ class IQPathsService:
                 StreamSpec(name="__checkpoint_restore__", required_mbps=1.0)
             )
             self.scheduler.load_state_dict(state["scheduler"])
-        # Backlog and open streams' histories; closed streams restore
-        # with an empty record (see state_dict).
         self._vec.rebuild_from_state(state)
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def report(self, name: str) -> StreamReport:
-        """Throughput record for one stream's (closed or open) lifetime."""
+        """Throughput record of one open stream's lifetime so far (a
+        closed stream is unknown: take it before :meth:`close_stream`)."""
         if name not in self.handles:
             raise ConfigurationError(f"unknown stream {name!r}")
         handle = self.handles[name]
@@ -1044,5 +1023,5 @@ class IQPathsService:
         )
 
     def reports(self) -> dict[str, StreamReport]:
-        """Reports for every stream ever opened."""
+        """Reports of the open streams, in open order."""
         return {name: self.report(name) for name in self.handles}

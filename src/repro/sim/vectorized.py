@@ -60,7 +60,7 @@ from repro.core.pgos import (
     LEVEL_UNSCHEDULED,
     PGOSScheduler,
 )
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.middleware.service import IQPathsService, StreamHandle
@@ -508,30 +508,33 @@ class VectorizedDelivery:
     def rebuild_from_state(self, state: dict) -> None:
         """Repopulate the batch from a service ``state_dict`` snapshot.
 
-        Row assignment follows the snapshot's ``backlog_bytes`` key order
-        — open order, what :meth:`BatchState.backlog_items` wrote — so a
-        later ``state_dict()`` round-trips byte-identically.  The
-        telemetry counters (``delivered_bytes`` / ``shortfall_windows``)
-        restart at zero: they are diagnostic and deliberately excluded
-        from snapshots.
+        Rows are opened in the snapshot's ``handles`` order — open
+        order, the order the batch had — so a later ``state_dict()``
+        round-trips byte-identically.  A packed series that does not
+        decode, or whose length is not the stream's open interval count,
+        raises :class:`CheckpointError`.  The telemetry counters
+        (``delivered_bytes`` / ``shortfall_windows``) restart at zero:
+        they are diagnostic and deliberately excluded from snapshots.
         """
         svc = self.service
-        self.batch.reset()
+        batch = self.batch
+        batch.reset()
         self._templates = None
         self._template_mapping = None
         self._demand_rows = None
+        cur_col = svc._k - svc._start_k
         delivered = state["delivered"]
-        for name, backlog in state["backlog_bytes"].items():
-            handle = svc.handles[name]
-            self.batch.open(
-                handle.spec,
-                handle.stream_id,
-                svc._opened_interval[name] - svc._start_k,
-            )
-            self.batch.set_backlog(name, float(backlog))
-            series = np.array(delivered[name], dtype=float)
+        backlog = state["backlog_bytes"]
+        for handle, entry in zip(svc.handles.values(), state["handles"]):
+            name = handle.name
+            opened_col = int(entry["opened_col"])
+            batch.open(handle.spec, handle.stream_id, opened_col)
+            batch.set_backlog(name, float(backlog[name]))
+            series = BatchState.unpack_series(delivered[name])
+            if series.size != cur_col - opened_col:
+                raise CheckpointError(
+                    f"delivered series of {name!r} has {series.size} "
+                    f"values for {cur_col - opened_col} open intervals"
+                )
             if series.size:
-                self.batch.load_history(name, series)
-        for handle in svc.handles.values():
-            if not handle.open:
-                self.batch.freeze_empty(handle.name)
+                batch.load_history(name, series)

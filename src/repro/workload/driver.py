@@ -619,10 +619,11 @@ class ChurnDriver:
         open_sessions: set[str],
     ) -> None:
         service = self.service
+        # The close retires the stream: read its series first.
+        stream_report = service.report(name)
         handle = service.close_stream(name)
         open_sessions.discard(name)
         record.closed_at = service.now
-        stream_report = service.report(name)
         record.mean_mbps = stream_report.mean_mbps
         record.attainment = stream_report.attainment
         spec = handle.spec

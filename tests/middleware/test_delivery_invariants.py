@@ -9,9 +9,11 @@ of a flash crowd under a fault campaign:
   paths' (fault-scaled) availability in that interval;
 * bounded sender buffers — every backlog stays in ``[0, limit]``;
 * history — a stream's delivered series has exactly one entry per
-  interval it was open.
+  interval it was open, and a report taken before the close keeps its
+  values while the freed row is recycled.
 """
 
+import numpy as np
 import pytest
 
 from repro.middleware.service import IQPathsService
@@ -29,11 +31,10 @@ def _check_interval(service: IQPathsService) -> None:
     backlog = service._backlog_state()
     delivered = 0.0
     for handle in service.handles.values():
-        if not handle.open:
-            continue
+        assert handle.open, handle.name
         series = service.report(handle.name).mbps
-        opened = service._opened_interval[handle.name]
-        assert len(series) == service._k - opened, handle.name
+        opened = int(round(handle.opened_at / service.dt))
+        assert len(series) == service._k - service._start_k - opened
         if len(series):
             assert series[-1] >= 0.0
             delivered += series[-1]
@@ -69,14 +70,26 @@ def test_every_interval_conserves_bandwidth_and_bounds_backlog(
         )
     service = hooks["service"] = driver.service
     assert type(service) is service_cls
+    closed = {}
+    close_stream = service.close_stream
+
+    def close_and_keep(name):
+        kept = service.report(name)
+        handle = close_stream(name)
+        closed[name] = (handle, kept, np.array(kept.mbps))
+        return handle
+
+    service.close_stream = close_and_keep
     report = driver.run(scenario.duration)
     assert report.offered == 40
-    opened = list(service.handles.values())
-    assert opened and not any(h.open for h in opened)
-    assert any(service.report(h.name).mbps.any() for h in opened)
-    # Closed streams keep exactly their lifetime's worth of history.
-    for handle in opened:
+    assert closed and not service.handles
+    assert any(kept.mbps.any() for _, kept, _ in closed.values())
+    # A report taken before the close holds exactly the lifetime's
+    # history, and its values survive the recycling of the freed row.
+    for handle, kept, at_close in closed.values():
+        assert not handle.open
         lifetime = int(
             round((handle.closed_at - handle.opened_at) / service.dt)
         )
-        assert len(service.report(handle.name).mbps) == lifetime
+        assert len(kept.mbps) == lifetime
+        np.testing.assert_array_equal(kept.mbps, at_close)

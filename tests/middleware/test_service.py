@@ -71,11 +71,16 @@ class TestLifecycle:
     def test_closed_stream_stops_accumulating(self, service):
         service.open_stream(critical())
         service.advance(5.0)
+        kept = service.report("viz")
         handle = service.close_stream("viz")
         assert not handle.open
-        n = service.report("viz").mbps.size
+        n = kept.mbps.size
+        assert n == 50
         service.advance(5.0)
-        assert service.report("viz").mbps.size == n
+        assert kept.mbps.size == n
+        # The close retired the stream.
+        with pytest.raises(ConfigurationError, match="unknown stream 'viz'"):
+            service.report("viz")
 
     def test_double_open_rejected(self, service):
         service.open_stream(critical())
@@ -98,14 +103,22 @@ class TestLifecycle:
             15.0, rel=0.03
         )
 
-    def test_reports_cover_all_opened_streams(self, service):
+    def test_reports_cover_the_open_streams(self, service):
         service.open_stream(critical())
         service.open_stream(elastic())
+        service.open_stream(elastic("fill"))
         service.advance(5.0)
         service.close_stream("bulk")
         service.advance(5.0)
+        assert list(service.reports()) == ["viz", "fill"]
+        assert list(service.handles) == ["viz", "fill"]
+        # A reopened name goes to the end, as in the scheduler.
+        service.open_stream(elastic())
+        service.advance(1.0)
         reports = service.reports()
-        assert set(reports) == {"viz", "bulk"}
+        assert list(reports) == ["viz", "fill", "bulk"]
+        assert [s.name for s in service.scheduler.streams] == list(reports)
+        assert reports["bulk"].mbps.size == 10
 
 
 class TestAdmission:
@@ -294,18 +307,24 @@ class TestReportViews:
         service.open_stream(critical())
         service.open_stream(elastic())
         service.advance(5.0)
+        closed = service.report("bulk")
         service.close_stream("bulk")
         service.advance(1.0)
         restored = IQPathsService(
             service.realization, warmup_intervals=200
         )
         restored.load_state_dict(json.loads(json.dumps(service.state_dict())))
-        # Open, closed, restored open, restored closed.
-        for svc in (service, restored):
-            for name in ("viz", "bulk"):
-                with pytest.raises(ValueError):
-                    svc.report(name).mbps[:] = 0.0
-        assert service.report("bulk").mean_mbps > 0.0
+        # Open, closed (taken before the close), restored open.
+        for report in (
+            service.report("viz"),
+            closed,
+            restored.report("viz"),
+        ):
+            with pytest.raises(ValueError):
+                report.mbps[:] = 0.0
+        assert closed.mean_mbps > 0.0
+        with pytest.raises(ConfigurationError):
+            restored.report("bulk")
 
     def test_earlier_report_keeps_its_values(self, service):
         service.open_stream(critical())
@@ -315,8 +334,8 @@ class TestReportViews:
         bulk_row = batch.row("bulk")
         taken = {"open": service.report("bulk")}
         service.advance(2.0)
-        service.close_stream("bulk")
         taken["closed"] = service.report("bulk")
+        service.close_stream("bulk")
         taken["viz"] = service.report("viz")
         expected = {key: np.array(rep.mbps) for key, rep in taken.items()}
         assert all(series.size for series in expected.values())
@@ -330,7 +349,7 @@ class TestReportViews:
         assert batch.capacity > capacity
         service.advance(1.0)
         np.testing.assert_array_equal(
-            service.report("bulk").mbps, expected["closed"]
+            taken["closed"].mbps, expected["closed"]
         )
         service.load_state_dict(json.loads(json.dumps(service.state_dict())))
         service.advance(1.0)

@@ -12,9 +12,11 @@ all on plain Python floats, dicts and lists.
 
 :class:`ScalarReferenceService` keeps its *own* delivery state
 (``_delivered`` lists, ``_backlog_bytes`` dict) and never reads the
-product's batch columns, so reports, traces, metrics and snapshots it
-produces are an independent derivation.  (The inherited open/close
-bookkeeping still files rows in the unused batch; that is inert.)
+product's delivery columns, so the series, backlogs, traces and metrics
+it produces are an independent derivation.  (The inherited open/close
+bookkeeping still files rows in the unused batch; a snapshot's open
+columns come from there, and its series are packed with the product's
+:meth:`BatchState.pack_series`.)
 
 :func:`service_class` makes the workload layer — ``run_scale_scenario``,
 ``make_scale_run``, ``run_partitioned``,
@@ -29,6 +31,7 @@ from unittest import mock
 
 import numpy as np
 
+from repro.core.batchstate import BatchState
 from repro.core.scheduler import deliver_interval
 from repro.errors import ConfigurationError
 from repro.middleware.service import (
@@ -58,12 +61,12 @@ class ScalarReferenceService(IQPathsService):
 
     def close_stream(self, name: str) -> StreamHandle:
         handle = super().close_stream(name)
-        self._backlog_bytes.pop(name, None)
+        del self._backlog_bytes[name], self._delivered[name]
         return handle
 
     # -- the loop ------------------------------------------------------
     def _deliver(self, k: int, open_handles) -> None:
-        specs = [h.spec for h in self._open.values()]
+        specs = [h.spec for h in self.handles.values()]
         grants = deliver_interval(
             self.scheduler,
             k,
@@ -108,11 +111,10 @@ class ScalarReferenceService(IQPathsService):
             self.obs.metrics.counter("delivery.template_compiles").inc()
 
     # -- checkpointing -------------------------------------------------
-    def _delivered_state(self) -> dict[str, list[float]]:
+    def _delivered_state(self) -> dict[str, str]:
         return {
-            h.name: [float(v) for v in self._delivered[h.name]]
-            for h in self.handles.values()
-            if h.open
+            name: BatchState.pack_series(self._delivered[name])
+            for name in self.handles
         }
 
     def _backlog_state(self) -> dict[str, float]:
@@ -126,14 +128,9 @@ class ScalarReferenceService(IQPathsService):
         self._backlog_bytes = {
             name: float(v) for name, v in state["backlog_bytes"].items()
         }
-        # Closed streams restore with an empty record, as in the product.
         self._delivered = {
-            h.name: (
-                [float(v) for v in state["delivered"][h.name]]
-                if h.open
-                else []
-            )
-            for h in self.handles.values()
+            name: BatchState.unpack_series(state["delivered"][name]).tolist()
+            for name in self.handles
         }
 
     # -- reporting -----------------------------------------------------

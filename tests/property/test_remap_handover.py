@@ -203,28 +203,24 @@ class TestHandover:
         checked.step()
         assert (checked.remaps, checked.solves) == (2, 1)
 
-    def test_open_after_a_reopened_name_is_refused(self):
-        """``handles`` keeps a reopened name at its first position while
-        ``scheduler.streams`` appends it: from then on admission solves
-        the streams in another order than the remap will (the float
-        folds follow that order), so its offers must go."""
+    def test_open_after_a_reopened_name_is_adopted(self):
+        """A close retires the stream, so a reopened name goes to the end
+        of ``handles`` as it does in ``scheduler.streams``: admission
+        solves the streams in the order the remap will (the float folds
+        follow that order), and its offers stay good."""
         checked = CheckedService()
         assert checked.open("a", 1)
         assert checked.open("b", 2)
         checked.step()
         checked.service.close_stream("a")
-        # The reopen itself is still solved in scheduler order: "a" is
-        # not open while admission lists the standing streams.
         assert checked.open("a", 1)
         checked.step()
         assert (checked.remaps, checked.solves) == (2, 0)
         assert checked.open("c", 0)
         assert [s.name for s in checked.scheduler.streams] == ["b", "a", "c"]
-        assert [
-            h.name for h in checked.service.handles.values() if h.open
-        ] == ["a", "b", "c"]
+        assert list(checked.service.handles) == ["b", "a", "c"]
         checked.step()
-        assert (checked.remaps, checked.solves) == (3, 1)
+        assert (checked.remaps, checked.solves) == (3, 0)
 
     def test_quarantine_between_open_and_step_is_refused(self):
         checked = CheckedService()
@@ -323,7 +319,7 @@ class TestArbitraryInterleavings:
         templates = {}
         for ops, intervals in program:
             for op, arg in ops:
-                live = [h.name for h in service.handles.values() if h.open]
+                live = list(service.handles)
                 if op == "open":
                     name = f"s{opened}"
                     opened += 1

@@ -106,13 +106,17 @@ class TestGrowth:
 
 class TestHistoryViews:
     def test_close_freezes_lifetime_slice(self):
+        """A view taken before the close keeps the lifetime's values
+        while the freed row is recycled; the name reads empty."""
         batch = make_batch()
         row = batch.open(spec("s"), stream_id=1, opened_col=2)
         batch.history[row, 2:5] = [1.0, 2.0, 3.0]
+        view = batch.history_array("s", cur_col=5)
         batch.close("s", cur_col=5)
-        np.testing.assert_array_equal(
-            batch.history_array("s", cur_col=9), [1.0, 2.0, 3.0]
-        )
+        assert len(batch.history_array("s", cur_col=9)) == 0
+        assert batch.open(spec("t"), stream_id=2, opened_col=5) == row
+        batch.write(batch.rows_in_order(), 5, [9.0])
+        np.testing.assert_array_equal(view, [1.0, 2.0, 3.0])
 
     def test_open_stream_slices_to_current_column(self):
         batch = make_batch()
@@ -145,11 +149,6 @@ class TestHistoryViews:
         with pytest.raises(ConfigurationError):
             batch.load_history("s", np.zeros(5))
 
-    def test_freeze_empty_marks_closed_stream(self):
-        batch = make_batch()
-        batch.freeze_empty("gone")
-        assert len(batch.history_array("gone", cur_col=3)) == 0
-
 
 def held_arrays(batch: BatchState) -> int:
     """Number of ndarrays reachable from the batch's attributes."""
@@ -175,13 +174,12 @@ class TestHistoryInPlace:
         batch.write(row, slice(0, 3), [1.0, 2.0, 3.0])
         open_view = batch.history_array("s", cur_col=3)
         batch.close("s", cur_col=3)
-        closed_view = batch.history_array("s", cur_col=9)
-        for view in (open_view, closed_view, batch.history_array("x", 3)):
+        # Still a read-only view of the matrix after the close.
+        for view in (open_view, batch.history_array("s", 3)):
             assert not view.flags.writeable
             with pytest.raises(ValueError):
                 view[:] = 0.0
         assert np.shares_memory(open_view, batch.history)
-        assert np.shares_memory(closed_view, batch.history)
 
     def test_reports_allocate_no_copy_of_the_history(self):
         realization = make_figure8_testbed().realize(
@@ -204,7 +202,7 @@ class TestHistoryInPlace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(reports) == 300
+        assert len(reports) == 200
         # Copies of these series would be ~16 % of the matrix.
         assert peak - base < 0.05 * nbytes
 
@@ -215,6 +213,8 @@ class TestHistoryInPlace:
         for i, name in enumerate(expected):
             batch.open(spec(name), stream_id=i, opened_col=0)
         held = held_arrays(batch)
+        #: Views the caller took at each close (the batch keeps none).
+        kept = {}
         for col in range(cycles):
             name = f"c{col}"
             batch.open(spec(name), stream_id=3 + col, opened_col=col)
@@ -224,20 +224,25 @@ class TestHistoryInPlace:
             batch.write(rows, col, values)
             for stream, value in zip(batch.names(), values):
                 expected[stream].append(value)
+            kept[name] = batch.history_array(name, cur_col=col + 1)
             batch.close(name, cur_col=col + 1)
         assert held_arrays(batch) == held
         assert batch.capacity == 4
+        # The batch knows the open streams only.
+        assert list(batch.names()) == ["a", "b", "c"]
+        assert len(batch.history_array("c0", cur_col=cycles)) == 0
+        for name in ("a", "b", "c"):
+            kept[name] = batch.history_array(name, cur_col=cycles)
         # Recycled rows never overwrote a closed span.
         for name, series in expected.items():
-            np.testing.assert_array_equal(
-                batch.history_array(name, cur_col=cycles), series
-            )
+            np.testing.assert_array_equal(kept[name], series)
 
     def test_growth_after_writes_preserves_every_written_column(self):
         batch = make_batch(n_columns=12, capacity=1)
         expected = {}
         for col in range(8):
             if col == 3:
+                closed_row = batch.row("s1")
                 batch.close("s1", cur_col=3)
             name = f"s{col}"
             batch.open(spec(name), stream_id=col, opened_col=col)
@@ -249,6 +254,10 @@ class TestHistoryInPlace:
                 expected[stream].append(value)
         assert batch.capacity == 8
         assert batch.written == 8
+        # The closed span, in the matrix grown after the close.
+        np.testing.assert_array_equal(
+            batch.history[closed_row, 1:3], expected.pop("s1")
+        )
         for name, series in expected.items():
             np.testing.assert_array_equal(
                 batch.history_array(name, cur_col=8), series

@@ -65,11 +65,14 @@ class TestZeroLengthWindows:
             service.open_stream(
                 StreamSpec(name="blip", required_mbps=5.0, probability=0.9)
             )
+            kept = service.report("blip").mbps.tolist()
             service.close_stream("blip")
             service.advance(2.0)
-            results.append(digests(service))
+            results.append((digests(service), kept))
         assert results[0] == results[1]
-        assert results[0][1]["blip"] == []
+        (_, reports), kept = results[0]
+        # Empty at the close, and retired after it.
+        assert kept == [] and "blip" not in reports
 
     def test_single_window_packet_session(self):
         """The shortest legal session: exactly one traffic window."""
