@@ -1,21 +1,18 @@
 #!/usr/bin/env python
-"""Admission control, the upcall protocol, and utility-based selection.
+"""Admission control and the upcall protocol.
 
 Shows the control plane the paper describes around PGOS:
 
 1. a feasible stream set is admitted and mapped;
 2. an overloaded set is rejected with a *renegotiation hint* (the
    probability the overlay can actually offer) — the paper's upcall;
-3. the application retries with the hinted probability and is admitted;
-4. when several guaranteed streams compete for limited statistical
-   capacity, utility-based selection decides which keep their guarantees.
+3. the application retries with the hinted probability and is admitted.
 
 Run:  python examples/admission_control.py
 """
 
 from repro.core.admission import AdmissionController
 from repro.core.spec import StreamSpec
-from repro.core.utility import select_streams_by_utility
 from repro.monitoring.cdf import EmpiricalCDF
 from repro.network.emulab import make_figure8_testbed
 
@@ -61,27 +58,6 @@ def main() -> None:
     ]
     decision = controller.try_admit(renegotiated, cdfs)
     print(f"\nretry at P={retry_p}: admitted={decision.admitted}")
-
-    # 4. Utility-based selection under overload: who keeps guarantees?
-    competing = [
-        StreamSpec(name="steering", required_mbps=1.0, probability=0.95),
-        StreamSpec(name="viz", required_mbps=25.0, probability=0.95),
-        StreamSpec(name="replicas", required_mbps=40.0, probability=0.95),
-        StreamSpec(name="archive", required_mbps=45.0, probability=0.95),
-    ]
-    utilities = {
-        "steering": 100.0,
-        "viz": 60.0,
-        "replicas": 30.0,
-        "archive": 5.0,
-    }
-    selection = select_streams_by_utility(competing, utilities, cdfs)
-    print(
-        f"\nutility selection: admitted {list(selection.admitted)}, "
-        f"demoted {list(selection.demoted)} "
-        f"(total utility {selection.total_utility:.0f})"
-    )
-    assert "steering" in selection.admitted
 
 
 if __name__ == "__main__":

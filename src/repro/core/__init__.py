@@ -15,6 +15,9 @@
   Table 1 precedence rules.
 * :mod:`repro.core.scheduler` — the scheduler interface shared with the
   baselines and the per-path bandwidth-sharing model.
+
+Which streams keep a guarantee under overload is the admission upcall's
+question (the application renegotiates), not a selection made here.
 """
 
 from repro.core.spec import StreamSpec, WindowConstraint
@@ -32,7 +35,6 @@ from repro.core.mapping import (
     compute_mapping,
     even_split_mapping,
 )
-from repro.core.utility import UtilitySelection, select_streams_by_utility
 from repro.core.vectors import Schedule, build_schedule, path_lookup_vector, stream_schedule_vector
 from repro.core.pgos import PGOSScheduler
 from repro.core.scheduler import PathShareRequest, SchedulerBase, water_fill
@@ -51,8 +53,6 @@ __all__ = [
     "compute_mapping",
     "best_effort_mapping",
     "even_split_mapping",
-    "UtilitySelection",
-    "select_streams_by_utility",
     "Schedule",
     "build_schedule",
     "path_lookup_vector",

@@ -161,29 +161,11 @@ class EmpiricalCDF:
             return float(result)
         return result
 
-    def percentile(
-        self, q: float | np.ndarray
-    ) -> float | np.ndarray:
-        """The ``q``-th percentile(s) of the sample distribution, ``q`` in [0, 100].
-
-        Accepts an array of probabilities so batched callers (multicast
-        rate planning, guarantee sweeps) pay one vectorized pass instead
-        of one interpolation per level.
-        """
-        if np.isscalar(q):
-            if not 0.0 <= q <= 100.0:
-                raise ConfigurationError(f"q must be in [0, 100], got {q}")
-            return float(np.percentile(self._sorted, q))
-        q = np.asarray(q, dtype=float)
-        if q.size and (q.min() < 0.0 or q.max() > 100.0):
+    def percentile(self, q: float) -> float:
+        """The ``q``-th percentile of the sample distribution, ``q`` in [0, 100]."""
+        if not 0.0 <= q <= 100.0:
             raise ConfigurationError(f"q must be in [0, 100], got {q}")
-        return np.percentile(self._sorted, q)
-
-    def quantile(self, p: float | np.ndarray) -> float | np.ndarray:
-        """Inverse CDF at probability ``p`` in [0, 1] (scalar or array)."""
-        if np.isscalar(p):
-            return self.percentile(p * 100.0)
-        return self.percentile(np.asarray(p, dtype=float) * 100.0)
+        return float(np.percentile(self._sorted, q))
 
     def mean(self) -> float:
         """Sample mean."""

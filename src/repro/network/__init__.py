@@ -2,10 +2,11 @@
 
 Implements the emulated wide-area setting of the paper's evaluation:
 capacity links with injected cross traffic (:mod:`repro.network.link`,
-:mod:`repro.network.crosstraffic`), a topology graph with disjoint-path
-search (:mod:`repro.network.topology`), overlay paths whose available
-bandwidth is the bottleneck residual (:mod:`repro.network.path`), and the
-concrete Figure-8 Emulab testbed (:mod:`repro.network.emulab`).
+:mod:`repro.network.crosstraffic`), a topology graph whose routes are
+named explicitly (:mod:`repro.network.topology`), overlay paths whose
+available bandwidth is the bottleneck residual
+(:mod:`repro.network.path`), and the concrete Figure-8 Emulab testbed
+(:mod:`repro.network.emulab`).
 """
 
 from repro.network.node import Node, NodeKind

@@ -24,12 +24,6 @@ from repro.topo.generators import (
     build_testbed,
     topo_checksum,
 )
-from repro.topo.paths import (
-    greedy_disjoint_routes,
-    route_is_simple,
-    routes_node_disjoint,
-    shortest_route,
-)
 from repro.topo.spec import (
     PRESETS,
     TopoSpec,
@@ -57,12 +51,8 @@ __all__ = [
     "build_leaf_spine",
     "build_repetita_wan",
     "build_testbed",
-    "greedy_disjoint_routes",
     "parse_topology",
     "resolve_topology",
-    "route_is_simple",
-    "routes_node_disjoint",
-    "shortest_route",
     "topo_checksum",
     "traffic_params",
 ]

@@ -125,8 +125,8 @@ class TestSlidingWindowCDF:
             original.update(v)
             restored.update(v)
         snap_a, snap_b = original.snapshot(), restored.snapshot()
-        for q in [0.1, 0.5, 0.9]:
-            assert snap_a.quantile(q) == snap_b.quantile(q)
+        for q in [10.0, 50.0, 90.0]:
+            assert snap_a.percentile(q) == snap_b.percentile(q)
 
     def test_fixpoint_past_eviction(self):
         window = 32

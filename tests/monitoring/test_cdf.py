@@ -34,7 +34,7 @@ class TestEmpiricalCDF:
         samples = np.arange(1, 101, dtype=float)
         cdf = EmpiricalCDF(samples)
         assert cdf.percentile(50) == pytest.approx(50.5)
-        assert cdf.quantile(0.1) == pytest.approx(cdf.percentile(10))
+        assert cdf.percentile(10) == pytest.approx(10.9)
 
     def test_percentile_bounds(self):
         cdf = EmpiricalCDF([1.0, 2.0])

@@ -1,4 +1,4 @@
-"""Topology graph: construction, lookup, disjoint paths."""
+"""Topology graph: construction, lookup, explicit paths."""
 
 import pytest
 
@@ -71,6 +71,14 @@ class TestLookup:
         assert "s->a" in names and "a->s" in names
         assert len(names) == 8
 
+    def test_links_ordered_by_source_then_target(self):
+        # Nodes in insertion order, then each node's successors in
+        # insertion order: realizations and topology checksums walk
+        # links in this order.
+        assert [l.name for l in diamond().links] == [
+            "s->a", "s->b", "a->s", "a->t", "t->a", "t->b", "b->s", "b->t",
+        ]
+
 
 class TestPaths:
     def test_explicit_path(self):
@@ -87,43 +95,9 @@ class TestPaths:
         with pytest.raises(TopologyError):
             diamond().path(["s", "t"])
 
-    def test_shortest_path(self):
-        path = diamond().shortest_path("s", "t")
-        assert path.hop_count == 2
-
-    def test_shortest_path_no_route(self):
-        topo = diamond()
-        topo.add_node(Node("island"))
-        with pytest.raises(TopologyError):
-            topo.shortest_path("s", "island")
-
-    def test_disjoint_paths(self):
-        paths = diamond().disjoint_paths("s", "t", k=2)
-        assert len(paths) == 2
-        middles = {p.nodes[1].name for p in paths}
-        assert middles == {"a", "b"}
-
-    def test_disjoint_paths_insufficient(self):
-        with pytest.raises(TopologyError, match="node-disjoint"):
-            diamond().disjoint_paths("s", "t", k=3)
-
-    def test_edge_disjoint_paths_may_share_a_router(self):
-        # s -> {a, b} -> m -> {c, d} -> t: every route crosses m.
-        topo = Topology()
-        for x, y in [("s", "a"), ("s", "b"), ("a", "m"), ("b", "m"),
-                     ("m", "c"), ("m", "d"), ("c", "t"), ("d", "t")]:
-            topo.add_link(Link(a=Node(x), b=Node(y), capacity_mbps=10.0))
-        with pytest.raises(TopologyError, match="node-disjoint"):
-            topo.disjoint_paths("s", "t", k=2)
-        paths = topo.edge_disjoint_paths("s", "t", k=2)
-        assert [p.name for p in paths] == ["s->a->m->c->t", "s->b->m->d->t"]
-        assert topo.shared_links(paths) == set()
-        with pytest.raises(TopologyError, match="edge-disjoint"):
-            topo.edge_disjoint_paths("s", "t", k=3)
-
     def test_shared_links_empty_for_disjoint(self):
         topo = diamond()
-        paths = topo.disjoint_paths("s", "t", k=2)
+        paths = [topo.path(["s", "a", "t"]), topo.path(["s", "b", "t"])]
         assert topo.shared_links(paths) == set()
 
     def test_shared_links_detects_overlap(self):

@@ -15,7 +15,6 @@ PACKAGES = [
     "repro.baselines",
     "repro.apps",
     "repro.middleware",
-    "repro.overlay",
     "repro.harness",
     "repro.workload",
     "repro.topo",
@@ -83,3 +82,30 @@ def test_no_module_reads_an_environment_variable():
         if reads.search(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def test_no_module_imports_networkx():
+    """Routes are built by construction: importing every ``repro``
+    module in a fresh interpreter loads no graph library."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(repro.__path__[0])
+    script = (
+        "import importlib, pkgutil, sys, repro\n"
+        "for info in pkgutil.walk_packages(repro.__path__, prefix='repro.'):\n"
+        "    if '__main__' not in info.name:\n"
+        "        importlib.import_module(info.name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('networkx')))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"
