@@ -3,7 +3,7 @@
 A checkpoint file is a JSON envelope::
 
     {
-      "schema": 1,
+      "schema": 3,
       "fingerprint": "<code fingerprint at write time>",
       "meta": {...},          # small, human-inspectable context
       "digest": "<sha256 of the serialized payload>",
@@ -50,7 +50,7 @@ from repro.obs.context import NULL_OBS, Observability
 from repro.obs.events import Category
 
 #: Envelope layout version; bumped whenever the payload tree changes shape.
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 
 def _dumps_payload(payload: Mapping[str, Any]) -> str:
@@ -58,10 +58,16 @@ def _dumps_payload(payload: Mapping[str, Any]) -> str:
 
     ``sort_keys=False`` preserves ``state_dict`` insertion order;
     ``allow_nan=False`` keeps the file strict JSON (NaN state would be
-    a bug upstream, better caught at write time).
+    a bug upstream, better caught at write time).  A payload is a tree
+    of fresh ``state_dict`` containers, so the encoder's cycle check
+    (an id table of every container) is skipped.
     """
     return json.dumps(
-        payload, sort_keys=False, separators=(",", ":"), allow_nan=False
+        payload,
+        sort_keys=False,
+        separators=(",", ":"),
+        allow_nan=False,
+        check_circular=False,
     )
 
 

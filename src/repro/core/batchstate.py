@@ -52,14 +52,12 @@ idle interval would have recorded anyway.
 
 from __future__ import annotations
 
-import base64
-import binascii
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.core.spec import StreamSpec
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.units import bytes_in_interval
 
 __all__ = ["BatchState"]
@@ -302,31 +300,6 @@ class BatchState:
                 f"(width {self.n_columns})"
             )
         self.write(row, slice(start, stop), series)
-
-    @staticmethod
-    def pack_series(series: Iterable[float]) -> str:
-        """A series as base64 of its little-endian float64 bytes: exact,
-        strict JSON, and one C call each way (:meth:`unpack_series`)."""
-        raw = np.asarray(series, dtype="<f8").tobytes()
-        return base64.b64encode(raw).decode("ascii")
-
-    @staticmethod
-    def unpack_series(text: str) -> np.ndarray:
-        """Read a :meth:`pack_series` string back, bit for bit; anything
-        else (not base64, not whole float64 values) is a
-        :class:`CheckpointError`, never a short series."""
-        try:
-            raw = base64.b64decode(text, validate=True)
-        except (binascii.Error, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"delivered series is not base64: {exc}"
-            ) from None
-        if len(raw) % 8:
-            raise CheckpointError(
-                f"delivered series has {len(raw)} bytes, not a whole "
-                "number of float64 values"
-            )
-        return np.frombuffer(raw, dtype="<f8")
 
     def delivered_bytes_of(self, name: str) -> float:
         """Cumulative delivered bytes of one open stream (telemetry)."""

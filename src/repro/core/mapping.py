@@ -206,11 +206,13 @@ class ResourceMapping:
 
     A mapping holds either its packet table or the specs it was solved
     for, from which the table is built once, the first time ``packets``
-    is read: only the packet path's V_P / V_S compile, :meth:`paths_of`
-    and a checkpoint read it, and interval-mode delivery never does
+    is read: only the packet path's V_P / V_S compile and
+    :meth:`paths_of` read it, and interval-mode delivery never does
     (docs/sim.md, "What a solve hands to delivery").  A solve passes
-    ``specs``; a table that cannot be re-derived from its rates (an even
-    split, a restored checkpoint) is passed as ``packets``.
+    ``specs``, and so does a checkpoint restore; only a table that cannot
+    be re-derived from its rates (an even split) is passed as
+    ``packets``, and only such a table is what a snapshot must carry
+    (:attr:`explicit_packets`).
 
     A :func:`compute_mapping` solve derives ``rates_mbps`` — each placed
     stream's shares, then the elastic split of what they left — on
@@ -272,8 +274,14 @@ class ResourceMapping:
             self._packets = _packets_from_rates(
                 self._specs, self.rates_mbps, self.tw
             )
-            self._specs = None
         return self._packets
+
+    @property
+    def explicit_packets(self) -> Optional[dict[str, dict[str, int]]]:
+        """The packet table if it was handed over rather than built from
+        the rates (an even split), else ``None``: the one table a
+        snapshot must write, since no restore can re-derive it."""
+        return self._packets if self._specs is None else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceMapping):

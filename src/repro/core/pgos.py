@@ -23,9 +23,17 @@ from __future__ import annotations
 
 from collections import deque
 from operator import is_
-from typing import Callable, Deque, Mapping, NamedTuple, Optional, Sequence
+from typing import (
+    Callable,
+    Deque,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
-from repro.errors import AdmissionError, ConfigurationError
+from repro.errors import AdmissionError, CheckpointError, ConfigurationError
 from repro.obs.context import NULL_OBS, Observability
 from repro.obs.events import Category
 from repro.core.mapping import (
@@ -443,18 +451,19 @@ class PGOSScheduler(SchedulerBase):
         Dict insertion order is preserved deliberately: the mapping's
         per-stream rate dicts are summed in iteration order on the hot
         path, so a restored mapping must iterate identically for float
-        sums to stay bit-identical.  The compiled :class:`Schedule` is
-        not serialized — it is a pure function of the mapping, the stream
-        precedence, and the usable path order (see :attr:`schedule`).
+        sums to stay bit-identical.  The streams are written as names,
+        in scheduler order: their specs are the service's, which
+        :meth:`load_state_dict` is handed.  Neither the compiled
+        :class:`Schedule` (a pure function of the mapping, the stream
+        precedence and the usable path order, see :attr:`schedule`) nor
+        the mapping's packet table (a pure function of its rates and the
+        streams' packet sizes) is written, save an even split's table,
+        which its rates do not determine.
         """
         mapping = self.mapping
         mapping_state = None
         if mapping is not None:
             mapping_state = {
-                "packets": {
-                    s: {p: int(c) for p, c in d.items()}
-                    for s, d in mapping.packets.items()
-                },
                 "rates_mbps": {
                     s: {p: float(v) for p, v in d.items()}
                     for s, d in mapping.rates_mbps.items()
@@ -468,9 +477,10 @@ class PGOSScheduler(SchedulerBase):
                     for s, v in mapping.achieved_violation_rate.items()
                 },
                 "tw": float(mapping.tw),
+                "packets": mapping.explicit_packets,
             }
         return {
-            "streams": [s.to_dict() for s in self.streams],
+            "streams": [s.name for s in self.streams],
             "monitors": {
                 p: self.monitors[p].state_dict() for p in self.path_names
             },
@@ -480,15 +490,26 @@ class PGOSScheduler(SchedulerBase):
             "quarantined": sorted(self.quarantined),
         }
 
-    def load_state_dict(self, state: dict) -> None:
+    def load_state_dict(
+        self, state: dict, specs: Iterable[StreamSpec]
+    ) -> None:
         """Restore a :meth:`state_dict` snapshot.
 
         :meth:`setup` must already have been called with the same path
         set and window configuration (the snapshot holds only mutable
-        state).
+        state).  ``specs`` are the spec objects the streams are served
+        with (a service's serving specs, in any order): the scheduler
+        takes those objects, not copies, so an admission offer solved on
+        them is adopted at once.
         """
-        self.streams = [StreamSpec.from_dict(d) for d in state["streams"]]
-        self._names = {s.name for s in self.streams}
+        by_name = {spec.name: spec for spec in specs}
+        missing = [n for n in state["streams"] if n not in by_name]
+        if missing:
+            raise CheckpointError(
+                f"checkpoint schedules streams with no spec: {missing}"
+            )
+        self.streams = [by_name[n] for n in state["streams"]]
+        self._names = set(state["streams"])
         for path, monitor_state in state["monitors"].items():
             monitor = self.monitors.get(path)
             if monitor is None:
@@ -503,28 +524,32 @@ class PGOSScheduler(SchedulerBase):
         mapping_state = state["mapping"]
         if mapping_state is None:
             self.mapping = None
-        else:
-            self.mapping = ResourceMapping(
-                packets={
-                    s: {p: int(c) for p, c in d.items()}
-                    for s, d in mapping_state["packets"].items()
-                },
-                rates_mbps={
-                    s: {p: float(v) for p, v in d.items()}
-                    for s, d in mapping_state["rates_mbps"].items()
-                },
-                achieved_probability={
-                    s: float(v)
-                    for s, v in mapping_state["achieved_probability"].items()
-                },
-                achieved_violation_rate={
-                    s: float(v)
-                    for s, v in mapping_state[
-                        "achieved_violation_rate"
-                    ].items()
-                },
-                tw=float(mapping_state["tw"]),
-            )
+            return
+        packets = mapping_state["packets"]  # an even split's only
+        if packets is not None:
+            packets = {
+                s: {p: int(c) for p, c in d.items()}
+                for s, d in packets.items()
+            }
+        self.mapping = ResourceMapping(
+            rates_mbps={
+                s: {p: float(v) for p, v in d.items()}
+                for s, d in mapping_state["rates_mbps"].items()
+            },
+            achieved_probability={
+                s: float(v)
+                for s, v in mapping_state["achieved_probability"].items()
+            },
+            achieved_violation_rate={
+                s: float(v)
+                for s, v in mapping_state["achieved_violation_rate"].items()
+            },
+            tw=float(mapping_state["tw"]),
+            # Any other table is built from the rates on first read, as
+            # in the run that saved it.
+            packets=packets,
+            specs=self.streams if packets is None else None,
+        )
 
     def stream_precedence(self) -> list[str]:
         """Streams ordered most-important-first (for deadline tie-breaks)."""

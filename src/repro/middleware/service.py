@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.errors import AdmissionError, CheckpointError, ConfigurationError
 from repro.core.admission import AdmissionController, AdmissionDecision
-from repro.core.batchstate import BatchState
 from repro.core.pgos import PGOSScheduler
 from repro.core.scheduler import BUFFER_SECONDS
 from repro.core.spec import StreamSpec
@@ -46,6 +45,7 @@ from repro.robustness.degradation import (
     plan_degradation,
 )
 from repro.robustness.health import HealthTracker
+from repro.series import pack_series
 from repro.sim.vectorized import VectorizedDelivery
 
 #: Session seconds between ``metrics_snapshot`` trace events.
@@ -856,8 +856,11 @@ class IQPathsService:
         * ``serving`` lists the streams the scheduler serves, in serving
           order, with a spec only where the degradation plan serves
           another one than the handle's (``null`` elsewhere).
+        * ``scheduler`` names its streams in its own order (it differs
+          from ``serving``'s after a downgrade) and, on restore, takes
+          the ``serving`` spec objects.
         * ``delivered`` packs each open stream's series as base64 of its
-          little-endian float64 bytes (:meth:`BatchState.pack_series`):
+          little-endian float64 bytes (:func:`repro.series.pack_series`):
           exact, and one C call each way.
 
         Observability (metrics/trace) is not checkpointed; it is
@@ -931,7 +934,7 @@ class IQPathsService:
         col = self._k - self._start_k
         batch = self._vec.batch
         return {
-            name: BatchState.pack_series(batch.history_array(name, col))
+            name: pack_series(batch.history_array(name, col))
             for name in self.handles
         }
 
@@ -997,11 +1000,14 @@ class IQPathsService:
         if state["scheduler_bound"]:
             # Rebind through the normal path (setup + history seed +
             # quarantine), then overwrite every monitor/stream/mapping
-            # with the checkpointed state.
+            # with the checkpointed state.  The scheduler serves the
+            # very spec objects ``_serving`` holds, as it did before.
             self._bind_scheduler(
                 StreamSpec(name="__checkpoint_restore__", required_mbps=1.0)
             )
-            self.scheduler.load_state_dict(state["scheduler"])
+            self.scheduler.load_state_dict(
+                state["scheduler"], self._serving.values()
+            )
         self._vec.rebuild_from_state(state)
 
     # ------------------------------------------------------------------

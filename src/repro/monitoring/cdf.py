@@ -25,6 +25,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError
+from repro.series import pack_series, unpack_series
 
 
 def lerp_order_statistics(
@@ -370,14 +371,15 @@ class SlidingWindowCDF:
         return list(self._fifo)
 
     def state_dict(self) -> dict:
-        """JSON-serializable snapshot: the window in arrival order.
+        """JSON-serializable snapshot: the window in arrival order, as
+        one packed float64 string (:func:`repro.series.pack_series`).
 
         Arrival order is the complete state: replaying it into an empty
         window performs at most ``window`` inserts and no evictions,
         reproducing the sorted buffer bit for bit (same values, same
         insertion ties).
         """
-        return {"window": self.window, "values": self.window_values()}
+        return {"window": self.window, "values": pack_series(self._fifo)}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place.
@@ -396,8 +398,8 @@ class SlidingWindowCDF:
         updates = self.updates
         self._fifo.clear()
         self._size = 0
-        for v in state["values"]:
-            self._insert(float(v))
+        for v in unpack_series(state["values"]).tolist():
+            self._insert(v)
         self.updates = updates + self.window
         self._cached = None
 

@@ -25,6 +25,7 @@ from repro.monitoring.cdf import EmpiricalCDF, SlidingWindowCDF, ks_distance
 from repro.monitoring.predictors import EWMAPredictor
 from repro.obs.context import NULL_OBS, Observability
 from repro.obs.events import Category
+from repro.series import pack_series, unpack_series
 
 #: Relative-error buckets of the bandwidth-prediction histogram.
 _PREDICTION_ERROR_BOUNDS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
@@ -136,18 +137,6 @@ class PathMonitor:
         """Current bandwidth CDF snapshot."""
         return self.bandwidth.snapshot()
 
-    def guaranteed_bandwidth(self, probability: float) -> float:
-        """Bandwidth the path sustains with the given probability.
-
-        ``guaranteed_bandwidth(0.95)`` is the level exceeded 95 % of the
-        time — the 5th percentile of the observed distribution.
-        """
-        if not 0.0 < probability < 1.0:
-            raise ConfigurationError(
-                f"probability must be in (0, 1), got {probability}"
-            )
-        return self.cdf().percentile((1.0 - probability) * 100.0)
-
     # ------------------------------------------------------------------
     # remap trigger
     # ------------------------------------------------------------------
@@ -186,7 +175,7 @@ class PathMonitor:
         reference = (
             None
             if self._reference_cdf is None
-            else [float(v) for v in self._reference_cdf.samples]
+            else pack_series(self._reference_cdf.samples)
         )
         return {
             "bandwidth": self.bandwidth.state_dict(),
@@ -198,8 +187,6 @@ class PathMonitor:
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot."""
-        import numpy as np
-
         self.bandwidth.load_state_dict(state["bandwidth"])
         self.rtt_ms.load_state_dict(state["rtt_ms"])
         self.loss_rate.load_state_dict(state["loss_rate"])
@@ -208,7 +195,7 @@ class PathMonitor:
             None
             if reference is None
             else EmpiricalCDF.from_sorted(
-                np.asarray(reference, dtype=float), copy=True, validate=False
+                unpack_series(reference), copy=True, validate=False
             )
         )
         forecast = state["bw_forecast"]

@@ -61,6 +61,7 @@ from repro.core.pgos import (
     PGOSScheduler,
 )
 from repro.errors import CheckpointError, ConfigurationError
+from repro.series import unpack_series
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.middleware.service import IQPathsService, StreamHandle
@@ -530,7 +531,7 @@ class VectorizedDelivery:
             opened_col = int(entry["opened_col"])
             batch.open(handle.spec, handle.stream_id, opened_col)
             batch.set_backlog(name, float(backlog[name]))
-            series = BatchState.unpack_series(delivered[name])
+            series = unpack_series(delivered[name])
             if series.size != cur_col - opened_col:
                 raise CheckpointError(
                     f"delivered series of {name!r} has {series.size} "

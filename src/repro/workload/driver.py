@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
-from repro.errors import AdmissionError, ConfigurationError
+import numpy as np
+
+from repro.errors import AdmissionError, CheckpointError, ConfigurationError
 from repro.middleware.service import IQPathsService
 from repro.obs.events import Category
 from repro.runner.cache import payload_digest
+from repro.series import pack_series, unpack_series
 from repro.workload.catalog import SessionPlan
 
 
@@ -206,48 +209,89 @@ class WorkloadReport:
         return "\n".join(lines)
 
 
-def _record_state(record: SessionRecord) -> dict[str, Any]:
-    """Exact (un-rounded) snapshot of a :class:`SessionRecord`.
+#: Record outcomes, in the order of their packed codes.
+_OUTCOMES = ("admitted", "degraded", "rejected")
+_OUTCOME_CODES = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
+#: A record's optional floats; a packed NaN is ``None``.
+_OPTIONAL = ("opened_at", "closed_at", "mean_mbps", "attainment")
 
-    :meth:`SessionRecord.to_dict` rounds floats for the report payload;
-    checkpoints need the raw values so a resumed run's arithmetic stays
-    bit-identical.
+
+def _pack_records(records: Sequence[SessionRecord]) -> dict[str, str]:
+    """What only the run determined of ``records``, as packed columns.
+
+    One :func:`~repro.series.pack_series` column each for the outcome
+    code, the flags bits and every optional float, exact (un-rounded:
+    :meth:`SessionRecord.to_dict` rounds for the report, a resumed run's
+    arithmetic needs the raw values).  The rest of a record is its plan
+    (:func:`_unpack_records`).  ``None`` is packed as NaN, so a present
+    value that is not finite fails the save, as it would in strict JSON.
     """
-    return {
-        "index": record.index,
-        "name": record.name,
-        "tenant": record.tenant,
-        "template": record.template,
-        "arrival_s": record.arrival_s,
-        "holding_s": record.holding_s,
-        "outcome": record.outcome,
-        "opened_at": record.opened_at,
-        "closed_at": record.closed_at,
-        "shed": record.shed,
-        "truncated": record.truncated,
-        "mean_mbps": record.mean_mbps,
-        "attainment": record.attainment,
-        "violated": record.violated,
+    columns = {
+        "outcome": pack_series([_OUTCOME_CODES[r.outcome] for r in records]),
+        # Bits 0, 1 and 2: shed, truncated, violated.
+        "flags": pack_series(
+            [r.shed | r.truncated << 1 | r.violated << 2 for r in records]
+        ),
     }
+    for field_name in _OPTIONAL:
+        values = [getattr(r, field_name) for r in records]
+        column = np.array(values, dtype=float)  # None reads as NaN
+        present = len(values) - values.count(None)
+        if np.count_nonzero(np.isfinite(column)) != present:
+            raise ValueError(
+                f"session record {field_name!r} is not finite; a snapshot "
+                "must be strict JSON"
+            )
+        columns[field_name] = pack_series(column)
+    return columns
 
 
-def _record_from_state(state: dict[str, Any]) -> SessionRecord:
-    return SessionRecord(
-        index=int(state["index"]),
-        name=state["name"],
-        tenant=state["tenant"],
-        template=state["template"],
-        arrival_s=float(state["arrival_s"]),
-        holding_s=float(state["holding_s"]),
-        outcome=state["outcome"],
-        opened_at=state["opened_at"],
-        closed_at=state["closed_at"],
-        shed=bool(state["shed"]),
-        truncated=bool(state["truncated"]),
-        mean_mbps=state["mean_mbps"],
-        attainment=state["attainment"],
-        violated=bool(state["violated"]),
-    )
+def _unpack_records(
+    columns: Mapping[str, str], plans: Sequence[SessionPlan]
+) -> dict[str, SessionRecord]:
+    """The records :func:`_pack_records` wrote for ``plans``, by name.
+
+    A column that is not a packing of exactly one value per plan, an
+    unknown outcome code or a flags value outside its bits is a
+    :class:`CheckpointError`.
+    """
+    unpacked = {}
+    for key in ("outcome", "flags", *_OPTIONAL):
+        values = unpack_series(columns[key])
+        if values.size != len(plans):
+            raise CheckpointError(
+                f"record column {key!r} has {values.size} values for "
+                f"{len(plans)} sessions"
+            )
+        unpacked[key] = values.tolist()
+    for key, codes in (("outcome", len(_OUTCOMES)), ("flags", 8)):
+        if not set(unpacked[key]) <= set(range(codes)):
+            raise CheckpointError(f"record column {key!r} has unknown codes")
+    optional = [
+        [None if v != v else v for v in unpacked[key]] for key in _OPTIONAL
+    ]
+    records = {}
+    for plan, code, flags, opened, closed, mean, attainment in zip(
+        plans, unpacked["outcome"], unpacked["flags"], *optional
+    ):
+        flags = int(flags)
+        records[plan.name] = SessionRecord(
+            index=plan.index,
+            name=plan.name,
+            tenant=plan.tenant,
+            template=plan.template,
+            arrival_s=plan.arrival_s,
+            holding_s=plan.holding_s,
+            outcome=_OUTCOMES[int(code)],
+            opened_at=opened,
+            closed_at=closed,
+            shed=bool(flags & 1),
+            truncated=bool(flags & 2),
+            mean_mbps=mean,
+            attainment=attainment,
+            violated=bool(flags & 4),
+        )
+    return records
 
 
 def _account_state(account: TenantAccount) -> dict[str, Any]:
@@ -492,29 +536,23 @@ class ChurnDriver:
     def state_dict(self) -> dict[str, Any]:
         """JSON-serializable snapshot of the driver's run state.
 
-        Covers only the step loop (records, tenants, departures heap,
-        plan cursor); the service is snapshotted separately by
+        Covers only the step loop (records, tenants, plan cursor); the
+        service is snapshotted separately by
         :meth:`IQPathsService.state_dict`.  The plans themselves are a
-        pure function of the scenario seed and are rebuilt on resume.
+        pure function of the scenario seed and are rebuilt on resume,
+        and the records are exactly the plans before ``next_plan``, so
+        only what the run determined of each is written
+        (:func:`_pack_records`).  The open set, the departure heap and
+        the shed set are functions of the records and are not written.
         """
         state = self._state
         return {
             "k": state.k,
-            "records": [
-                _record_state(r) for r in state.records.values()
-            ],
+            "records": _pack_records(list(state.records.values())),
             "tenants": [
                 _account_state(a) for a in state.tenants.values()
             ],
-            # Heap serialized in array order: the array of a valid heap
-            # restores as the same valid heap.
-            "departures": [
-                [time, index, name]
-                for time, index, name in state.departures
-            ],
             "next_plan": state.next_plan,
-            "open_sessions": sorted(state.open_sessions),
-            "shed_seen": sorted(state.shed_seen),
             "peak_concurrent": state.peak_concurrent,
         }
 
@@ -524,27 +562,33 @@ class ChurnDriver:
             raise ConfigurationError(
                 "load_state_dict requires a fresh driver (run not started)"
             )
-        run_state = _RunState(
+        next_plan = int(state["next_plan"])
+        records = _unpack_records(state["records"], self.plans[:next_plan])
+        # Open: arrived, not rejected and not closed yet.  Each pushed
+        # the departure it still has on the heap, at the same float
+        # time; the keys are unique, so the heap pops as the saved one.
+        open_records = [
+            r
+            for r in records.values()
+            if r.outcome != "rejected" and r.closed_at is None
+        ]
+        departures = [
+            (r.opened_at + r.holding_s, r.index, r.name) for r in open_records
+        ]
+        heapq.heapify(departures)
+        self._state = _RunState(
             k=int(state["k"]),
-            records={
-                r["name"]: _record_from_state(r) for r in state["records"]
-            },
+            records=records,
             tenants={
                 a["tenant"]: _account_from_state(a)
                 for a in state["tenants"]
             },
-            # Tuples, not lists: heapq pushes tuples and mixed
-            # tuple/list comparisons raise TypeError.
-            departures=[
-                (float(time), int(index), name)
-                for time, index, name in state["departures"]
-            ],
-            next_plan=int(state["next_plan"]),
-            open_sessions=set(state["open_sessions"]),
-            shed_seen=set(state["shed_seen"]),
+            departures=departures,
+            next_plan=next_plan,
+            open_sessions={r.name for r in open_records},
+            shed_seen={r.name for r in records.values() if r.shed},
             peak_concurrent=int(state["peak_concurrent"]),
         )
-        self._state = run_state
 
     # ------------------------------------------------------------------
     # lifecycle steps

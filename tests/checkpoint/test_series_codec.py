@@ -1,6 +1,6 @@
 """A snapshot's delivered series: packed float64, exact, and loud.
 
-``BatchState.pack_series`` writes a series as base64 of its
+``repro.series.pack_series`` writes a series as base64 of its
 little-endian float64 bytes; ``unpack_series`` reads it back.  The round
 trip must be the identity on every float64 bit pattern (a resumed run's
 float folds start from these values), and a string that is not such a
@@ -16,11 +16,11 @@ from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.batchstate import BatchState
 from repro.core.spec import StreamSpec
 from repro.errors import CheckpointError
 from repro.middleware.service import IQPathsService
 from repro.network.emulab import make_figure8_testbed
+from repro.series import pack_series, unpack_series
 from tests.oracles import ScalarReferenceService
 
 MAX = np.finfo(np.float64).max
@@ -51,13 +51,13 @@ def roundtrips(pack, unpack, values: np.ndarray) -> bool:
 @example(np.array([0.1 + 0.2, 1 / 3, 2 / 3, 12.345678901234567]))
 @example(np.array([]))
 def test_pack_unpack_is_exact(values):
-    assert roundtrips(BatchState.pack_series, BatchState.unpack_series, values)
+    assert roundtrips(pack_series, unpack_series, values)
 
 
 def test_pack_takes_a_list_as_the_oracle_keeps_it():
     values = [0.1 + 0.2, -0.0, TINY]
-    assert BatchState.unpack_series(
-        BatchState.pack_series(values)
+    assert unpack_series(
+        pack_series(values)
     ).tolist() == values
 
 
@@ -123,7 +123,7 @@ CORRUPTIONS = {
 def test_a_bad_series_raises_checkpoint_error(service_cls, corruption):
     realization, state = _snapshot(service_cls)
     text = state["delivered"]["crit"]
-    assert BatchState.unpack_series(text).size == 20
+    assert unpack_series(text).size == 20
     state["delivered"]["crit"] = CORRUPTIONS[corruption](text)
     fresh = service_cls(realization, warmup_intervals=100)
     with pytest.raises(CheckpointError):
@@ -139,6 +139,6 @@ def test_the_intact_series_restores(service_cls):
     fresh.load_state_dict(state)
     np.testing.assert_array_equal(
         fresh.report("crit").mbps,
-        BatchState.unpack_series(state["delivered"]["crit"]),
+        unpack_series(state["delivered"]["crit"]),
     )
     assert json.loads(json.dumps(fresh.state_dict())) == state

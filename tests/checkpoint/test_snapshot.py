@@ -109,6 +109,17 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="schema"):
             store.load(fingerprint=FP)
 
+    def test_a_schema_2_slot_is_refused(self, tmp_path):
+        """Schema 2 wrote records, scheduler specs and windows unpacked."""
+        assert CHECKPOINT_SCHEMA == 3
+        store = CheckpointStore(tmp_path)
+        store.save({"x": 1}, fingerprint=FP)
+        envelope = json.loads(store.path.read_text())
+        envelope["schema"] = 2
+        store.path.write_text(json.dumps(envelope))
+        with pytest.raises(CheckpointError, match="schema 2"):
+            store.load(fingerprint=FP)
+
     def test_stale_fingerprint_strict_raises(self, tmp_path):
         # The stale-checkpoint hazard: resuming state written by
         # different code must fail loudly on the strict path.

@@ -388,26 +388,52 @@ class TestLazyPacketTable:
         with pytest.raises(ConfigurationError):
             ResourceMapping(rates_mbps={}, packets={}, specs=())
 
-    def test_restored_table_equals_the_saved_one(self, rng, table_builds):
-        samples = {
-            "A": np.clip(50 + 4 * rng.standard_normal(200), 0, None),
-            "B": np.clip(30 + 10 * rng.standard_normal(200), 0, None),
-        }
-        scheduler = PGOSScheduler()
+    def seeded_scheduler(self, rng, **kwargs):
+        scheduler = PGOSScheduler(**kwargs)
         scheduler.setup(list(self.SPECS), ["A", "B"], dt=0.1, tw=1.0)
-        scheduler.seed_history(samples)
+        scheduler.seed_history(
+            {
+                "A": np.clip(50 + 4 * rng.standard_normal(200), 0, None),
+                "B": np.clip(30 + 10 * rng.standard_normal(200), 0, None),
+            }
+        )
         scheduler.remap()
-        state = json.loads(json.dumps(scheduler.state_dict()))
-        assert table_builds == [len(self.SPECS)]
-        restored = PGOSScheduler()
+        return scheduler
+
+    def restored(self, state, specs, **kwargs):
+        restored = PGOSScheduler(**kwargs)
         restored.setup(list(self.SPECS), ["A", "B"], dt=0.1, tw=1.0)
-        restored.load_state_dict(state)
+        restored.load_state_dict(state, specs)
+        return restored
+
+    def test_restored_mapping_builds_an_equal_table_on_first_read(
+        self, rng, table_builds
+    ):
+        scheduler = self.seeded_scheduler(rng)
+        state = json.loads(json.dumps(scheduler.state_dict()))
+        assert state["mapping"]["packets"] is None
+        assert table_builds == []
+        restored = self.restored(state, scheduler.streams)
+        assert restored.state_dict()["mapping"] == state["mapping"]
+        assert table_builds == []
+        assert as_items(restored.mapping.packets) == as_items(
+            scheduler.mapping.packets
+        )
+        assert table_builds == [len(self.SPECS)] * 2
+
+    def test_an_even_split_table_is_saved(self, rng, table_builds):
+        """An even split's table is not its rates' apportionment, so it
+        is the one table a snapshot carries."""
+        scheduler = self.seeded_scheduler(rng, split_strategy="even")
+        state = json.loads(json.dumps(scheduler.state_dict()))
+        restored = self.restored(
+            state, scheduler.streams, split_strategy="even"
+        )
         assert as_items(restored.mapping.packets) == as_items(
             scheduler.mapping.packets
         )
         assert restored.state_dict()["mapping"] == state["mapping"]
-        # The restored table is the saved one, not built again.
-        assert table_builds == [len(self.SPECS)]
+        assert table_builds == []
 
     def test_churn_run_builds_no_table_and_edits_no_rates(
         self, table_builds, constructed
@@ -421,7 +447,7 @@ class TestLazyPacketTable:
         for rates, at_birth in constructed:
             assert as_items(rates) == as_items(at_birth)
 
-    def test_checkpointing_builds_one_table_per_saved_mapping(
+    def test_checkpointing_builds_no_table(
         self, tmp_path, monkeypatch, table_builds
     ):
         saved = []
@@ -444,4 +470,4 @@ class TestLazyPacketTable:
             fingerprint="a" * 64,
         )
         assert len(saved) > 1
-        assert len(table_builds) == len(saved)
+        assert table_builds == []

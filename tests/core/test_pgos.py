@@ -284,7 +284,7 @@ class TestStreamNames:
             [StreamSpec(name="other", elastic=True)], ["A", "B"],
             dt=0.1, tw=1.0,
         )
-        restored.load_state_dict(state)
+        restored.load_state_dict(state, scheduler.streams)
         restored.add_stream(StreamSpec(name="other", elastic=True))
         self.assert_duplicate_refused(restored, "crit")
         self.assert_duplicate_refused(restored, "other")

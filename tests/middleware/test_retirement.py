@@ -24,7 +24,7 @@ def _service_names(state: dict) -> set[str]:
     names |= set(state["delivered"]) | set(state["backlog_bytes"])
     names |= {name for name, _ in state["serving"]}
     if state["scheduler"] is not None:
-        names |= {s["name"] for s in state["scheduler"]["streams"]}
+        names |= set(state["scheduler"]["streams"])
     return names
 
 

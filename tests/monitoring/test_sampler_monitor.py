@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.guarantees import guaranteed_rate_at
 from repro.errors import ConfigurationError
 from repro.monitoring.monitor import PathMonitor
 from repro.obs.context import Observability
+from repro.series import pack_series
 
 
 class TestPathMonitor:
@@ -15,7 +17,7 @@ class TestPathMonitor:
         monitor = PathMonitor("A", window=1000)
         samples = 50 + 5 * rng.standard_normal(1000)
         monitor.observe_bandwidth_many(samples)
-        assert monitor.guaranteed_bandwidth(0.95) == pytest.approx(
+        assert guaranteed_rate_at(monitor.cdf(), 0.95) == pytest.approx(
             np.percentile(samples, 5)
         )
 
@@ -54,8 +56,9 @@ class TestPathMonitor:
             monitor.observe_rtt(-1.0)
         with pytest.raises(ConfigurationError):
             monitor.observe_loss(2.0)
+        monitor.observe_bandwidth(10.0)
         with pytest.raises(ConfigurationError):
-            monitor.guaranteed_bandwidth(1.5)
+            guaranteed_rate_at(monitor.cdf(), 1.5)
 
 
 class TestRemapTriggerSkip:
@@ -114,7 +117,9 @@ class TestRemapTriggerSkip:
         # of updates: past every horizon, whatever the restore holds.
         monitor = self.quiet_monitor(rng)
         window = monitor.bandwidth
-        window.load_state_dict({"window": 100, "values": [50.0] * 5})
+        window.load_state_dict(
+            {"window": 100, "values": pack_series([50.0] * 5)}
+        )
         assert monitor.bandwidth is window
         assert window.window_values() == [50.0] * 5
         monitor.cdf_changed_significantly()

@@ -16,7 +16,7 @@ product's delivery columns, so the series, backlogs, traces and metrics
 it produces are an independent derivation.  (The inherited open/close
 bookkeeping still files rows in the unused batch; a snapshot's open
 columns come from there, and its series are packed with the product's
-:meth:`BatchState.pack_series`.)
+:func:`repro.series.pack_series`.)
 
 :func:`service_class` makes the workload layer — ``run_scale_scenario``,
 ``make_scale_run``, ``run_partitioned``,
@@ -31,7 +31,6 @@ from unittest import mock
 
 import numpy as np
 
-from repro.core.batchstate import BatchState
 from repro.core.scheduler import deliver_interval
 from repro.errors import ConfigurationError
 from repro.middleware.service import (
@@ -39,6 +38,7 @@ from repro.middleware.service import (
     StreamHandle,
     StreamReport,
 )
+from repro.series import pack_series, unpack_series
 from repro.workload import scenarios
 
 
@@ -113,7 +113,7 @@ class ScalarReferenceService(IQPathsService):
     # -- checkpointing -------------------------------------------------
     def _delivered_state(self) -> dict[str, str]:
         return {
-            name: BatchState.pack_series(self._delivered[name])
+            name: pack_series(self._delivered[name])
             for name in self.handles
         }
 
@@ -129,7 +129,7 @@ class ScalarReferenceService(IQPathsService):
             name: float(v) for name, v in state["backlog_bytes"].items()
         }
         self._delivered = {
-            name: BatchState.unpack_series(state["delivered"][name]).tolist()
+            name: unpack_series(state["delivered"][name]).tolist()
             for name in self.handles
         }
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.monitoring.cdf import EmpiricalCDF, SlidingWindowCDF, ks_distance
 from repro.monitoring.monitor import PathMonitor
 from repro.obs.context import Observability
+from repro.series import unpack_series
 
 value_strategy = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64),
@@ -154,7 +155,7 @@ def test_window_program(n, threshold, ops):
         elif op == "restore":
             state = saved[arg % len(saved)]
             window.load_state_dict(state)
-            mirror = deque(state["values"], maxlen=n)
+            mirror = deque(unpack_series(state["values"]).tolist(), maxlen=n)
             stale = restored = True
         elif not mirror:
             continue  # nothing to freeze, check or pin
