@@ -1,20 +1,20 @@
 """Struct-of-arrays state for the vectorized delivery engine.
 
 :class:`BatchState` holds every active stream's hot-loop state as
-columnar numpy arrays — backlog bytes, precomputed arrival/limit
-constants, guarantee thresholds, delivered-byte and shortfall counters,
-and the full per-interval delivered-throughput history — so one
-delivery step touches a handful of array operations instead of O(N)
-Python objects.
+columnar numpy arrays — backlog bytes, the demand and its precomputed
+arrival/limit constants, the open column, and the full per-interval
+delivered-throughput history — so one delivery step touches a handful
+of array operations instead of O(N) Python objects.  Only what a step
+or a report reads is kept: no per-step telemetry counter.
 
 Design constraints (they are what make the engine provable against the
 scalar reference loop, ``tests/oracles``):
 
 * **Stable indirection.**  A stream name maps to one *row*; rows are
   recycled through a LIFO free list when streams close, and growing
-  capacity never moves live rows.  Monotone ``stream_id`` allocation,
-  trace join keys, and checkpoint round trips therefore survive
-  unchanged: the row number is an internal detail no output depends on.
+  capacity never moves live rows.  Trace join keys and checkpoint round
+  trips therefore survive unchanged: the row number is an internal
+  detail no output depends on.
 * **Scalar-faithful ordering.**  ``names()`` iterates streams in the
   exact insertion order the scalar reference's ``_backlog_bytes`` dict
   has (insert on open, delete on close, reopened streams move to
@@ -22,10 +22,9 @@ scalar reference loop, ``tests/oracles``):
   iteration order is part of the simulation's state — so this ordering
   is load-bearing, not cosmetic.
 * **Precomputed constants.**  Per-stream constants that the scalar loop
-  recomputes every interval (``bytes_in_interval(demand, dt)``, the
-  buffer cap, ``required * 0.999``) are evaluated once at open time
-  with the *same expression order*, so every per-step comparison sees
-  bit-identical floats.
+  recomputes every interval (``bytes_in_interval(demand, dt)`` and the
+  buffer cap) are evaluated once at open time with the *same expression
+  order*, so every per-step comparison sees bit-identical floats.
 
 The history matrix is the one store of open streams' delivered
 history, read in place.  It is allocated at full column width (one
@@ -42,12 +41,15 @@ idle interval would have recorded anyway.
   column (columns only move forward) and only ever writes at or after
   its own open column, so a view taken before the close keeps its
   values.
-* **Growth copies only what was written.**  ``_grow`` copies
-  ``history[:old, :written]`` into a fresh zero matrix; the untouched
-  tail keeps its zero pages unmapped, so opening a large population
-  before the first step costs no history memory.  A view taken before
-  a grow or a reset keeps reading the old matrix, whose values no
-  later write changes.
+* **Growth copies only what was written.**  The matrix's rows catch up
+  with the row capacity at the next write or read, which copies
+  ``history[:, :written]`` into a fresh zero matrix; the untouched tail
+  keeps its zero pages unmapped.  Opening a large population before the
+  first step therefore allocates one matrix, not one per doubling (a
+  freed matrix of a few MB raises glibc's mmap threshold, and the heap
+  then keeps later frees resident).  A view taken before a grow or a
+  reset keeps reading the old matrix, whose values no later write
+  changes.
 """
 
 from __future__ import annotations
@@ -123,19 +125,12 @@ class BatchState:
         self.demand_mbps = np.full(capacity, np.nan)
         self.arrival_bytes = np.zeros(capacity)
         self.limit_bytes = np.zeros(capacity)
-        self.required_mbps = np.full(capacity, np.nan)
-        #: ``required_mbps * 0.999`` (NaN when no requirement): the
-        #: per-window shortfall threshold, precomputed once.
-        self.threshold_mbps = np.full(capacity, np.nan)
         self.backlog_bytes = np.zeros(capacity)
-        #: Cumulative bytes delivered to each stream (telemetry).
-        self.delivered_bytes = np.zeros(capacity)
-        #: Windows in which the stream missed its guarantee (telemetry).
-        self.shortfall_windows = np.zeros(capacity, dtype=np.int64)
-        self.stream_id = np.zeros(capacity, dtype=np.int64)
         #: History column at which the stream opened.
         self.opened_col = np.zeros(capacity, dtype=np.int64)
-        self.history = np.zeros((capacity, self.n_columns))
+        #: Delivered Mbps per (row, column); rows lag ``capacity`` until
+        #: :meth:`_rows_fitted` is next called.
+        self.history = np.zeros((0, self.n_columns))
 
     def _grow(self) -> None:
         old = self._capacity
@@ -144,31 +139,25 @@ class BatchState:
             "demand_mbps",
             "arrival_bytes",
             "limit_bytes",
-            "required_mbps",
-            "threshold_mbps",
             "backlog_bytes",
-            "delivered_bytes",
-            "shortfall_windows",
-            "stream_id",
             "opened_col",
         ):
             column = getattr(self, field)
             grown = np.empty(new, dtype=column.dtype)
-            if column.dtype == np.float64 and field in (
-                "demand_mbps",
-                "required_mbps",
-                "threshold_mbps",
-            ):
-                grown[old:] = np.nan
-            else:
-                grown[old:] = 0
+            grown[old:] = np.nan if field == "demand_mbps" else 0
             grown[:old] = column
             setattr(self, field, grown)
-        history = np.zeros((new, self.n_columns))
-        written = self.written
-        history[:old, :written] = self.history[:, :written]
-        self.history = history
         self._capacity = new
+
+    def _rows_fitted(self) -> np.ndarray:
+        """The history matrix, grown to the row capacity if it lags."""
+        history = self.history
+        if history.shape[0] < self._capacity:
+            grown = np.zeros((self._capacity, self.n_columns))
+            written = self.written
+            grown[: history.shape[0], :written] = history[:, :written]
+            self.history = history = grown
+        return history
 
     # ------------------------------------------------------------------
     # membership
@@ -197,7 +186,7 @@ class BatchState:
             )
         return self._order_cache
 
-    def open(self, spec: StreamSpec, stream_id: int, opened_col: int) -> int:
+    def open(self, spec: StreamSpec, opened_col: int) -> int:
         """Allocate (or recycle) a row for a newly opened stream."""
         if spec.name in self._rows:
             raise ConfigurationError(
@@ -222,17 +211,7 @@ class BatchState:
             self.limit_bytes[row] = bytes_in_interval(
                 demand, self.buffer_seconds
             )
-        required = spec.required_mbps
-        if required is None:
-            self.required_mbps[row] = np.nan
-            self.threshold_mbps[row] = np.nan
-        else:
-            self.required_mbps[row] = required
-            self.threshold_mbps[row] = required * 0.999
         self.backlog_bytes[row] = 0.0
-        self.delivered_bytes[row] = 0.0
-        self.shortfall_windows[row] = 0
-        self.stream_id[row] = stream_id
         self.opened_col[row] = opened_col
         self._rows[spec.name] = row
         self._order_cache = None
@@ -257,10 +236,17 @@ class BatchState:
         The one writer of the matrix: ``cols`` is a column index (a
         delivery step, ``rows`` an index array) or a slice with a
         ``stop`` (a restored series, ``rows`` one row).  It advances
-        ``written``, which bounds what :meth:`_grow` copies.
+        ``written``, which bounds what :meth:`_rows_fitted` copies.
         """
-        self.history[rows, cols] = values
-        stop = cols.stop if type(cols) is slice else cols + 1
+        history = self._rows_fitted()
+        if type(cols) is slice:
+            history[rows, cols] = values
+            stop = cols.stop
+        else:
+            # A 1-D scatter into the column's strided view costs less
+            # than the 2-D fancy index.
+            history[:, cols][rows] = values
+            stop = cols + 1
         if stop > self.written:
             self.written = stop
 
@@ -276,7 +262,7 @@ class BatchState:
         row = self._rows.get(name)
         if row is None:
             return _EMPTY
-        view = self.history[row, int(self.opened_col[row]):cur_col]
+        view = self._rows_fitted()[row, int(self.opened_col[row]):cur_col]
         view.flags.writeable = False
         return view
 
@@ -300,14 +286,6 @@ class BatchState:
                 f"(width {self.n_columns})"
             )
         self.write(row, slice(start, stop), series)
-
-    def delivered_bytes_of(self, name: str) -> float:
-        """Cumulative delivered bytes of one open stream (telemetry)."""
-        return float(self.delivered_bytes[self._rows[name]])
-
-    def shortfall_windows_of(self, name: str) -> int:
-        """Guarantee-miss window count of one open stream (telemetry)."""
-        return int(self.shortfall_windows[self._rows[name]])
 
     def reset(self, n_columns: Optional[int] = None) -> None:
         """Drop every row and history (checkpoint restore onto fresh state)."""

@@ -38,10 +38,11 @@ pure function of the serving stream set, the resource mapping, and the
 usable paths — all of which are invalidated through
 ``scheduler.mapping`` (membership changes and quarantine flips void it;
 every remap installs a fresh object).  The engine therefore compiles the
-request lists once per mapping into per-path slot arrays (row, rule
-kind, rule parameter, weight, level) and re-derives only the per-step
-demands from the backlog column.  The templates encode PGOS's
-allocation rules, so the engine refuses any other scheduler.
+request lists once per mapping into per-path slot arrays (row and
+weight per slot, in contiguous level groups with each rule's bounded
+rows and parameters gathered) and re-derives only the per-step demands
+from the backlog column.  The templates encode PGOS's allocation rules,
+so the engine refuses any other scheduler.
 """
 
 from __future__ import annotations
@@ -68,12 +69,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["VectorizedDelivery"]
 
-# Rule kinds a compiled request slot can carry (template-internal).
+# Rule kinds a compiled level group can carry (template-internal).
 _KIND_RULE1 = 0  # scheduled on this path: demand = min(backlog, mapped_here)
 _KIND_RULE2 = 1  # scheduled elsewhere: demand = max(backlog - mapped_total, 0)
 _KIND_RULE3 = 2  # unscheduled/elastic: demand = backlog
 _KIND_FALLBACK = 3  # no history yet: demand = backlog / n_usable
-_NO_DEMAND = 4  # grouping key of a slot without a bounded demand
 
 _NAME = attrgetter("name")
 _ELASTIC = attrgetter("elastic")
@@ -83,87 +83,82 @@ _PRECEDENCE = attrgetter("mapping_precedence")
 _NO_RATES: dict[str, float] = {}
 
 
-def _slots_by(key: np.ndarray, size: int) -> list[np.ndarray]:
-    """Slot indices grouped by ``key`` value ``0 .. size - 1``, each group
-    in slot order: one stable argsort, cut at the bincount boundaries."""
-    order = np.argsort(key, kind="stable")
-    ends = np.cumsum(np.bincount(key, minlength=size)).tolist()
-    return [order[lo:hi] for lo, hi in zip([0] + ends, ends[:size])]
+def _as_index(idx: np.ndarray):
+    """Ascending slot indices as a slice when they are one contiguous run,
+    so the hot loop reads a view instead of gathering."""
+    if idx.size and int(idx[-1]) - int(idx[0]) == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 class _PathTemplate:
-    """One path's compiled request slots (static until the mapping changes)."""
+    """One path's compiled request slots (static until the mapping changes).
 
-    __slots__ = (
-        "rows",
-        "weight",
-        "level",
-        "param",
-        "level_groups",
-        "idx_rule1",
-        "idx_rule2",
-        "idx_rule3",
-        "idx_fallback",
-        "idx_hd",
-        "rows_hd",
-    )
+    Slots are sorted by level, each level group contiguous and in
+    request order: water_fill's ``sorted({r.level})`` iteration with
+    each level's pending list in request order.  Every row occurs at
+    most once per path, so the order *across* levels changes no grant
+    and no backlog drain.
+    """
 
-    def __init__(
-        self,
-        rows: np.ndarray,
-        weight: np.ndarray,
-        level: np.ndarray,
-        kind: np.ndarray,
-        param: np.ndarray,
-        has_demand: np.ndarray,
-    ):
-        self.rows = rows
-        self.weight = weight
-        self.level = level
-        self.param = param
-        # Strict-priority groups of the levels present, ascending, slot
-        # order preserved (matches water_fill's sorted({r.level})
-        # iteration; a group that is fully inactive this step
-        # degenerates to a no-op, exactly as an absent level would).
-        self.level_groups = [
-            group
-            for group in _slots_by(level, LEVEL_UNSCHEDULED + 1)
-            if group.size
-        ]
-        (
-            self.idx_rule1,
-            self.idx_rule2,
-            self.idx_rule3,
-            self.idx_fallback,
-        ) = _slots_by(np.where(has_demand, kind, _NO_DEMAND), _NO_DEMAND)
-        self.idx_hd = np.flatnonzero(has_demand)
-        self.rows_hd = rows[self.idx_hd]
+    __slots__ = ("rows", "weight", "groups", "bounded", "hd", "demand")
 
-    def demands(self, bm_col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The step's per-slot demands and which slots file a request.
+    def __init__(self, groups: list) -> None:
+        """``groups``: ``(level, kind, rows, weight, param, has_demand)``
+        per present level, ascending, each in request order; ``param``
+        is the rule parameter per slot (``None`` for rule 3)."""
+        self.rows = np.concatenate([g[2] for g in groups])
+        self.weight = np.concatenate([g[3] for g in groups])
+        #: ``(level, lo, hi, total weight, any bounded demand)`` per
+        #: group.  The total is the first pass's sequential weight fold,
+        #: hoisted: every slot of a group files on that pass (rule 2's
+        #: group recomputes it over the slots its gate keeps).
+        self.groups = []
+        #: ``(kind, slot index, rows, param)`` of each group's slots with
+        #: a bounded demand: the gathers a step's demands need.
+        self.bounded = []
+        hd = []
+        lo = 0
+        for level, kind, rows, weight, param, has_demand in groups:
+            hi = lo + rows.size
+            idx = np.flatnonzero(has_demand)
+            total = float(np.add.accumulate(weight)[-1])
+            self.groups.append((level, lo, hi, total, idx.size > 0))
+            if idx.size:
+                self.bounded.append(
+                    (
+                        kind,
+                        _as_index(lo + idx),
+                        rows[idx],
+                        None if param is None else param[idx],
+                    )
+                )
+                hd.append(lo + idx)
+            lo = hi
+        #: Every bounded slot and its row: the grants the backlog caps.
+        self.hd = None
+        if hd:
+            idx = np.concatenate(hd)
+            self.hd = (_as_index(idx), self.rows[idx])
+        #: The step's demands; unbounded slots stay inf (the scalar's
+        #: ``None``), bounded ones are rewritten by every ``demands``.
+        self.demand = np.full(lo, np.inf)
 
-        ``bm_col`` is the backlog in Mbps per batch row; a demand of inf
-        encodes the scalar's ``None`` (unbounded).
-        """
-        d = np.full(len(self.rows), np.inf)
-        active = np.ones(len(self.rows), dtype=bool)
-        idx = self.idx_rule1
-        if idx.size:
-            d[idx] = np.minimum(bm_col[self.rows[idx]], self.param[idx])
-        idx = self.idx_rule2
-        if idx.size:
-            excess = np.maximum(bm_col[self.rows[idx]] - self.param[idx], 0.0)
-            d[idx] = excess
-            # Scalar drops the rule-2 request entirely when the excess is
-            # negligible (excess > 1e-9 gate).
-            active[idx] = excess > 1e-9
-        idx = self.idx_rule3
-        if idx.size:
-            d[idx] = bm_col[self.rows[idx]]
-        idx = self.idx_fallback
-        if idx.size:
-            d[idx] = bm_col[self.rows[idx]] / self.param[idx]
-        return d, active
+    def demands(self, bm_col: np.ndarray) -> np.ndarray:
+        """The step's per-slot demands (``bm_col``: backlog Mbps per batch
+        row).  Rule 2's ``> 1e-9`` request gate is the water-fill's."""
+        d = self.demand
+        for kind, index, rows, param in self.bounded:
+            bm = bm_col[rows]
+            if kind == _KIND_RULE1:
+                d[index] = np.minimum(bm, param)
+            elif kind == _KIND_RULE2:
+                d[index] = np.maximum(bm - param, 0.0)
+            elif kind == _KIND_RULE3:
+                d[index] = bm
+            else:
+                d[index] = bm / param
+        return d
 
 
 class VectorizedDelivery:
@@ -194,15 +189,16 @@ class VectorizedDelivery:
         self._templates: Optional[dict[str, _PathTemplate]] = None
         self._template_mapping: Optional[object] = None
         self._demand_rows: Optional[np.ndarray] = None
+        #: Backlog in Mbps per batch row, rewritten each step for the
+        #: rows of bounded streams (no other row is read).
+        self._bm_col = np.zeros(0)
 
     # ------------------------------------------------------------------
     # stream lifecycle (called from the service control plane)
     # ------------------------------------------------------------------
     def on_open(self, handle: "StreamHandle") -> None:
         svc = self.service
-        self.batch.open(
-            handle.spec, handle.stream_id, svc._k - svc._start_k
-        )
+        self.batch.open(handle.spec, svc._k - svc._start_k)
         self._demand_rows = None
 
     def on_close(self, name: str) -> None:
@@ -232,11 +228,11 @@ class VectorizedDelivery:
         streams, rather than one request at a time (docs/sim.md, "What a
         solve hands to delivery").  On each usable path the scalar loop
         files, per serving spec in order, at most one rule-1/rule-2
-        request and then at most one rule-3 request, so spec ``i``'s
-        candidates sit at slots ``2i`` and ``2i + 1`` and a path keeps
-        the present ones in that order: the request-list order that
-        drives water-fill's pending iteration and its sequential float
-        folds.
+        request and then at most one rule-3 request.  A rule fixes the
+        level (1: scheduled here, 2: elsewhere, 3: unscheduled), so each
+        path's level groups are the specs a rule selects, in spec order:
+        the order that drives water-fill's pending iteration and its
+        sequential float folds within a level.
         """
         svc = self.service
         sched = svc.scheduler
@@ -256,24 +252,35 @@ class VectorizedDelivery:
         has_demand = ~np.isnan(batch.demand_mbps[rows])
         elastic = np.fromiter(map(_ELASTIC, streams), bool, n)
         weights = np.fromiter(map(_WEIGHT, streams), float, n)
+        # Rule 3 (and the fallback's elastic level) files every elastic
+        # spec on every usable path, in spec order.
+        i3 = np.flatnonzero(elastic)
 
         if fallback:
             # Every spec on every usable path, the same request each.
-            template = _PathTemplate(
-                rows,
-                weights,
-                np.where(elastic, LEVEL_UNSCHEDULED, LEVEL_SCHEDULED_HERE),
-                np.full(n, _KIND_FALLBACK),
-                np.full(n, float(n_paths)),
-                has_demand,
-            )
+            groups = [
+                (
+                    level,
+                    _KIND_FALLBACK,
+                    rows[i],
+                    weights[i],
+                    np.full(i.size, float(n_paths)),
+                    has_demand[i],
+                )
+                for level, i in (
+                    (LEVEL_SCHEDULED_HERE, np.flatnonzero(~elastic)),
+                    (LEVEL_UNSCHEDULED, i3),
+                )
+                if i.size
+            ]
+            template = _PathTemplate(groups)
             return {p: template for p in usable}
 
         rates_mbps = sched.mapping.rates_mbps
         per_stream = list(map(rates_mbps.get, names, repeat(_NO_RATES)))
-        rate = np.empty((n, n_paths))
+        rate = np.empty((n_paths, n))
         for j, path in enumerate(usable):
-            rate[:, j] = np.fromiter(
+            rate[j] = np.fromiter(
                 map(dict.get, per_stream, repeat(path), repeat(0.0)), float, n
             )
         # Compile-time Python sum in dict insertion order — the same
@@ -284,57 +291,67 @@ class VectorizedDelivery:
         guaranteed = np.fromiter(
             map(is_not, map(_PRECEDENCE, streams), repeat(None)), bool, n
         )
-        rule1 = guaranteed[:, None] & (rate > 0)
+        rule1 = guaranteed & (rate > 0)
         # Rule-2 slots with a bounded demand are *dynamic*: present only
         # when the step's excess exceeds 1e-9, gated per step by the
-        # active mask (see _PathTemplate.demands).
-        rule12 = rule1 | (guaranteed & (total > 0))[:, None]
-        both = rule12 & elastic[:, None]
+        # water-fill (see _water_fill).
+        rule2 = (guaranteed & (total > 0)) & ~rule1
+        both = (rule1 | rule2) & elastic
         if both.any():
             # Same error (and message) water_fill raises when one stream
             # files two requests on one path.
-            name = streams[int(np.flatnonzero(both.any(axis=1))[0])].name
+            name = streams[int(np.flatnonzero(both.any(axis=0))[0])].name
             raise ConfigurationError(
                 f"duplicate request for stream {name!r} on one path"
             )
         # Rule 3: max(rate, 0.0), or the spec's weight spread evenly over
         # the usable paths where that is not positive.
-        spread = np.where(elastic, weights, 0.0)
-        weight3 = np.maximum(rate, 0.0)
-        weight3 = np.where(weight3 <= 0, (spread / n_paths)[:, None], weight3)
-
-        present = np.empty((2 * n, n_paths), dtype=bool)
-        present[0::2] = rule12
-        present[1::2] = elastic[:, None]
-        weight = np.empty((2 * n, n_paths))
-        weight[0::2] = np.where(rule1, rate, np.maximum(total, 1e-6)[:, None])
-        weight[1::2] = weight3
-        level = np.empty((2 * n, n_paths), dtype=np.int64)
-        level[0::2] = np.where(
-            rule1, LEVEL_SCHEDULED_HERE, LEVEL_SCHEDULED_ELSEWHERE
-        )
-        level[1::2] = LEVEL_UNSCHEDULED
-        kind = np.empty((2 * n, n_paths), dtype=np.int64)
-        kind[0::2] = np.where(rule1, _KIND_RULE1, _KIND_RULE2)
-        kind[1::2] = _KIND_RULE3
-        param = np.empty((2 * n, n_paths))
-        param[0::2] = np.where(rule1, rate, total[:, None])
-        param[1::2] = 0.0
-        slot_rows = np.repeat(rows, 2)
-        slot_has_demand = np.repeat(has_demand, 2)
+        weight3 = np.maximum(rate[:, i3], 0.0)
+        weight3 = np.where(weight3 <= 0, weights[i3] / n_paths, weight3)
+        weight2 = np.maximum(total, 1e-6)
+        rows3, has_demand3 = rows[i3], has_demand[i3]
 
         templates = {}
         for j, path in enumerate(usable):
-            idx = np.flatnonzero(present[:, j])
-            if idx.size:
-                templates[path] = _PathTemplate(
-                    slot_rows[idx],
-                    weight[idx, j],
-                    level[idx, j],
-                    kind[idx, j],
-                    param[idx, j],
-                    slot_has_demand[idx],
+            groups = []
+            i = np.flatnonzero(rule1[j])
+            if i.size:
+                here = rate[j, i]
+                groups.append(
+                    (
+                        LEVEL_SCHEDULED_HERE,
+                        _KIND_RULE1,
+                        rows[i],
+                        here,
+                        here,
+                        has_demand[i],
+                    )
                 )
+            i = np.flatnonzero(rule2[j])
+            if i.size:
+                groups.append(
+                    (
+                        LEVEL_SCHEDULED_ELSEWHERE,
+                        _KIND_RULE2,
+                        rows[i],
+                        weight2[i],
+                        total[i],
+                        has_demand[i],
+                    )
+                )
+            if i3.size:
+                groups.append(
+                    (
+                        LEVEL_UNSCHEDULED,
+                        _KIND_RULE3,
+                        rows3,
+                        weight3[j],
+                        None,
+                        has_demand3,
+                    )
+                )
+            if groups:
+                templates[path] = _PathTemplate(groups)
         return templates
 
     def _current_templates(self) -> dict[str, _PathTemplate]:
@@ -378,8 +395,12 @@ class VectorizedDelivery:
         capacity = batch.capacity
 
         # --- backlog accrual (scalar: += arrival; min with limit) -----
+        # Only rows of bounded streams are read back (through the
+        # templates' bounded slots), and each step rewrites all of them.
         dr = self._demand_row_indices()
-        bm_col = np.zeros(capacity)
+        bm_col = self._bm_col
+        if bm_col.size != capacity:
+            bm_col = self._bm_col = np.zeros(capacity)
         if dr.size:
             b = batch.backlog_bytes[dr] + batch.arrival_bytes[dr]
             np.minimum(b, batch.limit_bytes[dr], out=b)
@@ -410,14 +431,10 @@ class VectorizedDelivery:
             granted = self._water_fill(template, bm_col, cap)
             self._apply_grants(template, granted, delivered_col, dt)
 
-        # --- history column + telemetry counters ----------------------
-        col = k - svc._start_k
+        # --- history column -------------------------------------------
         rows = batch.rows_in_order()
         if rows.size:
-            vals = delivered_col[rows]
-            batch.write(rows, col, vals)
-            thr = batch.threshold_mbps[rows]
-            batch.shortfall_windows[rows] += vals < thr
+            batch.write(rows, k - svc._start_k, delivered_col[rows])
 
         if svc.obs.enabled:
             # The shortfall emitter iterates in open-handle order (which
@@ -436,45 +453,69 @@ class VectorizedDelivery:
         bm_col: np.ndarray,
         capacity_mbps: float,
     ) -> np.ndarray:
-        """Vectorized :func:`repro.core.scheduler.water_fill` over slots."""
+        """Vectorized :func:`repro.core.scheduler.water_fill` over slots.
+
+        A level group's first pass reads slices of its contiguous slots
+        and the weight total folded at compile; when no slot caps, or
+        every slot does, that pass ends the group.  Only a partial cap
+        compacts the pending slots into an index array.
+        """
         if capacity_mbps < 0:
             raise ConfigurationError(
                 f"capacity must be >= 0, got {capacity_mbps}"
             )
-        d, active = template.demands(bm_col)
-        granted = np.zeros(len(d))
+        d = template.demands(bm_col)
         weight = template.weight
+        granted = np.zeros(d.size)
         remaining = capacity_mbps
-        for group in template.level_groups:
+        for level, lo, hi, total_weight, bounded in template.groups:
             if remaining <= 1e-12:
                 break
-            pend = group[active[group]]
-            while pend.size and remaining > 1e-12:
-                w = weight[pend]
-                # Sequential left fold == Python sum() bit for bit.
-                total_weight = float(np.add.accumulate(w)[-1])
-                fair = remaining * w / total_weight
-                dmd = d[pend]
-                capped = dmd <= fair + 1e-12
-                if not capped.any():
+            if level == LEVEL_SCHEDULED_ELSEWHERE:
+                # Scalar drops a rule-2 request whose excess is not above
+                # 1e-9 (an unbounded one, inf here, always files).
+                files = d[lo:hi] > 1e-9
+                if not files.any():
+                    continue
+                pend = lo + files.nonzero()[0]
+                total_weight = float(np.add.accumulate(weight[pend])[-1])
+            else:
+                pend = slice(lo, hi)
+            while True:
+                fair = remaining * weight[pend] / total_weight
+                if bounded:
+                    dmd = d[pend]
+                    capped = dmd <= fair + 1e-12
+                    n_capped = np.count_nonzero(capped)
+                else:
+                    n_capped = 0
+                if not n_capped:
                     granted[pend] += fair
-                    remaining = 0.0
-                    break
-                cidx = pend[capped]
-                dc = d[cidx]
-                granted[cidx] += dc
+                    # remaining = 0.0: no later level gets anything.
+                    return granted
+                if n_capped < capped.size:
+                    if type(pend) is slice:
+                        pend = np.arange(lo, hi)
+                    granted[pend[capped]] += dmd[capped]
+                    dmd = dmd[capped]
+                    pend = pend[~capped]
+                else:
+                    granted[pend] += dmd
                 # Scalar subtracts each capped demand one by one in
                 # pending order; subtract.accumulate is that exact fold.
                 remaining = float(
                     np.subtract.accumulate(
-                        np.concatenate(((remaining,), dc))
+                        np.concatenate(((remaining,), dmd))
                     )[-1]
                 )
-                pend = pend[~capped]
                 # Replicates max(remaining, 0.0) — which returns -0.0 on
                 # a -0.0 input in CPython, so only true negatives clamp.
                 if remaining < 0.0:
                     remaining = 0.0
+                if n_capped == capped.size or remaining <= 1e-12:
+                    break
+                # Sequential left fold == Python sum() bit for bit.
+                total_weight = float(np.add.accumulate(weight[pend])[-1])
         return granted
 
     def _apply_grants(
@@ -486,22 +527,28 @@ class VectorizedDelivery:
     ) -> None:
         """Grants → bytes → backlog drain → delivered Mbps, per slot.
 
+        Converts ``granted`` in place, in the scalar's expression order.
         Zero-grant slots ride along: ``x - 0.0`` and ``x + 0.0`` are
         bit-exact no-ops for the non-negative values involved, matching
         the scalar's explicit ``mbps <= 0`` skip.
         """
-        batch = self.batch
-        nbytes = ((granted * 1_000_000) / 8.0) * dt
-        idx_hd = template.idx_hd
-        if idx_hd.size:
-            rows_hd = template.rows_hd
-            backlog = batch.backlog_bytes[rows_hd]
-            nb = np.minimum(nbytes[idx_hd], backlog)
-            batch.backlog_bytes[rows_hd] = backlog - nb
-            nbytes[idx_hd] = nb
-        rows = template.rows
-        batch.delivered_bytes[rows] += nbytes
-        delivered_col[rows] += ((nbytes / dt) * 8.0) / 1_000_000
+        nbytes = granted
+        nbytes *= 1_000_000
+        nbytes /= 8.0
+        nbytes *= dt
+        if template.hd is not None:
+            index, rows = template.hd
+            backlog_bytes = self.batch.backlog_bytes
+            backlog = backlog_bytes[rows]
+            nb = np.minimum(nbytes[index], backlog)
+            nbytes[index] = nb
+            backlog -= nb
+            backlog_bytes[rows] = backlog
+        nbytes /= dt
+        nbytes *= 8.0
+        nbytes /= 1_000_000
+        # Each row occurs once per template: add.at is ``+=`` per slot.
+        np.add.at(delivered_col, template.rows, nbytes)
 
     # ------------------------------------------------------------------
     # checkpoint materialization
@@ -513,9 +560,7 @@ class VectorizedDelivery:
         order, the order the batch had — so a later ``state_dict()``
         round-trips byte-identically.  A packed series that does not
         decode, or whose length is not the stream's open interval count,
-        raises :class:`CheckpointError`.  The telemetry counters
-        (``delivered_bytes`` / ``shortfall_windows``) restart at zero:
-        they are diagnostic and deliberately excluded from snapshots.
+        raises :class:`CheckpointError`.
         """
         svc = self.service
         batch = self.batch
@@ -529,7 +574,7 @@ class VectorizedDelivery:
         for handle, entry in zip(svc.handles.values(), state["handles"]):
             name = handle.name
             opened_col = int(entry["opened_col"])
-            batch.open(handle.spec, handle.stream_id, opened_col)
+            batch.open(handle.spec, opened_col)
             batch.set_backlog(name, float(backlog[name]))
             series = unpack_series(delivered[name])
             if series.size != cur_col - opened_col:

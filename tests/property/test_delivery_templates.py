@@ -5,7 +5,8 @@ slots column-wise from per-stream arrays; ``PGOSScheduler._allocate_inner``
 (and ``_fallback_requests`` before monitoring history exists) files the
 same requests one at a time.  For random scheduler states this module
 holds the two equal slot for slot: per path the same stream row,
-weight, level and order, and, for random backlogs, the same demand,
+weight, level and, within each level, order (a template keeps its
+slots sorted by level), and, for random backlogs, the same demand,
 rule 2's ``> 1e-9`` gate included.  Floats are compared by their hex
 form, so ``-0.0`` and ``0.0`` are told apart.  Derandomized: a failure
 reproduces on every run.
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.batchstate import BatchState
 from repro.core.mapping import ResourceMapping
-from repro.core.pgos import PGOSScheduler
+from repro.core.pgos import LEVEL_SCHEDULED_ELSEWHERE, PGOSScheduler
 from repro.core.scheduler import water_fill
 from repro.core.spec import StreamSpec
 from repro.errors import ConfigurationError
@@ -112,7 +113,7 @@ def build(paths, quarantined, specs, row_specs, rates, order, obs=NULL_OBS):
     batch = BatchState(n_columns=1, dt=DT, buffer_seconds=2.0)
     # Rows in another order than the streams (reopened names do that).
     for i in order:
-        batch.open(row_specs[i], i, 0)
+        batch.open(row_specs[i], 0)
     engine = VectorizedDelivery.__new__(VectorizedDelivery)
     engine.service = SimpleNamespace(scheduler=sched, obs=obs)
     engine.batch = batch
@@ -129,6 +130,7 @@ def backlog_column(batch, backlog):
 
 
 def expected_slots(requests, batch):
+    """The requests as slots, stably sorted by level."""
     return [
         (
             batch.row(r.stream),
@@ -136,22 +138,34 @@ def expected_slots(requests, batch):
             r.level,
             float("inf" if r.demand_mbps is None else r.demand_mbps).hex(),
         )
-        for r in requests
+        for r in sorted(requests, key=lambda r: r.level)
     ]
 
 
+def slot_levels(template):
+    """Each slot's level, from the template's contiguous level groups."""
+    levels = np.empty(template.rows.size, dtype=np.int64)
+    for level, lo, hi, *_ in template.groups:
+        levels[lo:hi] = level
+    return levels
+
+
 def compiled_slots(template, column):
+    """The slots that file a request this step: all but rule-2 slots
+    whose demand is not above 1e-9 (the water-fill's gate)."""
     if template is None:
         return []
-    demand, active = template.demands(column)
+    demand = template.demands(column)
+    levels = slot_levels(template)
     return [
         (
             int(template.rows[i]),
             float(template.weight[i]).hex(),
-            int(template.level[i]),
+            int(levels[i]),
             float(demand[i]).hex(),
         )
-        for i in np.flatnonzero(active)
+        for i in range(template.rows.size)
+        if levels[i] != LEVEL_SCHEDULED_ELSEWHERE or demand[i] > 1e-9
     ]
 
 
@@ -185,7 +199,8 @@ def test_fallback_templates_equal_fallback_requests(case):
 
 
 def test_interleaved_rules_keep_stream_order_on_a_path():
-    """Rule-3 slot of an earlier stream before a later stream's rule 1."""
+    """A later stream's rule-1 slot sorts before an earlier stream's
+    rule-3 slot; within a level, slots keep stream order."""
     specs = [
         StreamSpec(name="bulk", elastic=True, nominal_mbps=10.0),
         StreamSpec(name="ctl", required_mbps=4.0, probability=0.95),
@@ -197,8 +212,8 @@ def test_interleaved_rules_keep_stream_order_on_a_path():
     templates = engine._compile(fallback=False)
     batch = engine.batch
     assert [int(r) for r in templates["A"].rows] == [
-        batch.row("bulk"),
         batch.row("ctl"),
+        batch.row("bulk"),
         batch.row("fill"),
     ]
     assert_templates_match(

@@ -6,9 +6,10 @@ report checksums, trace digests, metrics digests, checkpoint snapshot
 digests, merged cluster payloads — must be ``==`` to what the original
 scalar per-stream loop produces.  That loop lives on as the test oracle
 :class:`tests.oracles.ScalarReferenceService`; Hypothesis drives it and
-the product through identical seeded scenarios (churn, flash-crowd
-chaos, mid-run faults, checkpoint cuts with oracle<->product resume,
-shard-sliced equivalents) and compares bytes, never tolerances.
+the product through identical seeded scenarios (churn, an
+oversubscribed steady batch, flash-crowd chaos, mid-run faults,
+checkpoint cuts with oracle<->product resume, shard-sliced equivalents)
+and compares bytes, never tolerances.
 
 ``derandomize=True`` keeps the battery reproducible run-to-run: it
 *gates* the repo's byte-identity claims (golden suite, crash-resume,
@@ -17,6 +18,7 @@ deterministic.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,12 +26,16 @@ from hypothesis import strategies as st
 
 from repro.apps.smartpointer import smartpointer_streams
 from repro.cluster.local import run_partitioned
+from repro.core import scheduler
+from repro.core.pgos import LEVEL_SCHEDULED_ELSEWHERE, LEVEL_SCHEDULED_HERE
+from repro.core.scheduler import water_fill
 from repro.middleware.service import IQPathsService
 from repro.network.emulab import make_figure8_testbed
 from repro.network.faults import FaultCampaign, correlated_outage
 from repro.obs.context import Observability
 from repro.runner.cache import payload_digest
 from repro.transport.session import run_packet_session
+from repro.workload.catalog import default_catalog, plan_concurrent_batch
 from repro.workload.scenarios import (
     make_scale_run,
     make_scenario,
@@ -90,6 +96,55 @@ class TestChurnIdentity:
             IQPathsService, "flash-crowd-chaos", seed, 40
         )
         assert scalar == vectorized
+
+
+class TestSteadyBatch:
+    """One ``open_streams`` batch, then ``advance`` only: the path where
+    delivery does all the work, with no churn in between."""
+
+    STREAMS = 150
+    STEPS = 400
+
+    def _run(self, cls, specs):
+        realization = make_figure8_testbed().realize(
+            seed=3, duration=self.STEPS * 0.1 + 15.0, dt=0.1
+        )
+        service = cls(
+            realization, warmup_intervals=100, strict_admission=True
+        )
+        service.open_streams(specs)
+        service.advance(self.STEPS * 0.1)
+        return payload_digest(
+            {
+                name: [report.mbps.tobytes().hex(), report.attainment]
+                for name, report in service.reports().items()
+            }
+        )
+
+    def test_oversubscribed_batch_report_digests_equal(self):
+        # Loaded past what every guarantee's mapped share can carry:
+        # rule-1 requests are cut short, backlogs spill onto the other
+        # path as rule-2 requests, and the elastic streams (no demand)
+        # take whatever is left.
+        specs = plan_concurrent_batch(default_catalog(1.6), self.STREAMS, 3)
+        seen = {"spill": 0, "short": 0}
+
+        def spy(requests, capacity):
+            granted = water_fill(requests, capacity)
+            for r in requests:
+                if r.level == LEVEL_SCHEDULED_ELSEWHERE:
+                    seen["spill"] += 1
+                elif r.level == LEVEL_SCHEDULED_HERE and (
+                    granted[r.stream] < r.demand_mbps
+                ):
+                    seen["short"] += 1
+            return granted
+
+        with mock.patch.object(scheduler, "water_fill", spy):
+            scalar = self._run(ScalarReferenceService, specs)
+        assert seen["spill"] and seen["short"]
+        assert any(s.demand_mbps is None for s in specs)
+        assert scalar == self._run(IQPathsService, specs)
 
 
 class TestCheckpointCuts:

@@ -30,26 +30,23 @@ def make_batch(n_columns: int = 20, capacity: int = 4) -> BatchState:
 class TestRowLifecycle:
     def test_open_precomputes_scalar_constants(self):
         batch = make_batch()
-        row = batch.open(spec("s", required=12.5), stream_id=7, opened_col=3)
+        row = batch.open(spec("s", required=12.5), opened_col=3)
         assert batch.demand_mbps[row] == 12.5
         assert batch.arrival_bytes[row] == bytes_in_interval(12.5, 0.1)
         assert batch.limit_bytes[row] == bytes_in_interval(12.5, 2.0)
-        assert batch.threshold_mbps[row] == 12.5 * 0.999
-        assert batch.stream_id[row] == 7
         assert batch.opened_col[row] == 3
 
     def test_elastic_stream_has_nan_demand(self):
         batch = make_batch()
-        row = batch.open(elastic_spec("e"), stream_id=1, opened_col=0)
+        row = batch.open(elastic_spec("e"), opened_col=0)
         assert np.isnan(batch.demand_mbps[row])
-        assert np.isnan(batch.required_mbps[row])
         assert batch.arrival_bytes[row] == 0.0
 
     def test_duplicate_open_rejected(self):
         batch = make_batch()
-        batch.open(spec("s"), stream_id=1, opened_col=0)
+        batch.open(spec("s"), opened_col=0)
         with pytest.raises(ConfigurationError):
-            batch.open(spec("s"), stream_id=2, opened_col=0)
+            batch.open(spec("s"), opened_col=0)
 
     def test_close_unknown_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -58,21 +55,21 @@ class TestRowLifecycle:
     def test_free_list_reuse_is_lifo(self):
         batch = make_batch()
         rows = {
-            name: batch.open(spec(name), stream_id=i, opened_col=0)
-            for i, name in enumerate(["a", "b", "c"])
+            name: batch.open(spec(name), opened_col=0)
+            for name in ["a", "b", "c"]
         }
         batch.close("a", cur_col=1)
         batch.close("c", cur_col=1)
         # LIFO: the most recently freed row ("c"'s) is recycled first.
-        assert batch.open(spec("d"), 4, opened_col=1) == rows["c"]
-        assert batch.open(spec("e"), 5, opened_col=1) == rows["a"]
+        assert batch.open(spec("d"), opened_col=1) == rows["c"]
+        assert batch.open(spec("e"), opened_col=1) == rows["a"]
 
     def test_reopen_moves_to_end_of_iteration_order(self):
         batch = make_batch()
-        for i, name in enumerate(["a", "b", "c"]):
-            batch.open(spec(name), stream_id=i, opened_col=0)
+        for name in ["a", "b", "c"]:
+            batch.open(spec(name), opened_col=0)
         batch.close("a", cur_col=2)
-        batch.open(spec("a"), stream_id=9, opened_col=2)
+        batch.open(spec("a"), opened_col=2)
         assert list(batch.names()) == ["b", "c", "a"]
         ordered = batch.rows_in_order()
         assert [batch.row(n) for n in ["b", "c", "a"]] == list(ordered)
@@ -83,7 +80,7 @@ class TestGrowth:
         batch = make_batch(capacity=2)
         specs = [spec(f"s{i}", required=5.0 + i) for i in range(5)]
         for i, s in enumerate(specs):
-            batch.open(s, stream_id=i, opened_col=0)
+            batch.open(s, opened_col=0)
             batch.backlog_bytes[batch.row(s.name)] = 100.0 * i
             batch.write(batch.row(s.name), 0, float(i))
         assert batch.capacity >= 5
@@ -91,17 +88,18 @@ class TestGrowth:
             row = batch.row(s.name)
             assert batch.demand_mbps[row] == 5.0 + i
             assert batch.backlog_bytes[row] == 100.0 * i
-            assert batch.history[row, 0] == float(i)
-            assert batch.stream_id[row] == i
+            np.testing.assert_array_equal(
+                batch.history_array(s.name, cur_col=1), [float(i)]
+            )
 
     def test_growth_nan_fills_spec_columns(self):
         batch = make_batch(capacity=1)
-        batch.open(spec("a"), stream_id=0, opened_col=0)
-        batch.open(spec("b"), stream_id=1, opened_col=0)
-        # Unused tail rows read as "no stream": NaN demand, zero counters.
+        batch.open(spec("a"), opened_col=0)
+        batch.open(spec("b"), opened_col=0)
+        # Unused tail rows read as "no stream": NaN demand, no backlog.
         tail = np.arange(batch.n_open, batch.capacity)
         assert np.all(np.isnan(batch.demand_mbps[tail]))
-        assert np.all(batch.shortfall_windows[tail] == 0)
+        assert np.all(batch.backlog_bytes[tail] == 0)
 
 
 class TestHistoryViews:
@@ -109,19 +107,19 @@ class TestHistoryViews:
         """A view taken before the close keeps the lifetime's values
         while the freed row is recycled; the name reads empty."""
         batch = make_batch()
-        row = batch.open(spec("s"), stream_id=1, opened_col=2)
-        batch.history[row, 2:5] = [1.0, 2.0, 3.0]
+        row = batch.open(spec("s"), opened_col=2)
+        batch.write(row, slice(2, 5), [1.0, 2.0, 3.0])
         view = batch.history_array("s", cur_col=5)
         batch.close("s", cur_col=5)
         assert len(batch.history_array("s", cur_col=9)) == 0
-        assert batch.open(spec("t"), stream_id=2, opened_col=5) == row
+        assert batch.open(spec("t"), opened_col=5) == row
         batch.write(batch.rows_in_order(), 5, [9.0])
         np.testing.assert_array_equal(view, [1.0, 2.0, 3.0])
 
     def test_open_stream_slices_to_current_column(self):
         batch = make_batch()
-        row = batch.open(spec("s"), stream_id=1, opened_col=1)
-        batch.history[row, 1:3] = [4.0, 5.0]
+        row = batch.open(spec("s"), opened_col=1)
+        batch.write(row, slice(1, 3), [4.0, 5.0])
         np.testing.assert_array_equal(
             batch.history_array("s", cur_col=3), [4.0, 5.0]
         )
@@ -131,17 +129,17 @@ class TestHistoryViews:
 
     def test_reopen_discards_frozen_history(self):
         batch = make_batch()
-        row = batch.open(spec("s"), stream_id=1, opened_col=0)
-        batch.history[row, 0] = 7.0
+        row = batch.open(spec("s"), opened_col=0)
+        batch.write(row, 0, 7.0)
         batch.close("s", cur_col=1)
-        batch.open(spec("s"), stream_id=2, opened_col=4)
+        batch.open(spec("s"), opened_col=4)
         np.testing.assert_array_equal(
             batch.history_array("s", cur_col=4), np.zeros(0)
         )
 
     def test_load_history_roundtrip_and_overrun(self):
         batch = make_batch(n_columns=6)
-        batch.open(spec("s"), stream_id=1, opened_col=2)
+        batch.open(spec("s"), opened_col=2)
         batch.load_history("s", np.asarray([1.5, 2.5]))
         np.testing.assert_array_equal(
             batch.history_array("s", cur_col=4), [1.5, 2.5]
@@ -170,7 +168,7 @@ class TestHistoryInPlace:
 
     def test_reads_are_read_only_views(self):
         batch = make_batch()
-        row = batch.open(spec("s"), stream_id=1, opened_col=0)
+        row = batch.open(spec("s"), opened_col=0)
         batch.write(row, slice(0, 3), [1.0, 2.0, 3.0])
         open_view = batch.history_array("s", cur_col=3)
         batch.close("s", cur_col=3)
@@ -210,14 +208,14 @@ class TestHistoryInPlace:
         cycles = 3000
         batch = make_batch(n_columns=cycles + 1, capacity=4)
         expected = {name: [] for name in ("a", "b", "c")}
-        for i, name in enumerate(expected):
-            batch.open(spec(name), stream_id=i, opened_col=0)
+        for name in expected:
+            batch.open(spec(name), opened_col=0)
         held = held_arrays(batch)
         #: Views the caller took at each close (the batch keeps none).
         kept = {}
         for col in range(cycles):
             name = f"c{col}"
-            batch.open(spec(name), stream_id=3 + col, opened_col=col)
+            batch.open(spec(name), opened_col=col)
             expected[name] = []
             rows = batch.rows_in_order()
             values = 10.0 * col + np.arange(1, rows.size + 1)
@@ -242,10 +240,10 @@ class TestHistoryInPlace:
         expected = {}
         for col in range(8):
             if col == 3:
-                closed_row = batch.row("s1")
+                closed = batch.history_array("s1", cur_col=3)
                 batch.close("s1", cur_col=3)
             name = f"s{col}"
-            batch.open(spec(name), stream_id=col, opened_col=col)
+            batch.open(spec(name), opened_col=col)
             expected[name] = []
             rows = batch.rows_in_order()
             values = 100.0 * col + np.arange(1, rows.size + 1)
@@ -254,23 +252,24 @@ class TestHistoryInPlace:
                 expected[stream].append(value)
         assert batch.capacity == 8
         assert batch.written == 8
-        # The closed span, in the matrix grown after the close.
-        np.testing.assert_array_equal(
-            batch.history[closed_row, 1:3], expected.pop("s1")
-        )
+        # The closed span, read through the view taken at the close.
+        np.testing.assert_array_equal(closed, expected.pop("s1"))
         for name, series in expected.items():
             np.testing.assert_array_equal(
                 batch.history_array(name, cur_col=8), series
             )
-        assert not batch.history[:, batch.written:].any()
+            # Columns no write reached read as zeros.
+            np.testing.assert_array_equal(
+                batch.history_array(name, cur_col=12)[len(series):], 0.0
+            )
 
     def test_growth_after_load_history_preserves_the_series(self):
         batch = make_batch(n_columns=10, capacity=1)
-        batch.open(spec("r"), stream_id=0, opened_col=2)
+        batch.open(spec("r"), opened_col=2)
         batch.load_history("r", np.asarray([1.5, 2.5, 3.5]))
         assert batch.written == 5
         before = batch.history_array("r", cur_col=5)
-        batch.open(spec("x"), stream_id=1, opened_col=5)
+        batch.open(spec("x"), opened_col=5)
         assert batch.capacity == 2
         np.testing.assert_array_equal(
             batch.history_array("r", cur_col=5), [1.5, 2.5, 3.5]
@@ -281,7 +280,7 @@ class TestHistoryInPlace:
 
     def test_reset_drops_the_high_water_mark(self):
         batch = make_batch(n_columns=4)
-        row = batch.open(spec("s"), stream_id=1, opened_col=0)
+        row = batch.open(spec("s"), opened_col=0)
         batch.write(row, 2, 1.0)
         assert batch.written == 3
         batch.reset()
@@ -291,30 +290,22 @@ class TestHistoryInPlace:
 class TestCountersAndBacklog:
     def test_backlog_items_follow_insertion_order(self):
         batch = make_batch()
-        for i, name in enumerate(["x", "y"]):
-            batch.open(spec(name), stream_id=i, opened_col=0)
+        for name in ["x", "y"]:
+            batch.open(spec(name), opened_col=0)
         batch.set_backlog("x", 10.0)
         batch.set_backlog("y", 20.0)
         assert list(batch.backlog_items()) == [("x", 10.0), ("y", 20.0)]
 
-    def test_telemetry_counters(self):
-        batch = make_batch()
-        row = batch.open(spec("s"), stream_id=1, opened_col=0)
-        batch.delivered_bytes[row] += 1234.5
-        batch.shortfall_windows[row] += 3
-        assert batch.delivered_bytes_of("s") == 1234.5
-        assert batch.shortfall_windows_of("s") == 3
-
     def test_close_zeroes_backlog(self):
         batch = make_batch()
-        row = batch.open(spec("s"), stream_id=1, opened_col=0)
+        row = batch.open(spec("s"), opened_col=0)
         batch.set_backlog("s", 99.0)
         batch.close("s", cur_col=1)
         assert batch.backlog_bytes[row] == 0.0
 
     def test_reset_drops_everything(self):
         batch = make_batch(n_columns=4)
-        batch.open(spec("s"), stream_id=1, opened_col=0)
+        batch.open(spec("s"), opened_col=0)
         batch.close("s", cur_col=1)
         batch.reset(n_columns=8)
         assert batch.n_open == 0
