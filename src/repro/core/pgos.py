@@ -12,7 +12,11 @@ Two faces of the same algorithm live here:
 * :func:`dispatch_window` — the packet-accurate fast path (Figure 7, lines
   12–17): walks the path lookup vector V_P, selects streams via the
   per-path scheduling vectors V_S, falls back through the precedence rules
-  when a queue is empty, and switches paths immediately on blocking.
+  when a queue is empty, and switches paths immediately on blocking.  It
+  moves per-stream queues of float deadlines (no object per packet),
+  checks each pick against a local copy of its path's budget, and settles
+  each path service once per window; the packet-object loop it replaced
+  is kept as a test oracle (``tests/oracles/packet_dispatch.py``).
 
 The interval-level requests are the *fluid* rendering of exactly what the
 packet fast path does; ``tests/integration/test_pgos_consistency.py``
@@ -21,11 +25,9 @@ checks the two agree to within a packet quantum.
 
 from __future__ import annotations
 
-from collections import deque
 from operator import is_
 from typing import (
     Callable,
-    Deque,
     Iterable,
     Mapping,
     NamedTuple,
@@ -49,7 +51,7 @@ from repro.core.spec import StreamSpec
 from repro.core.vectors import Schedule
 from repro.monitoring.cdf import EmpiricalCDF
 from repro.monitoring.monitor import PathMonitor
-from repro.transport.packet import Packet
+from repro.transport.packet import PacketQueue
 from repro.transport.service import PathService
 
 #: Table 1 precedence levels used in interval-mode requests.
@@ -664,27 +666,11 @@ class PGOSScheduler(SchedulerBase):
 # ----------------------------------------------------------------------
 # packet-accurate fast path (Figure 7, lines 12-17)
 # ----------------------------------------------------------------------
-class _VSCursor:
-    """Round-robin cursor over one path's stream scheduling vector."""
-
-    __slots__ = ("vector", "pos")
-
-    def __init__(self, vector: Sequence[str]):
-        self.vector = list(vector)
-        self.pos = 0
-
-    def next_stream(self) -> Optional[str]:
-        if not self.vector:
-            return None
-        stream = self.vector[self.pos]
-        self.pos = (self.pos + 1) % len(self.vector)
-        return stream
-
-
 class DispatchResult:
     """Statistics from one window of packet dispatch."""
 
     def __init__(self) -> None:
+        #: Packets sent per stream and path, in first-send order.
         self.sent: dict[str, dict[str, int]] = {}
         self.blocked_events = 0
         self.unsent = 0
@@ -694,10 +680,6 @@ class DispatchResult:
         #: Best-effort packets sent through rule 3.
         self.unscheduled_sent = 0
 
-    def record(self, stream: str, path: str) -> None:
-        per_path = self.sent.setdefault(stream, {})
-        per_path[path] = per_path.get(path, 0) + 1
-
     def sent_total(self, stream: str) -> int:
         return sum(self.sent.get(stream, {}).values())
 
@@ -705,11 +687,18 @@ class DispatchResult:
 def dispatch_window(
     schedule: Schedule,
     services: Mapping[str, PathService],
-    scheduled_queues: Mapping[str, Deque[Packet]],
-    unscheduled_queues: Mapping[str, Deque[Packet]] | None = None,
+    scheduled_queues: Mapping[str, PacketQueue],
+    unscheduled_queues: Mapping[str, PacketQueue] | None = None,
     stream_precedence: Sequence[str] | None = None,
 ) -> DispatchResult:
     """Dispatch one scheduling window of packets per Figure 7 and Table 1.
+
+    Each path's budget, clock and backoff state are read once.  A pick is
+    checked against its path's budget before it is popped, so a packet
+    that does not fit stays at its queue's head; the path is then blocked
+    for the rest of the window (Figure 7's GetNextFreePath).  At the end,
+    every path is settled once per stream it carried and then refused
+    once if it blocked, in block order.
 
     Parameters
     ----------
@@ -719,8 +708,7 @@ def dispatch_window(
         Path services keyed by path name; their interval budgets must have
         been set by the caller (``begin_interval``).
     scheduled_queues:
-        FIFO queues of the streams appearing in the schedule (packets in
-        deadline order).
+        Deadline queues of the streams appearing in the schedule.
     unscheduled_queues:
         Queues of best-effort streams outside the mapping (Table 1 rule 3).
     stream_precedence:
@@ -743,126 +731,148 @@ def dispatch_window(
         if s not in rank:
             rank[s] = len(rank)
 
-    result = DispatchResult()
-    cursors = {p: _VSCursor(vs) for p, vs in schedule.vs.items()}
     # Remaining per-window quota of each (stream, path) sub-stream.
     quota = {
         s: dict(paths) for s, paths in schedule.stream_path_packets.items()
     }
-    blocked: set[str] = set()
-    # Fast-path bookkeeping: once every scheduled queue is drained, rules
-    # 1 and 2 can be skipped outright (otherwise each best-effort packet
-    # would rescan the whole V_S vector).
+    # Rule 2 scans the quota table; only rows with a queue can win.
+    rule2_rows = [
+        (scheduled_queues[s], rank[s], paths)
+        for s, paths in quota.items()
+        if s in scheduled_queues
+    ]
+    rule3_queues = [(q, rank[s]) for s, q in unscheduled_queues.items()]
+    # V_S round-robin cursors: [vector, next position].
+    cursors = {p: [list(vs), 0] for p, vs in schedule.vs.items()}
+    budget = {p: svc.remaining_budget for p, svc in services.items()}
+    clock = {p: svc.now for p, svc in services.items()}
+    blocked = {p for p, svc in services.items() if svc.blocked}
+    blocked.update(p for p in schedule.vp if p not in services)
+    # Once every scheduled queue is drained, rules 1 and 2 are skipped
+    # outright (otherwise each best-effort packet would rescan V_S).
     scheduled_pending = sum(len(q) for q in scheduled_queues.values())
     quota_pending = schedule.total_packets
+    #: (stream, path) -> [packets, deadline misses, packet size], in
+    #: first-send order.
+    tally: dict[tuple[str, str], list[int]] = {}
+    #: (path, stream, packet size) of each block, in block order.
+    refusals: list[tuple[str, str, int]] = []
+    sends = rule2_sent = unscheduled_sent = 0
 
-    def pop_next(path: str):
-        """Next packet for ``path`` per Table 1; returns provenance too.
+    def visits():
+        """Paths in dispatch order: V_P once, then work-conserving rounds.
 
-        Returns ``(packet, quota_path, from_unscheduled)`` where
-        ``quota_path`` names the sub-stream quota that was decremented
-        (``None`` for unscheduled packets), so a blocked requeue can undo
-        the bookkeeping exactly.
+        After walking V_P, any still-unblocked capacity carries leftovers
+        (work conservation: rules 2/3 continue while free paths exist);
+        the rounds stop after one in which no path sent.
         """
-        nonlocal scheduled_pending, quota_pending
+        for path in schedule.vp:
+            if path in blocked:
+                continue
+            if budget[path] <= 0:
+                blocked.add(path)
+                continue
+            yield path
+        order = list(services)
+        while True:
+            before = sends
+            for path in order:
+                if path not in blocked and budget[path] > 0:
+                    yield path
+            if sends == before:
+                return
+
+    for path in visits():
+        # One packet for ``path`` per Table 1.
+        queue = row = None
         if scheduled_pending > 0 and quota_pending > 0:
             # Rule 1: packets scheduled on the current path, via V_S.
             cursor = cursors.get(path)
             if cursor is not None:
-                for _ in range(len(cursor.vector)):
-                    stream = cursor.next_stream()
+                vector, pos = cursor
+                n = len(vector)
+                for _ in range(n):
+                    stream = vector[pos]
+                    pos = (pos + 1) % n
                     q = scheduled_queues.get(stream)
                     if q and quota.get(stream, {}).get(path, 0) > 0:
-                        quota[stream][path] -= 1
-                        scheduled_pending -= 1
-                        quota_pending -= 1
-                        return q.popleft(), path, False
-            # Rule 2: earliest-deadline packet scheduled on some other
-            # path (ties: highest window constraint first, via `rank`).
-            best_stream, best_other, best_key = None, None, None
-            for stream, paths in quota.items():
-                q = scheduled_queues.get(stream)
+                        queue, row, quota_path = q, quota[stream], path
+                        break
+                cursor[1] = pos
+            if queue is None:
+                # Rule 2: earliest-deadline packet scheduled on some other
+                # path (ties: highest window constraint first, via rank);
+                # a stream offers its first other path with quota left.
+                best_deadline = best_rank = None
+                for q, r, paths in rule2_rows:
+                    if not q:
+                        continue
+                    for other, remaining in paths.items():
+                        if other == path or remaining <= 0:
+                            continue
+                        d = q[0]
+                        if (
+                            queue is None
+                            or d < best_deadline
+                            or (d == best_deadline and r < best_rank)
+                        ):
+                            queue, row, quota_path = q, paths, other
+                            best_deadline, best_rank = d, r
+                        break
+        if queue is None:
+            # Rule 3: earliest-deadline unscheduled (best-effort) packet.
+            best_deadline = best_rank = None
+            for q, r in rule3_queues:
                 if not q:
                     continue
-                for other, remaining in paths.items():
-                    if other == path or remaining <= 0:
-                        continue
-                    key = (q[0].deadline, rank.get(stream, 1 << 30))
-                    if best_key is None or key < best_key:
-                        best_key, best_stream, best_other = key, stream, other
-                    break
-            if best_stream is not None:
-                quota[best_stream][best_other] -= 1
-                scheduled_pending -= 1
-                quota_pending -= 1
-                return (
-                    scheduled_queues[best_stream].popleft(),
-                    best_other,
-                    False,
-                )
-        # Rule 3: earliest-deadline unscheduled (best-effort) packet.
-        best_stream, best_key = None, None
-        for stream, q in unscheduled_queues.items():
-            if not q:
+                d = q[0]
+                if (
+                    queue is None
+                    or d < best_deadline
+                    or (d == best_deadline and r < best_rank)
+                ):
+                    queue, best_deadline, best_rank = q, d, r
+            if queue is None:
                 continue
-            key = (q[0].deadline, rank.get(stream, 1 << 30))
-            if best_key is None or key < best_key:
-                best_key, best_stream = key, stream
-        if best_stream is not None:
-            return unscheduled_queues[best_stream].popleft(), None, True
-        return None, None, False
-
-    def requeue(packet: Packet, quota_path, from_unscheduled: bool) -> None:
-        """Undo a pop after the target path refused the packet."""
-        nonlocal scheduled_pending, quota_pending
-        if from_unscheduled:
-            unscheduled_queues[packet.stream].appendleft(packet)
-        else:
-            scheduled_queues[packet.stream].appendleft(packet)
-            scheduled_pending += 1
-            if quota_path is not None:
-                quota[packet.stream][quota_path] += 1
-                quota_pending += 1
-
-    def try_send(path: str, service: PathService) -> bool:
-        """One dispatch attempt on ``path``; False when nothing sendable."""
-        packet, quota_path, from_unscheduled = pop_next(path)
-        if packet is None:
-            return False
-        if service.offer(packet):
-            result.record(packet.stream, path)
-            if from_unscheduled:
-                result.unscheduled_sent += 1
-            elif quota_path is not None and quota_path != path:
-                result.rule2_sent += 1
-            return True
-        # Blocked path: requeue at the head and switch immediately
-        # (Figure 7's GetNextFreePath; backoff lives in the service).
-        result.blocked_events += 1
-        blocked.add(path)
-        requeue(packet, quota_path, from_unscheduled)
-        return False
-
-    for path in schedule.vp:
-        if path in blocked:
-            continue
-        service = services.get(path)
-        if service is None or service.blocked:
+        size = queue.size
+        left = budget[path]
+        if size > left:
+            # Blocked path: the packet stays queued and the fast path
+            # switches away (Figure 7's GetNextFreePath); the service's
+            # backoff starts at the refusal below.
             blocked.add(path)
+            refusals.append((path, queue.stream, size))
             continue
-        try_send(path, service)
+        budget[path] = left - size
+        deadline = queue.popleft()
+        sends += 1
+        if row is not None:
+            row[quota_path] -= 1
+            scheduled_pending -= 1
+            quota_pending -= 1
+            if quota_path != path:
+                rule2_sent += 1
+        else:
+            unscheduled_sent += 1
+        key = (queue.stream, path)
+        counts = tally.get(key)
+        if counts is None:
+            counts = tally[key] = [0, 0, size]
+        counts[0] += 1
+        if clock[path] > deadline:
+            counts[1] += 1
 
-    # After walking V_P, use any still-unblocked capacity for leftovers
-    # (work conservation: rules 2/3 continue while free paths exist).
-    progress = True
-    while progress:
-        progress = False
-        for path, service in services.items():
-            if path in blocked or service.blocked:
-                continue
-            if try_send(path, service):
-                progress = True
-
+    # Settle each path before refusing on it: a window that sent and
+    # then blocked resets the backoff first, then charges it.
+    result = DispatchResult()
+    for (stream, path), (packets, misses, size) in tally.items():
+        result.sent.setdefault(stream, {})[path] = packets
+        services[path].settle(stream, size, packets, misses, budget[path])
+    for path, stream, size in refusals:
+        services[path].refuse(stream, size)
+    result.blocked_events = len(refusals)
+    result.rule2_sent = rule2_sent
+    result.unscheduled_sent = unscheduled_sent
     result.unsent = sum(len(q) for q in scheduled_queues.values()) + sum(
         len(q) for q in unscheduled_queues.values()
     )
@@ -874,20 +884,13 @@ def make_packet_queue(
     count: int,
     tw: float,
     packet_size: int,
-    start_seq: int = 0,
     created_at: float = 0.0,
-) -> Deque[Packet]:
-    """Build one window's FIFO packet queue with spread virtual deadlines."""
+) -> PacketQueue:
+    """Build one window's packet queue with spread virtual deadlines."""
     from repro.core.vectors import virtual_deadlines
 
-    deadlines = virtual_deadlines(count, tw)
-    return deque(
-        Packet(
-            deadline=created_at + float(d),
-            stream=stream,
-            seq=start_seq + i,
-            size=packet_size,
-            created_at=created_at,
-        )
-        for i, d in enumerate(deadlines)
+    return PacketQueue(
+        stream,
+        packet_size,
+        (created_at + virtual_deadlines(count, tw)).tolist(),
     )

@@ -1,44 +1,37 @@
-"""Application-level packets.
+"""Per-stream packet queues.
 
 IQ-Paths manipulates arbitrary application-level messages; the scheduler
-works on fixed-size packets carved out of them.  A packet carries its
-stream identity, a sequence number, and the virtual deadline assigned by
-the scheduling-vector machinery.
+works on fixed-size packets carved out of them.  Every packet of a
+stream has the same size, so a queue records the stream's name and
+packet size once and holds nothing per packet but its virtual deadline,
+assigned by the scheduling-vector machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from typing import Iterable
 
 from repro.units import DEFAULT_PACKET_SIZE
 
 
-@dataclass(order=True)
-class Packet:
-    """One schedulable unit of a stream.
+class PacketQueue(deque):
+    """One stream's FIFO of packet virtual deadlines, in deadline order.
 
-    Ordering is by ``(deadline, stream, seq)`` so packet heaps pop the
-    earliest deadline first, with deterministic tie-breaking.
+    ``queue[0]`` is the head packet's deadline; ``popleft()`` takes it.
     """
 
-    deadline: float
-    stream: str = field(compare=True)
-    seq: int = field(compare=True)
-    size: int = field(default=DEFAULT_PACKET_SIZE, compare=False)
-    created_at: float = field(default=0.0, compare=False)
-    delivered_at: float = field(default=-1.0, compare=False)
-    path: str = field(default="", compare=False)
+    __slots__ = ("stream", "size")
 
-    def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError(f"packet size must be positive, got {self.size}")
+    def __init__(
+        self,
+        stream: str,
+        size: int = DEFAULT_PACKET_SIZE,
+        deadlines: Iterable[float] = (),
+    ):
+        if size <= 0:
+            raise ValueError(f"packet size must be positive, got {size}")
+        super().__init__(deadlines)
+        self.stream = stream
+        self.size = size
 
-    @property
-    def delivered(self) -> bool:
-        """Whether the packet has been handed to a path service."""
-        return self.delivered_at >= 0.0
-
-    @property
-    def missed_deadline(self) -> bool:
-        """Delivered (or still pending) past its virtual deadline."""
-        return self.delivered and self.delivered_at > self.deadline

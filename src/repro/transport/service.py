@@ -3,9 +3,14 @@
 Each overlay path has one *path service* (Figure 6): it accepts packets
 from the scheduler and delivers them at the path's currently available
 rate.  Within one measurement interval the service has a byte budget
-(available bandwidth times interval length); offering a packet beyond the
-budget *blocks*, which the scheduler observes and reacts to by switching
-paths and backing off.
+(available bandwidth times interval length); a packet beyond the budget
+*blocks*, which the scheduler observes and reacts to by switching paths
+and backing off.
+
+The scheduler's fast path decides each packet against the budget it
+read at the start of the window, then settles the service once per
+(path, stream) with :meth:`PathService.settle` and reports a block with
+:meth:`PathService.refuse`.
 """
 
 from __future__ import annotations
@@ -17,43 +22,26 @@ from repro.errors import ConfigurationError
 from repro.obs.context import NULL_OBS, Observability
 from repro.obs.events import Category
 from repro.transport.backoff import ExponentialBackoff
-from repro.transport.packet import Packet
 
 
 @dataclass
 class DeliveryLog:
-    """Per-stream accounting of what a service delivered.
-
-    ``bytes_by_stream`` accumulates across the service's lifetime;
-    ``interval_bytes`` is reset by :meth:`PathService.begin_interval` so the
-    experiment driver can read per-interval throughput.
-    """
+    """Per-stream accounting of what a service delivered, lifetime totals."""
 
     bytes_by_stream: dict[str, float] = field(default_factory=dict)
-    interval_bytes: dict[str, float] = field(default_factory=dict)
     packets_by_stream: dict[str, int] = field(default_factory=dict)
     deadline_misses: dict[str, int] = field(default_factory=dict)
-
-    def record(self, packet: Packet) -> None:
-        s = packet.stream
-        self.bytes_by_stream[s] = self.bytes_by_stream.get(s, 0.0) + packet.size
-        self.interval_bytes[s] = self.interval_bytes.get(s, 0.0) + packet.size
-        self.packets_by_stream[s] = self.packets_by_stream.get(s, 0) + 1
-        if packet.missed_deadline:
-            self.deadline_misses[s] = self.deadline_misses.get(s, 0) + 1
-
-    def reset_interval(self) -> None:
-        self.interval_bytes.clear()
 
 
 class PathService:
     """Delivers packets over one overlay path at its available rate.
 
     The experiment driver calls :meth:`begin_interval` with the interval's
-    available bandwidth; the scheduler then calls :meth:`offer` per packet.
-    ``offer`` returns ``False`` when the path is blocked (budget exhausted
-    or still inside a backoff window), in which case the scheduler should
-    try another path.
+    available bandwidth.  The scheduler sends against
+    :attr:`remaining_budget` and then calls :meth:`settle` once per stream
+    it sent on this path and :meth:`refuse` when a packet did not fit.  A
+    refusal starts a backoff window during which the service stays
+    :attr:`blocked`, even with budget, so the scheduler tries another path.
     """
 
     def __init__(
@@ -83,12 +71,21 @@ class PathService:
             )
         self._now = now
         self._budget_bytes = budget_bytes
-        self.log.reset_interval()
+
+    @property
+    def now(self) -> float:
+        """The current interval's start time (the send time of its packets)."""
+        return self._now
 
     @property
     def remaining_budget(self) -> float:
         """Bytes this service can still deliver in the current interval."""
         return self._budget_bytes
+
+    @property
+    def blocked_until(self) -> float:
+        """End of the backoff window a refusal started (0.0 after a send)."""
+        return self._blocked_until
 
     @property
     def blocked(self) -> bool:
@@ -98,61 +95,61 @@ class PathService:
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------
-    def offer(self, packet: Packet) -> bool:
-        """Try to send ``packet``.  Returns ``False`` if the path blocked.
+    def settle(
+        self,
+        stream: str,
+        packet_size: int,
+        packets: int,
+        misses: int,
+        remaining_budget: float,
+    ) -> None:
+        """Account ``packets`` of ``stream`` sent in this interval.
 
-        A refusal charges the backoff policy: the service will keep
-        refusing until the backoff delay elapses, preventing the scheduler
-        from burning its fast path on a congested link.
+        ``remaining_budget`` is the budget left after the interval's sends
+        on this path, each packet's size subtracted in send order.  Any
+        send ends the backoff: the failure count resets and the path is
+        open again.  ``misses`` of the packets went past their deadline.
         """
-        if self._now < self._blocked_until:
-            return False
-        if packet.size > self._budget_bytes:
-            self._blocked_until = self._now + self.backoff.next_delay()
-            if self._obs.enabled:
-                self._obs.metrics.counter("transport.offers_blocked").inc()
-                self._obs.trace.emit(
-                    self._now,
-                    Category.TRANSPORT,
-                    "path_blocked",
-                    path=self.name,
-                    stream_id=self._obs.stream_id(packet.stream),
-                    stream=packet.stream,
-                    budget_bytes=self._budget_bytes,
-                    packet_size=packet.size,
-                    blocked_until=self._blocked_until,
-                )
-            return False
-        self._budget_bytes -= packet.size
+        self._budget_bytes = remaining_budget
         self.backoff.reset()
         self._blocked_until = 0.0
-        packet.delivered_at = self._now
-        packet.path = self.name
-        self.log.record(packet)
+        nbytes = packets * packet_size
+        log = self.log
+        log.bytes_by_stream[stream] = (
+            log.bytes_by_stream.get(stream, 0.0) + nbytes
+        )
+        log.packets_by_stream[stream] = (
+            log.packets_by_stream.get(stream, 0) + packets
+        )
+        if misses:
+            log.deadline_misses[stream] = (
+                log.deadline_misses.get(stream, 0) + misses
+            )
         if self._obs.enabled:
             metrics = self._obs.metrics
-            metrics.counter("transport.packets_delivered").inc()
-            metrics.counter("transport.bytes_delivered").inc(packet.size)
-            if packet.missed_deadline:
-                metrics.counter("transport.deadline_misses").inc()
-        return True
+            metrics.counter("transport.packets_delivered").inc(packets)
+            metrics.counter("transport.bytes_delivered").inc(nbytes)
+            if misses:
+                metrics.counter("transport.deadline_misses").inc(misses)
 
-    def deliver_bytes(self, stream: str, nbytes: float) -> float:
-        """Fluid-mode delivery: send up to ``nbytes`` of ``stream``.
+    def refuse(self, stream: str, packet_size: int) -> None:
+        """A ``packet_size`` packet of ``stream`` did not fit the budget.
 
-        Returns the bytes actually delivered (budget-limited).  Used by the
-        vectorized experiment driver, which moves fractional packet volumes
-        per interval instead of walking individual packets.
+        The refusal charges the backoff policy: the service keeps
+        refusing until the backoff delay elapses, which keeps the
+        scheduler from burning its fast path on a congested link.
         """
-        if nbytes < 0:
-            raise ConfigurationError(f"nbytes must be >= 0, got {nbytes}")
-        sent = min(nbytes, self._budget_bytes)
-        if sent > 0:
-            self._budget_bytes -= sent
-            self.log.bytes_by_stream[stream] = (
-                self.log.bytes_by_stream.get(stream, 0.0) + sent
+        self._blocked_until = self._now + self.backoff.next_delay()
+        if self._obs.enabled:
+            self._obs.metrics.counter("transport.offers_blocked").inc()
+            self._obs.trace.emit(
+                self._now,
+                Category.TRANSPORT,
+                "path_blocked",
+                path=self.name,
+                stream_id=self._obs.stream_id(stream),
+                stream=stream,
+                budget_bytes=self._budget_bytes,
+                packet_size=packet_size,
+                blocked_until=self._blocked_until,
             )
-            self.log.interval_bytes[stream] = (
-                self.log.interval_bytes.get(stream, 0.0) + sent
-            )
-        return sent

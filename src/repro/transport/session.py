@@ -19,9 +19,8 @@ session agrees with the fluid driver on the guarantee attainment.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from repro.obs.events import Category
 from repro.robustness.health import HealthTracker, HealthTransition
 from repro.sim.engine import Simulator
 from repro.sim.process import Timeout, start
-from repro.transport.packet import Packet
+from repro.transport.packet import PacketQueue
 from repro.transport.service import PathService
 from repro.units import mbps_from_bytes
 
@@ -172,9 +171,10 @@ def run_packet_session(
     services = {p: PathService(p, obs=obs) for p in path_names}
     guaranteed = [s for s in streams if s.guaranteed or s.max_violation_rate]
     elastic = [s for s in streams if s.elastic and s not in guaranteed]
-    queues: dict[str, Deque[Packet]] = {s.name: deque() for s in guaranteed}
-    unscheduled: dict[str, Deque[Packet]] = {s.name: deque() for s in elastic}
-    seqs = {s.name: 0 for s in streams}
+    queues = {s.name: PacketQueue(s.name, s.packet_size) for s in guaranteed}
+    unscheduled = {
+        s.name: PacketQueue(s.name, s.packet_size) for s in elastic
+    }
 
     result = SessionResult(
         tw=tw,
@@ -206,20 +206,15 @@ def run_packet_session(
         return value
 
     def produce(window_idx: int) -> None:
-        """Enqueue one window's packets for every stream."""
+        """Enqueue one window's packet deadlines for every stream."""
         now = sim.now
         for spec in guaranteed:
             count = spec.packets_in_window(tw)
-            batch = make_packet_queue(
-                spec.name,
-                count,
-                tw,
-                spec.packet_size,
-                start_seq=seqs[spec.name],
-                created_at=now,
+            queues[spec.name].extend(
+                make_packet_queue(
+                    spec.name, count, tw, spec.packet_size, created_at=now
+                )
             )
-            seqs[spec.name] += count
-            queues[spec.name].extend(batch)
         for spec in elastic:
             target = (
                 spec.packets_in_window(tw) * ELASTIC_BACKLOG_WINDOWS
@@ -228,16 +223,15 @@ def run_packet_session(
             )
             missing = max(target - len(unscheduled[spec.name]), 0)
             if missing:
-                batch = make_packet_queue(
-                    spec.name,
-                    missing,
-                    tw,
-                    spec.packet_size,
-                    start_seq=seqs[spec.name],
-                    created_at=now,
+                unscheduled[spec.name].extend(
+                    make_packet_queue(
+                        spec.name,
+                        missing,
+                        tw,
+                        spec.packet_size,
+                        created_at=now,
+                    )
                 )
-                seqs[spec.name] += missing
-                unscheduled[spec.name].extend(batch)
 
     def session():
         for w in range(n_windows):
@@ -277,7 +271,7 @@ def run_packet_session(
             for name, queue in list(queues.items()) + list(
                 unscheduled.items()
             ):
-                while queue and queue[0].deadline < sim.now - tw:
+                while queue and queue[0] < sim.now - tw:
                     queue.popleft()
                     result.deadline_misses[name] += 1
                     drops += 1

@@ -1,7 +1,6 @@
 """PGOS: the packet fast path (Figure 7 / Table 1) and interval allocation."""
 
 import dataclasses
-from collections import deque
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from repro.core.scheduler import water_fill
 from repro.core.spec import StreamSpec
 from repro.core.vectors import build_schedule
 from repro.transport.backoff import ExponentialBackoff
+from repro.transport.packet import PacketQueue
 from repro.transport.service import PathService
 
 PKT = 1000
@@ -67,7 +67,7 @@ class TestDispatchBasics:
 
     def test_empty_queue_harmless(self):
         schedule = build_schedule({"S": {"A": 5}}, tw=1.0)
-        queues = {"S": deque()}
+        queues = {"S": PacketQueue("S", PKT)}
         svc = services({"A": 100 * PKT})
         result = dispatch_window(schedule, svc, queues)
         assert result.sent == {}
@@ -117,7 +117,7 @@ class TestPrecedenceRules:
         )
         queues = {
             "early": make_packet_queue("early", 1, 1.0, PKT),
-            "late": deque(make_packet_queue("late", 2, 1.0, PKT)),
+            "late": make_packet_queue("late", 2, 1.0, PKT),
         }
         queues["late"].popleft()  # late's head deadline is 0.5
         svc = services({"A": PKT, "B": 0.0})

@@ -1,38 +1,16 @@
-"""Packets and exponential backoff."""
+"""Packet queues and exponential backoff."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.transport.backoff import ExponentialBackoff
-from repro.transport.packet import Packet
+from repro.transport.packet import PacketQueue
 
 
 class TestPacket:
-    def test_orders_by_deadline(self):
-        early = Packet(deadline=0.1, stream="s", seq=0)
-        late = Packet(deadline=0.2, stream="s", seq=1)
-        assert early < late
-
-    def test_tie_breaks_by_stream_then_seq(self):
-        a = Packet(deadline=0.1, stream="a", seq=5)
-        b = Packet(deadline=0.1, stream="b", seq=0)
-        assert a < b
-        s0 = Packet(deadline=0.1, stream="a", seq=0)
-        assert s0 < a
-
-    def test_delivery_flags(self):
-        pkt = Packet(deadline=1.0, stream="s", seq=0)
-        assert not pkt.delivered
-        assert not pkt.missed_deadline
-        pkt.delivered_at = 0.5
-        assert pkt.delivered
-        assert not pkt.missed_deadline
-        pkt.delivered_at = 1.5
-        assert pkt.missed_deadline
-
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            Packet(deadline=0.0, stream="s", seq=0, size=0)
+            PacketQueue("s", size=0)
 
 
 class TestBackoff:

@@ -1,59 +1,67 @@
-"""Path services: budgets, blocking, backoff interplay, fluid mode."""
+"""Path services: budgets, blocking, backoff interplay, validation."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.transport.backoff import ExponentialBackoff
-from repro.transport.packet import Packet
 from repro.transport.service import PathService
 
 
-def pkt(seq: int, stream: str = "s", size: int = 1000) -> Packet:
-    return Packet(deadline=float(seq), stream=stream, seq=seq, size=size)
+def send(
+    service: PathService,
+    deadline: float = 0.0,
+    stream: str = "s",
+    size: int = 1000,
+) -> bool:
+    """One packet through the fast path's settle/refuse calls.
+
+    A blocked service is skipped; a packet beyond the budget is refused;
+    otherwise the packet is settled, a miss if sent past its deadline.
+    """
+    if service.blocked:
+        return False
+    if size > service.remaining_budget:
+        service.refuse(stream, size)
+        return False
+    missed = int(service.now > deadline)
+    service.settle(stream, size, 1, missed, service.remaining_budget - size)
+    return True
 
 
 class TestOffer:
     def test_delivers_within_budget(self):
         service = PathService("A")
         service.begin_interval(0.0, 2500)
-        assert service.offer(pkt(0))
-        assert service.offer(pkt(1))
+        assert send(service)
+        assert send(service)
         assert service.remaining_budget == 500
 
     def test_blocks_beyond_budget(self):
         service = PathService("A")
         service.begin_interval(0.0, 1500)
-        assert service.offer(pkt(0))
-        assert not service.offer(pkt(1))
+        assert send(service)
+        assert not send(service)
         assert service.blocked
-
-    def test_stamps_delivery(self):
-        service = PathService("A")
-        service.begin_interval(2.0, 5000)
-        packet = pkt(0)
-        service.offer(packet)
-        assert packet.delivered_at == 2.0
-        assert packet.path == "A"
 
     def test_backoff_window_refuses_even_with_budget(self):
         service = PathService(
             "A", backoff=ExponentialBackoff(base_delay=0.5, max_delay=1.0)
         )
         service.begin_interval(0.0, 500)
-        assert not service.offer(pkt(0))  # too big -> backoff starts
+        assert not send(service)  # too big -> backoff starts
         service.begin_interval(0.1, 10_000)  # budget plenty, still backing off
-        assert not service.offer(pkt(1))
+        assert not send(service)
         service.begin_interval(0.6, 10_000)  # backoff elapsed
-        assert service.offer(pkt(2))
+        assert send(service)
 
     def test_success_resets_backoff(self):
         backoff = ExponentialBackoff(base_delay=0.01)
         service = PathService("A", backoff=backoff)
         service.begin_interval(0.0, 500)
-        service.offer(pkt(0))  # blocked
+        send(service)  # blocked
         assert backoff.failures == 1
         service.begin_interval(1.0, 10_000)
-        service.offer(pkt(1))
+        send(service)
         assert backoff.failures == 0
 
 
@@ -61,47 +69,20 @@ class TestAccounting:
     def test_per_stream_bytes(self):
         service = PathService("A")
         service.begin_interval(0.0, 10_000)
-        service.offer(pkt(0, "x"))
-        service.offer(pkt(1, "y"))
-        service.offer(pkt(2, "x"))
+        send(service, 0.0, "x")
+        send(service, 1.0, "y")
+        send(service, 2.0, "x")
         assert service.log.bytes_by_stream == {"x": 2000.0, "y": 1000.0}
         assert service.log.packets_by_stream == {"x": 2, "y": 1}
-
-    def test_interval_bytes_reset(self):
-        service = PathService("A")
-        service.begin_interval(0.0, 10_000)
-        service.offer(pkt(0))
-        service.begin_interval(0.1, 10_000)
-        assert service.log.interval_bytes == {}
-        assert service.log.bytes_by_stream["s"] == 1000.0
 
     def test_deadline_misses_counted(self):
         service = PathService("A")
         service.begin_interval(5.0, 10_000)
-        service.offer(pkt(0))  # deadline 0.0 < delivered_at 5.0
+        send(service, 0.0)  # deadline 0.0 < sent at 5.0
         assert service.log.deadline_misses == {"s": 1}
 
 
 class TestFluidMode:
-    def test_budget_limited(self):
-        service = PathService("A")
-        service.begin_interval(0.0, 1000)
-        assert service.deliver_bytes("s", 1500) == 1000
-        assert service.remaining_budget == 0
-
-    def test_accumulates(self):
-        service = PathService("A")
-        service.begin_interval(0.0, 5000)
-        service.deliver_bytes("s", 2000)
-        service.deliver_bytes("s", 1000)
-        assert service.log.bytes_by_stream["s"] == 3000
-
-    def test_negative_rejected(self):
-        service = PathService("A")
-        service.begin_interval(0.0, 1000)
-        with pytest.raises(ConfigurationError):
-            service.deliver_bytes("s", -1)
-
     def test_negative_budget_rejected(self):
         service = PathService("A")
         with pytest.raises(ConfigurationError):
