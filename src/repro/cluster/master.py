@@ -24,7 +24,6 @@ from repro.cluster.report import ClusterReport, cluster_report_from_payloads
 from repro.errors import ClusterError, ConfigurationError
 from repro.obs.context import NULL_OBS, Observability
 from repro.runner.executor import run_specs
-from repro.runner.fingerprint import code_fingerprint
 from repro.runner.spec import RunSpec
 from repro.workload.scenarios import STEP_DT, make_scenario, partition_ids
 
@@ -97,7 +96,6 @@ class ClusterMaster:
             checkpoint_root = self._tmp.name
         self.checkpoint_root = Path(checkpoint_root)
         self.checkpoint_root.mkdir(parents=True, exist_ok=True)
-        self.fingerprint = code_fingerprint()
         self._closing = False
 
     def run(
@@ -144,7 +142,6 @@ class ClusterMaster:
         result = run_specs(
             specs,
             workers=workers,
-            fingerprint=self.fingerprint,
             timeout_s=None,
             retries=self.max_respawns,
             hang_timeout_s=self.hang_timeout,

@@ -73,7 +73,6 @@ EVENT_NAMES: dict[str, tuple[str, ...]] = {
         "run_start",
         "spec_start",
         "spec_end",
-        "cache_hit",
         "spec_retry",
         "run_end",
     ),

@@ -1,146 +1,17 @@
-"""Content-addressed on-disk result cache.
+"""Payload digests: the byte-identity probe for task results.
 
-Entries are keyed by ``sha256(spec_hash | code_fingerprint)`` and laid
-out as ``<root>/<key[:2]>/<key>.json`` (a two-level fan-out so one
-directory never accumulates every entry).  An entry stores the task's
-JSON payload plus enough metadata to audit it: the spec that produced
-it, both hash inputs, the payload digest, and the execution duration.
-
-Invalidation is purely by key: change a param and the spec hash moves;
-change any source file and the fingerprint moves; either way the lookup
-misses and the spec re-executes.  Nothing is ever rewritten in place —
-entries are immutable and written atomically, so concurrent runners
-sharing a cache directory can only ever race to write *identical
-bytes*.
+Two runs of the same spec are the same result exactly when their
+payloads' canonical JSON is the same, so a digest of that rendering is
+what equivalence tests, goldens and the measurement spine compare.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
-from repro.fsutil import atomic_write_text
-from repro.runner.spec import RunSpec, canonical_json, stable_digest
-
-#: Bumped when the entry layout changes; mismatched entries read as
-#: misses instead of being misinterpreted.
-CACHE_SCHEMA = 1
+from repro.runner.spec import canonical_json, stable_digest
 
 
 def payload_digest(payload: Any) -> str:
     """Hex SHA-256 of a payload's canonical JSON (byte-identity probe)."""
     return stable_digest(canonical_json(payload))
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/store counters for one cache handle's lifetime."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-        }
-
-
-@dataclass
-class ResultCache:
-    """Content-addressed store of task payloads under ``root``."""
-
-    root: Path
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def __post_init__(self) -> None:
-        self.root = Path(self.root)
-
-    # ------------------------------------------------------------------
-    # keying
-    # ------------------------------------------------------------------
-    @staticmethod
-    def key_for(spec_hash: str, fingerprint: str) -> str:
-        return stable_digest(f"{spec_hash}|{fingerprint}")
-
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    # ------------------------------------------------------------------
-    # lookup / store
-    # ------------------------------------------------------------------
-    def get(
-        self, spec_hash: str, fingerprint: str
-    ) -> Optional[dict[str, Any]]:
-        """The cached entry record, or ``None`` on miss.
-
-        A corrupt or schema-mismatched file counts as a miss (the entry
-        will simply be rewritten); the cache never raises on bad data.
-        """
-        path = self.path_for(self.key_for(spec_hash, fingerprint))
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            self.stats.misses += 1
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("schema") != CACHE_SCHEMA
-            or record.get("spec_hash") != spec_hash
-            or record.get("fingerprint") != fingerprint
-            or record.get("payload_digest")
-            != payload_digest(record.get("payload"))
-        ):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return record
-
-    def put(
-        self,
-        spec: RunSpec,
-        fingerprint: str,
-        payload: Any,
-        duration_s: float,
-    ) -> Path:
-        """Store one result atomically; returns the entry path."""
-        spec_hash = spec.content_hash
-        key = self.key_for(spec_hash, fingerprint)
-        record = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "spec": spec.to_dict(),
-            "spec_hash": spec_hash,
-            "fingerprint": fingerprint,
-            "payload": payload,
-            "payload_digest": payload_digest(payload),
-            "duration_s": round(float(duration_s), 6),
-        }
-        path = self.path_for(key)
-        atomic_write_text(
-            path, json.dumps(record, sort_keys=True, indent=2) + "\n"
-        )
-        self.stats.stores += 1
-        return path
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def entry_count(self) -> int:
-        """Number of entries currently on disk."""
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def purge(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*/*.json"):
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed

@@ -4,16 +4,14 @@ Examples
 --------
 ::
 
-    python -m repro.runner                       # every figure, cached
+    python -m repro.runner                       # every figure
     python -m repro.runner --workers 4           # same bytes, faster
     python -m repro.runner fig9 fig10 --fast     # a subset, short runs
     python -m repro.runner --with-chaos          # + the chaos campaign
-    python -m repro.runner --refresh             # ignore cached results
 
-Reports land in ``--output-dir`` (default ``reports``, or
-``reports/fast`` with ``--fast``) via atomic writes; results are cached
-under ``--cache-dir`` (default ``.repro-cache``) keyed by spec hash and
-code fingerprint, so a warm rerun of unchanged code is pure cache hits.
+Every invocation executes every selected spec; reports land in
+``--output-dir`` (default ``reports``, or ``reports/fast`` with
+``--fast``) via atomic writes.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.checkpoint.policy import (
 from repro.fsutil import atomic_write_json, atomic_write_text
 from repro.harness.figures import FIGURES
 from repro.obs.context import Observability
-from repro.runner.cache import ResultCache
 from repro.runner.executor import RunReport, run_specs
 from repro.runner.suite import (
     chaos_spec,
@@ -45,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runner",
         description=(
-            "Parallel, cached regeneration of the IQ-Paths evaluation."
+            "Parallel regeneration of the IQ-Paths evaluation."
         ),
     )
     parser.add_argument(
@@ -109,21 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=Path(".repro-cache"),
-        metavar="DIR",
-        help="content-addressed result cache root (default .repro-cache)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    parser.add_argument(
-        "--refresh",
-        action="store_true",
-        help="ignore cached results (fresh runs are still stored back)",
-    )
-    parser.add_argument(
         "--timeout",
         type=float,
         default=600.0,
@@ -157,18 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--manifest",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="stream a JSONL run manifest to PATH",
-    )
-    parser.add_argument(
         "--summary-json",
         type=Path,
         default=None,
         metavar="PATH",
-        help="write the run summary (counts, cache stats) as JSON",
+        help="write the run summary (counts, per-spec records) as JSON",
     )
     parser.add_argument(
         "--trace-out",
@@ -180,7 +155,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_report(report: RunReport, cache: Optional[ResultCache]) -> None:
+def validate_args(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Refuse counts and budgets :func:`run_specs` cannot honour.
+
+    Through ``parser.error``, so the message carries the usage text and
+    exit code 2 instead of a traceback or a run of instant timeouts.
+    """
+    for dest in ("workers", "retries"):
+        value = getattr(args, dest)
+        if value < 0:
+            parser.error(f"--{dest} must be >= 0, got {value}")
+    for dest in ("timeout", "hang_timeout"):
+        value = getattr(args, dest)
+        if value is not None and value <= 0:
+            parser.error(
+                f"--{dest.replace('_', '-')} must be positive, got {value}"
+            )
+
+
+def _print_report(report: RunReport) -> None:
     for outcome in report.outcomes:
         tag = outcome.status.upper()
         line = f"[{tag:>7}] {outcome.spec.name}"
@@ -192,23 +187,18 @@ def _print_report(report: RunReport, cache: Optional[ResultCache]) -> None:
         elif not outcome.ok:
             line += f"  {outcome.error}"
         print(line)
-    total = len(report.outcomes)
-    hit_rate = report.cached / total if total else 0.0
     print(
-        f"{total} specs: {report.executed} executed, "
-        f"{report.cached} cached ({hit_rate:.0%} hit rate), "
+        f"{len(report.outcomes)} specs: {report.executed} executed, "
         f"{report.failed} failed in {report.wall_s:.1f}s "
         f"with {report.workers} worker(s)"
     )
-    if cache is not None:
-        print(
-            f"cache: {cache.entry_count()} entries at {cache.root}"
-        )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the CLI; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    validate_args(parser, args)
     if args.list:
         for name in sorted(FIGURES):
             print(name)
@@ -236,7 +226,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if output_dir is None:
         output_dir = Path("reports/fast") if args.fast else Path("reports")
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
     obs = (
         Observability() if args.trace_out is not None else None
     )
@@ -246,14 +235,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run_specs(
             specs,
             workers=args.workers,
-            cache=cache,
             timeout_s=args.timeout,
             retries=args.retries,
-            refresh=args.refresh,
             obs=obs,
-            manifest_path=(
-                str(args.manifest) if args.manifest is not None else None
-            ),
             hang_timeout_s=args.hang_timeout,
             checkpoint_root=(
                 str(args.checkpoint_root)
@@ -274,16 +258,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             written += 1
 
-    _print_report(report, cache)
+    _print_report(report)
     if written:
         print(f"wrote {written} report(s) to {output_dir}")
 
     if args.summary_json is not None:
         summary = report.summary_record()
-        if cache is not None:
-            summary["cache_stats"] = cache.stats.to_dict()
         summary["specs"] = [
-            o.manifest_record(i) for i, o in enumerate(report.outcomes)
+            o.record(i) for i, o in enumerate(report.outcomes)
         ]
         atomic_write_json(args.summary_json, summary)
         print(f"wrote summary to {args.summary_json}")

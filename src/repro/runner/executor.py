@@ -1,16 +1,13 @@
-"""The run orchestrator: cache-aware parallel spec execution.
+"""The run orchestrator: parallel spec execution.
 
 :func:`run_specs` takes a list of :class:`RunSpec` and drives them to
 completion:
 
-1. **Cache probe** — with a cache attached, every spec whose
-   ``(content hash, code fingerprint)`` key hits is satisfied without
-   executing anything (status ``"cached"``).
-2. **Fan-out** — remaining specs run in single-use worker processes
+1. **Fan-out** — every spec runs in a single-use worker process
    (at most ``workers`` alive at once), each reporting its payload back
    over a pipe.  One process per spec keeps the failure domain minimal:
    a crash or timeout kills exactly that spec's worker, never a pool.
-3. **Fault handling** — a worker that dies without reporting is a
+2. **Fault handling** — a worker that dies without reporting is a
    *crash* (captured with its exit code and a stderr tail); one that
    outlives ``timeout_s`` is terminated as a *timeout*; one that stops
    heartbeating for ``hang_timeout_s`` while the clock still runs is
@@ -20,19 +17,18 @@ completion:
    clean Python exception is deterministic and therefore **not**
    retried — it is reported as ``"failed"`` with the worker's
    traceback.
-4. **Supervised resume** — with a ``checkpoint_root``, every attempt
+3. **Supervised resume** — with a ``checkpoint_root``, every attempt
    of a spec shares a per-spec checkpoint directory
    (``<root>/<content_hash>``); checkpoint-aware tasks (workload,
    envelope) snapshot there and a retried attempt resumes from the
    last verified snapshot instead of recomputing from scratch.
-5. **Streaming** — progress flows through the ``repro.obs`` event bus
-   (category ``runner``, virtual time = wall seconds since run start)
-   and, when a manifest path is given, into a JSONL run manifest.
+4. **Streaming** — progress flows through the ``repro.obs`` event bus
+   (category ``runner``, virtual time = wall seconds since run start).
 
 Determinism: tasks are pure functions of their spec (seeds are
 spec-derived), so payloads — and the report bytes built from them — are
 byte-identical regardless of worker count, completion order, crash
-count, or whether a result came from cache or a checkpoint resume.
+count, or whether a result came from a checkpoint resume.
 Outcomes are returned in submission order.
 
 ``workers=0`` runs every spec inline in the calling process (no
@@ -59,9 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.errors import ConfigurationError
 from repro.obs.context import NULL_OBS, Observability
 from repro.obs.events import Category
-from repro.runner.cache import ResultCache, payload_digest
-from repro.runner.fingerprint import code_fingerprint
-from repro.runner.manifest import ManifestWriter
+from repro.runner.cache import payload_digest
 from repro.runner.spec import RunSpec
 from repro.runner.tasks import TaskRuntime, execute_spec
 
@@ -77,7 +71,7 @@ _TERM_GRACE_S = 5.0
 #: Base of the deterministic exponential retry backoff (seconds).
 _RETRY_BACKOFF_S = 0.05
 
-#: Characters of stderr preserved in manifests/errors for dead workers.
+#: Characters of stderr preserved in outcomes for dead workers.
 _STDERR_TAIL_CHARS = 2000
 
 
@@ -119,8 +113,7 @@ class RunOutcome:
     """Terminal state of one spec."""
 
     spec: RunSpec
-    #: "ok" | "cached" | "failed" | "timeout" | "crashed" | "hung"
-    #: | "interrupted"
+    #: "ok" | "failed" | "timeout" | "crashed" | "hung" | "interrupted"
     status: str
     payload: Optional[dict[str, Any]] = None
     attempts: int = 0
@@ -131,13 +124,10 @@ class RunOutcome:
 
     @property
     def ok(self) -> bool:
-        return self.status in ("ok", "cached")
+        return self.status == "ok"
 
-    @property
-    def cached(self) -> bool:
-        return self.status == "cached"
-
-    def manifest_record(self, index: int) -> dict[str, Any]:
+    def record(self, index: int) -> dict[str, Any]:
+        """This outcome as JSON (one entry of ``--summary-json``)."""
         record: dict[str, Any] = {
             "index": index,
             "hash": self.spec.content_hash,
@@ -160,7 +150,6 @@ class RunOutcome:
 class RunReport:
     """Everything :func:`run_specs` learned about one run."""
 
-    fingerprint: str
     workers: int
     outcomes: list[RunOutcome] = field(default_factory=list)
     wall_s: float = 0.0
@@ -168,10 +157,6 @@ class RunReport:
     @property
     def executed(self) -> int:
         return sum(1 for o in self.outcomes if o.status == "ok")
-
-    @property
-    def cached(self) -> int:
-        return sum(1 for o in self.outcomes if o.cached)
 
     @property
     def failed(self) -> int:
@@ -196,12 +181,10 @@ class RunReport:
         return {
             "total": len(self.outcomes),
             "executed": self.executed,
-            "cached": self.cached,
             "failed": self.failed,
             "interrupted": self.interrupted,
             "wall_s": round(self.wall_s, 6),
             "workers": self.workers,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -316,10 +299,7 @@ class _Orchestrator:
         workers: int,
         timeout_s: Optional[float],
         retries: int,
-        cache: Optional[ResultCache],
-        fingerprint: str,
         obs: Observability,
-        manifest: Optional[ManifestWriter],
         t0: float,
         hang_timeout_s: Optional[float] = None,
         checkpoint_root: Optional[str] = None,
@@ -329,10 +309,7 @@ class _Orchestrator:
         self.workers = workers
         self.timeout_s = timeout_s
         self.retries = retries
-        self.cache = cache
-        self.fingerprint = fingerprint
         self.obs = obs
-        self.manifest = manifest
         self.t0 = t0
         self.hang_timeout_s = hang_timeout_s
         self.checkpoint_root = checkpoint_root
@@ -383,17 +360,6 @@ class _Orchestrator:
 
     def finish(self, job: _Job, outcome: RunOutcome) -> None:
         self.results[job.index] = outcome
-        if (
-            self.cache is not None
-            and outcome.status == "ok"
-            and outcome.payload is not None
-        ):
-            self.cache.put(
-                outcome.spec,
-                self.fingerprint,
-                outcome.payload,
-                outcome.duration_s,
-            )
         self.emit(
             "spec_end",
             spec=outcome.spec.name,
@@ -402,8 +368,6 @@ class _Orchestrator:
             attempts=outcome.attempts,
             duration_s=round(outcome.duration_s, 6),
         )
-        if self.manifest is not None:
-            self.manifest.spec(outcome.manifest_record(job.index))
 
     def spawn(self, job: _Job) -> None:
         recv, send = self.ctx.Pipe(duplex=False)
@@ -677,13 +641,9 @@ def run_specs(
     specs: Sequence[RunSpec],
     *,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    fingerprint: Optional[str] = None,
     timeout_s: Optional[float] = 600.0,
     retries: int = 1,
-    refresh: bool = False,
     obs: Optional[Observability] = None,
-    manifest_path: Optional[str] = None,
     hang_timeout_s: Optional[float] = None,
     checkpoint_root: Optional[str] = None,
     interrupt: Optional["InterruptFlag"] = None,
@@ -695,25 +655,14 @@ def run_specs(
     workers:
         Concurrent worker processes; ``1`` is serial (still isolated),
         ``0`` runs inline in this process.
-    cache:
-        Optional :class:`ResultCache`; hits skip execution entirely and
-        fresh results are stored back.
-    fingerprint:
-        Code fingerprint for cache keying; computed from the live
-        ``repro`` package when omitted.
     timeout_s:
-        Per-spec wall-clock budget (``None`` disables).
+        Per-spec wall-clock budget, positive (``None`` disables).
     retries:
         Extra attempts after a crash, timeout, or hang (clean
         exceptions are deterministic and never retried).
-    refresh:
-        Ignore cache reads (results are still written back) — forces
-        re-execution without discarding the cache.
     obs:
         Observability context for progress events (``runner`` category);
         disabled by default.
-    manifest_path:
-        When given, stream a JSONL run manifest there.
     hang_timeout_s:
         Heartbeat watchdog: a worker silent (no heartbeat) this long is
         declared *hung* and terminate→kill escalated, then retried.
@@ -726,14 +675,18 @@ def run_specs(
     interrupt:
         Optional :class:`~repro.checkpoint.policy.InterruptFlag`.  When
         it trips, the run stops gracefully: live workers are
-        terminate→kill escalated, unfinished specs report status
-        ``"interrupted"``, and the manifest still gets its summary —
-        checkpoints survive, so rerunning resumes the abandoned work.
+        terminate→kill escalated and unfinished specs report status
+        ``"interrupted"`` — checkpoints survive, so rerunning resumes
+        the abandoned work.
     """
     if workers < 0:
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
+    if timeout_s is not None and timeout_s <= 0:
+        raise ConfigurationError(
+            f"timeout_s must be positive, got {timeout_s}"
+        )
     if hang_timeout_s is not None and hang_timeout_s <= 0:
         raise ConfigurationError(
             f"hang_timeout_s must be positive, got {hang_timeout_s}"
@@ -746,14 +699,9 @@ def run_specs(
                 f"({spec.content_hash[:12]}) in one run"
             )
         seen.add(spec.content_hash)
-    if fingerprint is None:
-        fingerprint = code_fingerprint()
     obs = obs if obs is not None else NULL_OBS
     t0 = time.perf_counter()
 
-    manifest = (
-        ManifestWriter(manifest_path) if manifest_path is not None else None
-    )
     stderr_tmp = (
         tempfile.TemporaryDirectory(prefix="repro-runner-stderr-")
         if workers > 0
@@ -763,10 +711,7 @@ def run_specs(
         workers=workers,
         timeout_s=timeout_s,
         retries=retries,
-        cache=cache,
-        fingerprint=fingerprint,
         obs=obs,
-        manifest=manifest,
         t0=t0,
         hang_timeout_s=hang_timeout_s,
         checkpoint_root=checkpoint_root,
@@ -774,60 +719,19 @@ def run_specs(
         interrupt=interrupt,
     )
     try:
-        if manifest is not None:
-            manifest.header(
-                fingerprint=fingerprint,
-                workers=workers,
-                n_specs=len(specs),
-            )
-        orch.emit(
-            "run_start",
-            n_specs=len(specs),
-            workers=workers,
-            fingerprint=fingerprint[:12],
-        )
-
-        to_execute: list[_Job] = []
-        for index, spec in enumerate(specs):
-            entry = None
-            if cache is not None and not refresh:
-                entry = cache.get(spec.content_hash, fingerprint)
-            if entry is not None:
-                outcome = RunOutcome(
-                    spec=spec,
-                    status="cached",
-                    payload=entry["payload"],
-                    attempts=0,
-                    duration_s=0.0,
-                )
-                orch.results[index] = outcome
-                orch.emit(
-                    "cache_hit",
-                    spec=spec.name,
-                    hash=spec.content_hash[:12],
-                )
-                if manifest is not None:
-                    manifest.spec(outcome.manifest_record(index))
-            else:
-                to_execute.append(_Job(index, spec, attempt=1))
-
-        if to_execute:
-            drive = _run_inline if workers == 0 else _run_pool
-            with obs.prof.span("runner.run"):
-                drive(orch, to_execute)
+        orch.emit("run_start", n_specs=len(specs), workers=workers)
+        jobs = [_Job(i, spec, attempt=1) for i, spec in enumerate(specs)]
+        drive = _run_inline if workers == 0 else _run_pool
+        with obs.prof.span("runner.run"):
+            drive(orch, jobs)
 
         report = RunReport(
-            fingerprint=fingerprint,
             workers=workers,
             outcomes=[orch.results[i] for i in range(len(specs))],
             wall_s=time.perf_counter() - t0,
         )
         orch.emit("run_end", **report.summary_record())
-        if manifest is not None:
-            manifest.summary(report.summary_record())
         return report
     finally:
-        if manifest is not None:
-            manifest.close()
         if stderr_tmp is not None:
             stderr_tmp.cleanup()

@@ -1,13 +1,13 @@
-"""Code fingerprinting: the cache-invalidation half of the cache key.
+"""Code fingerprinting: the code half of a checkpoint's identity.
 
-A cached result is only reusable while the code that produced it is
-unchanged, so every cache key mixes the spec's content hash with a
-*code fingerprint*: a SHA-256 over the contents of every ``*.py`` file
-under the ``repro`` package (sorted by relative path, so the walk order
-of the filesystem cannot matter).  Editing any source file — even one
-the spec never imports — changes the fingerprint and invalidates the
-whole cache.  That is deliberately coarse: correctness first; a stale
-hit is a silent wrong answer, a spurious miss merely re-runs.
+A checkpoint is only resumable by the code that wrote it, so every
+snapshot records a *code fingerprint*: a SHA-256 over the contents of
+every ``*.py`` file under the ``repro`` package (sorted by relative
+path, so the walk order of the filesystem cannot matter).  Editing any
+source file — even one the run never imports — changes the fingerprint
+and makes older snapshots stale.  That is deliberately coarse:
+correctness first; resuming foreign state is a silent wrong answer, a
+spurious refusal merely re-runs.
 
 Tests pass explicit ``roots`` to fingerprint a sandbox tree instead of
 the live package.

@@ -6,8 +6,7 @@ dispatch key into :data:`repro.runner.tasks.TASKS`), a display ``name``,
 a JSON-serializable ``params`` mapping, and an optional explicit
 ``seed``.  Everything downstream keys off the spec's *content hash*:
 
-* the result cache (spec hash x code fingerprint -> payload);
-* the run manifest (outcomes are recorded per spec hash);
+* the per-spec checkpoint slot (``<checkpoint_root>/<spec hash>``);
 * seed derivation — a spec with no explicit seed gets one mixed from
   its own hash, so its RNG stream can never depend on execution order
   or worker assignment.
@@ -26,8 +25,8 @@ from typing import Any, Mapping, Optional
 
 from repro.errors import ConfigurationError
 
-#: Bumped whenever the canonical spec rendering changes shape, so stale
-#: cache entries from older layouts can never be misread as current.
+#: Bumped whenever the canonical spec rendering changes shape, so a
+#: checkpoint slot from an older layout is never reused as current.
 SPEC_SCHEMA = 1
 
 
@@ -63,8 +62,7 @@ class RunSpec:
     ----------
     kind:
         Task type — a key of :data:`repro.runner.tasks.TASKS`
-        (``"figure"``, ``"chaos"``, ``"workload"``, ``"envelope"``,
-        ``"selftest"``).
+        (``"figure"``, ``"chaos"``, ``"workload"``, ``"envelope"``).
     name:
         Display/output name; figure specs use the figure id so their
         reports land in ``<output>/<name>.txt``.  The name is part of

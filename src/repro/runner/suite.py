@@ -81,7 +81,7 @@ def workload_spec(
 
     ``topology`` (a :mod:`repro.topo` preset reference) joins the params
     — and so the spec's content hash — only when set, keeping every
-    pre-existing Figure-8 spec hash (and its cached results) stable.
+    pre-existing Figure-8 spec hash (and its checkpoint slot) stable.
     """
     params: dict = {"scenario": scenario}
     if rate_scale != 1.0:

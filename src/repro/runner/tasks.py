@@ -5,7 +5,7 @@ function (picklable, importable under any multiprocessing start
 method) that executes the spec and returns a JSON-serializable payload.
 Payloads are *pure* functions of the spec: no wall clocks, hostnames,
 PIDs, or attempt counters ever leak in, which is what makes parallel
-execution byte-identical to serial and cache entries reusable.
+execution byte-identical to serial.
 
 Every payload carries a ``"report"`` key — the human-readable text the
 front door writes to ``<output>/<name>.txt`` — plus task-specific
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -272,71 +271,6 @@ def run_envelope(
     }
 
 
-# ----------------------------------------------------------------------
-# selftest (executor plumbing probes)
-# ----------------------------------------------------------------------
-def run_selftest(
-    spec: RunSpec, runtime: Optional[TaskRuntime] = None
-) -> dict[str, Any]:
-    """Controlled success/crash/hang behaviors for tests and smoke runs.
-
-    Modes: ``echo`` returns ``value``; ``sleep`` sleeps ``sleep_s``
-    while heartbeating (slow-but-alive: must *not* trip the hang
-    watchdog); ``raise`` raises; ``crash`` hard-exits the worker;
-    ``crash_once`` hard-exits only while the ``marker`` file is absent
-    (creating it first), so a retry succeeds — the bounded-retry path
-    in one spec; ``hang`` stops heartbeating and ignores SIGTERM (the
-    watchdog's terminate→kill escalation target); ``hang_once`` hangs
-    only while the ``marker`` file is absent, so a retry succeeds.
-    ``stderr`` writes ``message`` to stderr before crashing (tail
-    capture probe).
-    """
-    import signal
-
-    mode = spec.params.get("mode", "echo")
-    value = spec.params.get("value")
-    if mode == "sleep":
-        deadline = time.monotonic() + float(spec.params.get("sleep_s", 0.1))
-        while True:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                break
-            time.sleep(min(0.05, left))
-            if runtime is not None:
-                runtime.beat()
-    elif mode == "raise":
-        raise RuntimeError(spec.params.get("message", "selftest failure"))
-    elif mode == "crash":
-        os._exit(int(spec.params.get("exit_code", 3)))
-    elif mode == "stderr":
-        # Straight to fd 2 (not sys.stderr, which test harnesses may
-        # replace): the point is to exercise the executor's fd-level
-        # stderr capture, like a dying C extension would.
-        message = spec.params.get("message", "selftest stderr")
-        os.write(2, (message + "\n").encode())
-        os._exit(int(spec.params.get("exit_code", 3)))
-    elif mode == "crash_once":
-        marker = spec.params["marker"]
-        if not os.path.exists(marker):
-            with open(marker, "w", encoding="utf-8") as fp:
-                fp.write("crashed\n")
-            os._exit(int(spec.params.get("exit_code", 3)))
-    elif mode in ("hang", "hang_once"):
-        marker = spec.params.get("marker")
-        if mode == "hang" or (marker and not os.path.exists(marker)):
-            if marker:
-                with open(marker, "w", encoding="utf-8") as fp:
-                    fp.write("hung\n")
-            # A real wedge: no heartbeats, and SIGTERM is ignored so
-            # only the supervisor's kill escalation can clear it.
-            signal.signal(signal.SIGTERM, signal.SIG_IGN)
-            while True:
-                time.sleep(0.1)
-    elif mode != "echo":
-        raise ConfigurationError(f"unknown selftest mode {mode!r}")
-    return {"value": value, "report": f"selftest {mode}: {value}\n"}
-
-
 #: Dispatch table: spec kind -> task function.
 TASKS: dict[
     str, Callable[[RunSpec, Optional[TaskRuntime]], dict[str, Any]]
@@ -345,7 +279,6 @@ TASKS: dict[
     "chaos": run_chaos,
     "workload": run_workload,
     "envelope": run_envelope,
-    "selftest": run_selftest,
 }
 
 

@@ -28,8 +28,8 @@ package supplies the *population* view a production overlay needs:
 
 Everything is a pure function of ``(scenario, seed, max_sessions)``:
 two runs with the same identity produce byte-identical workload
-reports, which is what lets the scale suite run as cached
-:mod:`repro.runner` specs.
+reports, which is what lets the scale suite run as
+:mod:`repro.runner` specs at any worker count.
 """
 
 from repro.workload.arrivals import (

@@ -14,8 +14,8 @@ every shed observed along the way is recorded per session and rolled up
 per tenant into a :class:`WorkloadReport`.  The report is a pure
 function of ``(plans, service configuration, seed)`` — it contains no
 wall-clock material — so two same-seed runs produce byte-identical
-``to_dict()`` payloads and the whole run can live behind the
-:mod:`repro.runner` content-addressed cache.  ``WORKLOAD``-category
+``to_dict()`` payloads and the whole run is one :mod:`repro.runner`
+spec whose bytes no worker count can change.  ``WORKLOAD``-category
 trace events mirror the same lifecycle onto the observability bus.
 """
 

@@ -11,9 +11,9 @@ ceiling.
 
 Every probe is one full deterministic churn run, so the whole search is
 a pure function of ``(scenario, seed, ceiling, bounds, iterations)`` —
-which is what lets envelope estimates run as cached
-:mod:`repro.runner` specs: re-running the suite replays the identical
-probe sequence and hits the result cache on every one.
+which is what lets envelope estimates run as :mod:`repro.runner`
+specs: a resumed attempt replays its journaled probes and lands on the
+identical envelope.
 """
 
 from __future__ import annotations

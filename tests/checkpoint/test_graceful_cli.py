@@ -145,22 +145,21 @@ def test_kill_at_sigkills_each_point_then_resumes_identical(tmp_path):
 
 def test_runner_cli_interrupt_exits_75(tmp_path):
     # The runner CLI wires the same InterruptFlag through run_specs;
-    # SIGTERM during a (slow, uncached) figure run must exit 75 and
-    # report the abandoned specs.
-    manifest = tmp_path / "manifest.jsonl"
+    # SIGTERM during a figure + scale run must exit 75 and report the
+    # abandoned specs.
+    ckpt_root = tmp_path / "ckpt"
     cmd = [
         sys.executable,
         "-m",
         "repro.runner",
         "fig10",
         "--with-scale",  # multi-second specs: a real interrupt window
-        "--no-cache",
         "--output-dir",
         str(tmp_path / "out"),
         "--summary-json",
         str(tmp_path / "summary.json"),
-        "--manifest",
-        str(manifest),
+        "--checkpoint-root",
+        str(ckpt_root),
     ]
     proc = subprocess.Popen(
         cmd,
@@ -170,14 +169,18 @@ def test_runner_cli_interrupt_exits_75(tmp_path):
         text=True,
         cwd=str(tmp_path),
     )
-    # Signal only once the run demonstrably started (manifest header
-    # written => InterruptFlag installed), else SIGTERM just kills the
-    # interpreter mid-import.
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline and not manifest.exists():
+    # Signal only once the run demonstrably started (a workload spec's
+    # checkpoint slot exists => InterruptFlag installed), else SIGTERM
+    # just kills the interpreter mid-import.
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline and not (
+        ckpt_root.is_dir() and any(ckpt_root.iterdir())
+    ):
         assert proc.poll() is None, "runner exited before starting"
         time.sleep(0.05)
-    assert manifest.exists(), "runner never wrote its manifest header"
+    assert ckpt_root.is_dir() and any(ckpt_root.iterdir()), (
+        "runner never opened a spec slot"
+    )
     proc.send_signal(signal.SIGTERM)
     _, stderr = proc.communicate(timeout=60)
     assert proc.returncode == GRACEFUL_EXIT_CODE, stderr

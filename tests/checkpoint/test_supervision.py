@@ -12,6 +12,8 @@ from repro.checkpoint import InterruptFlag
 from repro.runner.executor import _retry_delay, run_specs
 from repro.runner.spec import RunSpec
 
+pytestmark = pytest.mark.usefixtures("selftest_task")
+
 
 def selftest(name: str, **params) -> RunSpec:
     return RunSpec(kind="selftest", name=name, params=params, seed=0)
@@ -97,7 +99,7 @@ class TestStderrCapture:
         outcome = report.outcomes[0]
         assert outcome.status == "crashed"
         assert "boom-tail-probe-42" in (outcome.stderr_tail or "")
-        record = outcome.manifest_record(0)
+        record = outcome.record(0)
         assert "boom-tail-probe-42" in record["stderr_tail"]
 
     def test_clean_worker_has_no_tail(self):

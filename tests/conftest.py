@@ -38,3 +38,12 @@ def testbed():
 def realization(testbed):
     """A short shared realization for driver-level tests."""
     return testbed.realize(seed=5, duration=60.0, dt=0.1)
+
+
+@pytest.fixture
+def selftest_task(monkeypatch):
+    """Register the ``selftest`` task kind for one test."""
+    from repro.runner.tasks import TASKS
+    from tests.runner.selftest_task import run_selftest
+
+    monkeypatch.setitem(TASKS, "selftest", run_selftest)

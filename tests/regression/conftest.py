@@ -1,9 +1,8 @@
 """Shared canonical-run fixtures for the golden regression suite.
 
 One session-scoped pass runs every canonical fast-mode figure through
-the PR-3 runner (inline workers, content-addressed cache in a session
-tmp dir) and hands the payloads to all regression tests — the suite
-costs one fast sweep (~seconds), not one per test.
+the runner (inline workers) and hands the payloads to all regression
+tests — the suite costs one fast sweep (~seconds), not one per test.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import ResultCache, figure_suite, run_specs
+from repro.runner import figure_suite, run_specs
 from repro.runner.cache import payload_digest
 
 GOLDENS_PATH = Path(__file__).parent / "goldens.json"
@@ -27,10 +26,9 @@ def goldens() -> dict:
 
 
 @pytest.fixture(scope="session")
-def canonical_payloads(tmp_path_factory) -> dict[str, dict]:
+def canonical_payloads() -> dict[str, dict]:
     """Payloads of every canonical fast figure, keyed by spec name."""
-    cache = ResultCache(tmp_path_factory.mktemp("regression-cache"))
-    report = run_specs(figure_suite(fast=True), workers=0, cache=cache)
+    report = run_specs(figure_suite(fast=True), workers=0)
     payloads = {}
     for outcome in report.outcomes:
         assert outcome.status == "ok", (

@@ -1,15 +1,9 @@
-"""ResultCache and code fingerprint: keying, hits, invalidation."""
+"""payload_digest and the code fingerprint: the runner's identity probes."""
 
 from __future__ import annotations
 
-import json
-
-from repro.runner.cache import ResultCache, payload_digest
+from repro.runner.cache import payload_digest
 from repro.runner.fingerprint import code_fingerprint
-from repro.runner.spec import RunSpec
-
-SPEC = RunSpec(kind="selftest", name="t", params={"mode": "echo", "value": 1})
-PAYLOAD = {"value": 1, "report": "selftest echo: 1\n"}
 
 
 class TestFingerprint:
@@ -47,59 +41,6 @@ class TestFingerprint:
     def test_live_package_fingerprint(self):
         fp = code_fingerprint()
         assert len(fp) == 64 and fp == code_fingerprint()
-
-
-class TestCache:
-    def test_miss_then_hit(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        assert cache.get(SPEC.content_hash, "fp") is None
-        cache.put(SPEC, "fp", PAYLOAD, 0.1)
-        entry = cache.get(SPEC.content_hash, "fp")
-        assert entry is not None
-        assert entry["payload"] == PAYLOAD
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.stores == 1
-
-    def test_miss_on_param_change(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put(SPEC, "fp", PAYLOAD, 0.1)
-        other = RunSpec(
-            kind="selftest", name="t", params={"mode": "echo", "value": 2}
-        )
-        assert cache.get(other.content_hash, "fp") is None
-
-    def test_miss_on_fingerprint_change(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put(SPEC, "fp-old", PAYLOAD, 0.1)
-        assert cache.get(SPEC.content_hash, "fp-new") is None
-        assert cache.get(SPEC.content_hash, "fp-old") is not None
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put(SPEC, "fp", PAYLOAD, 0.1)
-        key = cache.key_for(SPEC.content_hash, "fp")
-        cache.path_for(key).write_text("{not json", encoding="utf-8")
-        assert cache.get(SPEC.content_hash, "fp") is None
-
-    def test_tampered_payload_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put(SPEC, "fp", PAYLOAD, 0.1)
-        key = cache.key_for(SPEC.content_hash, "fp")
-        path = cache.path_for(key)
-        record = json.loads(path.read_text(encoding="utf-8"))
-        record["payload"]["value"] = 999
-        path.write_text(json.dumps(record), encoding="utf-8")
-        assert cache.get(SPEC.content_hash, "fp") is None
-
-    def test_entry_count_and_purge(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put(SPEC, "fp1", PAYLOAD, 0.1)
-        cache.put(SPEC, "fp2", PAYLOAD, 0.1)
-        assert cache.entry_count() == 2
-        cache.purge()
-        assert cache.entry_count() == 0
-        assert cache.get(SPEC.content_hash, "fp1") is None
 
 
 class TestPayloadDigest:

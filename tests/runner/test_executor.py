@@ -1,4 +1,4 @@
-"""run_specs: fault handling, retries, caching, determinism.
+"""run_specs: fault handling, retries, progress events, determinism.
 
 Selftest specs exercise the executor's plumbing (crash/timeout/retry)
 without paying for real experiments; the byte-equivalence tests on real
@@ -12,7 +12,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.context import Observability
 from repro.obs.events import Category
-from repro.runner import ResultCache, RunSpec, load_manifest, run_specs
+from repro.runner import RunSpec, run_specs
+
+pytestmark = pytest.mark.usefixtures("selftest_task")
 
 
 def echo_spec(name: str, value) -> RunSpec:
@@ -45,6 +47,19 @@ class TestHappyPath:
         spec = echo_spec("dup", 1)
         with pytest.raises(ConfigurationError):
             run_specs([spec, spec], workers=0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("workers", -1),
+            ("retries", -1),
+            ("timeout_s", 0.0),
+            ("hang_timeout_s", 0.0),
+        ],
+    )
+    def test_bad_budgets_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            run_specs([echo_spec("s", 1)], **{name: value})
 
 
 class TestFaultPaths:
@@ -80,21 +95,14 @@ class TestFaultPaths:
                 "value": "ok",
             },
         )
-        manifest_path = tmp_path / "manifest.jsonl"
-        report = run_specs(
-            [spec],
-            workers=1,
-            retries=1,
-            timeout_s=60.0,
-            manifest_path=str(manifest_path),
-        )
+        report = run_specs([spec], workers=1, retries=1, timeout_s=60.0)
         outcome = report.outcomes[0]
         assert outcome.status == "ok"
         assert outcome.attempts == 2
         assert outcome.payload["value"] == "ok"
         assert marker.exists()
-        # The manifest records the retry, not just the outcome.
-        (record,) = load_manifest(manifest_path).entries
+        # The outcome's record keeps the retry, not just the status.
+        record = outcome.record(0)
         assert (record["status"], record["attempts"]) == ("ok", 2)
 
     def test_timeout_terminates_worker(self):
@@ -120,84 +128,17 @@ class TestFaultPaths:
         assert report.failed == 1
 
 
-class TestCacheIntegration:
-    def test_warm_rerun_is_all_hits(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        specs = [echo_spec(f"s{i}", i) for i in range(3)]
-        cold = run_specs(
-            specs, workers=1, cache=cache, fingerprint="fp", timeout_s=60.0
-        )
-        assert cold.executed == 3 and cold.cached == 0
-        warm = run_specs(
-            specs, workers=1, cache=cache, fingerprint="fp", timeout_s=60.0
-        )
-        assert warm.executed == 0 and warm.cached == 3
-        assert [o.payload for o in warm.outcomes] == [
-            o.payload for o in cold.outcomes
-        ]
-
-    def test_fingerprint_change_invalidates(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        specs = [echo_spec("s", 1)]
-        run_specs(specs, workers=0, cache=cache, fingerprint="fp1")
-        rerun = run_specs(specs, workers=0, cache=cache, fingerprint="fp2")
-        assert rerun.executed == 1 and rerun.cached == 0
-
-    def test_refresh_bypasses_reads_but_stores(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        specs = [echo_spec("s", 1)]
-        run_specs(specs, workers=0, cache=cache, fingerprint="fp")
-        forced = run_specs(
-            specs, workers=0, cache=cache, fingerprint="fp", refresh=True
-        )
-        assert forced.executed == 1 and forced.cached == 0
-        warm = run_specs(specs, workers=0, cache=cache, fingerprint="fp")
-        assert warm.cached == 1
-
-    def test_failures_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        spec = RunSpec(
-            kind="selftest", name="bad", params={"mode": "raise"}
-        )
-        run_specs(
-            [spec], workers=1, cache=cache, fingerprint="fp", timeout_s=60.0
-        )
-        assert cache.entry_count() == 0
-
-
-class TestManifestAndObs:
-    def test_manifest_narrates_the_run(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        specs = [echo_spec(f"s{i}", i) for i in range(3)]
-        report = run_specs(
-            specs,
-            workers=2,
-            fingerprint="fp",
-            timeout_s=60.0,
-            manifest_path=str(path),
-        )
-        manifest = load_manifest(path)
-        assert manifest.header["fingerprint"] == "fp"
-        assert manifest.header["n_specs"] == 3
-        assert manifest.summary["executed"] == 3
-        ordered = manifest.entries_in_submission_order()
-        assert [e["name"] for e in ordered] == ["s0", "s1", "s2"]
-        assert all(e["status"] == "ok" for e in ordered)
-        assert report.summary_record()["total"] == 3
-
-    def test_runner_events_stream_through_obs(self, tmp_path):
+class TestObsEvents:
+    def test_runner_events_stream_through_obs(self):
         obs = Observability()
-        cache = ResultCache(tmp_path / "cache")
         specs = [echo_spec("s", 1)]
-        run_specs(specs, workers=1, cache=cache, fingerprint="fp",
-                  timeout_s=60.0, obs=obs)
-        run_specs(specs, workers=1, cache=cache, fingerprint="fp",
-                  timeout_s=60.0, obs=obs)
+        run_specs(specs, workers=1, timeout_s=60.0, obs=obs)
+        run_specs(specs, workers=1, timeout_s=60.0, obs=obs)
         names = [e.name for e in obs.trace.events(category=Category.RUNNER)]
         assert names.count("run_start") == 2
         assert names.count("run_end") == 2
-        assert "spec_start" in names and "spec_end" in names
-        assert "cache_hit" in names  # the second run hit
+        # No store of earlier results: the second run executes again.
+        assert names.count("spec_start") == names.count("spec_end") == 2
 
     def test_retry_event_emitted(self, tmp_path):
         obs = Observability()

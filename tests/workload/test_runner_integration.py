@@ -1,14 +1,8 @@
-"""Workload/envelope specs through repro.runner: caching and identity."""
+"""Workload/envelope specs through repro.runner: dispatch and identity."""
 
 import pytest
 
-from repro.runner import (
-    ResultCache,
-    envelope_spec,
-    run_specs,
-    scale_suite,
-    workload_spec,
-)
+from repro.runner import envelope_spec, run_specs, scale_suite, workload_spec
 
 
 def fast_specs():
@@ -43,22 +37,7 @@ class TestDispatch:
         assert "checksum" in payload
 
 
-class TestCacheAndIdentity:
-    def test_warm_cache_hits_100_percent(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        specs = fast_specs()
-        cold = run_specs(
-            specs, workers=0, cache=cache, fingerprint="fp"
-        )
-        assert cold.executed == len(specs) and cold.cached == 0
-        warm = run_specs(
-            specs, workers=0, cache=cache, fingerprint="fp"
-        )
-        assert warm.executed == 0 and warm.cached == len(specs)
-        assert [o.payload for o in warm.outcomes] == [
-            o.payload for o in cold.outcomes
-        ]
-
+class TestIdentity:
     def test_checksums_identical_across_worker_counts(self):
         specs = fast_specs()
         inline = run_specs(specs, workers=0)
