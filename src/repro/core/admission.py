@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.errors import AdmissionError, ConfigurationError
 from repro.core.guarantees import residual_guarantee
@@ -58,7 +58,9 @@ class AdmissionController:
     is followed by the partial solve without the rejected stream, each
     rung of the degradation ladder re-asks with one stream lowered — so
     it owns the one :class:`repro.core.mapping.PlacementFold` all of its
-    solves run on.
+    solves run on.  :meth:`fits` asks only whether a set fits, and
+    :meth:`renegotiate` runs a whole ladder of such questions as edits
+    of the fold's order.
     """
 
     def __init__(self, tw: float = 1.0):
@@ -93,6 +95,47 @@ class AdmissionController:
             admitted_streams=tuple(map(_NAME, specs)),
         )
 
+    def fits(
+        self,
+        specs: Sequence[StreamSpec],
+        cdfs: Mapping[str, EmpiricalCDF],
+        qos: Mapping[str, PathQoSEstimate] | None = None,
+    ) -> bool:
+        """:meth:`try_admit`'s ``admitted``, without the mapping, the
+        partial solve and the hint a rejection would build."""
+        return self.fold.fits(specs, cdfs, self.tw, qos)
+
+    def renegotiate(
+        self,
+        specs: Sequence[StreamSpec],
+        cdfs: Mapping[str, EmpiricalCDF],
+        qos: Mapping[str, PathQoSEstimate] | None,
+        rung: Callable[[StreamSpec, Optional[float]], StreamSpec],
+        rungs: int,
+    ) -> list[StreamSpec]:
+        """Re-offer ``specs`` until they fit, at most ``rungs`` times.
+
+        Each time they do not, ``rung`` is handed the stream
+        :meth:`try_admit` would reject and its ``suggested_probability``
+        (``None`` unless every other stream fits without it), and what
+        it returns takes the rejected stream's place.  Returns the specs
+        after the last rung, in input order; names must be unique.  The
+        answers are those of calling :meth:`try_admit` once per rung,
+        but the rungs run as edits of the fold's precedence order
+        (:meth:`repro.core.mapping.PlacementFold.renegotiate`): no set
+        is submitted twice and no rejection raises.
+        """
+
+        def offer(spec, others):
+            hint = None
+            if others is not None:
+                hint = self._best_offer(spec, cdfs, others, qos)
+            return rung(spec, hint)
+
+        return self.fold.renegotiate(
+            specs, cdfs, self.tw, qos, offer, rungs
+        )
+
     def _reject(
         self,
         specs: Sequence[StreamSpec],
@@ -117,7 +160,9 @@ class AdmissionController:
                 others, cdfs, self.tw, qos=qos, fold=self.fold
             )
             admitted_names = tuple(names)
-            suggestion = self._best_offer(rejected_spec, cdfs, partial, qos)
+            suggestion = self._best_offer(
+                rejected_spec, cdfs, partial.rates_mbps, qos
+            )
         except AdmissionError:
             # Even the remaining set does not fit; no hint available.
             partial = None
@@ -134,18 +179,19 @@ class AdmissionController:
         self,
         spec: StreamSpec,
         cdfs: Mapping[str, EmpiricalCDF],
-        partial: ResourceMapping,
+        promises: Mapping[str, Mapping[str, float]],
         qos: Mapping[str, PathQoSEstimate] | None,
     ) -> Optional[float]:
-        """Best single-path probability for ``spec`` given prior promises,
-        over the paths whose RTT/loss levels meet its ceilings."""
+        """Best single-path probability for ``spec`` next to the other
+        streams' ``promises`` (a partial solve's ``rates_mbps``), over
+        the paths whose RTT/loss levels meet its ceilings."""
         if spec.required_mbps is None:
             return None
         # One pass over the promises, every path's rates collected in
         # stream order; summing a path's own rates equals summing them
         # interleaved with the 0.0 of the streams that avoid the path.
         promised: dict[str, list[float]] = {path: [] for path in cdfs}
-        for shares in partial.rates_mbps.values():
+        for shares in promises.values():
             for path, rate in shares.items():
                 promised[path].append(rate)
         best = 0.0

@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import attrgetter, is_, is_not
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -217,8 +217,8 @@ class ResourceMapping:
     A :func:`compute_mapping` solve derives ``rates_mbps`` — each placed
     stream's shares, then the elastic split of what they left — on
     first read too, from the fold's placement records and residual
-    answers, which it holds until then and no longer: a degradation
-    rung or an offer nobody installs never builds them.
+    answers, which it holds until then and no longer: an offer nobody
+    installs never builds them.
     """
 
     __slots__ = (
@@ -356,10 +356,14 @@ class _ResidualMemo:
     cannot drift by a bit.
     """
 
-    __slots__ = ("cdfs", "_guarantees", "_rates", "_means")
+    __slots__ = ("cdfs", "paths", "unplaced", "_guarantees", "_rates", "_means")
 
     def __init__(self, cdfs: Mapping[str, EmpiricalCDF]):
         self.cdfs = cdfs
+        #: The path order, and the allocation before any placement;
+        #: read only, by every solve on these snapshots.
+        self.paths = list(cdfs)
+        self.unplaced = dict.fromkeys(self.paths, 0.0)
         #: (path, allocated, required) -> achieved P
         self._guarantees: dict[tuple[str, float, float], float] = {}
         #: (path, allocated, probability) -> sustainable rate
@@ -407,15 +411,20 @@ def _map_probabilistic(
     allocated: Mapping[str, float],
     path_order: Sequence[str],
     memo: _ResidualMemo,
-) -> tuple[dict[str, float], float]:
-    """Map one guaranteed stream; returns (rate per path, achieved P)."""
+) -> tuple[Optional[dict[str, float]], float]:
+    """Map one guaranteed stream; returns (rate per path, achieved P),
+    the rates ``None`` when no single path or split meets it."""
     required = spec.required_mbps
     target_p = spec.probability
     # --- single-path attempt -------------------------------------------
     # Strongest guarantee wins; path_order breaks exact ties.
     best_path, best_achieved = None, target_p
+    known = memo._guarantees
     for p in path_order:
-        achieved = memo.guarantee(p, allocated[p], required)
+        a = allocated[p]
+        achieved = known.get((p, a, required))
+        if achieved is None:
+            achieved = memo.guarantee(p, a, required)
         if achieved > best_achieved or (
             best_path is None and achieved == best_achieved
         ):
@@ -450,11 +459,7 @@ def _map_probabilistic(
             achieved = max(0.0, 1.0 - misses)
             if achieved >= target_p:
                 return shares, achieved
-    raise AdmissionError(
-        spec.name,
-        f"no single path or split meets {required:.3f} Mbps at "
-        f"P={target_p:.2f}",
-    )
+    return None, 0.0
 
 
 def _map_violation_bound(
@@ -464,8 +469,9 @@ def _map_violation_bound(
     path_order: Sequence[str],
     tw: float,
     chunks: int = 10,
-) -> tuple[dict[str, float], float]:
-    """Map one violation-bound stream; returns (rate per path, achieved bound)."""
+) -> tuple[Optional[dict[str, float]], float]:
+    """Map one violation-bound stream; returns (rate per path, achieved
+    bound), the rates ``None`` when even the best split exceeds the bound."""
     x_total = spec.packets_in_window(tw)
     bound = spec.max_violation_rate
     # Lemma 2 reads the whole residual distribution (its partial means).
@@ -532,12 +538,27 @@ def _map_violation_bound(
     )
     achieved = total_violations / x_total
     if achieved > bound:
-        raise AdmissionError(
-            spec.name,
-            f"expected violation rate {achieved:.4f} exceeds bound "
-            f"{bound:.4f} on every split",
-        )
+        return None, achieved
     return {p: rate_of(c) for p, c in placed.items() if c > 0}, achieved
+
+
+def _refusal(spec: StreamSpec, achieved: Optional[float]) -> AdmissionError:
+    """The upcall for a stream that fits nowhere: ``achieved`` is what
+    its best split achieved, ``None`` when no path meets its RTT/loss
+    ceilings."""
+    if achieved is None:
+        reason = "no path meets its RTT/loss ceilings"
+    elif spec.max_violation_rate is not None:
+        reason = (
+            f"expected violation rate {achieved:.4f} exceeds bound "
+            f"{spec.max_violation_rate:.4f} on every split"
+        )
+    else:
+        reason = (
+            f"no single path or split meets {spec.required_mbps:.3f} Mbps "
+            f"at P={spec.probability:.2f}"
+        )
+    return AdmissionError(spec.name, reason)
 
 
 def even_split_mapping(
@@ -678,6 +699,8 @@ class _Placement(NamedTuple):
     allocated: dict[str, float]
 
 
+#: Builds a record without the Python-level ``__new__`` of a NamedTuple.
+_new_record = tuple.__new__
 _PRECEDENCE = attrgetter("mapping_precedence")
 _NAME = attrgetter("spec.name")
 _ACHIEVED = attrgetter("achieved")
@@ -702,10 +725,9 @@ class PlacementFold:
     streams of it that it places, with their keys
     (``StreamSpec.mapping_precedence``, computed once per spec).  The
     next input is compared with the last one by identity: one stream
-    added (an open, or a degradation rung after the partial solve that
-    dropped its stream) or removed (the partial solve after a
-    rejection) is applied to the order with a bisect on the keys, and
-    the edit's position is where the kept placements end.  Equal keys
+    added (an open) or removed (the partial solve after a rejection) is
+    applied to the order with a bisect on the keys, and the edit's
+    position is where the kept placements end.  Equal keys
     keep input order, so an insert among tied keys goes after the tied
     streams ahead of it in the input.  Any other edit sorts again, and
     keeps the placements whose spec is the same object, or an equal
@@ -718,9 +740,13 @@ class PlacementFold:
     solve before.  Specs and snapshots are held until then and no
     longer; nothing here points back at a service or scheduler.
 
+    :meth:`fits` asks whether a set maps without building the mapping,
+    and :meth:`renegotiate` runs a degradation ladder as edits of the
+    order itself, with no input to compare.
+
     ``solves``, ``placements`` and ``reused`` count, over the fold's
-    lifetime, calls, streams placed and streams kept from the solve
-    before.
+    lifetime, passes over the order (a solve, or one step of a
+    ladder), streams placed and streams kept from the pass before.
     """
 
     __slots__ = (
@@ -830,6 +856,63 @@ class PlacementFold:
             keep += 1
         return keep
 
+    def _start(
+        self,
+        specs: tuple[StreamSpec, ...],
+        cdfs: Mapping[str, EmpiricalCDF],
+        tw: float,
+        qos: Mapping[str, PathQoSEstimate] | None,
+    ) -> None:
+        """Make ``specs`` the fold's input: the placements behind the
+        first position that changed go, and all of them if the paths
+        did."""
+        self._memo_for(cdfs, tw, qos)
+        del self._placed[self._reorder(specs):]
+
+    def _extend(self) -> Optional[tuple[StreamSpec, Optional[float]]]:
+        """Place the streams of the order behind the placed prefix.
+
+        Returns ``None`` once all are placed.  A stream that fits
+        nowhere ends the pass where it stands, at ``len(self._placed)``;
+        the return value is that stream and what its best split
+        achieved (``None`` when no path meets its RTT/loss ceilings),
+        which :func:`_refusal` words.
+        """
+        placed = self._placed
+        memo = self._memo
+        cdfs, path_order, tw, qos = memo.cdfs, memo.paths, self._tw, self._qos
+        kept = len(placed)
+        self.solves += 1
+        self.reused += kept
+        # Each record's allocation is its own dict, never written after
+        # the placement that made it.
+        allocated = placed[-1].allocated if placed else memo.unplaced
+        refused = None
+        for spec in islice(self._ordered, kept, None):
+            candidates = eligible_paths(spec, path_order, qos)
+            if not candidates:
+                refused = spec, None
+                break
+            if spec.max_violation_rate is not None:
+                shares, achieved = _map_violation_bound(
+                    spec, cdfs, allocated, candidates, tw
+                )
+            else:
+                shares, achieved = _map_probabilistic(
+                    spec, allocated, candidates, memo
+                )
+            if shares is None:
+                refused = spec, achieved
+                break
+            allocated = dict(allocated)
+            for p, r in shares.items():
+                allocated[p] += r
+            placed.append(
+                _new_record(_Placement, (spec, shares, achieved, allocated))
+            )
+        self.placements += len(placed) - kept
+        return refused
+
     def _place(
         self,
         specs: tuple[StreamSpec, ...],
@@ -845,39 +928,136 @@ class PlacementFold:
         first stream that fits nowhere; the streams ahead of it stay
         placed.
         """
-        memo = self._memo_for(cdfs, tw, qos)
+        self._start(specs, cdfs, tw, qos)
+        refused = self._extend()
+        if refused is not None:
+            raise _refusal(*refused)
         placed = self._placed
-        keep = min(self._reorder(specs), len(placed))
-        del placed[keep:]
-        self.solves += 1
-        self.reused += keep
-        path_order = list(cdfs)
-        allocated = (
-            dict(placed[-1].allocated) if placed
-            else dict.fromkeys(path_order, 0.0)
-        )
-        for spec in islice(self._ordered, keep, None):
-            candidates = eligible_paths(spec, path_order, qos)
-            if not candidates:
-                raise AdmissionError(
-                    spec.name, "no path meets its RTT/loss ceilings"
-                )
-            if spec.max_violation_rate is not None:
-                shares, achieved = _map_violation_bound(
-                    spec, cdfs, allocated, candidates, tw
-                )
-            else:
-                shares, achieved = _map_probabilistic(
-                    spec, allocated, candidates, memo
-                )
-            for p, r in shares.items():
-                allocated[p] += r
-            placed.append(_Placement(spec, shares, achieved, dict(allocated)))
-            self.placements += 1
         probabilistic = bisect_left(
             self._keys, FIRST_VIOLATION_BOUND, 0, len(placed)
         )
-        return tuple(placed), probabilistic, memo
+        return tuple(placed), probabilistic, self._memo
+
+    def fits(
+        self,
+        specs: Sequence[StreamSpec],
+        cdfs: Mapping[str, EmpiricalCDF],
+        tw: float,
+        qos: Mapping[str, PathQoSEstimate] | None = None,
+    ) -> bool:
+        """Whether :func:`compute_mapping` maps ``specs``, without
+        building the mapping or an :class:`AdmissionError`.
+
+        Raises :class:`ConfigurationError` where a solve does: no path,
+        a ``tw`` that is not positive, or, when the guarantees fit, an
+        elastic spec without a weight.
+        """
+        _check_solve(cdfs, tw)
+        specs = tuple(specs)
+        self._start(specs, cdfs, tw, qos)
+        if self._extend() is not None:
+            return False
+        _total_weight(specs)  # refuses an elastic spec without a weight
+        return True
+
+    def renegotiate(
+        self,
+        specs: Sequence[StreamSpec],
+        cdfs: Mapping[str, EmpiricalCDF],
+        tw: float,
+        qos: Mapping[str, PathQoSEstimate] | None,
+        rung: Callable[
+            [StreamSpec, Optional[dict[str, dict[str, float]]]], StreamSpec
+        ],
+        rungs: int,
+    ) -> list[StreamSpec]:
+        """Offer ``specs`` at most ``rungs`` times, each time with the
+        stream that fits nowhere replaced by what ``rung`` makes of it.
+
+        ``rung`` is handed the refused stream and, when all the other
+        streams fit without it, the ``rates_mbps`` of that partial
+        solve (elastic shares included), else ``None``; it returns the
+        stream's replacement, of the same name.  Returns the
+        specs after the last rung, each at its input position; names
+        must be unique.  The answers, and the :class:`ConfigurationError`
+        for an elastic spec without a weight, are those of solving the
+        set, then the set without the refused stream, then the set with
+        its replacement, rung after rung.
+
+        The set is not submitted again per rung.  A stream's placement
+        depends on the streams ahead of it only, so the partial solve
+        goes on from the refused position with the stream left out of
+        the order, the replacement is bisected into the order at its
+        key (equal keys in input order), and the next solve places from
+        the earlier of its position and the partial's end.  When the
+        partial solve stopped at a stream ahead of the replacement, or
+        the replacement has no key, the next solve would stop at that
+        stream again: its answer is known and nothing is placed.  After
+        a rung that fits, the fold holds what a solve of the returned
+        specs leaves; when ``rungs`` runs out first, a prefix of that.
+        """
+        _check_solve(cdfs, tw)
+        specs = list(specs)
+        self._start(tuple(specs), cdfs, tw, qos)
+        where = {s.name: j for j, s in enumerate(specs)}
+        placed, ordered, keys = self._placed, self._ordered, self._keys
+        # Input positions along the order: equal keys stand in input
+        # order, so a tied insert is a bisect on these.
+        ranks = [where[s.name] for s in ordered]
+        solved = False
+        try:
+            for _ in range(rungs):
+                if not solved:
+                    refused = self._extend()
+                if refused is None:
+                    _total_weight(specs)  # as the solve of ``specs`` would
+                    break
+                spec = refused[0]
+                j = where[spec.name]
+                # The partial solve: the streams behind it, without it.
+                f = len(placed)
+                del ordered[f], keys[f], ranks[f]
+                refused = self._extend()
+                others = None
+                if refused is None:
+                    elastic = [s for s in specs if s.elastic and s is not spec]
+                    others = _solved_rates(
+                        placed, self._memo, self._qos, elastic,
+                        _total_weight(elastic),
+                    )
+                new = specs[j] = rung(spec, others)
+                solved = True
+                key = new.mapping_precedence
+                if key is not None:
+                    lo = bisect_left(keys, key)
+                    i = bisect_left(ranks, j, lo, bisect_right(keys, key, lo))
+                    ordered.insert(i, new)
+                    keys.insert(i, key)
+                    ranks.insert(i, j)
+                    if i <= len(placed):
+                        del placed[i:]
+                        solved = False
+        except BaseException:
+            # A rung that raised leaves the order mid-edit: start over.
+            self._inputs, self._ordered, self._keys = (), [], []
+            self._placed = []
+            raise
+        self._inputs = tuple(specs)
+        return specs
+
+
+def _check_solve(cdfs: Mapping[str, EmpiricalCDF], tw: float) -> None:
+    """What no solve can start without."""
+    if tw <= 0:
+        raise ConfigurationError(f"tw must be positive, got {tw}")
+    if not cdfs:
+        raise ConfigurationError("at least one path CDF is required")
+
+
+def _total_weight(specs: Sequence[StreamSpec]) -> float:
+    """The elastic streams' summed weight; an elastic spec without one
+    raises :class:`ConfigurationError`, as a solve does."""
+    return sum(s.weight for s in filter(_ELASTIC, specs))
 
 
 def _solved_rates(
@@ -900,10 +1080,8 @@ def _solved_rates(
         rates[spec.name] = dict(shares)
     if not elastic:
         return rates
-    path_order = list(memo.cdfs)
-    allocated = (
-        placed[-1].allocated if placed else dict.fromkeys(path_order, 0.0)
-    )
+    path_order = memo.paths
+    allocated = placed[-1].allocated if placed else memo.unplaced
     leftover = {p: memo.leftover_mean(p, allocated[p]) for p in path_order}
     total_leftover = sum(leftover.values())
     # An elastic stream's shares depend on its weight and its eligible
@@ -979,10 +1157,7 @@ def compute_mapping(
         When some guaranteed stream fits neither on a single path nor split
         across all of them (or no path meets its RTT/loss ceilings).
     """
-    if tw <= 0:
-        raise ConfigurationError(f"tw must be positive, got {tw}")
-    if not cdfs:
-        raise ConfigurationError("at least one path CDF is required")
+    _check_solve(cdfs, tw)
     if fold is None:
         fold = PlacementFold()
     specs = tuple(specs)
@@ -993,7 +1168,7 @@ def compute_mapping(
     elastic = list(filter(_ELASTIC, specs))
     # Summed now, so a solve refuses an elastic spec without a weight
     # (ConfigurationError) whether or not its rates are ever read.
-    total_weight = sum(s.weight for s in elastic)
+    total_weight = _total_weight(elastic)
     mapping = ResourceMapping(
         None,
         dict(zip(names[:probabilistic], achieved[:probabilistic])),

@@ -645,6 +645,7 @@ class IQPathsService:
                 quarantine_active=bool(quarantined),
                 admission=self._admission,
                 qos=self.scheduler.path_qos(usable),
+                previous=self._plan,
             )
         self._count_fold(before)
         if plan == self._plan:
@@ -686,7 +687,9 @@ class IQPathsService:
                 self.scheduler.remove_stream(name)
                 del self._serving[name]
                 self._emit_plan_event("stream_shed", name)
-            elif target != self._serving[name]:
+            elif target is not (served := self._serving[name]) and (
+                target != served
+            ):
                 self.scheduler.remove_stream(name)
                 self.scheduler.add_stream(target)
                 self._serving[name] = target

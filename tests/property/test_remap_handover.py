@@ -10,9 +10,13 @@ the proof is differential: after **every** remap the installed
 scheduler's own inputs — dict iteration order of ``rates_mbps`` and
 ``packets`` included, because the delivery loop's float sums follow it
 — the lazily compiled schedule must equal an eager ``mapping.compile``,
-and **every** solve an ``AdmissionController`` runs on its fold — each
-open, rejection, partial solve and degradation-ladder rung of every
-test in this module — must equal the solve on no fold at all.
+and **every** solve an ``AdmissionController`` runs on its fold through
+``compute_mapping`` — each open, rejection, partial solve and rung of
+the reference degradation ladder (``tests/oracles/degradation_ladder.py``)
+of every test in this module — must equal the solve on no fold at all.
+The ladder itself runs its rungs as edits of the fold's order, held
+equal to the reference by ``TestLadderOnTheFold`` here and by
+``test_degradation_ladder_oracle.py``.
 
 ``derandomize=True``: this battery gates the byte-identity of every
 report checksum under churn, so it must itself be reproducible.
@@ -37,6 +41,7 @@ from repro.core.mapping import (
 )
 from repro.core.spec import StreamSpec
 from repro.errors import AdmissionError
+from repro.middleware import service as service_module
 from repro.middleware.service import IQPathsService
 from repro.monitoring.cdf import EmpiricalCDF
 from repro.network.emulab import make_figure8_testbed
@@ -44,6 +49,7 @@ from repro.network.faults import FaultCampaign, PathFault
 from repro.obs.context import Observability
 from repro.robustness.degradation import DegradationLevel, plan_degradation
 from tests.oracles import ScalarReferenceService
+from tests.oracles import degradation_ladder as oracle_ladder
 
 #: Shared, read-only: a service only ever reads its realization.
 REALIZATION = make_figure8_testbed().realize(seed=11, duration=30.0, dt=0.1)
@@ -734,9 +740,10 @@ class TestPlacementFold:
 class TestLadderOnTheFold:
     def test_every_rung_of_the_ladder_is_differential(self, fold_checks):
         """Downgrades re-sort a stream, the second rejection strips it:
-        each rung's solve on the controller's fold equals a fresh one
-        (held by the ``fold_checks`` stand-in), and the ladder restarted
-        on the same controller reuses what the last run placed."""
+        each rung of the reference ladder, solved on a controller's fold,
+        equals a fresh solve (held by the ``fold_checks`` stand-in); the
+        sweep plans the same, and restarted on the same controller it
+        reuses what the last run placed."""
         specs = [
             StreamSpec(name=f"g{i}", required_mbps=rate, probability=p)
             for i, (rate, p) in enumerate(
@@ -744,16 +751,21 @@ class TestLadderOnTheFold:
             )
         ] + [StreamSpec(name="bulk", elastic=True, nominal_mbps=30.0)]
         cdfs = {"A": sampled_cdf(22.0, 5, std=6.0)}
+        reference = oracle_ladder.plan_degradation(
+            specs, cdfs, 1.0, quarantine_active=True,
+            admission=AdmissionController(tw=1.0),
+        )
+        assert fold_checks.refusals >= 3
         controller = AdmissionController(tw=1.0)
         plan = plan_degradation(
             specs, cdfs, 1.0, quarantine_active=True, admission=controller
         )
+        assert plan == reference
         assert plan.level is DegradationLevel.DOWNGRADED
         assert any(p is not None for p in plan.downgraded.values())
         assert any(p is None for p in plan.downgraded.values())
-        assert fold_checks.refusals >= 3
-        placements = controller.fold.placements
-        solves = fold_checks.solves
+        fold = controller.fold
+        placements, solves = fold.placements, fold.solves
         again = plan_degradation(
             specs, cdfs, 1.0, quarantine_active=True, admission=controller
         )
@@ -763,13 +775,19 @@ class TestLadderOnTheFold:
         )
         # Same rungs, nearly all of their placements already in the memo
         # or the fold: fewer new placements than rungs.
-        rungs = fold_checks.solves - solves
-        assert controller.fold.placements - placements < rungs * len(specs) / 2
+        rungs = fold.solves - solves
+        assert fold.placements - placements < rungs * len(specs) / 2
+        # The fold the sweep leaves answers as a fresh one (through the
+        # ``fold_checks`` stand-in).
+        checked = fold_checks.solves
+        controller.try_admit(list(again.serve), cdfs)
+        assert fold_checks.solves == checked + 1
 
     def test_flash_crowd_during_an_outage(self, fold_checks):
         """The chaos shape end to end: lenient opens while a path is
-        quarantined, every open re-planning the ladder — and a profile
-        of it that tells the open's solve from the ladder's."""
+        quarantined, every open re-planning the ladder — each plan held
+        against the reference ladder on a controller of its own — and a
+        profile of it that tells the open's solve from the ladder's."""
         obs = Observability(profile=True)
         realization = make_figure8_testbed(
             profile_a="abilene-moderate", profile_b="light"
@@ -813,6 +831,59 @@ class TestLadderOnTheFold:
                     )
 
         service.scheduler.remap = counted_remap
+        #: The reference ladder's controller, kept across plans as the
+        #: service keeps its own; its solves pass ``fold_checks`` too.
+        reference = AdmissionController(tw=service.tw)
+        ladder_solves = [0]
+        sweep = service_module.plan_degradation
+
+        def checked_plan(specs, cdfs, tw, quarantine_active, admission,
+                         qos, previous):
+            solves = fold.solves
+            plan = sweep(
+                specs, cdfs, tw, quarantine_active=quarantine_active,
+                admission=admission, qos=qos, previous=previous,
+            )
+            ladder_solves[0] += fold.solves - solves
+            assert plan == oracle_ladder.plan_degradation(
+                specs, cdfs, tw, quarantine_active=quarantine_active,
+                admission=reference, qos=qos,
+            )
+            return plan
+
+        with mock.patch.object(
+            service_module, "plan_degradation", checked_plan
+        ):
+            self._flash_crowd(service)
+        assert service.degradation_level is DegradationLevel.DOWNGRADED
+        assert fold_checks.refusals > 10
+        assert fold.reused > fold.placements
+        # Remaps that refuse the offer start from the ladder's placements.
+        assert remap_work[0] > 0
+        assert remap_work[1] < sum(fresh_placements) / 2
+        counted = {
+            name: obs.metrics.get(f"mapping.fold_{name}").value
+            for name in ("solves", "placements", "reused")
+        }
+        assert counted == {
+            "solves": fold.solves - remap_work[0],
+            "placements": fold.placements - remap_work[1],
+            "reused": fold.reused - remap_work[2],
+        }
+        # The opens solve through ``compute_mapping``, the ladder on the
+        # fold's order: between them, every solve that is not a remap's.
+        opens = fold_checks.solves - reference.fold.solves
+        assert fold.solves == opens + ladder_solves[0] + remap_work[0]
+        spans = {}
+        for row in obs.prof.report().rows:
+            spans[row["name"]] = spans.get(row["name"], 0) + row["count"]
+        assert spans["service.admission"] == 15
+        assert spans["service.degradation_plan"] >= 14
+        service.advance(30.0)
+        assert not service.health.quarantined()
+
+    @staticmethod
+    def _flash_crowd(service):
         service.open_stream(StreamSpec(name="bulk", elastic=True,
                                        nominal_mbps=30.0))
         service.advance(8.0)
@@ -829,26 +900,3 @@ class TestLadderOnTheFold:
                 service.advance(0.2)
             if i == 9:
                 service.close_stream("g2")
-        assert service.degradation_level is DegradationLevel.DOWNGRADED
-        assert fold_checks.refusals > 10
-        assert fold.reused > fold.placements
-        # Remaps that refuse the offer start from the ladder's placements.
-        assert remap_work[0] > 0
-        assert remap_work[1] < sum(fresh_placements) / 2
-        counted = {
-            name: obs.metrics.get(f"mapping.fold_{name}").value
-            for name in ("solves", "placements", "reused")
-        }
-        assert counted == {
-            "solves": fold_checks.solves,
-            "placements": fold.placements - remap_work[1],
-            "reused": fold.reused - remap_work[2],
-        }
-        assert fold.solves == fold_checks.solves + remap_work[0]
-        spans = {}
-        for row in obs.prof.report().rows:
-            spans[row["name"]] = spans.get(row["name"], 0) + row["count"]
-        assert spans["service.admission"] == 15
-        assert spans["service.degradation_plan"] >= 14
-        service.advance(30.0)
-        assert not service.health.quarantined()

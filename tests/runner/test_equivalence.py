@@ -109,15 +109,27 @@ class TestRunnerCli:
         out = capsys.readouterr().out
         assert "fig10" in out and "video" in out
 
-    def test_failure_exit_code(self, selftest_task, capsys):
-        # Inject a failing spec through run_specs directly: the CLI's
-        # exit-code contract is report.all_ok, which this exercises.
-        from repro.runner import RunSpec
+    def test_failure_exit_code(self, monkeypatch, tmp_path, capsys):
+        """A figure that raises fails its spec, and the CLI exits 1.
 
-        report = run_specs(
-            [RunSpec(kind="selftest", name="bad", params={"mode": "raise"})],
-            workers=1,
-            timeout_s=60.0,
-        )
-        assert not report.all_ok
+        The registry is patched in this process; the worker forked to
+        run the spec inherits it."""
+        from repro.harness import figures
+
+        def broken(seed=None, fast=False):
+            raise RuntimeError("injected figure failure")
+
+        monkeypatch.setitem(figures.FIGURES, "fig10", broken)
+        argv = [
+            "fig10",
+            "--fast",
+            "--workers",
+            "1",
+            "--retries",
+            "0",
+            "--output-dir",
+            str(tmp_path / "out"),
+        ]
+        assert runner_main(argv) == 1
+        assert not (tmp_path / "out" / "fig10-fast.txt").exists()
         capsys.readouterr()
