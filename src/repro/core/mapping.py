@@ -113,8 +113,10 @@ def shifted_cdf(cdf: EmpiricalCDF, allocated_mbps: float) -> EmpiricalCDF:
     # Subtracting a constant and clipping at zero preserve sortedness, so
     # the residual CDF is built without re-sorting (the mapping step calls
     # this once per (stream, path) and used to pay O(W log W) each time).
+    # ``np.maximum`` is what ``np.clip(x, 0.0, None)`` calls, without its
+    # Python-level dispatch.
     return EmpiricalCDF.from_sorted(
-        np.clip(cdf.samples - allocated_mbps, 0.0, None),
+        np.maximum(cdf.samples - allocated_mbps, 0.0),
         copy=False,
         validate=False,
     )
@@ -214,21 +216,23 @@ class ResourceMapping:
     ``packets``, and only such a table is what a snapshot must carry
     (:attr:`explicit_packets`).
 
-    A :func:`compute_mapping` solve derives ``rates_mbps`` — each placed
-    stream's shares, then the elastic split of what they left — on
-    first read too, from the fold's placement records and residual
-    answers, which it holds until then and no longer: an offer nobody
-    installs never builds them.
+    A :func:`compute_mapping` solve hands over :attr:`placements` (a
+    :class:`SolvedPlacements`) instead of rates, and derives
+    ``rates_mbps`` — each placed stream's shares, then the elastic
+    split of what they left — from it on first read: an offer nobody
+    installs never builds them, and interval-mode delivery reads the
+    placements, not the table (docs/sim.md, "What a solve hands to
+    delivery").  Any other mapping has ``placements`` ``None``.
     """
 
     __slots__ = (
         "achieved_probability",
         "achieved_violation_rate",
         "tw",
+        "placements",
         "_rates",
         "_packets",
         "_specs",
-        "_solve",
     )
 
     def __init__(
@@ -247,7 +251,8 @@ class ResourceMapping:
                 "it from, exactly one of the two"
             )
         self._rates = rates_mbps
-        self._solve = None
+        #: A solve's hand-over; ``None`` for a mapping given its rates.
+        self.placements: Optional[SolvedPlacements] = None
         self.achieved_probability = (
             {} if achieved_probability is None else achieved_probability
         )
@@ -263,8 +268,7 @@ class ResourceMapping:
     def rates_mbps(self) -> dict[str, dict[str, float]]:
         """Stream -> path -> Mbps; a solve's derived on first read."""
         if self._rates is None:
-            self._rates = _solved_rates(*self._solve)
-            self._solve = None
+            self._rates = self.placements.rates()
         return self._rates
 
     @property
@@ -400,8 +404,14 @@ class _ResidualMemo:
         key = (path, allocated)
         mean = self._means.get(key)
         if mean is None:
+            samples = self.cdfs[path].samples
+            if allocated:
+                # shifted_cdf's residual samples, without the CDF object.
+                samples = np.maximum(samples - allocated, 0.0)
+            # ``EmpiricalCDF.mean``: ndarray.mean is this sum over the
+            # count, bit for bit.
             mean = self._means[key] = max(
-                shifted_cdf(self.cdfs[path], allocated).mean(), 0.0
+                float(np.add.reduce(samples)) / samples.size, 0.0
             )
         return mean
 
@@ -691,7 +701,8 @@ class _Placement(NamedTuple):
     """One guaranteed stream's place in the fold."""
 
     spec: StreamSpec
-    #: Rate per path; the fold's own copy, never handed out.
+    #: Rate per path; the fold's own dict, never written after the
+    #: placement (delivery keeps it to compare with the next one).
     shares: dict[str, float]
     #: Achieved P, or the achieved violation bound.
     achieved: float
@@ -705,6 +716,7 @@ _PRECEDENCE = attrgetter("mapping_precedence")
 _NAME = attrgetter("spec.name")
 _ACHIEVED = attrgetter("achieved")
 _ELASTIC = attrgetter("elastic")
+_WEIGHT = attrgetter("weight")
 
 
 class PlacementFold:
@@ -746,12 +758,14 @@ class PlacementFold:
 
     ``solves``, ``placements`` and ``reused`` count, over the fold's
     lifetime, passes over the order (a solve, or one step of a
-    ladder), streams placed and streams kept from the pass before.
+    ladder), streams placed and streams kept from the pass before;
+    ``rate_derivations`` counts the ``rates_mbps`` tables derived from
+    its solves (:meth:`SolvedPlacements.rates`).
     """
 
     __slots__ = (
         "_tw", "_qos", "_memo", "_inputs", "_ordered", "_keys", "_placed",
-        "solves", "placements", "reused",
+        "solves", "placements", "reused", "rate_derivations",
     )
 
     def __init__(self) -> None:
@@ -768,6 +782,7 @@ class PlacementFold:
         self.solves = 0
         self.placements = 0
         self.reused = 0
+        self.rate_derivations = 0
 
     def _memo_for(
         self,
@@ -1021,10 +1036,10 @@ class PlacementFold:
                 others = None
                 if refused is None:
                     elastic = [s for s in specs if s.elastic and s is not spec]
-                    others = _solved_rates(
+                    others = SolvedPlacements(
                         placed, self._memo, self._qos, elastic,
-                        _total_weight(elastic),
-                    )
+                        _total_weight(elastic), self,
+                    ).rates()
                 new = specs[j] = rung(spec, others)
                 solved = True
                 key = new.mapping_precedence
@@ -1057,16 +1072,76 @@ def _check_solve(cdfs: Mapping[str, EmpiricalCDF], tw: float) -> None:
 def _total_weight(specs: Sequence[StreamSpec]) -> float:
     """The elastic streams' summed weight; an elastic spec without one
     raises :class:`ConfigurationError`, as a solve does."""
-    return sum(s.weight for s in filter(_ELASTIC, specs))
+    return sum(map(_WEIGHT, filter(_ELASTIC, specs)))
 
 
-def _solved_rates(
-    placed: Sequence[_Placement],
-    memo: _ResidualMemo,
-    qos: Mapping[str, PathQoSEstimate] | None,
-    elastic: Sequence[StreamSpec],
-    total_weight: float,
-) -> dict[str, dict[str, float]]:
+class SolvedPlacements(NamedTuple):
+    """What a :func:`compute_mapping` solve hands over instead of rates.
+
+    The placement records in precedence order (a guaranteed stream's
+    shares are its rates), the residual answers they were placed with,
+    the RTT/loss levels, the elastic specs and their summed weight, and
+    the fold that solved.  From these :meth:`rates` derives the whole
+    ``rates_mbps`` table for the readers that need one, and delivery
+    reads what it needs without it: the shares of the records a solve
+    placed anew, and one :meth:`elastic_split` per elastic class.
+    """
+
+    placed: Sequence[_Placement]
+    memo: _ResidualMemo
+    qos: Optional[Mapping[str, PathQoSEstimate]]
+    elastic: Sequence[StreamSpec]
+    total_weight: float
+    fold: PlacementFold
+
+    @property
+    def paths(self) -> list[str]:
+        """The solve's path order."""
+        return self.memo.paths
+
+    def leftover(self) -> tuple[dict[str, float], float]:
+        """Mean bandwidth each path has left beyond the placements, and
+        the sum of those in path order."""
+        placed, memo = self.placed, self.memo
+        allocated = placed[-1].allocated if placed else memo.unplaced
+        leftover = {
+            p: memo.leftover_mean(p, allocated[p]) for p in memo.paths
+        }
+        return leftover, sum(leftover.values())
+
+    def elastic_split(
+        self,
+        weight: float,
+        candidates: Sequence[str],
+        leftover: Mapping[str, float],
+        total_leftover: float,
+    ) -> dict[str, float]:
+        """The shares of an elastic stream of ``weight`` on its eligible
+        ``candidates``: its weight's part of the leftover, split over
+        the candidates by their leftover; shares of 1e-9 or less are
+        left out."""
+        total_weight = self.total_weight
+        share_total = (
+            total_leftover * weight / total_weight if total_weight else 0.0
+        )
+        eligible_leftover = sum(leftover[p] for p in candidates)
+        shares = {}
+        for p in candidates:
+            frac = (
+                leftover[p] / eligible_leftover if eligible_leftover else 0.0
+            )
+            r = share_total * frac
+            if r > 1e-9:
+                shares[p] = r
+        return shares
+
+    def rates(self) -> dict[str, dict[str, float]]:
+        """The solve's ``rates_mbps``, derived afresh (and counted)."""
+        self.fold.rate_derivations += 1
+        return _solved_rates(self)
+
+
+def _solved_rates(solve: SolvedPlacements) -> dict[str, dict[str, float]]:
     """A solve's ``rates_mbps``: the placed streams' shares, then the
     elastic streams' split of the leftover mean bandwidth by weight.
 
@@ -1075,39 +1150,26 @@ def _solved_rates(
     for why the service still refuses one).
     """
     rates: dict[str, dict[str, float]] = {}
-    for spec, shares, _, _ in placed:
+    for spec, shares, _, _ in solve.placed:
         # A copy: the elastic share below is added onto it in place.
         rates[spec.name] = dict(shares)
-    if not elastic:
+    if not solve.elastic:
         return rates
-    path_order = memo.paths
-    allocated = placed[-1].allocated if placed else memo.unplaced
-    leftover = {p: memo.leftover_mean(p, allocated[p]) for p in path_order}
-    total_leftover = sum(leftover.values())
+    path_order, qos = solve.paths, solve.qos
+    leftover, total_leftover = solve.leftover()
     # An elastic stream's shares depend on its weight and its eligible
     # paths only, and catalog templates share both: each distinct pair
     # is split once, and every stream of it takes a copy.
     splits: dict[tuple, dict[str, float]] = {}
-    for spec in elastic:
+    for spec in solve.elastic:
         weight = spec.weight
         candidates = eligible_paths(spec, path_order, qos)
         key = (weight, *candidates)
         shares = splits.get(key)
         if shares is None:
-            share_total = (
-                total_leftover * weight / total_weight if total_weight else 0.0
+            shares = splits[key] = solve.elastic_split(
+                weight, candidates, leftover, total_leftover
             )
-            eligible_leftover = sum(leftover[p] for p in candidates)
-            shares = splits[key] = {}
-            for p in candidates:
-                frac = (
-                    leftover[p] / eligible_leftover
-                    if eligible_leftover
-                    else 0.0
-                )
-                r = share_total * frac
-                if r > 1e-9:
-                    shares[p] = r
         prior = rates.get(spec.name)
         if prior is None:
             rates[spec.name] = dict(shares)
@@ -1176,6 +1238,7 @@ def compute_mapping(
         tw,
         specs=specs,
     )
-    # What rates_mbps is derived from, on first read.
-    mapping._solve = (placed, memo, fold._qos, elastic, total_weight)
+    mapping.placements = SolvedPlacements(
+        placed, memo, fold._qos, elastic, total_weight, fold
+    )
     return mapping

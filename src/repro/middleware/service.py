@@ -444,6 +444,7 @@ class IQPathsService:
                 tenant=tenant,
             )
         self._vec.on_open(handle)
+        self._vec.serve(spec)
         return handle
 
     def _maybe_refresh_after_open(self) -> None:
@@ -599,6 +600,7 @@ class IQPathsService:
             raise ConfigurationError(f"stream {name!r} is not open")
         if name in self._serving:
             self.scheduler.remove_stream(name)
+            self._vec.unserve(name)
             del self._serving[name]
         handle.closed_at = self.now
         self._vec.on_close(name)
@@ -685,6 +687,7 @@ class IQPathsService:
             target = desired.get(name)
             if target is None:
                 self.scheduler.remove_stream(name)
+                self._vec.unserve(name)
                 del self._serving[name]
                 self._emit_plan_event("stream_shed", name)
             elif target is not (served := self._serving[name]) and (
@@ -692,6 +695,8 @@ class IQPathsService:
             ):
                 self.scheduler.remove_stream(name)
                 self.scheduler.add_stream(target)
+                self._vec.unserve(name)
+                self._vec.serve(target)
                 self._serving[name] = target
                 self._emit_plan_event(
                     "stream_downgraded",
@@ -702,6 +707,7 @@ class IQPathsService:
         for name, spec in desired.items():
             if name not in self._serving:
                 self.scheduler.add_stream(spec)
+                self._vec.serve(spec)
                 self._serving[name] = spec
                 self._emit_plan_event("stream_restored", name)
 

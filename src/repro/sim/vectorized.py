@@ -41,30 +41,37 @@ every remap installs a fresh object).  The engine therefore compiles the
 request lists once per mapping into per-path slot arrays (row and
 weight per slot, in contiguous level groups with each rule's bounded
 rows and parameters gathered) and re-derives only the per-step demands
-from the backlog column.  The templates encode PGOS's allocation rules,
-so the engine refuses any other scheduler.
+from the backlog column.  What a compile reads per stream lives in
+serving-order columns kept across steps and edited as streams are
+served and unserved; a compile re-reads only the rates a solve changed
+(docs/sim.md, "What a solve hands to delivery").  The templates encode
+PGOS's allocation rules, so the engine refuses any other scheduler.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
-from itertools import repeat
-from operator import attrgetter, is_not
-from typing import TYPE_CHECKING, Optional
+from itertools import accumulate, compress, count, repeat
+from operator import attrgetter, ne
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.batchstate import BatchState
+from repro.core.mapping import ResourceMapping, eligible_paths
 from repro.core.pgos import (
     LEVEL_SCHEDULED_ELSEWHERE,
     LEVEL_SCHEDULED_HERE,
     LEVEL_UNSCHEDULED,
     PGOSScheduler,
 )
+from repro.core.spec import StreamSpec
 from repro.errors import CheckpointError, ConfigurationError
 from repro.series import unpack_series
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.mapping import SolvedPlacements
     from repro.middleware.service import IQPathsService, StreamHandle
 
 __all__ = ["VectorizedDelivery"]
@@ -75,10 +82,8 @@ _KIND_RULE2 = 1  # scheduled elsewhere: demand = max(backlog - mapped_total, 0)
 _KIND_RULE3 = 2  # unscheduled/elastic: demand = backlog
 _KIND_FALLBACK = 3  # no history yet: demand = backlog / n_usable
 
-_NAME = attrgetter("name")
-_ELASTIC = attrgetter("elastic")
-_WEIGHT = attrgetter("weight")
-_PRECEDENCE = attrgetter("mapping_precedence")
+_RECORD_NAME = attrgetter("spec.name")
+_SHARES = attrgetter("shares")
 #: The shares of a stream absent from ``rates_mbps``; never written.
 _NO_RATES: dict[str, float] = {}
 
@@ -103,43 +108,52 @@ class _PathTemplate:
 
     __slots__ = ("rows", "weight", "groups", "bounded", "hd", "demand")
 
-    def __init__(self, groups: list) -> None:
-        """``groups``: ``(level, kind, rows, weight, param, has_demand)``
-        per present level, ascending, each in request order; ``param``
-        is the rule parameter per slot (``None`` for rule 3)."""
-        self.rows = np.concatenate([g[2] for g in groups])
+    def __init__(
+        self, rows: np.ndarray, has_demand: np.ndarray, groups: list
+    ) -> None:
+        """``rows`` and ``has_demand``: per serving row.  ``groups``:
+        ``(level, kind, at, weight, param)`` per present level,
+        ascending: the serving rows ``at`` the level files, in request
+        order, their weights, and the rule parameter — per slot (rule
+        2's mapped total), ``None`` where it is the slot's weight (rule
+        1) or unused (rule 3), or one number for all (the fallback's
+        path count)."""
+        at = np.concatenate([g[2] for g in groups])
+        self.rows = rows[at]
         self.weight = np.concatenate([g[3] for g in groups])
+        hd = has_demand[at].nonzero()[0]
+        hd_rows = self.rows[hd]
         #: ``(level, lo, hi, total weight, any bounded demand)`` per
         #: group.  The total is the first pass's sequential weight fold,
-        #: hoisted: every slot of a group files on that pass (rule 2's
-        #: group recomputes it over the slots its gate keeps).
+        #: hoisted: every slot of a group files on that pass.  Rule 2's
+        #: group keeps none: its gate keeps a step's own slots, and the
+        #: fill folds those.
         self.groups = []
         #: ``(kind, slot index, rows, param)`` of each group's slots with
         #: a bounded demand: the gathers a step's demands need.
         self.bounded = []
-        hd = []
+        his = list(accumulate([g[2].size for g in groups]))
         lo = 0
-        for level, kind, rows, weight, param, has_demand in groups:
-            hi = lo + rows.size
-            idx = np.flatnonzero(has_demand)
-            total = float(np.add.accumulate(weight)[-1])
-            self.groups.append((level, lo, hi, total, idx.size > 0))
-            if idx.size:
+        cut = 0
+        for (level, kind, _, weight, param), hi, end in zip(
+            groups, his, hd.searchsorted(his).tolist()
+        ):
+            total = 0.0
+            if kind != _KIND_RULE2:
+                total = float(np.add.accumulate(weight)[-1])
+            self.groups.append((level, lo, hi, total, end > cut))
+            if end > cut:
+                slots = hd[cut:end]
+                if param is None and kind == _KIND_RULE1:
+                    param = self.weight[slots]
+                elif type(param) is np.ndarray:
+                    param = param[slots - lo]
                 self.bounded.append(
-                    (
-                        kind,
-                        _as_index(lo + idx),
-                        rows[idx],
-                        None if param is None else param[idx],
-                    )
+                    (kind, _as_index(slots), hd_rows[cut:end], param)
                 )
-                hd.append(lo + idx)
-            lo = hi
+            lo, cut = hi, end
         #: Every bounded slot and its row: the grants the backlog caps.
-        self.hd = None
-        if hd:
-            idx = np.concatenate(hd)
-            self.hd = (_as_index(idx), self.rows[idx])
+        self.hd = (_as_index(hd), hd_rows) if hd.size else None
         #: The step's demands; unbounded slots stay inf (the scalar's
         #: ``None``), bounded ones are rewritten by every ``demands``.
         self.demand = np.full(lo, np.inf)
@@ -161,13 +175,206 @@ class _PathTemplate:
         return d
 
 
+class _Serving:
+    """The scheduler's serving streams as columns, in serving order.
+
+    Edited as ``scheduler.streams`` is: :meth:`add` appends a stream
+    (``add_stream``), :meth:`remove` deletes one in place
+    (``remove_stream``), so a degradation downgrade, a remove then an
+    add, moves the stream to the end in both.  Per row: the batch row,
+    the elastic and guaranteed-or-bound flags, whether the batch row has
+    a bounded demand, the fair-queuing weight, the elastic class, and
+    the rates on each path (one matrix row per path) with their total.
+    Only :meth:`read_rates` writes the rates.
+    """
+
+    def __init__(self, paths: Sequence[str], capacity: int = 64):
+        self.path_index = {p: j for j, p in enumerate(paths)}
+        self.names: list[str] = []
+        self.n = 0
+        self._columns(
+            np.zeros((2, capacity), np.int64),
+            np.zeros((3, capacity), bool),
+            np.zeros((2 + len(self.path_index), capacity)),
+        )
+        #: Per guaranteed row read from a one-path placement, the shares
+        #: its rates hold, and the usable paths they were read on.
+        self.held: dict[str, dict[str, float]] = {}
+        self.usable: list[str] = []
+        #: Elastic class per (weight, RTT ceiling, loss ceiling): the
+        #: streams of a class take one elastic split.  One spec per
+        #: class, and how many purely elastic rows it has.
+        self.classes: dict[tuple, int] = {}
+        self.class_specs: list[StreamSpec] = []
+        self.class_rows: list[int] = []
+
+    def _columns(self, ints, flags, floats) -> None:
+        """Install the three column blocks (an edit moves each in one
+        operation) and name their rows."""
+        self._ints, self._flags, self._floats = ints, flags, floats
+        self.row, self.cls = ints
+        self.elastic, self.guaranteed, self.bounded = flags
+        self.weight, self.total = floats[:2]
+        self.rate = floats[2:]
+
+    def _grow(self) -> None:
+        blocks = []
+        for block in (self._ints, self._flags, self._floats):
+            grown = np.zeros((block.shape[0], 2 * block.shape[1]), block.dtype)
+            grown[:, : block.shape[1]] = block
+            blocks.append(grown)
+        self._columns(*blocks)
+
+    def add(self, spec: StreamSpec, row: int, bounded: bool) -> None:
+        """Append ``spec`` served from batch row ``row`` (whose demand is
+        ``bounded`` or not), with no rates."""
+        weight = spec.weight  # raises for an elastic spec without one
+        guaranteed = spec.mapping_precedence is not None
+        n = self.n
+        if n == self.row.size:
+            self._grow()
+        self.names.append(spec.name)
+        cls = 0
+        if spec.elastic:
+            key = (weight, spec.max_rtt_ms, spec.max_loss_rate)
+            cls = self.classes.get(key)
+            if cls is None:
+                cls = self.classes[key] = len(self.class_specs)
+                self.class_specs.append(spec)
+                self.class_rows.append(0)
+            if not guaranteed:
+                self.class_rows[cls] += 1
+        self.row[n] = row
+        self.cls[n] = cls
+        self.elastic[n] = spec.elastic
+        self.guaranteed[n] = guaranteed
+        self.bounded[n] = bounded
+        self._floats[:, n] = 0.0
+        self.weight[n] = weight
+        self.n = n + 1
+
+    def remove(self, name: str) -> None:
+        """Delete ``name``'s row; the rows behind it move up one."""
+        i = self.names.index(name)
+        del self.names[i]
+        self.held.pop(name, None)
+        if self.elastic[i] and not self.guaranteed[i]:
+            self.class_rows[int(self.cls[i])] -= 1
+        n = self.n
+        for block in (self._ints, self._flags, self._floats):
+            block[:, i : n - 1] = block[:, i + 1 : n]
+        self.n = n - 1
+
+    def read_rates(
+        self, mapping: ResourceMapping, usable: list[str]
+    ) -> int:
+        """Bring the rates on the ``usable`` paths to ``mapping``'s;
+        returns how many rows were read from per-stream objects.
+
+        A mapping handed its rates (an explicit table) is read whole.
+        A solve's (:class:`repro.core.mapping.SolvedPlacements`) is read
+        by edit.  A guaranteed row is read from its placement record
+        only when the record's shares differ from those the row holds:
+        one-path shares are positive, so equal dicts hold the same bits
+        (a split is read every time, since its total follows dict
+        order).  Other usable paths reset what every row holds.  Purely
+        elastic rows take their class's share vector, one split per
+        class.  (A spec both guaranteed and elastic, which the service
+        refuses at open, holds its placed shares only: positive, so the
+        compile refuses it as a duplicate request, as water-fill does.)
+        """
+        n = self.n
+        held = self.held
+        if usable != self.usable:
+            self.usable = usable
+            held.clear()
+        solve = mapping.placements
+        if solve is None:
+            rates = mapping.rates_mbps
+            held.clear()
+            return self._write(
+                np.arange(n),
+                list(map(rates.get, self.names, repeat(_NO_RATES))),
+                usable,
+            )
+        placed = solve.placed
+        names = list(map(_RECORD_NAME, placed))
+        shares = list(map(_SHARES, placed))
+        changed = list(
+            compress(count(), map(ne, shares, map(held.get, names)))
+        )
+        read = 0
+        if changed:
+            at_of = dict(zip(self.names, count()))
+            at = np.array([at_of[names[i]] for i in changed], np.int64)
+            rates = [shares[i] for i in changed]
+            read = self._write(at, rates, usable)
+            for i in changed:
+                if len(shares[i]) == 1:
+                    held[names[i]] = shares[i]
+                else:
+                    held.pop(names[i], None)
+        if any(self.class_rows):
+            pure = (self.elastic[:n] > self.guaranteed[:n]).nonzero()[0]
+            self._split(solve, pure, usable)
+        return read
+
+    def _write(
+        self, at: np.ndarray, rates: list, usable: Sequence[str]
+    ) -> int:
+        """Rows ``at`` take the per-path rates and total of ``rates``
+        (one dict per row), read with one C-level pass per path."""
+        k = len(rates)
+        for p in usable:
+            self.rate[self.path_index[p], at] = np.fromiter(
+                map(dict.get, rates, repeat(p), repeat(0.0)), float, k
+            )
+        # Python sum in dict insertion order: the scalar's
+        # ``sum(rates.values())``, the same sequential fold.
+        self.total[at] = np.fromiter(
+            map(sum, map(dict.values, rates)), float, k
+        )
+        return k
+
+    def _split(
+        self,
+        solve: "SolvedPlacements",
+        pure: np.ndarray,
+        usable: Sequence[str],
+    ) -> None:
+        """Rows ``pure`` (purely elastic) take their class's shares."""
+        leftover, total_leftover = solve.leftover()
+        table = []
+        for spec, rows in zip(self.class_specs, self.class_rows):
+            shares = _NO_RATES
+            if rows:
+                shares = solve.elastic_split(
+                    spec.weight,
+                    eligible_paths(spec, solve.paths, solve.qos),
+                    leftover,
+                    total_leftover,
+                )
+            table.append([shares.get(p, 0.0) for p in usable])
+        table = np.array(table)
+        cls = self.cls[pure]
+        for j, p in enumerate(usable):
+            self.rate[self.path_index[p], pure] = table[cls, j]
+
+
 class VectorizedDelivery:
     """Struct-of-arrays delivery engine bound to one service instance.
 
-    The service forwards its stream lifecycle (open/close), the per-step
+    The service forwards its stream lifecycle (open/close), each edit of
+    the scheduler's serving streams (serve/unserve), the per-step
     delivery call, and checkpoint materialization here; everything else
     stays on the scalar control plane.
     """
+
+    #: Work counters: template compiles, and serving rows whose columns
+    #: were derived from per-stream objects (a serve, or a compile's
+    #: read of a rate row).
+    compiles = 0
+    rows_rederived = 0
 
     def __init__(self, service: "IQPathsService"):
         if not isinstance(service.scheduler, PGOSScheduler):
@@ -183,11 +390,7 @@ class VectorizedDelivery:
             dt=service.dt,
             buffer_seconds=service.buffer_seconds,
         )
-        # Per-path compiled request slots, keyed by mapping identity:
-        # every event that voids requests (membership change, quarantine
-        # flip, CDF-shift remap) installs a fresh mapping object.
-        self._templates: Optional[dict[str, _PathTemplate]] = None
-        self._template_mapping: Optional[object] = None
+        self.serve_all(())
         self._demand_rows: Optional[np.ndarray] = None
         #: Backlog in Mbps per batch row, rewritten each step for the
         #: rows of bounded streams (no other row is read).
@@ -206,6 +409,33 @@ class VectorizedDelivery:
         self.batch.close(name, svc._k - svc._start_k)
         self._demand_rows = None
 
+    def serve(self, spec: StreamSpec) -> None:
+        """The scheduler's ``add_stream(spec)``; the stream's batch row
+        must be open."""
+        batch = self.batch
+        row = batch.row(spec.name)
+        # Demand presence comes from the *original* handle spec (the
+        # service keys backlog_mbps off h.spec), which is what the batch
+        # columns were filled from at open time.
+        self.serving.add(spec, row, not math.isnan(batch.demand_mbps[row]))
+        self.rows_rederived += 1
+
+    def unserve(self, name: str) -> None:
+        """The scheduler's ``remove_stream(name)``."""
+        self.serving.remove(name)
+
+    def serve_all(self, specs: Iterable[StreamSpec]) -> None:
+        """Serve ``specs``, in order, from empty columns: the full
+        rebuild (a checkpoint restore) is the same edits."""
+        self.serving = _Serving(self.service.path_names)
+        # Per-path compiled request slots, keyed by mapping identity:
+        # every event that voids requests (membership change, quarantine
+        # flip, CDF-shift remap) installs a fresh mapping object.
+        self._templates: Optional[dict[str, _PathTemplate]] = None
+        self._template_mapping: Optional[object] = None
+        for spec in specs:
+            self.serve(spec)
+
     def _demand_row_indices(self) -> np.ndarray:
         """Rows of open streams that have a bounded (CBR) demand."""
         rows = self._demand_rows
@@ -219,139 +449,105 @@ class VectorizedDelivery:
     # ------------------------------------------------------------------
     # request-template compilation
     # ------------------------------------------------------------------
-    def _compile(self, fallback: bool) -> dict[str, _PathTemplate]:
+    def compile(self, fallback: bool) -> dict[str, _PathTemplate]:
         """Compile PGOS's request lists into per-path slot arrays.
 
         Mirrors ``PGOSScheduler._allocate_inner`` (or
         ``_fallback_requests`` when ``fallback``) request for request,
-        built from per-stream columns, each one C-level pass over the
-        streams, rather than one request at a time (docs/sim.md, "What a
-        solve hands to delivery").  On each usable path the scalar loop
-        files, per serving spec in order, at most one rule-1/rule-2
-        request and then at most one rule-3 request.  A rule fixes the
-        level (1: scheduled here, 2: elsewhere, 3: unscheduled), so each
-        path's level groups are the specs a rule selects, in spec order:
-        the order that drives water-fill's pending iteration and its
+        from the serving columns: the rates are first brought to the
+        installed mapping (:meth:`_Serving.read_rates`), then every
+        rule is a mask over the columns (docs/sim.md, "What a solve
+        hands to delivery").  On each usable path the scalar loop files,
+        per serving spec in order, at most one rule-1/rule-2 request and
+        then at most one rule-3 request.  A rule fixes the level (1:
+        scheduled here, 2: elsewhere, 3: unscheduled), so each path's
+        level groups are the specs a rule selects, in spec order: the
+        order that drives water-fill's pending iteration and its
         sequential float folds within a level.
         """
         svc = self.service
         sched = svc.scheduler
-        batch = self.batch
-        usable = sched.usable_paths
-        streams = sched.streams
+        serving = self.serving
+        self.compiles += 1
         if svc.obs.enabled:
             svc.obs.metrics.counter("delivery.template_compiles").inc()
-        if not streams:
+        n = serving.n
+        if not n:
             return {}
-        n, n_paths = len(streams), len(usable)
-        names = list(map(_NAME, streams))
-        rows = np.fromiter(map(batch.row, names), np.int64, n)
-        # Demand presence comes from the *original* handle spec (the
-        # service keys backlog_mbps off h.spec), which is what the batch
-        # columns were filled from at open time.
-        has_demand = ~np.isnan(batch.demand_mbps[rows])
-        elastic = np.fromiter(map(_ELASTIC, streams), bool, n)
-        weights = np.fromiter(map(_WEIGHT, streams), float, n)
+        usable = sched.usable_paths
+        n_paths = len(usable)
+        rows = serving.row[:n]
+        has_demand = serving.bounded[:n]
+        elastic = serving.elastic[:n]
+        weights = serving.weight[:n]
         # Rule 3 (and the fallback's elastic level) files every elastic
         # spec on every usable path, in spec order.
-        i3 = np.flatnonzero(elastic)
+        i3 = elastic.nonzero()[0]
 
         if fallback:
             # Every spec on every usable path, the same request each.
             groups = [
-                (
-                    level,
-                    _KIND_FALLBACK,
-                    rows[i],
-                    weights[i],
-                    np.full(i.size, float(n_paths)),
-                    has_demand[i],
-                )
+                (level, _KIND_FALLBACK, i, weights[i], float(n_paths))
                 for level, i in (
-                    (LEVEL_SCHEDULED_HERE, np.flatnonzero(~elastic)),
+                    (LEVEL_SCHEDULED_HERE, (~elastic).nonzero()[0]),
                     (LEVEL_UNSCHEDULED, i3),
                 )
                 if i.size
             ]
-            template = _PathTemplate(groups)
+            template = _PathTemplate(rows, has_demand, groups)
             return {p: template for p in usable}
 
-        rates_mbps = sched.mapping.rates_mbps
-        per_stream = list(map(rates_mbps.get, names, repeat(_NO_RATES)))
-        rate = np.empty((n_paths, n))
-        for j, path in enumerate(usable):
-            rate[j] = np.fromiter(
-                map(dict.get, per_stream, repeat(path), repeat(0.0)), float, n
-            )
-        # Compile-time Python sum in dict insertion order — the same
-        # sequential fold the scalar allocator runs per interval.
-        total = np.fromiter(map(sum, map(dict.values, per_stream)), float, n)
+        self.rows_rederived += serving.read_rates(sched.mapping, usable)
+        rate = serving.rate[[serving.path_index[p] for p in usable], :n]
+        total = serving.total[:n]
         # Guaranteed or violation-bound: exactly the specs with a
         # placement precedence.
-        guaranteed = np.fromiter(
-            map(is_not, map(_PRECEDENCE, streams), repeat(None)), bool, n
-        )
+        guaranteed = serving.guaranteed[:n]
         rule1 = guaranteed & (rate > 0)
         # Rule-2 slots with a bounded demand are *dynamic*: present only
         # when the step's excess exceeds 1e-9, gated per step by the
         # water-fill (see _water_fill).
         rule2 = (guaranteed & (total > 0)) & ~rule1
-        both = (rule1 | rule2) & elastic
-        if both.any():
-            # Same error (and message) water_fill raises when one stream
-            # files two requests on one path.
-            name = streams[int(np.flatnonzero(both.any(axis=0))[0])].name
-            raise ConfigurationError(
-                f"duplicate request for stream {name!r} on one path"
-            )
+        if (guaranteed & elastic).any():
+            both = ((rule1 | rule2) & elastic).any(axis=0)
+            if both.any():
+                # Same error (and message) water_fill raises when one
+                # stream files two requests on one path.
+                name = serving.names[int(both.nonzero()[0][0])]
+                raise ConfigurationError(
+                    f"duplicate request for stream {name!r} on one path"
+                )
         # Rule 3: max(rate, 0.0), or the spec's weight spread evenly over
         # the usable paths where that is not positive.
         weight3 = np.maximum(rate[:, i3], 0.0)
         weight3 = np.where(weight3 <= 0, weights[i3] / n_paths, weight3)
         weight2 = np.maximum(total, 1e-6)
-        rows3, has_demand3 = rows[i3], has_demand[i3]
 
         templates = {}
         for j, path in enumerate(usable):
             groups = []
-            i = np.flatnonzero(rule1[j])
+            i = rule1[j].nonzero()[0]
             if i.size:
-                here = rate[j, i]
                 groups.append(
-                    (
-                        LEVEL_SCHEDULED_HERE,
-                        _KIND_RULE1,
-                        rows[i],
-                        here,
-                        here,
-                        has_demand[i],
-                    )
+                    (LEVEL_SCHEDULED_HERE, _KIND_RULE1, i, rate[j, i], None)
                 )
-            i = np.flatnonzero(rule2[j])
+            i = rule2[j].nonzero()[0]
             if i.size:
                 groups.append(
                     (
                         LEVEL_SCHEDULED_ELSEWHERE,
                         _KIND_RULE2,
-                        rows[i],
+                        i,
                         weight2[i],
                         total[i],
-                        has_demand[i],
                     )
                 )
             if i3.size:
                 groups.append(
-                    (
-                        LEVEL_UNSCHEDULED,
-                        _KIND_RULE3,
-                        rows3,
-                        weight3[j],
-                        None,
-                        has_demand3,
-                    )
+                    (LEVEL_UNSCHEDULED, _KIND_RULE3, i3, weight3[j], None)
                 )
             if groups:
-                templates[path] = _PathTemplate(groups)
+                templates[path] = _PathTemplate(rows, has_demand, groups)
         return templates
 
     def _current_templates(self) -> dict[str, _PathTemplate]:
@@ -366,7 +562,7 @@ class VectorizedDelivery:
         """
         sched = self.service.scheduler
         if not sched.has_history:
-            templates = self._compile(fallback=True)
+            templates = self.compile(fallback=True)
             self._template_mapping = None
             self._templates = None
             return templates
@@ -376,7 +572,7 @@ class VectorizedDelivery:
             self._templates is None
             or sched.mapping is not self._template_mapping
         ):
-            self._templates = self._compile(fallback=False)
+            self._templates = self.compile(fallback=False)
             self._template_mapping = sched.mapping
         return self._templates
 
@@ -554,7 +750,8 @@ class VectorizedDelivery:
     # checkpoint materialization
     # ------------------------------------------------------------------
     def rebuild_from_state(self, state: dict) -> None:
-        """Repopulate the batch from a service ``state_dict`` snapshot.
+        """Repopulate the batch from a service ``state_dict`` snapshot,
+        then serve the restored scheduler's streams from empty columns.
 
         Rows are opened in the snapshot's ``handles`` order — open
         order, the order the batch had — so a later ``state_dict()``
@@ -565,8 +762,6 @@ class VectorizedDelivery:
         svc = self.service
         batch = self.batch
         batch.reset()
-        self._templates = None
-        self._template_mapping = None
         self._demand_rows = None
         cur_col = svc._k - svc._start_k
         delivered = state["delivered"]
@@ -584,3 +779,4 @@ class VectorizedDelivery:
                 )
             if series.size:
                 batch.load_history(name, series)
+        self.serve_all(svc.scheduler.streams if svc._scheduler_bound else ())

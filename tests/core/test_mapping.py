@@ -27,6 +27,7 @@ from repro.core.mapping import (
 from repro.core.pgos import PGOSScheduler
 from repro.core.spec import StreamSpec
 from repro.monitoring.cdf import EmpiricalCDF
+from repro.obs.context import Observability
 from repro.workload.scenarios import make_scale_run, make_scenario
 
 
@@ -353,8 +354,9 @@ class TestLazyPacketTable:
         assert table_builds == []
 
     def test_rates_are_derived_on_first_read(self, two_paths, monkeypatch):
-        """A solve's rates wait for a reader, are derived once, and the
-        mapping lets go of the solve's residual answers after."""
+        """A solve's rates wait for a reader and are derived once, and
+        the fold that solved counts the derivation; the mapping keeps
+        the solve's placements, which delivery reads instead."""
         derived = []
         derive = mapping_module._solved_rates
 
@@ -368,7 +370,7 @@ class TestLazyPacketTable:
         rates = fresh.rates_mbps
         assert fresh.rates_mbps is rates
         assert len(derived) == 1
-        assert fresh._solve is None
+        assert fresh.placements.fold.rate_derivations == 1
         assert list(rates) == ["ctl", "vb", "bulk", "fill"]
 
     def test_weightless_elastic_spec_is_refused_by_the_solve(
@@ -438,10 +440,20 @@ class TestLazyPacketTable:
     def test_churn_run_builds_no_table_and_edits_no_rates(
         self, table_builds, constructed
     ):
+        """Untraced, a churn run derives no rates table (delivery reads
+        the placements); traced, the remap trace derives one per remap,
+        and no table is edited after it was handed over or derived."""
         scenario = make_scenario("baseline", duration=20.0)
         driver = make_scale_run(scenario, seed=0, max_sessions=40)
         report = driver.run(scenario.duration)
         assert report.offered == 40
+        assert constructed == []
+        assert driver.service._admission.fold.rate_derivations == 0
+        driver = make_scale_run(
+            scenario, seed=0, max_sessions=40, obs=Observability()
+        )
+        traced = driver.run(scenario.duration)
+        assert traced.checksum() == report.checksum()
         assert len(constructed) > 40
         assert table_builds == []
         for rates, at_birth in constructed:

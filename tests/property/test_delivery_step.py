@@ -64,7 +64,7 @@ def scalar_step(sched, requests, capacity, backlog_bytes):
 
 def engine_step(sched, engine, capacity, backlog, fallback):
     """The engine's per-path water-fill and grants over one step."""
-    templates = engine._compile(fallback=fallback)
+    templates = engine.compile(fallback=fallback)
     column = backlog_column(engine.batch, backlog)
     delivered_col = np.zeros(engine.batch.capacity)
     for path in sched.path_names:

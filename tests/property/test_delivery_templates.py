@@ -1,7 +1,7 @@
 """Compiled delivery templates equal PGOS's request lists.
 
-``VectorizedDelivery._compile`` builds every usable path's request
-slots column-wise from per-stream arrays; ``PGOSScheduler._allocate_inner``
+``VectorizedDelivery.compile`` builds every usable path's request
+slots from the engine's serving columns; ``PGOSScheduler._allocate_inner``
 (and ``_fallback_requests`` before monitoring history exists) files the
 same requests one at a time.  For random scheduler states this module
 holds the two equal slot for slot: per path the same stream row,
@@ -115,8 +115,13 @@ def build(paths, quarantined, specs, row_specs, rates, order, obs=NULL_OBS):
     for i in order:
         batch.open(row_specs[i], 0)
     engine = VectorizedDelivery.__new__(VectorizedDelivery)
-    engine.service = SimpleNamespace(scheduler=sched, obs=obs)
+    engine.service = SimpleNamespace(
+        scheduler=sched, obs=obs, path_names=sched.path_names
+    )
     engine.batch = batch
+    # The serving columns, as a restore builds them: the scheduler's
+    # streams served in order from empty columns.
+    engine.serve_all(sched.streams)
     return sched, engine
 
 
@@ -183,7 +188,7 @@ def assert_templates_match(templates, requests, sched, batch, backlog):
 def test_compiled_templates_equal_allocate_inner(case):
     *state, backlog = case
     sched, engine = build(*state)
-    templates = engine._compile(fallback=False)
+    templates = engine.compile(fallback=False)
     requests = sched._allocate_inner(0, backlog)
     assert_templates_match(templates, requests, sched, engine.batch, backlog)
 
@@ -193,7 +198,7 @@ def test_compiled_templates_equal_allocate_inner(case):
 def test_fallback_templates_equal_fallback_requests(case):
     *state, backlog = case
     sched, engine = build(*state)
-    templates = engine._compile(fallback=True)
+    templates = engine.compile(fallback=True)
     requests = sched._fallback_requests(backlog)
     assert_templates_match(templates, requests, sched, engine.batch, backlog)
 
@@ -209,7 +214,7 @@ def test_interleaved_rules_keep_stream_order_on_a_path():
     rates = {"bulk": {"A": 6.0}, "ctl": {"A": 4.0}, "fill": {"B": 1.0}}
     backlog = {"bulk": None, "ctl": 2.0, "fill": None}
     sched, engine = build(["A", "B"], set(), specs, specs, rates, [2, 0, 1])
-    templates = engine._compile(fallback=False)
+    templates = engine.compile(fallback=False)
     batch = engine.batch
     assert [int(r) for r in templates["A"].rows] == [
         batch.row("ctl"),
@@ -244,7 +249,7 @@ def test_guaranteed_elastic_spec_is_a_duplicate_request():
     sched, engine = build(["A", "B"], set(), specs, specs, rates, [0, 1, 2])
     message = "duplicate request for stream 'video' on one path"
     with pytest.raises(ConfigurationError, match=message):
-        engine._compile(fallback=False)
+        engine.compile(fallback=False)
     requests = sched._allocate_inner(0, {s.name: None for s in specs})
     with pytest.raises(ConfigurationError, match=message):
         water_fill(requests["B"], 10.0)
@@ -252,8 +257,8 @@ def test_guaranteed_elastic_spec_is_a_duplicate_request():
 
 def test_no_streams_compile_to_no_templates():
     _, engine = build(["A", "B"], set(), [], [], {}, [])
-    assert engine._compile(fallback=False) == {}
-    assert engine._compile(fallback=True) == {}
+    assert engine.compile(fallback=False) == {}
+    assert engine.compile(fallback=True) == {}
 
 
 def test_every_compile_is_counted():
@@ -262,6 +267,6 @@ def test_every_compile_is_counted():
     _, engine = build(
         ["A"], set(), specs, specs, {"ctl": {"A": 4.0}}, [0], obs=obs
     )
-    engine._compile(fallback=False)
-    engine._compile(fallback=True)
+    engine.compile(fallback=False)
+    engine.compile(fallback=True)
     assert obs.metrics.counter("delivery.template_compiles").value == 2

@@ -506,5 +506,9 @@ class TestSolvedRates:
             mapping = compute_mapping(specs, cdfs, tw=1.0, qos=qos)
         except AdmissionError:
             return
-        expected = loop_solved_rates(*mapping._solve)
+        solve = mapping.placements
+        expected = loop_solved_rates(
+            solve.placed, solve.memo, solve.qos, solve.elastic,
+            solve.total_weight,
+        )
         assert hex_rates(mapping.rates_mbps) == hex_rates(expected)
